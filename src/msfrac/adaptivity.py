@@ -25,6 +25,13 @@ __all__ = ["AdaptConfig", "IndicatorReport", "compute_indicators",
 
 @dataclass
 class AdaptConfig:
+    """Adaptive-loop settings.
+
+    ``tol`` is an absolute bound on the residual indicator: the loop
+    stops once sqrt(sum_i eta_i^2) <= tol.  It is not a relative error,
+    and it does not bound the energy error against the fine solution.
+    """
+
     theta: float = 0.7
     max_iters: int = 3
     basis_increment: int = 1
@@ -127,10 +134,13 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
                   u_fine: np.ndarray | None = None):
     """Solve / indicate / mark / enrich until max_iters or tolerance.
 
-    Returns the last coarse solution and the per-iteration report
-    history; when the fine solution is supplied the history also records
-    relative errors.  The marking fraction is effectively 1 in manual
-    mode (the rectangle is the marked set).
+    The loop stops after max_iters enrichments, or as soon as the
+    indicator norm sqrt(sum_i eta_i^2) is at most cfg.tol, an absolute
+    bound in the residual's units.  Returns the last coarse solution
+    and the per-iteration report history; when the fine solution is
+    supplied the history also records relative errors.  The marking
+    fraction is effectively 1 in manual mode (the rectangle is the
+    marked set).
     """
     from .analysis import errors as _errors
 
@@ -155,5 +165,4 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
         report.marked = mark_dorfler(report.eta, theta)
         history.append(report)
         spaces = enrich(report, spaces, cfg)
-    sol.info["counts"] = build_space(pou, spaces).counts
     return sol, history

@@ -29,7 +29,8 @@ __all__ = [
     "PermeabilityField", "FineSystem", "FineSolution",
     "q1_shape_tables", "q1_stiffness", "q1_mass",
     "node_operator", "load_vector", "edge_coefficients",
-    "assemble_dfm", "assemble_efm", "solve_fine", "bilinear_bc",
+    "assemble_dfm", "assemble_efm", "solve_fine", "decoupled_fracture_fields",
+    "bilinear_bc",
 ]
 
 _G = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -90,13 +91,6 @@ def edge_coefficients(traces: list[DfmTrace]) -> dict[int, float]:
     return coeffs
 
 
-def _local_index(box_nodes: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    loc = np.searchsorted(box_nodes, ids)
-    if np.any(box_nodes[loc] != ids):
-        raise ValueError("node outside restriction box")
-    return loc
-
-
 def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
                   edge_weights: dict[int, float] | None = None,
                   kind: str = "stiffness",
@@ -106,62 +100,59 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     kind='stiffness' gives the weighted grad-grad form; an edge with
     weight c contributes the 1D element c/h*[[1,-1],[-1,1]].
     kind='mass' gives the weighted value-value form; an edge contributes
-    w*h/6*[[2,1],[1,2]].  A CellBox restricts integration to the box's
-    cells/edges and switches to the box-local node numbering.
+    w*h/6*[[2,1],[1,2]].
+
+    Integration covers the cells of ``box`` (the whole grid when None)
+    and the weighted edges with both end nodes in its closed node
+    rectangle.  Node (i, j) of that rectangle is numbered
+    (j - j0) * (i1 - i0 + 1) + (i - i0): x-fastest, so the whole-grid box
+    gives the global numbering and any box follows ``g.box_nodes(box)``.
     """
     if kind == "stiffness":
         ke2d = q1_stiffness(g.hx, g.hy)
-        edge_elem = lambda w, h: (w / h) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        edge_elem = lambda w, h: (w / h)[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
     elif kind == "mass":
         ke2d = q1_mass(g.hx, g.hy)
-        edge_elem = lambda w, h: (w * h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+        edge_elem = lambda w, h: (w * h / 6.0)[:, None] * np.array([2.0, 1.0, 1.0, 2.0])
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
-    cell_weights = np.asarray(cell_weights, dtype=float)
-    if box is None:
-        cells = np.arange(g.n_cells)
-        nodes = g.all_cell_nodes()
-        n = g.n_nodes
-    else:
-        cells = g.box_cells(box)
-        nodes = g.all_cell_nodes()[cells]
-        box_nodes = g.box_nodes(box)
-        nodes = _local_index(box_nodes, nodes.ravel()).reshape(nodes.shape)
-        n = len(box_nodes)
+    box = box or CellBox(0, 0, g.fine_nx, g.fine_ny)
+    row = box.i1 - box.i0 + 1
+    n = row * (box.j1 - box.j0 + 1)
 
-    data = cell_weights[cells, None, None] * ke2d[None, :, :]
+    def local(i, j):
+        return (j - box.j0) * row + (i - box.i0)
+
+    cells = g.box_cells(box)
+    sw = local(cells % g.fine_nx, cells // g.fine_nx)
+    nodes = np.column_stack([sw, sw + 1, sw + row + 1, sw + row])
+    data = np.asarray(cell_weights, dtype=float)[cells, None, None] * ke2d[None, :, :]
     rows = np.broadcast_to(nodes[:, :, None], data.shape)
     cols = np.broadcast_to(nodes[:, None, :], data.shape)
     A = sparse.coo_matrix(
         (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
     A.sum_duplicates()
 
-    if edge_weights:
-        # separate canonical matrix so cell/edge values merge positionwise
-        # (keeps A bitwise symmetric regardless of duplicate-sum order)
-        rows_l, cols_l, data_l = [], [], []
-        for e, w in sorted(edge_weights.items()):
-            na, nb = g.edge_nodes(e)
-            if box is not None:
-                box_nodes_ = g.box_nodes(box)
-                ab = np.array([na, nb])
-                pos = np.searchsorted(box_nodes_, ab)
-                if np.any(pos >= len(box_nodes_)) or np.any(box_nodes_[np.minimum(pos, len(box_nodes_) - 1)] != ab):
-                    continue  # edge not inside the box
-                na, nb = pos
-            ke = edge_elem(w, g.edge_length(e))
-            rows_l.append(np.array([na, na, nb, nb]))
-            cols_l.append(np.array([na, nb, na, nb]))
-            data_l.append(ke.ravel())
-        if rows_l:
-            E = sparse.coo_matrix(
-                (np.concatenate(data_l),
-                 (np.concatenate(rows_l), np.concatenate(cols_l))),
-                shape=(n, n)).tocsr()
-            E.sum_duplicates()
-            A = (A + E).tocsr()
-    return A
+    if not edge_weights:
+        return A
+    eids = np.array(sorted(edge_weights))
+    w = np.array([edge_weights[e] for e in eids.tolist()], dtype=float)
+    (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
+    keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
+    if not keep.any():
+        return A
+    eids, w = eids[keep], w[keep]
+    a, b = local(ai[keep], aj[keep]), local(bi[keep], bj[keep])
+    data = edge_elem(w, np.where(eids < g.n_hedges, g.hx, g.hy))
+    # separate canonical matrix so cell/edge values merge positionwise
+    # (keeps A bitwise symmetric regardless of duplicate-sum order)
+    E = sparse.coo_matrix(
+        (data.ravel(), (np.column_stack([a, a, b, b]).ravel(),
+                        np.column_stack([a, b, a, b]).ravel())),
+        shape=(n, n)).tocsr()
+    E.sum_duplicates()
+    return (A + E).tocsr()
 
 
 def load_vector(g: GridHierarchy, f) -> np.ndarray:
@@ -416,25 +407,29 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     return base
 
 
+def decoupled_fracture_fields(sys: FineSystem) -> list[np.ndarray] | None:
+    """Fracture fields of an embedded system without matrix coupling.
+
+    When every transfer block B_mf is empty the matrix problem stands
+    alone and each fracture solves its own, possibly floating, 1D
+    problem B u_f = f_f; lstsq gives its minimum-norm solution.  Returns
+    None for a coupled or conforming system.
+    """
+    if sys.mode != "efm" or any(B.nnz for B in sys.B_mf):
+        return None
+    return [np.linalg.lstsq(B.toarray(), fi, rcond=None)[0]
+            for B, fi in zip(sys.B_blocks, sys.F_frac)]
+
+
 def solve_fine(sys: FineSystem) -> FineSolution:
     """Direct sparse solve after Dirichlet elimination."""
     if len(sys.dirichlet_nodes) == 0:
         raise ValueError("no Dirichlet data: pure-Neumann systems are not supported")
-    if sys.mode == "efm" and all(B.nnz == 0 for B in sys.B_mf):
-        # decoupled limit: the matrix block is an ordinary fine solve and
-        # each fracture solves its own (possibly floating) 1D problem
-        msys = FineSystem(grid=sys.grid, perm=sys.perm, A=sys.A_m, F=sys.F,
-                          edge_coeffs=sys.edge_coeffs,
-                          dirichlet_nodes=sys.dirichlet_nodes,
-                          dirichlet_values=sys.dirichlet_values,
-                          bc=sys.bc, source=sys.source)
-        msol = solve_fine(msys)
-        u_frac = [np.linalg.lstsq(B.toarray(), fi, rcond=None)[0]
-                  for B, fi in zip(sys.B_blocks, sys.F_frac)]
-        return FineSolution(u=msol.u, u_frac=u_frac, residual=msol.residual)
-    M = sys.block_matrix().tocsr()
-    rhs = sys.block_rhs()
-    lift = sys.block_lift()
+    u_frac = decoupled_fracture_fields(sys)
+    if u_frac is None:
+        M, rhs, lift = sys.block_matrix().tocsr(), sys.block_rhs(), sys.block_lift()
+    else:
+        M, rhs, lift = sys.A_m, sys.F, sys.lift()
     ntot = M.shape[0]
     fixed = np.zeros(ntot, dtype=bool)
     fixed[sys.dirichlet_nodes] = True
@@ -448,6 +443,7 @@ def solve_fine(sys: FineSystem) -> FineSolution:
 
     u = lift.copy()
     u[free] = x
-    off = sys.frac_offsets
-    u_frac = [u[off[i]:off[i + 1]] for i in range(len(sys.efm_traces))]
+    if u_frac is None:
+        off = sys.frac_offsets
+        u_frac = [u[off[i]:off[i + 1]] for i in range(len(sys.efm_traces))]
     return FineSolution(u=u[:sys.n_nodes], u_frac=u_frac, residual=res)

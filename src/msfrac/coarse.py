@@ -21,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import FineSystem
+from .assembly import FineSystem, decoupled_fracture_fields
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
 __all__ = ["MultiscaleSpace", "CoarseSolution", "build_space",
@@ -34,7 +34,6 @@ class MultiscaleSpace:
     spaces: list[NeighborhoodSpace]
     R0T: sparse.csr_matrix          # (n_fine_nodes, N_c), basis as columns
     col_node: np.ndarray            # coarse-node index of every column
-    counts: np.ndarray              # basis count per coarse node
 
     @property
     def N_c(self) -> int:
@@ -61,7 +60,6 @@ def build_space(pou: PartitionOfUnity,
     bmask = g.boundary_node_mask()
     rows, cols, vals = [], [], []
     col_node = []
-    counts = np.zeros(g.n_coarse_nodes, dtype=int)
     c0 = 0
     for sp in sorted(spaces, key=lambda s: s.omega_id):
         if len(sp.node_ids) != len(pou.chi[sp.omega_id][sp.node_ids]):
@@ -73,13 +71,12 @@ def build_space(pou: PartitionOfUnity,
         cols.append((c0 + np.arange(m))[None, :].repeat(len(sp.node_ids), 0).ravel())
         vals.append(B.ravel())
         col_node.extend([sp.omega_id] * m)
-        counts[sp.omega_id] = m
         c0 += m
     R0T = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(g.n_nodes, c0)).tocsr()
     return MultiscaleSpace(pou=pou, spaces=sorted(spaces, key=lambda s: s.omega_id),
-                           R0T=R0T, col_node=np.array(col_node), counts=counts)
+                           R0T=R0T, col_node=np.array(col_node))
 
 
 def _rank_report(ms: MultiscaleSpace) -> list[int]:
@@ -154,20 +151,15 @@ def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
     lift = ms.pou.boundary_lift(sys.bc)
     A0 = (R0T.T @ (sys.A_m @ R0T)).tocsr()
     F0 = R0T.T @ (sys.F - sys.A_m @ lift)
-    nf = len(sys.efm_traces)
 
-    if all(B.nnz == 0 for B in sys.B_mf):
-        # decoupled: coarse matrix solve + per-fracture 1D pseudo-solves
+    u_frac = decoupled_fracture_fields(sys)
+    if u_frac is not None:
         U0, info = _solve_spd_or_lstsq(A0, F0, ms)
-        u_frac = []
-        for i in range(nf):
-            fi = sys.F_frac[i] - sys.B_mf[i].T @ lift
-            ui, *_ = np.linalg.lstsq(sys.B_blocks[i].toarray(), fi, rcond=None)
-            u_frac.append(ui)
         info["decoupled"] = True
         return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0, lift=lift,
                               efm_fracture_dofs=u_frac, info=info)
 
+    nf = len(sys.efm_traces)
     blocks = [[None] * (nf + 1) for _ in range(nf + 1)]
     blocks[0][0] = A0
     rhs = [F0]

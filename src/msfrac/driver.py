@@ -112,8 +112,22 @@ def build_offline_spaces(rs: RunSetup, pou, snaps):
     return [offline_eigendecomposition(s, rs.sys, pou, M_off=1) for s in snaps]
 
 
-def _solve_at(rs, pou, spaces, schedule):
-    ms = build_space(pou, [sp.with_m_off(schedule[sp.omega_id]) for sp in spaces])
+def _offline(rs: RunSetup):
+    """Output directory, POU, snapshots and local spectra of a set-up run."""
+    os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
+    pou, snaps = offline_stage(rs)
+    return pou, snaps, build_offline_spaces(rs, pou, snaps)
+
+
+def _space_at(rs, pou, spaces, m):
+    """Multiscale space with m modes per interior coarse node."""
+    schedule = m_off_schedule(rs.grid, m, rs.cfg.offline.enrich_boundary)
+    return build_space(pou, [sp.with_m_off(schedule[sp.omega_id])
+                             for sp in spaces])
+
+
+def _solve_at(rs, pou, spaces, m):
+    ms = _space_at(rs, pou, spaces, m)
     if rs.sys.mode == "efm":
         sol = solve_coarse_efm(ms, rs.sys)
     else:
@@ -129,10 +143,6 @@ def _block(rs, u_matrix, u_frac):
 
 def _outpath(cfg, name):
     return os.path.join(cfg.outputs.dir, name)
-
-
-def _prepare_outdir(cfg):
-    os.makedirs(cfg.outputs.dir, exist_ok=True)
 
 
 def _write_common(rs, sol, spaces, extras):
@@ -153,12 +163,8 @@ def _write_common(rs, sol, spaces, extras):
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
-    _prepare_outdir(cfg)
-    pou, snaps = offline_stage(rs)
-    spaces = build_offline_spaces(rs, pou, snaps)
-    schedule = m_off_schedule(rs.grid, cfg.offline.M_off,
-                              cfg.offline.enrich_boundary)
-    ms, sol = _solve_at(rs, pou, spaces, schedule)
+    pou, _, spaces = _offline(rs)
+    ms, sol = _solve_at(rs, pou, spaces, cfg.offline.M_off)
     fine = solve_fine(rs.sys)
     rep = errors(_block(rs, fine.u, fine.u_frac),
                  None,
@@ -183,16 +189,12 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     errors vanish by construction.
     """
     rs = setup(cfg)
-    _prepare_outdir(cfg)
-    pou, snaps = offline_stage(rs)
-    spaces = build_offline_spaces(rs, pou, snaps)
+    pou, snaps, spaces = _offline(rs)
     fine = solve_fine(rs.sys)
     u_fine = _block(rs, fine.u, fine.u_frac)
 
     m_max = max(cfg.sweep)
-    ms_ref, sol_ref = _solve_at(rs, pou, spaces,
-                                m_off_schedule(rs.grid, m_max,
-                                               cfg.offline.enrich_boundary))
+    ms_ref, sol_ref = _solve_at(rs, pou, spaces, m_max)
     u_snap = _block(rs, sol_ref.u_ms_fine, sol_ref.efm_fracture_dofs)
 
     reports = []
@@ -201,9 +203,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
         if m == m_max:
             ms, sol = ms_ref, sol_ref
         else:
-            ms, sol = _solve_at(rs, pou, spaces,
-                                m_off_schedule(rs.grid, m,
-                                               cfg.offline.enrich_boundary))
+            ms, sol = _solve_at(rs, pou, spaces, m)
         u_off = _block(rs, sol.u_ms_fine, sol.efm_fracture_dofs)
         reports.append(errors(u_fine, u_snap, u_off, rs.sys, dim_Voff=ms.N_c,
                               metadata={"M_off": m}))
@@ -232,9 +232,7 @@ def run_adapt(cfg: RunConfig):
     rs = setup(cfg)
     if rs.sys.mode == "efm":
         raise ValueError("adaptive enrichment runs on the monolithic model only")
-    _prepare_outdir(cfg)
-    pou, snaps = offline_stage(rs)
-    spaces = build_offline_spaces(rs, pou, snaps)
+    pou, _, spaces = _offline(rs)
     fine = solve_fine(rs.sys)
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt, u_fine=fine.u)
 
@@ -257,12 +255,8 @@ def run_adapt(cfg: RunConfig):
 def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)
-    _prepare_outdir(cfg)
-    pou, snaps = offline_stage(rs)
-    spaces = build_offline_spaces(rs, pou, snaps)
-    schedule = m_off_schedule(rs.grid, cfg.offline.M_off,
-                              cfg.offline.enrich_boundary)
-    ms, _ = _solve_at(rs, pou, spaces, schedule)
+    pou, _, spaces = _offline(rs)
+    ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = (ms.R0T.T @ (rs.sys.A @ ms.R0T)).tocsr()
 
     written = []

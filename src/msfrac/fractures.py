@@ -121,7 +121,7 @@ class DfmTrace:
         """Ordered node ids visited by the edge path."""
         if len(self.fine_edges) == 0:
             return np.empty(0, dtype=int)
-        pairs = [grid.edge_nodes(int(e)) for e in self.fine_edges]
+        pairs = np.column_stack(grid.edge_nodes(self.fine_edges)).tolist()
         if len(pairs) == 1:
             return np.array(pairs[0])
         nodes = []
@@ -159,17 +159,6 @@ class EfmTrace:
     @property
     def n_nodes(self) -> int:
         return len(self.frac_nodes)
-
-    @property
-    def segments(self) -> np.ndarray:
-        """(k-1, 2) array of (element length, element midpoint arclength)."""
-        ds = np.diff(self.arclengths)
-        mid = 0.5 * (self.arclengths[:-1] + self.arclengths[1:])
-        return np.column_stack([ds, mid])
-
-    @property
-    def total_length(self) -> float:
-        return float(self.arclengths[-1])
 
     def hat_weights(self, s: float) -> tuple[int, float, float]:
         """1D element index and hat-function weights at arclength s."""

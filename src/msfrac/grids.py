@@ -185,15 +185,18 @@ class GridHierarchy:
         """Edge from node (i, j) to (i, j+1)."""
         return self.n_hedges + j * (self.fine_nx + 1) + i
 
-    def edge_nodes(self, eid: int) -> tuple[int, int]:
-        if eid < self.n_hedges:
-            i = eid % self.fine_nx
-            j = eid // self.fine_nx
-            return self.node_id(i, j), self.node_id(i + 1, j)
-        eid -= self.n_hedges
-        i = eid % (self.fine_nx + 1)
-        j = eid // (self.fine_nx + 1)
-        return self.node_id(i, j), self.node_id(i, j + 1)
+    def edge_nodes(self, eid):
+        """End nodes (a, b), a < b, of a fine edge: two ints for a scalar
+        id, two arrays of eid's shape for an array of ids."""
+        eid = np.asarray(eid)
+        vert = eid >= self.n_hedges
+        k = eid - vert * self.n_hedges
+        per_row = self.fine_nx + vert          # edges per row of each block
+        a = self.node_id(k % per_row, k // per_row)
+        b = a + np.where(vert, self.fine_nx + 1, 1)
+        if a.ndim == 0:
+            return int(a), int(b)
+        return a, b
 
     def edge_length(self, eid: int) -> float:
         return self.hx if eid < self.n_hedges else self.hy

@@ -230,7 +230,6 @@ class NeighborhoodSpace:
     S_off: np.ndarray
     M_off: int
     snap: SnapshotSpace
-    basis_scale: np.ndarray       # per-mode scaling applied when building bases
     basis_full: np.ndarray        # all l_i fine-nodal modes, precomputed once
     regularized: bool = False
 
@@ -302,5 +301,5 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
     basis_full = V @ (Psi * scale)
     return NeighborhoodSpace(omega_id=snap.omega_id, node_ids=snap.node_ids,
                              eigvals=w, eigvecs=Psi, A_off=A_off, S_off=S_off,
-                             M_off=m, snap=snap, basis_scale=scale,
+                             M_off=m, snap=snap,
                              basis_full=basis_full, regularized=regularized)

@@ -77,20 +77,32 @@ def test_node_operator_matches_dense_scatter(seed):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
     rng = np.random.default_rng(seed)
     kappa = rng.uniform(0.5, 20.0, g.n_cells)
-    A = node_operator(g, kappa)
-    np.testing.assert_allclose(A.toarray(), dense_assemble(g, kappa),
-                               rtol=0, atol=1e-12)
-    # restricted assembly equals the dense restriction of a cell subset
     box = mf.CellBox(1, 1, 3, 3)
-    nodes = g.box_nodes(box)
-    kb = kappa.copy()
-    outside = np.ones(g.n_cells, bool)
-    outside[g.box_cells(box)] = False
-    kb[outside] = 0.0
-    Aloc = node_operator(g, kappa, box=box)
-    np.testing.assert_allclose(Aloc.toarray(),
-                               dense_assemble(g, kb)[np.ix_(nodes, nodes)],
-                               rtol=0, atol=1e-12)
+    # random fracture edges, always including one through the box
+    # interior, one on its rim and one with an end node outside it
+    edges = {g.hedge_id(1, 2), g.hedge_id(1, 1), g.hedge_id(0, 1)}
+    edges |= set(rng.choice(g.n_edges, rng.integers(0, g.n_edges), replace=False).tolist())
+    edge_w = {e: rng.uniform(0.1, 50.0) for e in sorted(edges)}
+    for ew in (None, edge_w):
+        A = node_operator(g, kappa, ew)
+        np.testing.assert_allclose(A.toarray(), dense_assemble(g, kappa, ew),
+                                   rtol=0, atol=1e-12)
+        whole = node_operator(g, kappa, ew, box=mf.CellBox(0, 0, g.fine_nx, g.fine_ny))
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(whole, part), getattr(A, part))
+        # restricted assembly equals the dense restriction of the box's
+        # cells and of the edges with both end nodes in the box
+        nodes = g.box_nodes(box)
+        kb = kappa.copy()
+        outside = np.ones(g.n_cells, bool)
+        outside[g.box_cells(box)] = False
+        kb[outside] = 0.0
+        kept = {e: w for e, w in (ew or {}).items()
+                if set(g.edge_nodes(e)) <= set(nodes.tolist())}
+        Aloc = node_operator(g, kappa, ew, box=box)
+        np.testing.assert_allclose(Aloc.toarray(),
+                                   dense_assemble(g, kb, kept)[np.ix_(nodes, nodes)],
+                                   rtol=0, atol=1e-12)
 
 
 def test_symmetry_exact():

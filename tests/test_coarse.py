@@ -180,8 +180,7 @@ def test_duplicate_column_flags_rank_deficiency():
     import scipy.sparse as sparse
     dup = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces,
                           R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
-                          col_node=np.append(ms.col_node, ms.col_node[0]),
-                          counts=ms.counts)
+                          col_node=np.append(ms.col_node, ms.col_node[0]))
     sol2 = mf.solve_coarse_dfm(dup, sys)
     assert sol2.info["rank_deficient"]
     # same span, same fine-grid Galerkin solution
