@@ -23,6 +23,9 @@ __all__ = ["AdaptConfig", "IndicatorReport", "compute_indicators",
            "mark_dorfler", "enrich", "adaptive_loop"]
 
 
+_INDICATORS = ("residual", "manual")
+
+
 @dataclass
 class AdaptConfig:
     """Adaptive-loop settings.
@@ -35,15 +38,15 @@ class AdaptConfig:
     theta: float = 0.7
     max_iters: int = 3
     basis_increment: int = 1
-    indicator: str = "residual"          # "residual" | "manual"
+    indicator: str = field(default="residual", metadata={"choices": _INDICATORS})
     manual_box: tuple | None = None      # (ci0, ci1, cj0, cj1), inclusive
     tol: float = 0.0
-    initial_basis: int = 1
+    initial_basis: int = field(default=1, metadata={"positive": True})
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if self.indicator not in ("residual", "manual"):
+        if self.indicator not in _INDICATORS:
             raise ValueError(f"unknown indicator {self.indicator!r}")
         if self.indicator == "manual" and self.manual_box is None:
             raise ValueError("manual indicator needs a coarse-node rectangle")

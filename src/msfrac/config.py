@@ -1,15 +1,20 @@
 """Run configuration: YAML schema, strict validation, round-tripping.
 
-Every block rejects unknown keys so typos fail loudly, and the parsed
-config can be serialized back to an equivalent dict for the run
-manifest (identical configs must re-parse to identical runs).
+The block dataclasses are the schema: each field is one YAML key with
+its default, checked by its type and its ``positive`` / ``choices``
+metadata (choices match case-insensitively); only keys shaped unlike
+their field are parsed by hand (``_SHAPED``).  Unknown keys fail loudly,
+and the echo re-parses to an equal config for the run manifest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import functools
+import inspect
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
-import numpy as np
 import yaml
 
 from .adaptivity import AdaptConfig
@@ -24,26 +29,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{ctx}: expected a mapping, got {type(d).__name__}")
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
-def _num(d, key, ctx, default=None, kind=float, positive=False):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{ctx}: missing required key {key!r}")
-        return default
-    try:
-        v = kind(d[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{ctx}.{key}: expected {kind.__name__}, got {d[key]!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{ctx}.{key}: must be positive, got {v}")
-    return v
+def _opt(default=MISSING, **checks):
+    """A field with its value checks (``positive``, ``choices``)."""
+    return field(default=default, metadata=checks)
 
 
 @dataclass
@@ -51,44 +39,55 @@ class GridConfig:
     domain: tuple = (0.0, 0.0, 1.0, 1.0)
     coarse_nx: int = 10
     coarse_ny: int = 10
-    refine: int = 10
+    refine: int = _opt(10, positive=True)
     t: int = 0
 
 
 @dataclass
 class MatrixConfig:
-    kappa: float = 1.0
+    kappa: float = _opt(1.0, positive=True)
     raster: str | None = None
 
 
 @dataclass
 class FractureSpec:
     polyline: list
-    aperture: float
-    kappa_f: float
-    model: str = "dfm"
+    aperture: float = _opt(positive=True)
+    kappa_f: float = _opt(positive=True)
+    model: str = _opt("dfm", choices=("dfm", "efm"))
 
 
 @dataclass
 class FracturesConfig:
     field: str | None = None          # generator name
     seed: int = 0
-    kappa_f: float | None = None
-    aperture: float | None = None
-    params: dict = None
+    kappa_f: float | None = _opt(None, positive=True)
+    aperture: float | None = _opt(None, positive=True)
+    params: dict = None               # extra generator keyword arguments
     fractures: list[FractureSpec] = None
 
     def __post_init__(self):
         self.params = self.params or {}
         self.fractures = self.fractures or []
+        if self.field is None:
+            return
+        if self.field not in FIELD_GENERATORS:
+            raise ValueError(f"unknown generator {self.field!r}; "
+                             f"available: {sorted(FIELD_GENERATORS)}")
+        allowed = (set(inspect.signature(FIELD_GENERATORS[self.field]).parameters)
+                   - {"g", "seed", "kappa_f", "aperture"})
+        unknown = sorted(set(self.params) - allowed)
+        if unknown:
+            raise ValueError(f"params {unknown} not accepted by generator "
+                             f"{self.field!r}; allowed: {sorted(allowed)}")
 
 
 @dataclass
 class OfflineConfig:
-    mode: str = "full"                # "full" | "randomized"
-    M_off: int = 1
+    mode: str = _opt("full", choices=("full", "randomized"))
+    M_off: int = _opt(1, positive=True)
     enrich_boundary: bool = False     # extra modes at boundary coarse nodes too
-    k_nb: int = 4
+    k_nb: int = _opt(4, positive=True)
     p_bf: int = 4
     seed: int = 0
 
@@ -100,7 +99,6 @@ class OutputsConfig:
     solution_csv: str | None = None
     vtk: str | None = None
     eigenvalues: str | None = None
-    matrices: bool = False
     manifest: str = "manifest.yml"
 
 
@@ -127,131 +125,167 @@ class RunConfig:
         return None if v == 0.0 else v
 
 
+# -- one coercion per field type -------------------------------------------
+
+_ACCEPTS = {bool: bool, int: int, float: (int, float), str: str, dict: dict}
+_hints = functools.cache(get_type_hints)
+
+
+def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx}: expected a mapping, got {type(d).__name__}")
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
+def _value(kind, v, ctx, positive=False, choices=None):
+    """Check one value against its field type; a block type recurses."""
+    if is_dataclass(kind):
+        return _parse_block(kind, v, ctx)
+    if kind is float and isinstance(v, str):
+        try:                          # YAML 1.1 reads 1e3 and 1.0e3 as strings
+            v = float(v)
+        except ValueError:
+            pass
+    if isinstance(v, bool) != (kind is bool) or not isinstance(v, _ACCEPTS[kind]):
+        raise ConfigError(f"{ctx}: expected {kind.__name__}, got {v!r}")
+    v = kind(v)
+    if positive and v <= 0:
+        raise ConfigError(f"{ctx}: must be positive, got {v}")
+    if choices is not None:
+        v = v.lower()
+        if v not in choices:
+            raise ConfigError(f"{ctx}: expected one of {list(choices)}, got {v!r}")
+    return v
+
+
+def _kind(hint):
+    """The type of a field annotation, reading ``X | None`` as X."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = (a for a in get_args(hint) if a is not type(None))
+    return hint
+
+
+def _path(ctx: str, key) -> str:
+    return f"{ctx}.{key}" if ctx else key
+
+
+# -- keys whose YAML shape differs from their field(s) ----------------------
+# Each parser returns values for the fields it covers; a field it leaves
+# out keeps its dataclass default.
+
+def _seq(v, ctx, kind, n, shape, **checks):
+    """A list of n values of one kind (n=None: any non-empty length)."""
+    if not isinstance(v, (list, tuple)) or (len(v) != n if n else not v):
+        raise ConfigError(f"{ctx}: expected {shape}")
+    return [_value(kind, x, ctx, **checks) for x in v]
+
+
+def _coarse(v, ctx):
+    nx, ny = _seq(v if isinstance(v, (list, tuple)) else [v, v], ctx, int, 2,
+                  "n or [nx, ny]", positive=True)
+    return {"coarse_nx": nx, "coarse_ny": ny}
+
+
+def _polyline(v, ctx):
+    shape = ">= 2 [x, y] vertices"
+    if not isinstance(v, (list, tuple)) or len(v) < 2:
+        raise ConfigError(f"{ctx}: expected {shape}")
+    return {"polyline": [_seq(p, ctx, float, 2, shape) for p in v]}
+
+
+def _bc(v, ctx):
+    _check_keys(v, {"bilinear", "constant"}, ctx)
+    if len(v) != 1:
+        raise ConfigError(f"{ctx}: give either 'bilinear' or 'constant'"
+                          + (", not both" if v else ""))
+    if "constant" in v:
+        return {"bc": {"constant": _value(float, v["constant"], f"{ctx}.constant")}}
+    return {"bc": {"bilinear": _seq(v["bilinear"], f"{ctx}.bilinear", float, 4,
+                                    "[a, b, c, d] for a+bx+cy+dxy")}}
+
+
+def _source(v, ctx):
+    _check_keys(v, {"constant"}, ctx)
+    if not v:
+        return {}
+    return {"source": {"constant": _value(float, v["constant"], f"{ctx}.constant")}}
+
+
+# block -> {YAML key: (fields it covers, parse(value, path) -> field values)}
+_SHAPED = {
+    GridConfig: {
+        "domain": (("domain",), lambda v, ctx: {
+            "domain": tuple(_seq(v, ctx, float, 4, "[x0, y0, x1, y1]"))}),
+        "coarse": (("coarse_nx", "coarse_ny"), _coarse)},
+    FractureSpec: {"polyline": (("polyline",), _polyline)},
+    FracturesConfig: {
+        "list": (("fractures",), lambda v, ctx: {"fractures": [
+            _parse_block(FractureSpec, item, f"{ctx}[{k}]")
+            for k, item in enumerate(v or [])]})},
+    AdaptConfig: {
+        "manual_box": (("manual_box",), lambda v, ctx: {"manual_box": None if v is None
+                       else tuple(_seq(v, ctx, int, 4, "[ci0, ci1, cj0, cj1]"))})},
+    RunConfig: {
+        "bc": (("bc",), _bc),
+        "source": (("source",), _source),
+        "sweep": (("sweep",), lambda v, ctx: {"sweep": _seq(
+            v, ctx, int, None, "a non-empty list of positive counts", positive=True)})},
+}
+
+
+def _direct_fields(cls):
+    """Fields that are one YAML key each, under their own name."""
+    covered = {n for names, _ in _SHAPED.get(cls, {}).values() for n in names}
+    return [f for f in fields(cls) if f.name not in covered]
+
+
+def _parse_block(cls, d, ctx: str):
+    shaped = _SHAPED.get(cls, {})
+    direct = _direct_fields(cls)
+    _check_keys(d, {f.name for f in direct} | set(shaped), ctx or "config")
+    hints = _hints(cls)
+    kw = {}
+    for f in direct:
+        if f.name in d:
+            v = d[f.name]
+            kw[f.name] = (None if v is None and f.default is None else
+                          _value(_kind(hints[f.name]), v, _path(ctx, f.name),
+                                 **f.metadata))
+    for key, (_, parse) in shaped.items():
+        if key in d:
+            kw.update(parse(d[key], _path(ctx, key)))
+    for f in fields(cls):
+        if f.name not in kw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{ctx}: missing required key {f.name!r}")
+    try:
+        return cls(**kw)
+    except ValueError as exc:         # the block's own cross-field checks
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
+def _plain(v):
+    """A value as plain YAML data: blocks become dicts, tuples lists."""
+    if is_dataclass(v):
+        return _echo(v)
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    return v
+
+
+def _echo(obj) -> dict:
+    out = {f.name: _plain(getattr(obj, f.name)) for f in _direct_fields(type(obj))}
+    for key, (names, _) in _SHAPED.get(type(obj), {}).items():
+        vals = [_plain(getattr(obj, n)) for n in names]
+        out[key] = vals[0] if len(vals) == 1 else vals
+    return {k: v for k, v in out.items() if v is not None and v != {} and v != []}
+
+
 def parse_config(data: dict) -> RunConfig:
-    if data is None:
-        data = {}
-    _check_keys(data, {"grid", "matrix", "fractures", "bc", "source",
-                       "offline", "adapt", "outputs", "sweep"}, "config")
-    cfg = RunConfig()
-
-    if "grid" in data:
-        d = data["grid"]
-        _check_keys(d, {"domain", "coarse", "refine", "t"}, "grid")
-        dom = d.get("domain", [0.0, 0.0, 1.0, 1.0])
-        if len(dom) != 4:
-            raise ConfigError("grid.domain: expected [x0, y0, x1, y1]")
-        coarse = d.get("coarse", [10, 10])
-        if np.isscalar(coarse):
-            coarse = [coarse, coarse]
-        cfg.grid = GridConfig(domain=tuple(float(v) for v in dom),
-                              coarse_nx=int(coarse[0]), coarse_ny=int(coarse[1]),
-                              refine=_num(d, "refine", "grid", 10, int, True),
-                              t=_num(d, "t", "grid", 0, int))
-
-    if "matrix" in data:
-        d = data["matrix"]
-        _check_keys(d, {"kappa", "raster"}, "matrix")
-        cfg.matrix = MatrixConfig(kappa=_num(d, "kappa", "matrix", 1.0, float, True),
-                                  raster=d.get("raster"))
-
-    if "fractures" in data:
-        d = data["fractures"]
-        _check_keys(d, {"field", "seed", "kappa_f", "aperture", "params", "list"},
-                    "fractures")
-        fc = FracturesConfig(
-            field=d.get("field"),
-            seed=_num(d, "seed", "fractures", 0, int),
-            kappa_f=None if "kappa_f" not in d else _num(d, "kappa_f", "fractures",
-                                                         None, float, True),
-            aperture=None if "aperture" not in d else _num(d, "aperture", "fractures",
-                                                           None, float, True),
-            params=d.get("params") or {})
-        if fc.field is not None and fc.field not in FIELD_GENERATORS:
-            raise ConfigError(f"fractures.field: unknown generator {fc.field!r}; "
-                              f"available: {sorted(FIELD_GENERATORS)}")
-        for k, item in enumerate(d.get("list") or []):
-            ctx = f"fractures.list[{k}]"
-            _check_keys(item, {"polyline", "aperture", "kappa_f", "model"}, ctx)
-            poly = item.get("polyline")
-            if (not isinstance(poly, (list, tuple)) or len(poly) < 2
-                    or any(len(p) != 2 for p in poly)):
-                raise ConfigError(f"{ctx}.polyline: expected >= 2 [x, y] vertices")
-            model = str(item.get("model", "dfm")).lower()
-            if model not in ("dfm", "efm"):
-                raise ConfigError(f"{ctx}.model: expected 'dfm' or 'efm', got {model!r}")
-            fc.fractures.append(FractureSpec(
-                polyline=[[float(x), float(y)] for x, y in poly],
-                aperture=_num(item, "aperture", ctx, None, float, True),
-                kappa_f=_num(item, "kappa_f", ctx, None, float, True),
-                model=model))
-        cfg.fractures = fc
-
-    if "bc" in data:
-        d = data["bc"]
-        _check_keys(d, {"bilinear", "constant"}, "bc")
-        if "bilinear" in d and "constant" in d:
-            raise ConfigError("bc: give either 'bilinear' or 'constant', not both")
-        if "bilinear" in d:
-            if len(d["bilinear"]) != 4:
-                raise ConfigError("bc.bilinear: expected [a, b, c, d] for a+bx+cy+dxy")
-            cfg.bc = {"bilinear": [float(v) for v in d["bilinear"]]}
-        else:
-            cfg.bc = {"constant": float(d["constant"])}
-
-    if "source" in data:
-        d = data["source"]
-        _check_keys(d, {"constant"}, "source")
-        cfg.source = {"constant": float(d.get("constant", 0.0))}
-
-    if "offline" in data:
-        d = data["offline"]
-        _check_keys(d, {"mode", "M_off", "enrich_boundary", "k_nb", "p_bf", "seed"},
-                    "offline")
-        mode = str(d.get("mode", "full")).lower()
-        if mode not in ("full", "randomized"):
-            raise ConfigError(f"offline.mode: expected 'full' or 'randomized', got {mode!r}")
-        cfg.offline = OfflineConfig(
-            mode=mode,
-            M_off=_num(d, "M_off", "offline", 1, int, True),
-            enrich_boundary=bool(d.get("enrich_boundary", False)),
-            k_nb=_num(d, "k_nb", "offline", 4, int, True),
-            p_bf=_num(d, "p_bf", "offline", 4, int),
-            seed=_num(d, "seed", "offline", 0, int))
-
-    if "adapt" in data:
-        d = data["adapt"]
-        _check_keys(d, {"theta", "max_iters", "basis_increment", "indicator",
-                        "manual_box", "tol", "initial_basis"}, "adapt")
-        box = d.get("manual_box")
-        cfg.adapt = AdaptConfig(
-            theta=_num(d, "theta", "adapt", 0.7, float),
-            max_iters=_num(d, "max_iters", "adapt", 3, int),
-            basis_increment=_num(d, "basis_increment", "adapt", 1, int),
-            indicator=str(d.get("indicator", "residual")).lower(),
-            manual_box=None if box is None else tuple(int(v) for v in box),
-            tol=_num(d, "tol", "adapt", 0.0, float),
-            initial_basis=_num(d, "initial_basis", "adapt", 1, int, True))
-
-    if "outputs" in data:
-        d = data["outputs"]
-        _check_keys(d, {"dir", "csv", "solution_csv", "vtk", "eigenvalues",
-                        "matrices", "manifest"}, "outputs")
-        cfg.outputs = OutputsConfig(
-            dir=str(d.get("dir", "out")),
-            csv=str(d.get("csv", "errors.csv")),
-            solution_csv=d.get("solution_csv"),
-            vtk=d.get("vtk"),
-            eigenvalues=d.get("eigenvalues"),
-            matrices=bool(d.get("matrices", False)),
-            manifest=str(d.get("manifest", "manifest.yml")))
-
-    if "sweep" in data:
-        if (not isinstance(data["sweep"], (list, tuple)) or not data["sweep"]
-                or any(int(v) < 1 for v in data["sweep"])):
-            raise ConfigError("sweep: expected a non-empty list of positive counts")
-        cfg.sweep = [int(v) for v in data["sweep"]]
-
-    return cfg
+    return _parse_block(RunConfig, {} if data is None else data, "")
 
 
 def load_config(path: str) -> RunConfig:
@@ -264,41 +298,6 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Plain-dict echo of the config; re-parses to an equivalent RunConfig."""
-    out = {
-        "grid": {"domain": list(cfg.grid.domain),
-                 "coarse": [cfg.grid.coarse_nx, cfg.grid.coarse_ny],
-                 "refine": cfg.grid.refine, "t": cfg.grid.t},
-        "matrix": {"kappa": cfg.matrix.kappa},
-        "bc": dict(cfg.bc),
-        "source": dict(cfg.source),
-        "offline": {"mode": cfg.offline.mode, "M_off": cfg.offline.M_off,
-                    "enrich_boundary": cfg.offline.enrich_boundary,
-                    "k_nb": cfg.offline.k_nb, "p_bf": cfg.offline.p_bf,
-                    "seed": cfg.offline.seed},
-        "adapt": {"theta": cfg.adapt.theta, "max_iters": cfg.adapt.max_iters,
-                  "basis_increment": cfg.adapt.basis_increment,
-                  "indicator": cfg.adapt.indicator, "tol": cfg.adapt.tol,
-                  "initial_basis": cfg.adapt.initial_basis},
-        "outputs": {k: v for k, v in asdict(cfg.outputs).items() if v is not None},
-        "sweep": list(cfg.sweep),
-    }
-    if cfg.matrix.raster is not None:
-        out["matrix"]["raster"] = cfg.matrix.raster
-    if cfg.adapt.manual_box is not None:
-        out["adapt"]["manual_box"] = list(cfg.adapt.manual_box)
-    fr = {"seed": cfg.fractures.seed}
-    if cfg.fractures.field is not None:
-        fr["field"] = cfg.fractures.field
-    if cfg.fractures.kappa_f is not None:
-        fr["kappa_f"] = cfg.fractures.kappa_f
-    if cfg.fractures.aperture is not None:
-        fr["aperture"] = cfg.fractures.aperture
-    if cfg.fractures.params:
-        fr["params"] = dict(cfg.fractures.params)
-    if cfg.fractures.fractures:
-        fr["list"] = [{"polyline": [list(p) for p in fs.polyline],
-                       "aperture": fs.aperture, "kappa_f": fs.kappa_f,
-                       "model": fs.model} for fs in cfg.fractures.fractures]
-    out["fractures"] = fr
-    return out
+    """Plain-dict echo of the config, leaving out unset (None or empty)
+    values; re-parses to an equivalent RunConfig."""
+    return _echo(cfg)

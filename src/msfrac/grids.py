@@ -63,10 +63,6 @@ class CellBox:
     def ncells(self) -> int:
         return (self.i1 - self.i0) * (self.j1 - self.j0)
 
-    def contains(self, other: "CellBox") -> bool:
-        return (self.i0 <= other.i0 and self.j0 <= other.j0
-                and other.i1 <= self.i1 and other.j1 <= self.j1)
-
     def dilated(self, t: int, nx: int, ny: int) -> "CellBox":
         """Grow by t fine-cell layers on every side, clipped to the grid."""
         return CellBox(max(self.i0 - t, 0), max(self.j0 - t, 0),
@@ -211,16 +207,6 @@ class GridHierarchy:
         i, j = k % (self.fine_nx + 1), k // (self.fine_nx + 1)
         cols = [i - 1, i]
         return [j * self.fine_nx + c for c in cols if 0 <= c < self.fine_nx]
-
-    def edge_between(self, na: int, nb: int) -> int:
-        """Edge id joining two lattice-adjacent fine nodes."""
-        ia, ja = self.node_ij(na)
-        ib, jb = self.node_ij(nb)
-        if ja == jb and abs(ia - ib) == 1:
-            return self.hedge_id(min(ia, ib), ja)
-        if ia == ib and abs(ja - jb) == 1:
-            return self.vedge_id(ia, min(ja, jb))
-        raise ValueError(f"nodes {na} and {nb} are not lattice neighbors")
 
     # -- box helpers ---------------------------------------------------------
 

@@ -1,5 +1,9 @@
 """End-to-end CLI runs on small grids: exit codes, outputs, determinism."""
 
+import pathlib
+import runpy
+import sys
+
 import numpy as np
 import pytest
 import scipy.io
@@ -61,13 +65,14 @@ def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
 
 
 def test_malformed_fracture_polyline_exits_nonzero(tmp_path, capsys):
-    cfg, _ = write_cfg(
-        tmp_path,
-        fractures={"list": [{"polyline": [[0.5, 0.5]],
-                             "aperture": 1e-3, "kappa_f": 1e3}]})
-    assert main(["solve", "-c", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "list[0]" in err
+    for fractures, frag in [
+            ({"list": [{"polyline": [[0.5, 0.5]],
+                        "aperture": 1e-3, "kappa_f": 1e3}]}, "list[0]"),
+            ({"field": "crossing_channels", "params": {"nn": 4}}, "nn")]:
+        cfg, _ = write_cfg(tmp_path, fractures=fractures)
+        assert main(["solve", "-c", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and frag in err
 
 
 def test_degenerate_fracture_names_its_id(tmp_path, capsys):
@@ -157,3 +162,17 @@ def test_raster_field_through_cli(tmp_path):
     assert main(["solve", "-c", str(cfg)]) == 0
     row = (out / "errors.csv").read_text().splitlines()[1]
     assert float(row.split(",")[2]) > 1e-6  # heterogeneity makes it inexact
+
+
+@pytest.mark.parametrize("script,opts", [
+    ("convergence_study.py", ["--fields", "crossing_channels", "--max-modes", "1"]),
+    ("adaptivity_trajectory.py", ["--max-iters", "1"]),
+    ("randomized_comparison.py", ["--modes", "1"]),
+])
+def test_experiment_scripts_run(script, opts, tmp_path, monkeypatch, capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [str(path), "--coarse", "3", "--refine", "3",
+                                      "--t", "1", "--out", str(tmp_path), *opts])
+    runpy.run_path(str(path), run_name="__main__")
+    assert "dim" in capsys.readouterr().out
+    assert list(tmp_path.rglob("manifest.yml"))

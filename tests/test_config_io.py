@@ -1,5 +1,9 @@
 """Config parsing/round-tripping and the on-disk output formats."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 import scipy.io
@@ -26,18 +30,21 @@ FULL_CONFIG = {
                 "seed": 11, "enrich_boundary": True},
     "adapt": {"theta": 0.6, "max_iters": 2, "basis_increment": 2,
               "indicator": "manual", "manual_box": [1, 3, 1, 2]},
-    "outputs": {"dir": "run1", "csv": "e.csv", "vtk": "u.vtk",
-                "matrices": True},
+    "outputs": {"dir": "run1", "csv": "e.csv", "vtk": "u.vtk"},
     "sweep": [1, 3, 5],
 }
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.yml"))
 
 
 def test_config_roundtrip_through_dict():
-    cfg = parse_config(FULL_CONFIG)
-    echo = config_to_dict(cfg)
-    cfg2 = parse_config(echo)
-    assert config_to_dict(cfg2) == echo
-    assert cfg2 == cfg
+    assert SHIPPED
+    for data in [FULL_CONFIG] + [yaml.safe_load(p.read_text()) for p in SHIPPED]:
+        cfg = parse_config(data)
+        echo = config_to_dict(cfg)
+        cfg2 = parse_config(echo)
+        assert config_to_dict(cfg2) == echo
+        assert cfg2 == cfg
 
 
 def test_config_defaults():
@@ -56,6 +63,7 @@ def test_config_defaults():
     ({"fractures": {"feild": "x"}}, "feild"),
     ({"offline": {"mode": "full", "oversampling": 2}}, "oversampling"),
     ({"outputs": {"folder": "x"}}, "folder"),
+    ({"outputs": {"matrices": True}}, "matrices"),
 ])
 def test_unknown_keys_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
@@ -78,10 +86,40 @@ def test_unknown_keys_rejected(data, frag):
     ({"offline": {"mode": "greedy"}}, "greedy"),
     ({"sweep": []}, "sweep"),
     ({"sweep": [2, 0]}, "sweep"),
+    ({"fractures": {"field": "crossing_channels", "params": {"nn": 4}}}, "nn"),
+    ({"grid": {"coarse": [3]}}, r"grid\.coarse"),
+    ({"offline": {"enrich_boundary": "false"}}, r"offline\.enrich_boundary"),
+    ({"sweep": [1, "x"]}, "sweep"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
         parse_config(data)
+
+
+def _allowed(data):
+    """The keys the parser lists as allowed where data has an unknown one."""
+    with pytest.raises(ConfigError, match="allowed: ") as exc:
+        parse_config(data)
+    return ast.literal_eval(str(exc.value).rsplit("allowed: ", 1)[1])
+
+
+def test_readme_config_block_names_every_key():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Configuration\n.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    doc = yaml.safe_load(block)
+    parse_config(doc)
+    # top-level sections; alternatives may be named in comments
+    sections = {s.split(":", 1)[0]: s for s in re.split(r"^(?=\w)", block, flags=re.M)
+                if s.strip()}
+    assert set(sections) == set(_allowed({"?": 0}))
+    for name, text in sections.items():
+        if not isinstance(doc[name], dict):
+            continue
+        keys = _allowed({name: {"?": 0}})
+        if name == "fractures":
+            keys += _allowed({name: {"list": [{"?": 0}]}})
+        for key in keys:
+            assert re.search(rf"^[\s#-]*{key}:", text, re.M), f"{name}.{key}"
 
 
 def test_load_config_reports_yaml_errors(tmp_path):
