@@ -14,6 +14,7 @@ unknowns through the projected transfer blocks.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,12 +106,16 @@ def _solve_spd_or_lstsq(A0, F0, ms=None, dense_limit=4000):
     if n <= dense_limit:
         Ad = A0.toarray() if sparse.issparse(A0) else np.asarray(A0)
         try:
-            U = scipy.linalg.solve(Ad, F0, assume_a="pos")
+            # an ill-conditioning warning fails the Cholesky path too
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                U = scipy.linalg.solve(Ad, F0, assume_a="pos")
             res = np.linalg.norm(Ad @ U - F0) / max(normF, 1e-300)
             if not np.isfinite(res) or res > 1e-8:
                 raise scipy.linalg.LinAlgError("poor residual")
             return U, info
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError):
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError,
+                scipy.linalg.LinAlgWarning):
             U, _, rank, _ = np.linalg.lstsq(Ad, F0, rcond=1e-12)
             res = np.linalg.norm(Ad @ U - F0) / max(normF, 1e-300)
             if not np.isfinite(res) or res > 1e-6:

@@ -70,6 +70,11 @@ class FracturesConfig:
         self.params = self.params or {}
         self.fractures = self.fractures or []
         if self.field is None:
+            unused = [k for k in ("kappa_f", "aperture", "params")
+                      if getattr(self, k) not in (None, {})]
+            if unused:
+                raise ValueError(f"{unused} apply only to a generator; "
+                                 "set 'field'")
             return
         if self.field not in FIELD_GENERATORS:
             raise ValueError(f"unknown generator {self.field!r}; "

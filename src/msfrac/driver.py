@@ -8,8 +8,12 @@ run writes a manifest with the config echo and effective seeds.
 
 from __future__ import annotations
 
+import ctypes
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +30,8 @@ from .config import RunConfig, config_to_dict
 from .fields import FIELD_GENERATORS
 from . import io_formats
 
-__all__ = ["RunSetup", "setup", "offline_stage", "m_off_schedule",
-           "build_offline_spaces", "run_solve", "run_sweep", "run_adapt",
-           "run_export_matrices"]
+__all__ = ["RunSetup", "setup", "m_off_schedule", "run_solve", "run_sweep",
+           "run_adapt", "run_export_matrices"]
 
 
 @dataclass
@@ -81,21 +84,6 @@ def setup(cfg: RunConfig) -> RunSetup:
                     dfm_traces=dfm_traces, efm_traces=efm_traces, sys=sys)
 
 
-def offline_stage(rs: RunSetup):
-    """Partition of unity plus one snapshot space per coarse node."""
-    off = rs.cfg.offline
-    pou = compute_pou(rs.grid, rs.sys)
-    snaps = []
-    for nb in rs.grid.neighborhoods:
-        if off.mode == "randomized":
-            snaps.append(randomized_snapshots(rs.grid, rs.sys, nb.index,
-                                              k_nb=off.k_nb, p_bf=off.p_bf,
-                                              seed=off.seed))
-        else:
-            snaps.append(full_snapshots(rs.grid, rs.sys, nb.index))
-    return pou, snaps
-
-
 def m_off_schedule(g: GridHierarchy, M_off: int,
                    enrich_boundary: bool = False) -> np.ndarray:
     """Per-coarse-node mode counts: M_off inside, 1 on the domain
@@ -107,16 +95,76 @@ def m_off_schedule(g: GridHierarchy, M_off: int,
     return out
 
 
-def build_offline_spaces(rs: RunSetup, pou, snaps):
-    """Eigendecompose every neighborhood once (modes are selected later)."""
-    return [offline_eigendecomposition(s, rs.sys, pou, M_off=1) for s in snaps]
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS loaded so far."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh
+                            if "openblas" in os.path.basename(ln.split()[-1]).lower()})
+    except OSError:                   # no /proc: nothing found, nothing capped
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Cap every loaded OpenBLAS at one thread, restoring the previous
+    counts on exit; yields whether any library was capped."""
+    restore = []
+    try:
+        for get, set_ in _openblas_thread_controls():
+            restore.append((set_, get()))
+            set_(1)
+        yield bool(restore)
+    finally:
+        for set_, n in restore:
+            set_(n)
+
+
+def _neighborhood_offline(rs: RunSetup, pou, omega_id: int):
+    """Snapshots and local spectral space of one coarse neighborhood."""
+    off = rs.cfg.offline
+    if off.mode == "randomized":
+        snap = randomized_snapshots(rs.grid, rs.sys, omega_id, k_nb=off.k_nb,
+                                    p_bf=off.p_bf, seed=off.seed)
+    else:
+        snap = full_snapshots(rs.grid, rs.sys, omega_id)
+    # all modes are kept; each solve selects its count
+    return snap, offline_eigendecomposition(snap, rs.sys, pou, M_off=1)
 
 
 def _offline(rs: RunSetup):
-    """Output directory, POU, snapshots and local spectra of a set-up run."""
+    """Output directory, POU, snapshots and local spectra of a set-up run.
+
+    The neighborhoods are independent local problems, solved on one
+    worker thread per usable CPU: their sparse LU solves and matrix
+    products release the interpreter lock.  Each runs on one BLAS
+    thread, so its result does not depend on the worker count.  Without
+    a BLAS that can be capped the map runs on a single worker.
+    """
     os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
-    pou, snaps = offline_stage(rs)
-    return pou, snaps, build_offline_spaces(rs, pou, snaps)
+    pou = compute_pou(rs.grid, rs.sys)
+    with _one_blas_thread() as capped:
+        workers = len(os.sched_getaffinity(0)) if capped else 1
+        with ThreadPoolExecutor(workers) as pool:
+            done = list(pool.map(partial(_neighborhood_offline, rs, pou),
+                                 [nb.index for nb in rs.grid.neighborhoods]))
+    return pou, [snap for snap, _ in done], [space for _, space in done]
 
 
 def _space_at(rs, pou, spaces, m):

@@ -3,6 +3,7 @@
 import pathlib
 import runpy
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
 
     assert main(["sweep", "-c", str(cfg)]) == 0
     assert (out / "errors.csv").read_bytes() == first
+
+
+def test_ill_conditioned_coarse_solve_records_lstsq(tmp_path, capsys):
+    # randomized spaces on 2x2-cell patches: the Cholesky path of the
+    # dense coarse solve meets rcond ~ 1e-18 at ordinary contrast
+    cfg, out = write_cfg(tmp_path, grid={"coarse": [3, 3], "refine": 2},
+                         offline={"mode": "randomized"},
+                         fractures={"field": "crossing_channels", "kappa_f": 1e3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "-c", str(cfg)]) == 0
+    doc = yaml.safe_load((out / "manifest.yml").read_text())
+    assert doc["run"]["coarse_solver"] == "lstsq"
+    h1 = float((out / "errors.csv").read_text().splitlines()[1].split(",")[2])
+    assert h1 < 1e-8
 
 
 def test_malformed_fracture_polyline_exits_nonzero(tmp_path, capsys):

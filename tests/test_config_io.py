@@ -90,6 +90,7 @@ def test_unknown_keys_rejected(data, frag):
     ({"grid": {"coarse": [3]}}, r"grid\.coarse"),
     ({"offline": {"enrich_boundary": "false"}}, r"offline\.enrich_boundary"),
     ({"sweep": [1, "x"]}, "sweep"),
+    ({"fractures": {"params": {"nn": 4}, "kappa_f": 5.0}}, "field"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
