@@ -87,9 +87,8 @@ def compute_indicators(ms: MultiscaleSpace, spaces: list[NeighborhoodSpace],
     for sp in spaces:
         if sp.M_off >= sp.l_i:
             continue
-        chi_r = ms.pou.chi[sp.omega_id][sp.node_ids] * r[sp.node_ids]
-        y = sp.snap.vectors.T @ chi_r              # functional on snapshots
-        c = sp.eigvecs[:, sp.M_off:].T @ y         # unused eigen-directions
+        chi_r = ms.pou.chi[sp.omega_id] * r[sp.node_ids]
+        c = sp.basis_full[:, sp.M_off:].T @ chi_r  # unused eigen-directions
         lam = max(sp.eigvals[sp.M_off], 1e-30)
         eta[sp.omega_id] = np.sqrt(np.sum(c ** 2) / lam)
     return IndicatorReport(eta=eta, marked=np.empty(0, dtype=int), dim=ms.N_c)

@@ -41,15 +41,10 @@ def weighted_mass(sys: FineSystem) -> sparse.csr_matrix:
         return M
     blocks = [M]
     for tr in sys.efm_traces:
-        nf = tr.n_nodes
-        Mi = sparse.lil_matrix((nf, nf))
-        for k, h in enumerate(np.diff(tr.arclengths)):
-            w = tr.effective_coeff * h / 6.0
-            Mi[k, k] += 2 * w
-            Mi[k + 1, k + 1] += 2 * w
-            Mi[k, k + 1] += w
-            Mi[k + 1, k] += w
-        blocks.append(Mi.tocsr())
+        # P1 segment masses: h/6 [[2, 1], [1, 2]] per segment
+        w = tr.effective_coeff * np.diff(tr.arclengths) / 6.0
+        d = np.r_[2 * w, 0.0] + np.r_[0.0, 2 * w]
+        blocks.append(sparse.diags([w, d, w], [-1, 0, 1]))
     return sparse.block_diag(blocks, format="csr")
 
 

@@ -63,9 +63,9 @@ def build_space(pou: PartitionOfUnity,
     col_node = []
     c0 = 0
     for sp in sorted(spaces, key=lambda s: s.omega_id):
-        if len(sp.node_ids) != len(pou.chi[sp.omega_id][sp.node_ids]):
+        if len(sp.node_ids) != len(pou.chi[sp.omega_id]):
             raise ValueError("offline vectors do not match the chi support")
-        B = sp.basis * pou.chi[sp.omega_id][sp.node_ids][:, None]
+        B = sp.basis * pou.chi[sp.omega_id][:, None]
         B[bmask[sp.node_ids]] = 0.0
         m = B.shape[1]
         rows.append(np.repeat(sp.node_ids, m))

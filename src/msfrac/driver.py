@@ -12,7 +12,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +43,6 @@ class RunSetup:
     dfm_traces: list
     efm_traces: list
     sys: FineSystem
-    extras: dict = field(default_factory=dict)
 
 
 def _build_network(cfg: RunConfig, g: GridHierarchy) -> FractureNetwork:
@@ -90,8 +89,7 @@ def m_off_schedule(g: GridHierarchy, M_off: int,
     boundary unless boundary enrichment is requested."""
     out = np.ones(g.n_coarse_nodes, dtype=int)
     for nb in g.neighborhoods:
-        interior = 0 < nb.ci < g.coarse_nx and 0 < nb.cj < g.coarse_ny
-        out[nb.index] = M_off if (interior or enrich_boundary) else 1
+        out[nb.index] = M_off if (nb.is_interior or enrich_boundary) else 1
     return out
 
 
@@ -137,7 +135,8 @@ def _one_blas_thread():
 
 
 def _neighborhood_offline(rs: RunSetup, pou, omega_id: int):
-    """Snapshots and local spectral space of one coarse neighborhood."""
+    """Local spectral space of one coarse neighborhood, and its drawn and
+    full-snapshot counts; the snapshots themselves are dropped here."""
     off = rs.cfg.offline
     if off.mode == "randomized":
         snap = randomized_snapshots(rs.grid, rs.sys, omega_id, k_nb=off.k_nb,
@@ -145,11 +144,13 @@ def _neighborhood_offline(rs: RunSetup, pou, omega_id: int):
     else:
         snap = full_snapshots(rs.grid, rs.sys, omega_id)
     # all modes are kept; each solve selects its count
-    return snap, offline_eigendecomposition(snap, rs.sys, pou, M_off=1)
+    space = offline_eigendecomposition(snap, rs.sys, pou, M_off=1)
+    drawn = snap.l_i - int(snap.constant_included)  # the constant is free
+    return space, (drawn, snap.gen_boundary_count)
 
 
 def _offline(rs: RunSetup):
-    """Output directory, POU, snapshots and local spectra of a set-up run.
+    """Output directory, POU, local spectra and snapshot counts of a run.
 
     The neighborhoods are independent local problems, solved on one
     worker thread per usable CPU: their sparse LU solves and matrix
@@ -164,7 +165,7 @@ def _offline(rs: RunSetup):
         with ThreadPoolExecutor(workers) as pool:
             done = list(pool.map(partial(_neighborhood_offline, rs, pou),
                                  [nb.index for nb in rs.grid.neighborhoods]))
-    return pou, [snap for snap, _ in done], [space for _, space in done]
+    return pou, [space for space, _ in done], [counts for _, counts in done]
 
 
 def _space_at(rs, pou, spaces, m):
@@ -211,7 +212,7 @@ def _write_common(rs, sol, spaces, extras):
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
-    pou, _, spaces = _offline(rs)
+    pou, spaces, _ = _offline(rs)
     ms, sol = _solve_at(rs, pou, spaces, cfg.offline.M_off)
     fine = solve_fine(rs.sys)
     rep = errors(_block(rs, fine.u, fine.u_frac),
@@ -237,7 +238,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     errors vanish by construction.
     """
     rs = setup(cfg)
-    pou, snaps, spaces = _offline(rs)
+    pou, spaces, counts = _offline(rs)
     fine = solve_fine(rs.sys)
     u_fine = _block(rs, fine.u, fine.u_frac)
 
@@ -266,10 +267,10 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
         # snapshot work actually done over interior neighborhoods, as a
         # fraction of what full snapshots would cost there; boundary
         # patches are excluded (they keep a single mode regardless)
-        interior = [s for s in snaps
-                    if rs.grid.neighborhoods[s.omega_id].is_interior]
-        drawn = sum(s.l_i - int(s.constant_included) for s in interior)
-        full = sum(s.gen_boundary_count for s in interior)
+        interior = [c for c, nb in zip(counts, rs.grid.neighborhoods)
+                    if nb.is_interior]
+        drawn = sum(d for d, _ in interior)
+        full = sum(n for _, n in interior)
         extras["snapshot_ratio_pct"] = round(100.0 * drawn / full, 4)
     _write_common(rs, last, spaces, extras)
     return reports
@@ -280,7 +281,7 @@ def run_adapt(cfg: RunConfig):
     rs = setup(cfg)
     if rs.sys.mode == "efm":
         raise ValueError("adaptive enrichment runs on the monolithic model only")
-    pou, _, spaces = _offline(rs)
+    pou, spaces, _ = _offline(rs)
     fine = solve_fine(rs.sys)
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt, u_fine=fine.u)
 
@@ -303,7 +304,7 @@ def run_adapt(cfg: RunConfig):
 def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)
-    pou, _, spaces = _offline(rs)
+    pou, spaces, _ = _offline(rs)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = (ms.R0T.T @ (rs.sys.A @ ms.R0T)).tocsr()
 

@@ -14,6 +14,10 @@ Per coarse node i this produces, in order:
    snapshot-projected pencil, whose smallest modes become the offline
    basis of the neighborhood.
 
+Each neighborhood keeps only chi_i on its own fine nodes, its
+eigenvalues and one fine-nodal copy of each mode; the snapshots and the
+pencil are dropped once the eigensolve returns.
+
 All local solves use the nodal operator that already carries the
 conforming-fracture edge terms, so the basis sees the fractures.
 """
@@ -44,9 +48,7 @@ def harmonic_extension(A, interior, boundary, gb):
     re-assembly is needed.  gb holds boundary values, one column per
     extension; returns the interior values, same column layout.
     """
-    gb = np.atleast_2d(np.asarray(gb, dtype=float))
-    if gb.shape[0] != len(boundary):
-        gb = gb.T
+    gb = np.asarray(gb, dtype=float).reshape(len(boundary), -1)
     Aii = A[interior][:, interior].tocsc()
     Aib = A[interior][:, boundary]
     rhs = -np.asarray(Aib @ gb)
@@ -58,7 +60,7 @@ class PartitionOfUnity:
     """Multiscale hat functions chi_i and the energy weight they induce."""
 
     grid: GridHierarchy
-    chi: np.ndarray                   # (n_coarse_nodes, n_fine_nodes)
+    chi: list[np.ndarray]             # chi_i on neighborhoods[i].node_ids
     kappa_tilde: np.ndarray           # per fine cell
     edge_kappa_tilde: dict[int, float]
     S: object                         # weighted mass matrix (csr)
@@ -78,10 +80,10 @@ class PartitionOfUnity:
         else:
             fn = bc
         for nb in g.neighborhoods:
-            if 0 < nb.ci < g.coarse_nx and 0 < nb.cj < g.coarse_ny:
+            if nb.is_interior:
                 continue
             x, y = g.node_coords[g.coarse_nodes[nb.index]]
-            lift += float(fn(x, y)) * self.chi[nb.index]
+            lift[nb.node_ids] += float(fn(x, y)) * self.chi[nb.index]
         return lift
 
 
@@ -95,7 +97,7 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     """
     A = sys.A
     r = g.refine
-    chi = np.zeros((g.n_coarse_nodes, g.n_nodes))
+    chi = [np.zeros(len(nb.node_ids)) for nb in g.neighborhoods]
     for J in range(g.coarse_ny):
         for I in range(g.coarse_nx):
             box = CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
@@ -112,8 +114,9 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
                        (J + 1) * (g.coarse_nx + 1) + I + 1,
                        (J + 1) * (g.coarse_nx + 1) + I)
             for k, c in enumerate(corners):
-                chi[c, bnd] = gb[:, k]
-                chi[c, intr] = X[:, k]
+                ids = g.neighborhoods[c].node_ids
+                chi[c][np.searchsorted(ids, bnd)] = gb[:, k]
+                chi[c][np.searchsorted(ids, intr)] = X[:, k]
 
     # cell-wise kappa_tilde: kappa * sum_i H^2 |grad chi_i|^2, averaged
     # over the 2x2 Gauss points of each cell
@@ -123,7 +126,7 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     grad2 = np.zeros(g.n_cells)
     for nb in g.neighborhoods:
         cells = g.box_cells(nb.cells)
-        ch = chi[nb.index][all_nodes[cells]]          # (m, 4)
+        ch = chi[nb.index][np.searchsorted(nb.node_ids, all_nodes[cells])]
         gxv = ch @ gx.T                               # (m, 4 gauss pts)
         gyv = ch @ gy.T
         grad2[cells] += np.mean(gxv ** 2 + gyv ** 2, axis=1)
@@ -155,13 +158,10 @@ class SnapshotSpace:
     """
 
     omega_id: int
-    kind: str                     # "full" | "randomized"
     vectors: np.ndarray
     node_ids: np.ndarray
     gen_boundary_count: int
-    p_bf: int = 0
     constant_included: bool = False
-    seed: int | None = None
 
     @property
     def l_i(self) -> int:
@@ -184,7 +184,7 @@ def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> Snapshot
     vectors = np.zeros((len(nb.node_ids), len(bnd)))
     vectors[np.searchsorted(nb.node_ids, bnd)] = np.eye(len(bnd))
     vectors[np.searchsorted(nb.node_ids, intr)] = X
-    return SnapshotSpace(omega_id=omega_id, kind="full", vectors=vectors,
+    return SnapshotSpace(omega_id=omega_id, vectors=vectors,
                          node_ids=nb.node_ids, gen_boundary_count=len(bnd))
 
 
@@ -212,24 +212,19 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     vec_p[np.searchsorted(nodes_p, int_p), :-1] = X
     vec_p[:, -1] = 1.0  # the harmonic extension of 1 is 1
     restrict = np.searchsorted(nodes_p, nb.node_ids)
-    return SnapshotSpace(omega_id=omega_id, kind="randomized",
-                         vectors=vec_p[restrict], node_ids=nb.node_ids,
-                         gen_boundary_count=len(bnd_p), p_bf=p_bf,
-                         constant_included=True, seed=seed)
+    return SnapshotSpace(omega_id=omega_id, vectors=vec_p[restrict],
+                         node_ids=nb.node_ids, gen_boundary_count=len(bnd_p),
+                         constant_included=True)
 
 
 @dataclass
 class NeighborhoodSpace:
-    """Spectral decomposition of one neighborhood's snapshot pencil."""
+    """Spectral modes of one neighborhood's snapshot pencil."""
 
     omega_id: int
     node_ids: np.ndarray
     eigvals: np.ndarray           # all l_i eigenvalues, ascending
-    eigvecs: np.ndarray           # S_off-orthonormal, snapshot coordinates
-    A_off: np.ndarray
-    S_off: np.ndarray
     M_off: int
-    snap: SnapshotSpace
     basis_full: np.ndarray        # all l_i fine-nodal modes, precomputed once
     regularized: bool = False
 
@@ -300,6 +295,5 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
     m = min(int(M_off), snap.l_i)
     basis_full = V @ (Psi * scale)
     return NeighborhoodSpace(omega_id=snap.omega_id, node_ids=snap.node_ids,
-                             eigvals=w, eigvecs=Psi, A_off=A_off, S_off=S_off,
-                             M_off=m, snap=snap,
-                             basis_full=basis_full, regularized=regularized)
+                             eigvals=w, M_off=m, basis_full=basis_full,
+                             regularized=regularized)

@@ -16,6 +16,8 @@ import scipy.sparse as sparse
 import msfrac as mf
 from msfrac.driver import m_off_schedule
 
+from conftest import dense_chi, mode_gram
+
 BC = mf.bilinear_bc(0.0, 1.0, 1.0, 0.0)
 
 
@@ -83,13 +85,14 @@ def test_full_snapshot_space_recovers_snapshot_solution():
     # vectors, no eigendecomposition involved
     bmask = np.zeros(g.n_nodes, dtype=bool)
     bmask[sys.dirichlet_nodes] = True
+    chi = dense_chi(pou)
     cols = []
-    for sp in spaces:
-        chi = pou.chi[sp.omega_id][sp.snap.node_ids]
-        B = chi[:, None] * sp.snap.vectors
-        B[bmask[sp.snap.node_ids]] = 0.0
+    for nb in g.neighborhoods:
+        snap = mf.full_snapshots(g, sys, nb.index)
+        B = chi[nb.index][snap.node_ids][:, None] * snap.vectors
+        B[bmask[snap.node_ids]] = 0.0
         full = np.zeros((g.n_nodes, B.shape[1]))
-        full[sp.snap.node_ids] = B
+        full[snap.node_ids] = B
         cols.append(sparse.csr_matrix(full))
     R = sparse.hstack(cols).tocsr()
     assert R.shape[1] == ms.N_c
@@ -232,18 +235,18 @@ def test_randomized_snapshots_match_full_at_equal_dims(channels):
     for M, dim in [(3, 283), (4, 364), (5, 445)]:
         ms_f, sol_f = solve_at(g, sys, pou, spaces, M)
         err_full = h1_rel(sys, u_fine, sol_f.u_ms_fine)
-        rand_spaces = []
+        rand_spaces, interior = [], []
         for nb in g.neighborhoods:
             snap = mf.randomized_snapshots(g, sys, nb.index, k_nb=M,
                                            p_bf=4, seed=0)
             rand_spaces.append(mf.offline_eigendecomposition(
                 snap, sys, pou, M_off=1))
+            if nb.is_interior:
+                interior.append(snap)
         ms_r, sol_r = solve_at(g, sys, pou, rand_spaces, M)
         assert ms_f.N_c == ms_r.N_c == dim
         err_rand = h1_rel(sys, u_fine, sol_r.u_ms_fine)
         assert err_rand <= 1.5 * err_full  # measured ratios 1.08-1.21
-        interior = [sp.snap for sp in rand_spaces
-                    if g.neighborhoods[sp.omega_id].is_interior]
         drawn = sum(s.l_i - 1 for s in interior)  # constant column is free
         full = sum(s.gen_boundary_count for s in interior)
         assert drawn / full <= 0.10  # ~(M + 4)/96, 9.55% at M=5
@@ -257,8 +260,7 @@ def test_invariant_suite():
     pou = mf.compute_pou(g, sys)
 
     # partition of unity sums to one everywhere
-    np.testing.assert_allclose(np.asarray(pou.chi.sum(axis=0)).ravel(),
-                               1.0, atol=1e-12)
+    np.testing.assert_allclose(dense_chi(pou).sum(axis=0), 1.0, atol=1e-12)
 
     spaces = []
     for nb in g.neighborhoods:
@@ -270,9 +272,9 @@ def test_invariant_suite():
         # sorted ascending
         assert sp.eigvals[0] >= -1e-9 * max(sp.eigvals[-1], 1.0)
         assert np.all(np.diff(sp.eigvals) >= -1e-12 * abs(sp.eigvals[-1]))
-        # S-orthonormality of the eigenvector block
-        G = sp.eigvecs.T @ sp.S_off @ sp.eigvecs
-        np.testing.assert_allclose(G, np.eye(sp.l_i), atol=1e-8)
+        # S-orthonormality of the fine-nodal modes
+        np.testing.assert_allclose(mode_gram(pou, sp), np.eye(sp.l_i),
+                                   atol=1e-12)
 
     # Galerkin orthogonality of the coarse solve
     ms = mf.build_space(pou, [sp.with_m_off(2) for sp in spaces])

@@ -137,3 +137,9 @@ def test_efm_norms_use_block_operators():
     got = float(ones @ (M @ ones))
     assert got == pytest.approx(tr.effective_coeff * tr.arclengths[-1],
                                 rel=1e-12)
+    # entry by entry against a per-segment P1 element loop
+    want = np.zeros((tr.n_nodes, tr.n_nodes))
+    for k, h in enumerate(np.diff(tr.arclengths)):
+        w = tr.effective_coeff * h / 6.0
+        want[k:k + 2, k:k + 2] += w * np.array([[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(M[g.n_nodes:, g.n_nodes:].toarray(), want)

@@ -14,6 +14,8 @@ import msfrac as mf
 from msfrac.assembly import node_operator
 from msfrac.offline import harmonic_extension
 
+from conftest import dense_chi, mode_gram
+
 GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
@@ -33,11 +35,11 @@ def bilinear_hat(g, ci, cj, x, y):
 
 def test_pou_constant_kappa_is_bilinear_hats():
     g, sys = const_system()
-    pou = mf.compute_pou(g, sys)
+    chi = dense_chi(mf.compute_pou(g, sys))
     xy = g.node_coords
     for nb in g.neighborhoods:
         want = bilinear_hat(g, nb.ci, nb.cj, xy[:, 0], xy[:, 1])
-        np.testing.assert_allclose(pou.chi[nb.index], want, atol=1e-12)
+        np.testing.assert_allclose(chi[nb.index], want, atol=1e-12)
 
 
 def test_pou_sum_to_one_and_bounds_heterogeneous():
@@ -48,13 +50,14 @@ def test_pou_sum_to_one_and_bounds_heterogeneous():
     traces = [mf.rasterize_dfm(f, g) for f in net.dfm]
     sys = mf.assemble_dfm(g, perm, traces)
     pou = mf.compute_pou(g, sys)
-    total = pou.chi.sum(axis=0)
+    chi = dense_chi(pou)
+    total = chi.sum(axis=0)
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
-    assert pou.chi.min() >= -1e-12
-    assert pou.chi.max() <= 1.0 + 1e-12
+    assert chi.min() >= -1e-12
+    assert chi.max() <= 1.0 + 1e-12
     # Kronecker property at coarse nodes
     for nb in g.neighborhoods:
-        vals = pou.chi[:, g.coarse_nodes[nb.index]]
+        vals = chi[:, g.coarse_nodes[nb.index]]
         want = np.zeros(g.n_coarse_nodes)
         want[nb.index] = 1.0
         np.testing.assert_allclose(vals, want, atol=1e-12)
@@ -214,8 +217,8 @@ def test_eigvals_sorted_nonnegative_and_s_orthogonal():
         spc = mf.offline_eigendecomposition(snap, sys, pou, M_off=3)
         assert (np.diff(spc.eigvals) >= -1e-9 * max(1, spc.eigvals[-1])).all()
         assert spc.eigvals[0] >= -1e-10
-        G = spc.eigvecs.T @ spc.S_off @ spc.eigvecs
-        np.testing.assert_allclose(G, np.eye(snap.l_i), atol=1e-8)
+        np.testing.assert_allclose(mode_gram(pou, spc), np.eye(snap.l_i),
+                                   atol=1e-12)
 
 
 def test_first_mode_reproduces_constant():
@@ -235,11 +238,15 @@ def test_single_snapshot_rayleigh_quotient():
     one = dataclasses.replace(snap, vectors=snap.vectors[:, 3:4])
     spc = mf.offline_eigendecomposition(one, sys, pou, M_off=1)
     assert spc.eigvals.shape == (1,)
-    assert spc.eigvals[0] == pytest.approx(spc.A_off[0, 0] / spc.S_off[0, 0],
-                                           rel=1e-12)
-    # A_off[0,0] is the omega-restricted energy of the snapshot: check
-    # against a brute-force dense assembly over the patch cells only
     nb = g.neighborhoods[4]
+    v = one.vectors[:, 0]
+    A_off = v @ (node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
+                               kind="stiffness", box=nb.cells) @ v)
+    S_off = v @ (node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
+                               kind="mass", box=nb.cells) @ v)
+    assert spc.eigvals[0] == pytest.approx(A_off / S_off, rel=1e-12)
+    # A_off is the omega-restricted energy of the snapshot: check
+    # against a brute-force dense assembly over the patch cells only
     kappa_local = sys.perm.kappa_cells.copy()
     mask = np.ones(g.n_cells, bool)
     mask[g.box_cells(nb.cells)] = False
@@ -247,8 +254,7 @@ def test_single_snapshot_rayleigh_quotient():
     A_cells = node_operator(g, kappa_local, sys.edge_coeffs)
     full = np.zeros(g.n_nodes)
     full[nb.node_ids] = one.vectors[:, 0]
-    assert spc.A_off[0, 0] == pytest.approx(float(full @ (A_cells @ full)),
-                                            rel=1e-11)
+    assert A_off == pytest.approx(float(full @ (A_cells @ full)), rel=1e-11)
 
 
 def _patch_spectrum(polyline, kappa_f):
