@@ -8,14 +8,13 @@ fractions of the reference solution's norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .assembly import FineSystem, node_operator
+from .assembly import FineSystem
 
-__all__ = ["ErrorReport", "errors", "weighted_mass", "energy_matrix"]
+__all__ = ["ErrorReport", "errors"]
 
 
 @dataclass
@@ -25,27 +24,6 @@ class ErrorReport:
     rel_energy_vs_fine: float
     rel_L2_vs_snap: float | None = None
     rel_energy_vs_snap: float | None = None
-    metadata: dict = field(default_factory=dict)
-
-
-def energy_matrix(sys: FineSystem) -> sparse.csr_matrix:
-    """The full symmetric form a(.,.) — block operator in embedded mode."""
-    return sys.block_matrix()
-
-
-def weighted_mass(sys: FineSystem) -> sparse.csr_matrix:
-    """kappa-weighted L2 mass; fracture parts weighted by kappa_f*aperture."""
-    M = node_operator(sys.grid, sys.perm.kappa_cells, sys.edge_coeffs,
-                      kind="mass")
-    if sys.mode != "efm":
-        return M
-    blocks = [M]
-    for tr in sys.efm_traces:
-        # P1 segment masses: h/6 [[2, 1], [1, 2]] per segment
-        w = tr.effective_coeff * np.diff(tr.arclengths) / 6.0
-        d = np.r_[2 * w, 0.0] + np.r_[0.0, 2 * w]
-        blocks.append(sparse.diags([w, d, w], [-1, 0, 1]))
-    return sparse.block_diag(blocks, format="csr")
 
 
 def _quad(Q, v):
@@ -53,7 +31,7 @@ def _quad(Q, v):
 
 
 def errors(u_fine, u_snap, u_off, sys: FineSystem,
-           dim_Voff: int = 0, metadata: dict | None = None) -> ErrorReport:
+           dim_Voff: int = 0) -> ErrorReport:
     """Relative kappa-weighted L2 and energy errors of u_off.
 
     Always against the fine solution; also against the snapshot
@@ -63,8 +41,7 @@ def errors(u_fine, u_snap, u_off, sys: FineSystem,
     """
     u_fine = np.asarray(u_fine, dtype=float)
     u_off = np.asarray(u_off, dtype=float)
-    A = energy_matrix(sys)
-    M = weighted_mass(sys)
+    A, M = sys.energy_matrix, sys.mass_matrix
     if u_fine.shape[0] != A.shape[0] or u_off.shape[0] != A.shape[0]:
         raise ValueError("solution vectors do not match the system size")
 
@@ -76,8 +53,7 @@ def errors(u_fine, u_snap, u_off, sys: FineSystem,
     rep = ErrorReport(
         dim_Voff=dim_Voff,
         rel_L2_vs_fine=np.sqrt(_quad(M, e) / l2_ref),
-        rel_energy_vs_fine=np.sqrt(max(_quad(A, e), 0.0) / en_ref),
-        metadata=metadata or {})
+        rel_energy_vs_fine=np.sqrt(max(_quad(A, e), 0.0) / en_ref))
     if u_snap is not None:
         u_snap = np.asarray(u_snap, dtype=float)
         en_s = _quad(A, u_snap)

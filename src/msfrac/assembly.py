@@ -17,6 +17,7 @@ intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -222,7 +223,6 @@ class FineSystem:
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
     bc: object = None
-    source: object = None
     mode: str = "dfm"
     # embedded-fracture blocks (empty in conforming mode)
     efm_traces: list[EfmTrace] = field(default_factory=list)
@@ -264,6 +264,27 @@ class FineSystem:
             blocks[i + 1][0] = self.B_mf[i].T
             blocks[i + 1][i + 1] = self.B_blocks[i]
         return sparse.bmat(blocks, format="csr")
+
+    @cached_property
+    def energy_matrix(self) -> sparse.csr_matrix:
+        """The form a(.,.) of the energy norm, ``block_matrix()``, built once."""
+        return self.block_matrix()
+
+    @cached_property
+    def mass_matrix(self) -> sparse.csr_matrix:
+        """kappa-weighted L2 mass, fracture parts weighted by
+        kappa_f*aperture, built once."""
+        M = node_operator(self.grid, self.perm.kappa_cells, self.edge_coeffs,
+                          kind="mass")
+        if self.mode != "efm":
+            return M
+        blocks = [M]
+        for tr in self.efm_traces:
+            # P1 segment masses: h/6 [[2, 1], [1, 2]] per segment
+            w = tr.effective_coeff * np.diff(tr.arclengths) / 6.0
+            d = np.r_[2 * w, 0.0] + np.r_[0.0, 2 * w]
+            blocks.append(sparse.diags([w, d, w], [-1, 0, 1]))
+        return sparse.block_diag(blocks, format="csr")
 
     def block_rhs(self) -> np.ndarray:
         if self.mode != "efm":
@@ -312,7 +333,7 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     nodes, vals = _dirichlet_data(g, bc)
     return FineSystem(grid=g, perm=perm, A=A, F=F, edge_coeffs=coeffs,
                       dirichlet_nodes=nodes, dirichlet_values=vals,
-                      bc=bc, source=f, mode="dfm")
+                      bc=bc, mode="dfm")
 
 
 def _cell_shape_weights(g: GridHierarchy, cell: int, x: float, y: float):

@@ -47,14 +47,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.outputs.dir = args.out
 
-        if args.command == "solve":
-            reports = driver.run_solve(cfg)
-            r = reports[0]
-            print(f"dim={r.dim_Voff} l2_fine={100 * r.rel_L2_vs_fine:.4g}% "
-                  f"h1_fine={100 * r.rel_energy_vs_fine:.4g}%")
-        elif args.command == "sweep":
-            reports = driver.run_sweep(cfg)
-            for r in reports:
+        if args.command in ("solve", "sweep"):
+            run = driver.run_solve if args.command == "solve" else driver.run_sweep
+            for r in run(cfg):
                 print(f"dim={r.dim_Voff} l2_fine={100 * r.rel_L2_vs_fine:.4g}% "
                       f"h1_fine={100 * r.rel_energy_vs_fine:.4g}%")
         elif args.command == "adapt":

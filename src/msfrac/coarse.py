@@ -45,9 +45,12 @@ class MultiscaleSpace:
 class CoarseSolution:
     U0: np.ndarray
     u_ms_fine: np.ndarray
-    lift: np.ndarray
     efm_fracture_dofs: list[np.ndarray] = field(default_factory=list)
     info: dict = field(default_factory=dict)
+
+    def block_vector(self) -> np.ndarray:
+        """Matrix field then the per-fracture unknowns, as ``FineSolution``'s."""
+        return np.concatenate([self.u_ms_fine] + list(self.efm_fracture_dofs))
 
 
 def build_space(pou: PartitionOfUnity,
@@ -145,7 +148,7 @@ def solve_coarse_dfm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
     A0 = (R0T.T @ (sys.A @ R0T)).tocsr()
     F0 = R0T.T @ (sys.F - sys.A @ lift)
     U0, info = _solve_spd_or_lstsq(A0, F0, ms)
-    return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0, lift=lift, info=info)
+    return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0, info=info)
 
 
 def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
@@ -161,7 +164,7 @@ def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
     if u_frac is not None:
         U0, info = _solve_spd_or_lstsq(A0, F0, ms)
         info["decoupled"] = True
-        return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0, lift=lift,
+        return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0,
                               efm_fracture_dofs=u_frac, info=info)
 
     nf = len(sys.efm_traces)
@@ -183,7 +186,7 @@ def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
     for t in sys.efm_traces:
         u_frac.append(x[off:off + t.n_nodes])
         off += t.n_nodes
-    return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0, lift=lift,
+    return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0,
                           efm_fracture_dofs=u_frac, info=info)
 
 

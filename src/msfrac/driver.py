@@ -1,9 +1,10 @@
-"""Experiment pipelines: assemble -> offline -> coarse solve -> errors.
-
-Four entry points mirror the CLI subcommands: a single solve, an
-offline-dimension sweep (the convergence-table experiment), the
-adaptive-enrichment loop, and an operator export for debugging.  Every
-run writes a manifest with the config echo and effective seeds.
+"""Experiment pipelines behind the CLI subcommands, on one staged path:
+``setup`` (grid, traces, fine system) -> ``_offline`` (POU and local
+spectral spaces) -> fine reference -> a coarse solve and its error norms
+per mode count -> ``_write`` (solution files, eigenvalues, manifest).
+``solve`` is the one-row sweep without the snapshot reference, ``adapt``
+swaps the sweep for the enrichment loop, and ``export-matrices`` dumps
+the operators of the configured space.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .grids import Rect, GridHierarchy, build_hierarchy
 from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
-from .assembly import (PermeabilityField, FineSystem, FineSolution,
-                       assemble_dfm, assemble_efm, solve_fine)
+from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
+                       assemble_efm, solve_fine)
 from .offline import (compute_pou, full_snapshots, randomized_snapshots,
                       offline_eigendecomposition)
 from .coarse import build_space, solve_coarse_dfm, solve_coarse_efm
@@ -38,10 +39,6 @@ __all__ = ["RunSetup", "setup", "m_off_schedule", "run_solve", "run_sweep",
 class RunSetup:
     cfg: RunConfig
     grid: GridHierarchy
-    network: FractureNetwork
-    perm: PermeabilityField
-    dfm_traces: list
-    efm_traces: list
     sys: FineSystem
 
 
@@ -79,8 +76,7 @@ def setup(cfg: RunConfig) -> RunSetup:
         sys = assemble_efm(g, perm, dfm_traces, efm_traces, f=f, bc=bc)
     else:
         sys = assemble_dfm(g, perm, dfm_traces, f=f, bc=bc)
-    return RunSetup(cfg=cfg, grid=g, network=network, perm=perm,
-                    dfm_traces=dfm_traces, efm_traces=efm_traces, sys=sys)
+    return RunSetup(cfg=cfg, grid=g, sys=sys)
 
 
 def m_off_schedule(g: GridHierarchy, M_off: int,
@@ -176,25 +172,42 @@ def _space_at(rs, pou, spaces, m):
 
 
 def _solve_at(rs, pou, spaces, m):
+    """Dimension of the m-mode space and the coarse solution in it; the
+    space itself is dropped here."""
     ms = _space_at(rs, pou, spaces, m)
-    if rs.sys.mode == "efm":
-        sol = solve_coarse_efm(ms, rs.sys)
-    else:
-        sol = solve_coarse_dfm(ms, rs.sys)
-    return ms, sol
+    solve = solve_coarse_efm if rs.sys.mode == "efm" else solve_coarse_dfm
+    return ms.N_c, solve(ms, rs.sys)
 
 
-def _block(rs, u_matrix, u_frac):
-    if rs.sys.mode != "efm":
-        return u_matrix
-    return np.concatenate([u_matrix] + list(u_frac))
+def _error_table(rs, pou, spaces, schedule, snapshot_reference):
+    """Error report per mode count of the schedule against the fine
+    solution, and the coarse solution of the last count.
+
+    With ``snapshot_reference`` the coarse solution of the largest count
+    is also the reference of the snapshot-error columns, so that row's
+    snapshot errors vanish by construction; it is solved once.
+    """
+    u_fine = solve_fine(rs.sys).block_vector()
+    solved, u_snap = {}, None
+    if snapshot_reference:
+        m_ref = max(schedule)
+        solved[m_ref] = _solve_at(rs, pou, spaces, m_ref)
+        u_snap = solved[m_ref][1].block_vector()
+    reports = []
+    for m in schedule:
+        dim, sol = solved.get(m) or _solve_at(rs, pou, spaces, m)
+        reports.append(errors(u_fine, u_snap, sol.block_vector(), rs.sys,
+                              dim_Voff=dim))
+    return reports, sol
 
 
 def _outpath(cfg, name):
     return os.path.join(cfg.outputs.dir, name)
 
 
-def _write_common(rs, sol, spaces, extras):
+def _write(rs, sol, spaces, run):
+    """Solution files, eigenvalues and the manifest of a solving command;
+    ``run`` is the manifest's run record, completed here by the seeds."""
     cfg = rs.cfg
     if cfg.outputs.solution_csv:
         io_formats.write_solution_csv(_outpath(cfg, cfg.outputs.solution_csv),
@@ -205,64 +218,35 @@ def _write_common(rs, sol, spaces, extras):
     if cfg.outputs.eigenvalues:
         io_formats.write_eigenvalue_csv(_outpath(cfg, cfg.outputs.eigenvalues),
                                         spaces)
+    run["seeds"] = {"fractures": cfg.fractures.seed, "offline": cfg.offline.seed}
     io_formats.write_manifest(_outpath(cfg, cfg.outputs.manifest),
-                              config_to_dict(cfg), extras)
+                              config_to_dict(cfg), run)
 
 
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
     pou, spaces, _ = _offline(rs)
-    ms, sol = _solve_at(rs, pou, spaces, cfg.offline.M_off)
-    fine = solve_fine(rs.sys)
-    rep = errors(_block(rs, fine.u, fine.u_frac),
-                 None,
-                 _block(rs, sol.u_ms_fine, sol.efm_fracture_dofs),
-                 rs.sys, dim_Voff=ms.N_c,
-                 metadata={"mode": rs.sys.mode})
-    io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), [rep])
-    extras = {"command": "solve", "dim": int(ms.N_c),
-              "offline_mode": cfg.offline.mode,
-              "seeds": {"fractures": cfg.fractures.seed,
-                        "offline": cfg.offline.seed},
-              "coarse_solver": sol.info.get("solver", "direct")}
-    _write_common(rs, sol, spaces, extras)
-    return [rep]
+    reports, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
+                                snapshot_reference=False)
+    io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
+    _write(rs, sol, spaces, {"command": "solve", "dim": reports[0].dim_Voff,
+                             "offline_mode": cfg.offline.mode,
+                             "coarse_solver": sol.info.get("solver", "direct")})
+    return reports
 
 
 def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
-    """Convergence table over the offline-dimension schedule.
-
-    The reference for the snapshot-error columns is the coarse solution
-    of the largest space in the schedule, so the largest row's snapshot
-    errors vanish by construction.
-    """
+    """Convergence table over the offline-dimension schedule; the
+    snapshot-error columns are relative to the largest space's solution."""
     rs = setup(cfg)
     pou, spaces, counts = _offline(rs)
-    fine = solve_fine(rs.sys)
-    u_fine = _block(rs, fine.u, fine.u_frac)
-
-    m_max = max(cfg.sweep)
-    ms_ref, sol_ref = _solve_at(rs, pou, spaces, m_max)
-    u_snap = _block(rs, sol_ref.u_ms_fine, sol_ref.efm_fracture_dofs)
-
-    reports = []
-    last = None
-    for m in cfg.sweep:
-        if m == m_max:
-            ms, sol = ms_ref, sol_ref
-        else:
-            ms, sol = _solve_at(rs, pou, spaces, m)
-        u_off = _block(rs, sol.u_ms_fine, sol.efm_fracture_dofs)
-        reports.append(errors(u_fine, u_snap, u_off, rs.sys, dim_Voff=ms.N_c,
-                              metadata={"M_off": m}))
-        last = sol
+    reports, sol = _error_table(rs, pou, spaces, cfg.sweep,
+                                snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
-    extras = {"command": "sweep", "schedule": list(cfg.sweep),
-              "offline_mode": cfg.offline.mode,
-              "dims": [int(r.dim_Voff) for r in reports],
-              "seeds": {"fractures": cfg.fractures.seed,
-                        "offline": cfg.offline.seed}}
+    run = {"command": "sweep", "schedule": list(cfg.sweep),
+           "offline_mode": cfg.offline.mode,
+           "dims": [r.dim_Voff for r in reports]}
     if cfg.offline.mode == "randomized":
         # snapshot work actually done over interior neighborhoods, as a
         # fraction of what full snapshots would cost there; boundary
@@ -271,8 +255,8 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
                     if nb.is_interior]
         drawn = sum(d for d, _ in interior)
         full = sum(n for _, n in interior)
-        extras["snapshot_ratio_pct"] = round(100.0 * drawn / full, 4)
-    _write_common(rs, last, spaces, extras)
+        run["snapshot_ratio_pct"] = round(100.0 * drawn / full, 4)
+    _write(rs, sol, spaces, run)
     return reports
 
 
@@ -282,22 +266,12 @@ def run_adapt(cfg: RunConfig):
     if rs.sys.mode == "efm":
         raise ValueError("adaptive enrichment runs on the monolithic model only")
     pou, spaces, _ = _offline(rs)
-    fine = solve_fine(rs.sys)
-    sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt, u_fine=fine.u)
-
-    path = _outpath(cfg, cfg.outputs.csv)
-    with open(path, "w") as fh:
-        fh.write("iteration,dim,l2_fine_pct,h1_fine_pct,marked\n")
-        for rep in history:
-            l2 = "" if rep.l2_error is None else f"{100 * rep.l2_error:.10g}"
-            h1 = "" if rep.energy_error is None else f"{100 * rep.energy_error:.10g}"
-            fh.write(f"{rep.iteration},{rep.dim},{l2},{h1},{len(rep.marked)}\n")
-    extras = {"command": "adapt", "theta": cfg.adapt.theta,
-              "indicator": cfg.adapt.indicator,
-              "dims": [int(rep.dim) for rep in history],
-              "seeds": {"fractures": cfg.fractures.seed,
-                        "offline": cfg.offline.seed}}
-    _write_common(rs, sol, spaces, extras)
+    sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
+                                 u_fine=solve_fine(rs.sys).u)
+    io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
+    _write(rs, sol, spaces, {"command": "adapt", "theta": cfg.adapt.theta,
+                             "indicator": cfg.adapt.indicator,
+                             "dims": [rep.dim for rep in history]})
     return sol, history
 
 
@@ -307,25 +281,14 @@ def run_export_matrices(cfg: RunConfig) -> list[str]:
     pou, spaces, _ = _offline(rs)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = (ms.R0T.T @ (rs.sys.A @ ms.R0T)).tocsr()
-
-    written = []
-
-    def dump(name, M):
-        p = _outpath(cfg, name)
-        io_formats.write_matrix_market(p, M)
-        written.append(p)
-
-    dump("A.mtx", rs.sys.A)
-    dump("S.mtx", pou.S)
-    dump("A0.mtx", A0)
-    dump("R0T.mtx", ms.R0T)
+    mats = {"A.mtx": rs.sys.A, "S.mtx": pou.S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
     if rs.sys.mode == "efm":
-        dump("A_m.mtx", rs.sys.A_m)
+        mats["A_m.mtx"] = rs.sys.A_m
         for i, (B, C) in enumerate(zip(rs.sys.B_blocks, rs.sys.B_mf)):
-            dump(f"B_{i}.mtx", B)
-            dump(f"B_mf_{i}.mtx", C)
+            mats[f"B_{i}.mtx"], mats[f"B_mf_{i}.mtx"] = B, C
+    for name, M in mats.items():
+        io_formats.write_matrix_market(_outpath(cfg, name), M)
     io_formats.write_manifest(_outpath(cfg, cfg.outputs.manifest),
                               config_to_dict(cfg),
-                              {"command": "export-matrices",
-                               "files": [os.path.basename(p) for p in written]})
-    return written
+                              {"command": "export-matrices", "files": list(mats)})
+    return [_outpath(cfg, name) for name in mats]

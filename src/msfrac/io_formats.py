@@ -18,26 +18,37 @@ import yaml
 from .analysis import ErrorReport
 from .grids import GridHierarchy
 
-__all__ = ["write_error_csv", "write_solution_csv", "write_vtk",
-           "write_matrix_market", "write_eigenvalue_csv", "write_manifest",
-           "read_kappa_raster", "write_kappa_raster"]
+__all__ = ["write_error_csv", "write_trajectory_csv", "write_solution_csv",
+           "write_vtk", "write_matrix_market", "write_eigenvalue_csv",
+           "write_manifest", "read_kappa_raster", "write_kappa_raster"]
 
 CSV_HEADER = "dim,l2_fine_pct,h1_fine_pct,l2_snap_pct,h1_snap_pct"
+TRAJECTORY_HEADER = "iteration,dim,l2_fine_pct,h1_fine_pct,marked"
 
 
 def _fmt(v) -> str:
     return "" if v is None else f"{100.0 * v:.10g}"
 
 
+def _write_table(path: str, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+
+
 def write_error_csv(path: str, reports: list[ErrorReport]) -> None:
     """The convergence-table CSV; one row per offline-space dimension."""
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(",".join([
-            str(r.dim_Voff), _fmt(r.rel_L2_vs_fine), _fmt(r.rel_energy_vs_fine),
-            _fmt(r.rel_L2_vs_snap), _fmt(r.rel_energy_vs_snap)]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, CSV_HEADER, (
+        [str(r.dim_Voff), _fmt(r.rel_L2_vs_fine), _fmt(r.rel_energy_vs_fine),
+         _fmt(r.rel_L2_vs_snap), _fmt(r.rel_energy_vs_snap)]
+        for r in reports))
+
+
+def write_trajectory_csv(path: str, history: list) -> None:
+    """The adaptive-loop CSV; one row per iteration's indicator report."""
+    _write_table(path, TRAJECTORY_HEADER, (
+        [str(rep.iteration), str(rep.dim), _fmt(rep.l2_error),
+         _fmt(rep.energy_error), str(len(rep.marked))]
+        for rep in history))
 
 
 def write_solution_csv(path: str, g: GridHierarchy, u: np.ndarray) -> None:

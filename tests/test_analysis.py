@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import msfrac as mf
-from msfrac.analysis import energy_matrix, errors, weighted_mass
+from msfrac.analysis import errors
 
 GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
@@ -79,7 +79,7 @@ def test_weighted_l2_matches_dense_quadrature():
         h = g.edge_length(e)
         # exact integral of a linear interpolant squared
         quad += coeff * h * (u[a] ** 2 + u[a] * u[b] + u[b] ** 2) / 3.0
-    M = weighted_mass(sys)
+    M = sys.mass_matrix
     assert float(u @ (M @ u)) == pytest.approx(quad, rel=1e-12)
 
 
@@ -88,7 +88,7 @@ def test_energy_error_two_expansions_agree():
     u = mf.solve_fine(sys).u
     rng = np.random.default_rng(9)
     v = u + 0.05 * rng.standard_normal(u.size)
-    A = energy_matrix(sys)
+    A = sys.block_matrix()
     direct = float((u - v) @ (A @ (u - v)))
     expanded = float(u @ (A @ u)) + float(v @ (A @ v)) - 2 * float(u @ (A @ v))
     assert direct == pytest.approx(expanded, rel=1e-10)
@@ -122,13 +122,13 @@ def test_efm_norms_use_block_operators():
     g, sys = small_system(efm=True, kappa_f=40.0,
                           bc=mf.bilinear_bc(0.0, 1.0, 0.5, 0.0))
     sol = mf.solve_fine(sys)
-    n_total = energy_matrix(sys).shape[0]
+    n_total = sys.block_matrix().shape[0]
     assert n_total == g.n_nodes + sys.efm_traces[0].n_nodes
     ub = sol.block_vector()
     assert ub.shape[0] == n_total
     rep = errors(ub, None, np.zeros(n_total), sys)
     assert rep.rel_L2_vs_fine == pytest.approx(1.0, rel=1e-14)
-    M = weighted_mass(sys)
+    M = sys.mass_matrix
     tr = sys.efm_traces[0]
     # fracture block of the mass: exact line integral of the linear
     # interpolant of ones is just the weighted fracture length

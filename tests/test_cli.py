@@ -10,6 +10,8 @@ import pytest
 import scipy.io
 import yaml
 
+import msfrac
+from msfrac.assembly import FineSystem
 from msfrac.cli import main
 
 BASE = {
@@ -19,6 +21,9 @@ BASE = {
     "offline": {"mode": "full", "M_off": 2},
     "sweep": [1, 2],
 }
+EFM_LINE = {"list": [{"polyline": [[0.2, 0.5], [0.8, 0.6]],
+                      "aperture": 1e-3, "kappa_f": 50.0, "model": "efm"}]}
+CHANNELS = {"field": "crossing_channels", "seed": 2, "params": {"n": 5}}
 
 
 def write_cfg(tmp_path, name="run.yml", **overrides):
@@ -49,8 +54,7 @@ def test_solve_without_fractures_is_exact(tmp_path, capsys):
 def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
     cfg, out = write_cfg(
         tmp_path,
-        fractures={"field": "crossing_channels", "seed": 2,
-                   "params": {"n": 5}},
+        fractures=CHANNELS,
         sweep=[1, 2, 3, 4, 5])
     assert main(["sweep", "-c", str(cfg)]) == 0
     first = (out / "errors.csv").read_bytes()
@@ -124,8 +128,7 @@ def test_seed_and_out_overrides(tmp_path):
 def test_adapt_trajectory_csv(tmp_path):
     cfg, out = write_cfg(
         tmp_path,
-        fractures={"field": "crossing_channels", "seed": 2,
-                   "params": {"n": 5}},
+        fractures=CHANNELS,
         adapt={"theta": 0.7, "max_iters": 2, "basis_increment": 1})
     assert main(["adapt", "-c", str(cfg)]) == 0
     lines = (out / "errors.csv").read_text().splitlines()
@@ -137,12 +140,72 @@ def test_adapt_trajectory_csv(tmp_path):
     assert h1 == sorted(h1, reverse=True)
 
 
+@pytest.mark.parametrize("fractures", [CHANNELS, EFM_LINE], ids=["dfm", "efm"])
+def test_solve_is_the_one_row_sweep(fractures, tmp_path):
+    rows, vtk = {}, {}
+    for command in ("solve", "sweep"):
+        (tmp_path / command).mkdir()
+        cfg, out = write_cfg(tmp_path / command, fractures=fractures,
+                             sweep=[BASE["offline"]["M_off"]],
+                             outputs={"vtk": "solution.vtk"})
+        assert main([command, "-c", str(cfg)]) == 0
+        lines = (out / "errors.csv").read_text().splitlines()
+        assert len(lines) == 2
+        rows[command] = lines[1].split(",")[:3]    # dim, l2_fine, h1_fine
+        vtk[command] = (out / "solution.vtk").read_bytes()
+    assert rows["solve"] == rows["sweep"]
+    assert vtk["solve"] == vtk["sweep"]
+
+
+def spy_norm_builds(monkeypatch):
+    """Counts of whole-grid mass assemblies and of block-operator builds.
+
+    ``node_operator`` is replaced in every msfrac module that holds it."""
+    counts = {"mass": 0, "block": 0}
+    node_operator = msfrac.assembly.node_operator
+    block_matrix = FineSystem.block_matrix
+
+    def mass_spy(g, cell_weights, edge_weights=None, kind="stiffness",
+                 box=None):
+        counts["mass"] += kind == "mass" and box is None
+        return node_operator(g, cell_weights, edge_weights, kind, box)
+
+    def block_spy(self):
+        counts["block"] += 1
+        return block_matrix(self)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("msfrac")
+                and getattr(mod, "node_operator", None) is node_operator):
+            monkeypatch.setattr(mod, "node_operator", mass_spy)
+    monkeypatch.setattr(FineSystem, "block_matrix", block_spy)
+    return counts
+
+
+def test_sweep_builds_norm_operators_once(tmp_path, monkeypatch):
+    counts = spy_norm_builds(monkeypatch)
+    cfg, out = write_cfg(tmp_path, fractures=EFM_LINE, sweep=[1, 2, 3])
+    assert main(["sweep", "-c", str(cfg)]) == 0
+    assert len((out / "errors.csv").read_text().splitlines()) == 4
+    # whole-grid masses: the POU's S and the L2 norm's; block operators:
+    # the fine solve's and the energy norm's
+    assert counts == {"mass": 2, "block": 2}
+
+
+def test_adapt_builds_norm_operators_once(tmp_path, monkeypatch):
+    counts = spy_norm_builds(monkeypatch)
+    cfg, out = write_cfg(tmp_path, fractures=CHANNELS,
+                         adapt={"theta": 0.7, "max_iters": 2,
+                                "basis_increment": 1})
+    assert main(["adapt", "-c", str(cfg)]) == 0
+    assert len((out / "errors.csv").read_text().splitlines()) == 4
+    assert counts["mass"] == 2       # the POU's S and the L2 norm's
+
+
 def test_adapt_rejects_embedded_fractures(tmp_path, capsys):
     cfg, _ = write_cfg(
         tmp_path,
-        fractures={"list": [{"polyline": [[0.2, 0.5], [0.8, 0.6]],
-                             "aperture": 1e-3, "kappa_f": 50.0,
-                             "model": "efm"}]})
+        fractures=EFM_LINE)
     assert main(["adapt", "-c", str(cfg)]) == 2
     assert "monolithic" in capsys.readouterr().err
 
@@ -150,9 +213,7 @@ def test_adapt_rejects_embedded_fractures(tmp_path, capsys):
 def test_export_matrices_files_load(tmp_path, capsys):
     cfg, out = write_cfg(
         tmp_path,
-        fractures={"list": [{"polyline": [[0.2, 0.5], [0.8, 0.6]],
-                             "aperture": 1e-3, "kappa_f": 50.0,
-                             "model": "efm"}]})
+        fractures=EFM_LINE)
     assert main(["export-matrices", "-c", str(cfg)]) == 0
     printed = capsys.readouterr().out.splitlines()
     names = {p.rsplit("/", 1)[-1] for p in printed}
