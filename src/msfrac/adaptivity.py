@@ -61,6 +61,7 @@ class IndicatorReport:
     energy_error: float | None = None
     l2_error: float | None = None
     skipped: list[int] = field(default_factory=list)
+    coarse_info: dict = field(default_factory=dict)
 
 
 def compute_indicators(ms: MultiscaleSpace, spaces: list[NeighborhoodSpace],
@@ -155,6 +156,7 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
         report = compute_indicators(ms, spaces, sol, sys, cfg)
         report.iteration = it
         report.dim = ms.N_c
+        report.coarse_info = sol.info
         if u_fine is not None:
             rep = _errors(u_fine, None, sol.u_ms_fine, sys, dim_Voff=ms.N_c)
             report.energy_error = rep.rel_energy_vs_fine

@@ -209,10 +209,11 @@ class FineSystem:
     """Assembled fine-scale system.
 
     ``A`` is always the nodal operator carrying the matrix stiffness and
-    any conforming-fracture edge terms; in embedded mode it is what the
-    offline stage works with, while the block data (A_m with the
-    coupling mass, the per-fracture B/B_mf blocks) describe the actual
-    fine problem.
+    any conforming-fracture edge terms; with embedded fractures it is
+    what the offline stage works with, while the block data (A_m with
+    the coupling mass, the per-fracture B/B_mf blocks) describe the
+    actual fine problem.  A conforming system is the block system with
+    no embedded fracture: its block operator is ``A``.
     """
 
     grid: GridHierarchy
@@ -223,8 +224,7 @@ class FineSystem:
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
     bc: object = None
-    mode: str = "dfm"
-    # embedded-fracture blocks (empty in conforming mode)
+    # embedded-fracture blocks (empty for a conforming system)
     efm_traces: list[EfmTrace] = field(default_factory=list)
     A_m: sparse.csr_matrix | None = None
     B_blocks: list[sparse.csr_matrix] = field(default_factory=list)
@@ -234,10 +234,6 @@ class FineSystem:
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
-
-    @property
-    def n_frac_dofs(self) -> int:
-        return sum(t.n_nodes for t in self.efm_traces)
 
     @property
     def frac_offsets(self) -> list[int]:
@@ -254,7 +250,7 @@ class FineSystem:
 
     def block_matrix(self) -> sparse.csr_matrix:
         """Full symmetric block operator (matrix + fracture unknowns)."""
-        if self.mode != "efm":
+        if not self.efm_traces:
             return self.A
         nf = len(self.efm_traces)
         blocks = [[None] * (nf + 1) for _ in range(nf + 1)]
@@ -276,7 +272,7 @@ class FineSystem:
         kappa_f*aperture, built once."""
         M = node_operator(self.grid, self.perm.kappa_cells, self.edge_coeffs,
                           kind="mass")
-        if self.mode != "efm":
+        if not self.efm_traces:
             return M
         blocks = [M]
         for tr in self.efm_traces:
@@ -287,14 +283,9 @@ class FineSystem:
         return sparse.block_diag(blocks, format="csr")
 
     def block_rhs(self) -> np.ndarray:
-        if self.mode != "efm":
+        if not self.efm_traces:
             return self.F
         return np.concatenate([self.F] + list(self.F_frac))
-
-    def block_lift(self) -> np.ndarray:
-        u = np.zeros(self.n_nodes + self.n_frac_dofs)
-        u[self.dirichlet_nodes] = self.dirichlet_values
-        return u
 
 
 @dataclass
@@ -333,7 +324,7 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     nodes, vals = _dirichlet_data(g, bc)
     return FineSystem(grid=g, perm=perm, A=A, F=F, edge_coeffs=coeffs,
                       dirichlet_nodes=nodes, dirichlet_values=vals,
-                      bc=bc, mode="dfm")
+                      bc=bc)
 
 
 def _cell_shape_weights(g: GridHierarchy, cell: int, x: float, y: float):
@@ -419,7 +410,6 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
             shape=(n, n)).tocsr()
     else:
         Cmm = sparse.csr_matrix((n, n))
-    base.mode = "efm"
     base.efm_traces = list(efm_traces)
     base.A_m = (base.A + Cmm).tocsr()
     base.B_blocks = B_blocks
@@ -436,7 +426,7 @@ def decoupled_fracture_fields(sys: FineSystem) -> list[np.ndarray] | None:
     problem B u_f = f_f; lstsq gives its minimum-norm solution.  Returns
     None for a coupled or conforming system.
     """
-    if sys.mode != "efm" or any(B.nnz for B in sys.B_mf):
+    if not sys.efm_traces or any(B.nnz for B in sys.B_mf):
         return None
     return [np.linalg.lstsq(B.toarray(), fi, rcond=None)[0]
             for B, fi in zip(sys.B_blocks, sys.F_frac)]
@@ -448,11 +438,12 @@ def solve_fine(sys: FineSystem) -> FineSolution:
         raise ValueError("no Dirichlet data: pure-Neumann systems are not supported")
     u_frac = decoupled_fracture_fields(sys)
     if u_frac is None:
-        M, rhs, lift = sys.block_matrix().tocsr(), sys.block_rhs(), sys.block_lift()
+        M, rhs = sys.energy_matrix, sys.block_rhs()
     else:
-        M, rhs, lift = sys.A_m, sys.F, sys.lift()
-    ntot = M.shape[0]
-    fixed = np.zeros(ntot, dtype=bool)
+        M, rhs = sys.A_m, sys.F
+    lift = np.zeros(M.shape[0])
+    lift[sys.dirichlet_nodes] = sys.dirichlet_values
+    fixed = np.zeros(M.shape[0], dtype=bool)
     fixed[sys.dirichlet_nodes] = True
     free = ~fixed
 

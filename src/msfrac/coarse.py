@@ -1,31 +1,30 @@
-"""Global multiscale space and the coarse-scale solves.
+"""Global multiscale space and the coarse-scale solve.
 
 The global basis functions are products chi_i * psi_k^off; stacking
-them as columns gives the prolongation R0T, and the coarse problem is
-the Galerkin projection A0 = R0 A R0T.  Dirichlet data enters through a
-partition-of-unity lift (exact for bilinear data) while basis rows at
-boundary fine nodes are zeroed, so the coarse space is conforming with
-the homogeneous problem.
+them as columns gives the prolongation R0T.  Dirichlet data enters
+through a partition-of-unity lift (exact for bilinear data) while basis
+rows at boundary fine nodes are zeroed, so the coarse space is
+conforming with the homogeneous problem.
 
-With embedded fractures only the matrix block is projected; the 1D
-fracture unknowns stay at fine scale and couple to the coarse matrix
-unknowns through the projected transfer blocks.
+Every fracture model has one coarse problem, the Galerkin projection
+P^T K P of the fine operator K that is solved, with P = diag(R0T, I):
+the 1D embedded-fracture unknowns stay at fine scale.  It is factored
+by one sparse LU at every size.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .assembly import FineSystem, decoupled_fracture_fields
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
-__all__ = ["MultiscaleSpace", "CoarseSolution", "build_space",
+__all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "coarse_system",
            "solve_coarse_dfm", "solve_coarse_efm", "prolong"]
 
 
@@ -96,98 +95,91 @@ def _rank_report(ms: MultiscaleSpace) -> list[int]:
     return bad
 
 
-def _solve_spd_or_lstsq(A0, F0, ms=None, dense_limit=4000):
-    """Solve the coarse system, tolerating rank-deficient spaces.
+def _solve_spd_or_lstsq(K0, F0, ms):
+    """Solve the coarse system by one sparse LU, rescued by least squares.
 
-    Full snapshot spaces can exceed the fine dimension, making A0
-    consistent but singular; the least-squares pseudo-solution then
-    still reproduces the unique Galerkin solution in the fine space.
+    The LU solution stands when its residual is small and rcond =
+    1/(|K0|_1 |K0^-1|_1) >= eps, LAPACK's test before it warns of an
+    ill-conditioned solve; |K0^-1|_1 is Higham's estimate with one probe
+    column, which draws no random numbers.  Full snapshot spaces can
+    exceed the fine dimension, making K0 consistent but singular; the
+    dense least-squares pseudo-solution then still reproduces the unique
+    Galerkin solution in the fine space.  ``info`` records the path and
+    rcond (None where the LU failed).
     """
-    n = A0.shape[0]
-    info = {"rank_deficient": False, "solver": "direct"}
-    normF = np.linalg.norm(F0)
-    if n <= dense_limit:
-        Ad = A0.toarray() if sparse.issparse(A0) else np.asarray(A0)
-        try:
-            # an ill-conditioning warning fails the Cholesky path too
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-                U = scipy.linalg.solve(Ad, F0, assume_a="pos")
-            res = np.linalg.norm(Ad @ U - F0) / max(normF, 1e-300)
-            if not np.isfinite(res) or res > 1e-8:
-                raise scipy.linalg.LinAlgError("poor residual")
+    n = K0.shape[0]
+    K0 = K0.tocsc()
+    normF = max(np.linalg.norm(F0), 1e-300)
+    info = {"rank_deficient": False, "solver": "direct", "rcond": None}
+    try:
+        lu = spla.splu(K0)
+    except RuntimeError:              # exactly singular factor
+        pass
+    else:
+        U = lu.solve(F0)
+        inv = spla.LinearOperator((n, n), lu.solve, dtype=float,
+                                  rmatvec=partial(lu.solve, trans="T"))
+        rcond = 1.0 / (spla.norm(K0, 1) * spla.onenormest(inv, t=1))
+        info["rcond"] = float(rcond)
+        res = np.linalg.norm(K0 @ U - F0) / normF
+        if np.isfinite(res) and res <= 1e-8 and rcond >= np.finfo(float).eps:
             return U, info
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError,
-                scipy.linalg.LinAlgWarning):
-            U, _, rank, _ = np.linalg.lstsq(Ad, F0, rcond=1e-12)
-            res = np.linalg.norm(Ad @ U - F0) / max(normF, 1e-300)
-            if not np.isfinite(res) or res > 1e-6:
-                bad = _rank_report(ms) if ms is not None else []
-                raise RuntimeError(
-                    "coarse system is singular beyond a pseudo-inverse rescue; "
-                    f"locally dependent neighborhoods: {bad}")
-            info.update(rank_deficient=rank < n, rank=int(rank), solver="lstsq")
-            return U, info
-    U = spla.spsolve(A0.tocsc(), F0)
-    res = np.linalg.norm(A0 @ U - F0) / max(normF, 1e-300)
-    if not np.isfinite(res) or res > 1e-8:
-        bad = _rank_report(ms) if ms is not None else []
+    Kd = K0.toarray()
+    U, _, rank, _ = np.linalg.lstsq(Kd, F0, rcond=1e-12)
+    res = np.linalg.norm(Kd @ U - F0) / normF
+    if not np.isfinite(res) or res > 1e-6:
         raise RuntimeError(
-            "large coarse system is numerically singular; "
-            f"locally dependent neighborhoods: {bad}")
-    info["solver"] = "spsolve"
+            "coarse system is singular beyond a pseudo-inverse rescue; "
+            f"locally dependent neighborhoods: {_rank_report(ms)}")
+    info.update(rank_deficient=bool(rank < n), rank=int(rank), solver="lstsq")
     return U, info
 
 
-def solve_coarse_dfm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
-    """Galerkin coarse solve of the monolithic nodal system."""
-    if sys.mode != "dfm":
-        raise ValueError("expected a monolithic fine system")
-    R0T = ms.R0T
+def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
+    """Galerkin projection K0 = P^T K P, F0 = P^T (f - K lift) of the fine
+    problem that is solved, with P = diag(R0T, I) and the partition-of-
+    unity lift of the boundary data.  K is the block operator (``A`` for
+    a conforming system), or A_m alone when the embedded fractures
+    decouple.  Returns K0, F0, the lift and the decoupled fracture
+    fields (None when the fractures couple)."""
+    u_frac = decoupled_fracture_fields(sys)
+    if u_frac is None:
+        K, f = sys.energy_matrix, sys.block_rhs()
+    else:
+        K, f = sys.A_m, sys.F
+    n_frac = K.shape[0] - sys.n_nodes
+    P = sparse.block_diag([ms.R0T, sparse.identity(n_frac)], format="csr")
     lift = ms.pou.boundary_lift(sys.bc)
-    A0 = (R0T.T @ (sys.A @ R0T)).tocsr()
-    F0 = R0T.T @ (sys.F - sys.A @ lift)
-    U0, info = _solve_spd_or_lstsq(A0, F0, ms)
-    return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0, info=info)
+    K0 = (P.T @ (K @ P)).tocsr()
+    F0 = P.T @ (f - K @ np.r_[lift, np.zeros(n_frac)])
+    return K0, F0, lift, u_frac
+
+
+def _solve(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
+    K0, F0, lift, u_frac = coarse_system(ms, sys)
+    x, info = _solve_spd_or_lstsq(K0, F0, ms)
+    if u_frac is None:
+        off = np.subtract(sys.frac_offsets, sys.n_nodes) + ms.N_c
+        u_frac = [x[a:b] for a, b in zip(off, off[1:])]
+    else:
+        info["decoupled"] = True
+    U0 = x[:ms.N_c]
+    return CoarseSolution(U0=U0, u_ms_fine=lift + ms.R0T @ U0,
+                          efm_fracture_dofs=u_frac, info=info)
+
+
+def solve_coarse_dfm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
+    """Galerkin coarse solve of a conforming (monolithic nodal) system."""
+    if sys.efm_traces:
+        raise ValueError("expected a monolithic fine system")
+    return _solve(ms, sys)
 
 
 def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
     """Coarse matrix block + fine fracture unknowns, solved together."""
-    if sys.mode != "efm":
+    if not sys.efm_traces:
         raise ValueError("expected an embedded-fracture fine system")
-    R0T = ms.R0T
-    lift = ms.pou.boundary_lift(sys.bc)
-    A0 = (R0T.T @ (sys.A_m @ R0T)).tocsr()
-    F0 = R0T.T @ (sys.F - sys.A_m @ lift)
-
-    u_frac = decoupled_fracture_fields(sys)
-    if u_frac is not None:
-        U0, info = _solve_spd_or_lstsq(A0, F0, ms)
-        info["decoupled"] = True
-        return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0,
-                              efm_fracture_dofs=u_frac, info=info)
-
-    nf = len(sys.efm_traces)
-    blocks = [[None] * (nf + 1) for _ in range(nf + 1)]
-    blocks[0][0] = A0
-    rhs = [F0]
-    for i in range(nf):
-        Cb = (R0T.T @ sys.B_mf[i]).tocsr()
-        blocks[0][i + 1] = Cb
-        blocks[i + 1][0] = Cb.T
-        blocks[i + 1][i + 1] = sys.B_blocks[i]
-        rhs.append(sys.F_frac[i] - sys.B_mf[i].T @ lift)
-    M = sparse.bmat(blocks, format="csr")
-    b = np.concatenate(rhs)
-    x, info = _solve_spd_or_lstsq(M, b, ms)
-    U0 = x[:ms.N_c]
-    u_frac = []
-    off = ms.N_c
-    for t in sys.efm_traces:
-        u_frac.append(x[off:off + t.n_nodes])
-        off += t.n_nodes
-    return CoarseSolution(U0=U0, u_ms_fine=lift + R0T @ U0,
-                          efm_fracture_dofs=u_frac, info=info)
+    return _solve(ms, sys)
 
 
 def prolong(ms: MultiscaleSpace, U0: np.ndarray, lift: np.ndarray | None = None):

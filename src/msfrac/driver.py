@@ -24,7 +24,7 @@ from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, solve_fine)
 from .offline import (compute_pou, full_snapshots, randomized_snapshots,
                       offline_eigendecomposition)
-from .coarse import build_space, solve_coarse_dfm, solve_coarse_efm
+from .coarse import build_space, coarse_system, solve_coarse_dfm, solve_coarse_efm
 from .adaptivity import adaptive_loop
 from .analysis import ErrorReport, errors
 from .config import RunConfig, config_to_dict
@@ -175,13 +175,13 @@ def _solve_at(rs, pou, spaces, m):
     """Dimension of the m-mode space and the coarse solution in it; the
     space itself is dropped here."""
     ms = _space_at(rs, pou, spaces, m)
-    solve = solve_coarse_efm if rs.sys.mode == "efm" else solve_coarse_dfm
+    solve = solve_coarse_efm if rs.sys.efm_traces else solve_coarse_dfm
     return ms.N_c, solve(ms, rs.sys)
 
 
 def _error_table(rs, pou, spaces, schedule, snapshot_reference):
-    """Error report per mode count of the schedule against the fine
-    solution, and the coarse solution of the last count.
+    """Error report against the fine solution and coarse-solve info per
+    mode count of the schedule, and the coarse solution of the last count.
 
     With ``snapshot_reference`` the coarse solution of the largest count
     is also the reference of the snapshot-error columns, so that row's
@@ -193,12 +193,21 @@ def _error_table(rs, pou, spaces, schedule, snapshot_reference):
         m_ref = max(schedule)
         solved[m_ref] = _solve_at(rs, pou, spaces, m_ref)
         u_snap = solved[m_ref][1].block_vector()
-    reports = []
+    reports, infos = [], []
     for m in schedule:
         dim, sol = solved.get(m) or _solve_at(rs, pou, spaces, m)
         reports.append(errors(u_fine, u_snap, sol.block_vector(), rs.sys,
                               dim_Voff=dim))
-    return reports, sol
+        infos.append(sol.info)
+    return reports, infos, sol
+
+
+def _coarse_paths(infos):
+    """Manifest record of the coarse solves: the solver path of each and
+    its rcond to 2 significant digits, so that reruns repeat it."""
+    return {"coarse_solver": [i["solver"] for i in infos],
+            "coarse_rcond": [None if i["rcond"] is None
+                             else float(f"{i['rcond']:.2g}") for i in infos]}
 
 
 def _outpath(cfg, name):
@@ -227,12 +236,12 @@ def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
     pou, spaces, _ = _offline(rs)
-    reports, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
-                                snapshot_reference=False)
+    reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
+                                       snapshot_reference=False)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
     _write(rs, sol, spaces, {"command": "solve", "dim": reports[0].dim_Voff,
                              "offline_mode": cfg.offline.mode,
-                             "coarse_solver": sol.info.get("solver", "direct")})
+                             **{k: v[0] for k, v in _coarse_paths(infos).items()}})
     return reports
 
 
@@ -241,12 +250,12 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     snapshot-error columns are relative to the largest space's solution."""
     rs = setup(cfg)
     pou, spaces, counts = _offline(rs)
-    reports, sol = _error_table(rs, pou, spaces, cfg.sweep,
-                                snapshot_reference=True)
+    reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
+                                       snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
     run = {"command": "sweep", "schedule": list(cfg.sweep),
            "offline_mode": cfg.offline.mode,
-           "dims": [r.dim_Voff for r in reports]}
+           "dims": [r.dim_Voff for r in reports], **_coarse_paths(infos)}
     if cfg.offline.mode == "randomized":
         # snapshot work actually done over interior neighborhoods, as a
         # fraction of what full snapshots would cost there; boundary
@@ -263,7 +272,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
 def run_adapt(cfg: RunConfig):
     """Adaptive enrichment driven by the residual (or manual) indicator."""
     rs = setup(cfg)
-    if rs.sys.mode == "efm":
+    if rs.sys.efm_traces:
         raise ValueError("adaptive enrichment runs on the monolithic model only")
     pou, spaces, _ = _offline(rs)
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
@@ -271,7 +280,8 @@ def run_adapt(cfg: RunConfig):
     io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
     _write(rs, sol, spaces, {"command": "adapt", "theta": cfg.adapt.theta,
                              "indicator": cfg.adapt.indicator,
-                             "dims": [rep.dim for rep in history]})
+                             "dims": [rep.dim for rep in history],
+                             **_coarse_paths([rep.coarse_info for rep in history])})
     return sol, history
 
 
@@ -280,9 +290,9 @@ def run_export_matrices(cfg: RunConfig) -> list[str]:
     rs = setup(cfg)
     pou, spaces, _ = _offline(rs)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
-    A0 = (ms.R0T.T @ (rs.sys.A @ ms.R0T)).tocsr()
+    A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]
     mats = {"A.mtx": rs.sys.A, "S.mtx": pou.S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
-    if rs.sys.mode == "efm":
+    if rs.sys.efm_traces:
         mats["A_m.mtx"] = rs.sys.A_m
         for i, (B, C) in enumerate(zip(rs.sys.B_blocks, rs.sys.B_mf)):
             mats[f"B_{i}.mtx"], mats[f"B_mf_{i}.mtx"] = B, C

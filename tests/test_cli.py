@@ -49,6 +49,8 @@ def test_solve_without_fractures_is_exact(tmp_path, capsys):
     assert float(l2) < 1e-8 and float(h1) < 1e-6
     doc = yaml.safe_load((out / "manifest.yml").read_text())
     assert doc["run"]["command"] == "solve"
+    assert doc["run"]["coarse_solver"] == "direct"
+    assert doc["run"]["coarse_rcond"] > np.finfo(float).eps
 
 
 def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
@@ -82,6 +84,22 @@ def test_ill_conditioned_coarse_solve_records_lstsq(tmp_path, capsys):
     assert doc["run"]["coarse_solver"] == "lstsq"
     h1 = float((out / "errors.csv").read_text().splitlines()[1].split(",")[2])
     assert h1 < 1e-8
+
+
+def test_sweep_records_coarse_path_per_row(tmp_path):
+    # the case above falls back to lstsq at every mode count
+    cfg, out = write_cfg(tmp_path, grid={"coarse": [3, 3], "refine": 2},
+                         offline={"mode": "randomized"},
+                         fractures={"field": "crossing_channels", "kappa_f": 1e3},
+                         sweep=[1, 2, 3])
+    assert main(["sweep", "-c", str(cfg)]) == 0
+    first = (out / "manifest.yml").read_bytes()
+    run = yaml.safe_load(first)["run"]
+    assert run["coarse_solver"] == ["lstsq"] * 3
+    assert len(run["coarse_rcond"]) == len(run["dims"]) == 3
+    assert all(r < np.finfo(float).eps for r in run["coarse_rcond"])
+    assert main(["sweep", "-c", str(cfg)]) == 0
+    assert (out / "manifest.yml").read_bytes() == first
 
 
 def test_malformed_fracture_polyline_exits_nonzero(tmp_path, capsys):
@@ -138,6 +156,9 @@ def test_adapt_trajectory_csv(tmp_path):
     assert dims[0] == 25 and dims == sorted(dims)
     h1 = [float(l.split(",")[3]) for l in lines[1:]]
     assert h1 == sorted(h1, reverse=True)
+    run = yaml.safe_load((out / "manifest.yml").read_text())["run"]
+    assert run["coarse_solver"] == ["direct"] * 3
+    assert len(run["coarse_rcond"]) == 3
 
 
 @pytest.mark.parametrize("fractures", [CHANNELS, EFM_LINE], ids=["dfm", "efm"])
@@ -187,9 +208,9 @@ def test_sweep_builds_norm_operators_once(tmp_path, monkeypatch):
     cfg, out = write_cfg(tmp_path, fractures=EFM_LINE, sweep=[1, 2, 3])
     assert main(["sweep", "-c", str(cfg)]) == 0
     assert len((out / "errors.csv").read_text().splitlines()) == 4
-    # whole-grid masses: the POU's S and the L2 norm's; block operators:
-    # the fine solve's and the energy norm's
-    assert counts == {"mass": 2, "block": 2}
+    # whole-grid masses: the POU's S and the L2 norm's; one block
+    # operator, shared by the fine solve, the coarse solves and the norm
+    assert counts == {"mass": 2, "block": 1}
 
 
 def test_adapt_builds_norm_operators_once(tmp_path, monkeypatch):
@@ -219,10 +240,13 @@ def test_export_matrices_files_load(tmp_path, capsys):
     names = {p.rsplit("/", 1)[-1] for p in printed}
     assert {"A.mtx", "S.mtx", "A0.mtx", "R0T.mtx",
             "A_m.mtx", "B_0.mtx", "B_mf_0.mtx"} <= names
-    A0 = scipy.io.mmread(str(out / "A0.mtx")).tocsr()
+    A0, R0T, A_m = (scipy.io.mmread(str(out / name)).tocsr()
+                    for name in ("A0.mtx", "R0T.mtx", "A_m.mtx"))
     assert A0.shape[0] == A0.shape[1] == 34
-    asym = np.abs(A0 - A0.T).max()
-    assert asym <= 1e-12 * np.abs(A0).max()
+    scale = np.abs(A0).max()
+    assert np.abs(A0 - A0.T).max() <= 1e-12 * scale
+    # the matrix block of the operator the embedded-fracture solve factors
+    assert np.abs(A0 - R0T.T @ A_m @ R0T).max() <= 1e-12 * scale
 
 
 def test_raster_field_through_cli(tmp_path):

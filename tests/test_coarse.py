@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import msfrac as mf
-from msfrac.coarse import MultiscaleSpace
+from msfrac import driver
+from msfrac.coarse import MultiscaleSpace, coarse_system
+from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
 
 BC = mf.bilinear_bc(0.2, 1.0, -0.5, 0.3)
@@ -185,6 +187,39 @@ def test_duplicate_column_flags_rank_deficiency():
     assert sol2.info["rank_deficient"]
     # same span, same fine-grid Galerkin solution
     np.testing.assert_allclose(sol2.u_ms_fine, sol.u_ms_fine, atol=1e-8)
+
+
+def randomized_3x3_space(out_dir):
+    """Randomized spaces on 3x3 coarse cells at refine 2 and M_off = 2:
+    a coarse matrix ill-conditioned by its column scaling."""
+    rs = driver.setup(parse_config({
+        "grid": {"coarse": [3, 3], "refine": 2},
+        "fractures": {"field": "crossing_channels", "kappa_f": 1e3},
+        "offline": {"mode": "randomized", "M_off": 2},
+        "outputs": {"dir": str(out_dir)}}))
+    pou, spaces, _ = driver._offline(rs)
+    return driver._space_at(rs, pou, spaces, 2), rs.sys
+
+
+@pytest.mark.parametrize("case", ["randomized_3x3", "full_dfm"])
+def test_rcond_estimate_is_deterministic_and_close(case, tmp_path):
+    if case == "randomized_3x3":
+        ms, sys = randomized_3x3_space(tmp_path)
+    else:
+        g, sys = dfm_setup(field=mf.fields.crossing_channels, seed=7)
+        ms = space_at(g, *offline_spaces(g, sys), M=2)
+    K0 = coarse_system(ms, sys)[0].toarray()
+    exact = 1.0 / np.linalg.cond(K0, 1)
+    state = np.random.get_state()
+    try:
+        rconds = []
+        for seed in (0, 1):
+            np.random.seed(seed)
+            rconds.append(np.float64(mf.solve_coarse_dfm(ms, sys).info["rcond"]))
+    finally:
+        np.random.set_state(state)
+    assert rconds[0].tobytes() == rconds[1].tobytes()
+    assert exact / 3 <= rconds[0] <= 3 * exact
 
 
 def efm_setup(coupling_scale, coarse=4, refine=5):
