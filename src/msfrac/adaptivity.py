@@ -1,9 +1,9 @@
-"""Adaptive enrichment of the offline spaces.
+"""Adaptive enrichment of the multiscale space.
 
 Each iteration solves the coarse problem, computes per-neighborhood
 indicators (the coarse residual projected onto the unused snapshot
 eigen-directions, scaled by the first skipped eigenvalue), marks a
-theta-bulk of nodes, and adds eigenvectors there.  A manual mode marks
+theta-bulk of nodes, and raises their mode counts.  A manual mode marks
 a fixed rectangle of coarse nodes instead, for reproducing hand-picked
 enrichment regions.
 """
@@ -64,14 +64,15 @@ class IndicatorReport:
     coarse_info: dict = field(default_factory=dict)
 
 
-def compute_indicators(ms: MultiscaleSpace, spaces: list[NeighborhoodSpace],
-                       sol: CoarseSolution, sys: FineSystem,
+def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
+                       sys: FineSystem,
                        cfg: AdaptConfig | None = None) -> IndicatorReport:
     """Per-coarse-node error indicators for the current coarse solution.
 
-    eta_i^2 = sum_{k > M_off} |R(chi_i psi_k^off)|^2 / lambda_{M_off+1}
-    where R is the fine residual functional of u_ms; directions already
-    in the space contribute nothing by Galerkin orthogonality.
+    eta_i^2 = sum_{k > m_i} |R(chi_i psi_k^off)|^2 / lambda_{m_i+1}, with
+    m_i = ms.counts[i] the modes node i uses and R the fine residual
+    functional of u_ms; directions already in the space contribute
+    nothing by Galerkin orthogonality.
     """
     cfg = cfg or AdaptConfig()
     g = sys.grid
@@ -85,12 +86,12 @@ def compute_indicators(ms: MultiscaleSpace, spaces: list[NeighborhoodSpace],
 
     r = sys.F - sys.A @ sol.u_ms_fine
     r[sys.dirichlet_nodes] = 0.0
-    for sp in spaces:
-        if sp.M_off >= sp.l_i:
+    for sp, m in zip(ms.spaces, ms.counts):
+        if m >= sp.l_i:
             continue
         chi_r = ms.pou.chi[sp.omega_id] * r[sp.node_ids]
-        c = sp.basis_full[:, sp.M_off:].T @ chi_r  # unused eigen-directions
-        lam = max(sp.eigvals[sp.M_off], 1e-30)
+        c = sp.basis_full[:, m:].T @ chi_r  # unused eigen-directions
+        lam = max(sp.eigvals[m], 1e-30)
         eta[sp.omega_id] = np.sqrt(np.sum(c ** 2) / lam)
     return IndicatorReport(eta=eta, marked=np.empty(0, dtype=int), dim=ms.N_c)
 
@@ -112,24 +113,22 @@ def mark_dorfler(eta: np.ndarray, theta: float) -> np.ndarray:
     return np.sort(marked[eta2[marked] > 0])
 
 
-def enrich(report: IndicatorReport, spaces: list[NeighborhoodSpace],
-           cfg: AdaptConfig) -> list[NeighborhoodSpace]:
-    """Add basis_increment eigenvectors at the marked nodes (capped at l_i)."""
-    marked = set(int(i) for i in report.marked)
-    out = []
-    for sp in spaces:
-        if sp.omega_id in marked and cfg.basis_increment > 0:
-            if sp.M_off >= sp.l_i:
-                warnings.warn(
-                    f"neighborhood {sp.omega_id}: snapshot space exhausted, "
-                    "cannot enrich further")
-                report.skipped.append(sp.omega_id)
-                out.append(sp)
-            else:
-                out.append(sp.with_m_off(sp.M_off + cfg.basis_increment))
+def enrich(report: IndicatorReport, ms: MultiscaleSpace,
+           cfg: AdaptConfig) -> np.ndarray:
+    """Mode counts of the next space: basis_increment more eigenvectors
+    at the marked nodes, capped at l_i."""
+    counts = ms.counts.copy()
+    if cfg.basis_increment <= 0:
+        return counts
+    for i in np.unique(report.marked):
+        sp = ms.spaces[i]
+        if counts[i] >= sp.l_i:
+            warnings.warn(f"neighborhood {i}: snapshot space exhausted, "
+                          "cannot enrich further")
+            report.skipped.append(int(i))
         else:
-            out.append(sp)
-    return out
+            counts[i] = min(counts[i] + cfg.basis_increment, sp.l_i)
+    return counts
 
 
 def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
@@ -147,13 +146,13 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
     """
     from .analysis import errors as _errors
 
-    spaces = [sp.with_m_off(cfg.initial_basis) for sp in spaces]
+    counts = np.full(len(spaces), cfg.initial_basis)
     history: list[IndicatorReport] = []
     sol = None
     for it in range(cfg.max_iters + 1):
-        ms = build_space(pou, spaces)
+        ms = build_space(pou, spaces, counts)
         sol = solve_coarse_dfm(ms, sys)
-        report = compute_indicators(ms, spaces, sol, sys, cfg)
+        report = compute_indicators(ms, sol, sys, cfg)
         report.iteration = it
         report.dim = ms.N_c
         report.coarse_info = sol.info
@@ -168,5 +167,5 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
         theta = 1.0 if cfg.indicator == "manual" else cfg.theta
         report.marked = mark_dorfler(report.eta, theta)
         history.append(report)
-        spaces = enrich(report, spaces, cfg)
+        counts = enrich(report, ms, cfg)
     return sol, history

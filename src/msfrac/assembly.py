@@ -24,7 +24,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .grids import CellBox, GridHierarchy
-from .fractures import DfmTrace, EfmTrace, FractureNetwork
+from .fractures import DfmTrace, EfmTrace
 
 __all__ = [
     "PermeabilityField", "FineSystem", "FineSolution",
@@ -181,10 +181,9 @@ def load_vector(g: GridHierarchy, f) -> np.ndarray:
 
 @dataclass
 class PermeabilityField:
-    """Per-fine-cell matrix permeability plus the fracture network."""
+    """Per-fine-cell matrix permeability."""
 
     kappa_cells: np.ndarray
-    network: FractureNetwork | None = None
 
     def __post_init__(self):
         self.kappa_cells = np.asarray(self.kappa_cells, dtype=float)
@@ -192,16 +191,13 @@ class PermeabilityField:
             raise ValueError("matrix permeability must be positive")
 
     @classmethod
-    def constant(cls, g: GridHierarchy, value: float = 1.0,
-                 network: FractureNetwork | None = None):
-        return cls(np.full(g.n_cells, float(value)), network)
+    def constant(cls, g: GridHierarchy, value: float = 1.0):
+        return cls(np.full(g.n_cells, float(value)))
 
     @classmethod
-    def from_callable(cls, g: GridHierarchy, fn,
-                      network: FractureNetwork | None = None):
+    def from_callable(cls, g: GridHierarchy, fn):
         centers = g.cell_centers()
-        return cls(np.asarray(fn(centers[:, 0], centers[:, 1]), dtype=float),
-                   network)
+        return cls(np.asarray(fn(centers[:, 0], centers[:, 1]), dtype=float))
 
 
 @dataclass
@@ -241,12 +237,6 @@ class FineSystem:
         for t in self.efm_traces:
             off.append(off[-1] + t.n_nodes)
         return off
-
-    def lift(self) -> np.ndarray:
-        """Fine-nodal Dirichlet lift: boundary data at fixed nodes, 0 inside."""
-        u = np.zeros(self.n_nodes)
-        u[self.dirichlet_nodes] = self.dirichlet_values
-        return u
 
     def block_matrix(self) -> sparse.csr_matrix:
         """Full symmetric block operator (matrix + fracture unknowns)."""

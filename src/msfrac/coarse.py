@@ -32,6 +32,7 @@ __all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "coarse_system",
 class MultiscaleSpace:
     pou: PartitionOfUnity
     spaces: list[NeighborhoodSpace]
+    counts: np.ndarray              # modes used per coarse node
     R0T: sparse.csr_matrix          # (n_fine_nodes, N_c), basis as columns
     col_node: np.ndarray            # coarse-node index of every column
 
@@ -52,34 +53,36 @@ class CoarseSolution:
         return np.concatenate([self.u_ms_fine] + list(self.efm_fracture_dofs))
 
 
-def build_space(pou: PartitionOfUnity,
-                spaces: list[NeighborhoodSpace]) -> MultiscaleSpace:
-    """Assemble chi-multiplied offline bases into the prolongation matrix.
+def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
+                counts) -> MultiscaleSpace:
+    """Assemble chi-multiplied offline modes into the prolongation matrix.
 
-    Rows at boundary fine nodes are zeroed: boundary values are carried
-    by the lift, not by the space.
+    ``spaces`` holds one offline space per coarse node, in node order,
+    and node i contributes its first ``counts[i]`` modes (at most l_i),
+    so a space with larger counts extends a smaller one by new columns
+    without perturbing the old ones.  Rows at boundary fine nodes are
+    zeroed: boundary values are carried by the lift, not by the space.
     """
     g = pou.grid
     bmask = g.boundary_node_mask()
+    counts = np.minimum(counts, [sp.l_i for sp in spaces])
     rows, cols, vals = [], [], []
-    col_node = []
     c0 = 0
-    for sp in sorted(spaces, key=lambda s: s.omega_id):
+    for sp, m in zip(spaces, counts):
         if len(sp.node_ids) != len(pou.chi[sp.omega_id]):
             raise ValueError("offline vectors do not match the chi support")
-        B = sp.basis * pou.chi[sp.omega_id][:, None]
+        B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
         B[bmask[sp.node_ids]] = 0.0
-        m = B.shape[1]
         rows.append(np.repeat(sp.node_ids, m))
         cols.append((c0 + np.arange(m))[None, :].repeat(len(sp.node_ids), 0).ravel())
         vals.append(B.ravel())
-        col_node.extend([sp.omega_id] * m)
         c0 += m
     R0T = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(g.n_nodes, c0)).tocsr()
-    return MultiscaleSpace(pou=pou, spaces=sorted(spaces, key=lambda s: s.omega_id),
-                           R0T=R0T, col_node=np.array(col_node))
+    col_node = np.repeat([sp.omega_id for sp in spaces], counts)
+    return MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T,
+                           col_node=col_node)
 
 
 def _rank_report(ms: MultiscaleSpace) -> list[int]:
@@ -164,7 +167,7 @@ def _solve(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
     else:
         info["decoupled"] = True
     U0 = x[:ms.N_c]
-    return CoarseSolution(U0=U0, u_ms_fine=lift + ms.R0T @ U0,
+    return CoarseSolution(U0=U0, u_ms_fine=prolong(ms, U0, lift),
                           efm_fracture_dofs=u_frac, info=info)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .grids import Rect, GridHierarchy, build_hierarchy
 from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
 from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
-                       assemble_efm, solve_fine)
+                       assemble_efm, node_operator, solve_fine)
 from .offline import (compute_pou, full_snapshots, randomized_snapshots,
                       offline_eigendecomposition)
 from .coarse import build_space, coarse_system, solve_coarse_dfm, solve_coarse_efm
@@ -67,7 +67,7 @@ def setup(cfg: RunConfig) -> RunSetup:
         kappa = io_formats.read_kappa_raster(cfg.matrix.raster, g)
     else:
         kappa = np.full(g.n_cells, cfg.matrix.kappa)
-    perm = PermeabilityField(kappa, network)
+    perm = PermeabilityField(kappa)
     dfm_traces = [rasterize_dfm(f, g) for f in network.dfm]
     efm_traces = [intersect_efm(f, g) for f in network.efm]
     bc = cfg.bc_callable()
@@ -139,8 +139,7 @@ def _neighborhood_offline(rs: RunSetup, pou, omega_id: int):
                                     p_bf=off.p_bf, seed=off.seed)
     else:
         snap = full_snapshots(rs.grid, rs.sys, omega_id)
-    # all modes are kept; each solve selects its count
-    space = offline_eigendecomposition(snap, rs.sys, pou, M_off=1)
+    space = offline_eigendecomposition(snap, rs.sys, pou)
     drawn = snap.l_i - int(snap.constant_included)  # the constant is free
     return space, (drawn, snap.gen_boundary_count)
 
@@ -166,9 +165,8 @@ def _offline(rs: RunSetup):
 
 def _space_at(rs, pou, spaces, m):
     """Multiscale space with m modes per interior coarse node."""
-    schedule = m_off_schedule(rs.grid, m, rs.cfg.offline.enrich_boundary)
-    return build_space(pou, [sp.with_m_off(schedule[sp.omega_id])
-                             for sp in spaces])
+    return build_space(pou, spaces, m_off_schedule(
+        rs.grid, m, rs.cfg.offline.enrich_boundary))
 
 
 def _solve_at(rs, pou, spaces, m):
@@ -203,11 +201,13 @@ def _error_table(rs, pou, spaces, schedule, snapshot_reference):
 
 
 def _coarse_paths(infos):
-    """Manifest record of the coarse solves: the solver path of each and
-    its rcond to 2 significant digits, so that reruns repeat it."""
+    """Manifest record of the coarse solves: the solver path of each, its
+    rcond to 2 significant digits, so that reruns repeat it, and the
+    least-squares rank (None on the LU path)."""
     return {"coarse_solver": [i["solver"] for i in infos],
             "coarse_rcond": [None if i["rcond"] is None
-                             else float(f"{i['rcond']:.2g}") for i in infos]}
+                             else float(f"{i['rcond']:.2g}") for i in infos],
+            "coarse_rank": [i.get("rank") for i in infos]}
 
 
 def _outpath(cfg, name):
@@ -291,7 +291,8 @@ def run_export_matrices(cfg: RunConfig) -> list[str]:
     pou, spaces, _ = _offline(rs)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]
-    mats = {"A.mtx": rs.sys.A, "S.mtx": pou.S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
+    S = node_operator(rs.grid, pou.kappa_tilde, pou.edge_kappa_tilde, kind="mass")
+    mats = {"A.mtx": rs.sys.A, "S.mtx": S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
     if rs.sys.efm_traces:
         mats["A_m.mtx"] = rs.sys.A_m
         for i, (B, C) in enumerate(zip(rs.sys.B_blocks, rs.sys.B_mf)):

@@ -4,8 +4,8 @@ Per coarse node i this produces, in order:
 
 1. a partition-of-unity function chi_i (kappa-harmonic extension of
    linear edge data on each coarse cell), together with the weight
-   kappa_tilde = kappa * sum_i H^2 |grad chi_i|^2 and the weighted mass
-   matrix S built from it;
+   kappa_tilde = kappa * sum_i H^2 |grad chi_i|^2 that weights the
+   spectral mass S;
 2. a local snapshot space on the neighborhood omega_i — either one
    harmonic extension per fine boundary node, or a handful of harmonic
    extensions of random boundary data on the oversampled region,
@@ -15,8 +15,9 @@ Per coarse node i this produces, in order:
    basis of the neighborhood.
 
 Each neighborhood keeps only chi_i on its own fine nodes, its
-eigenvalues and one fine-nodal copy of each mode; the snapshots and the
-pencil are dropped once the eigensolve returns.
+eigenvalues and one fine-nodal copy of every mode; the snapshots and
+the pencil are dropped once the eigensolve returns.  How many modes a
+coarse node uses is decided by the online stage (``build_space``).
 
 All local solves use the nodal operator that already carries the
 conforming-fracture edge terms, so the basis sees the fractures.
@@ -24,7 +25,7 @@ conforming-fracture edge terms, so the basis sees the fractures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -63,7 +64,6 @@ class PartitionOfUnity:
     chi: list[np.ndarray]             # chi_i on neighborhoods[i].node_ids
     kappa_tilde: np.ndarray           # per fine cell
     edge_kappa_tilde: dict[int, float]
-    S: object                         # weighted mass matrix (csr)
 
     def boundary_lift(self, bc) -> np.ndarray:
         """POU interpolant of the boundary data over boundary coarse nodes.
@@ -142,9 +142,8 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
         adj = g.edge_cells(e)
         edge_kt[e] = c * H2 * float(np.mean(grad2[adj]))
 
-    S = node_operator(g, kappa_tilde, edge_kt, kind="mass")
     return PartitionOfUnity(grid=g, chi=chi, kappa_tilde=kappa_tilde,
-                            edge_kappa_tilde=edge_kt, S=S)
+                            edge_kappa_tilde=edge_kt)
 
 
 @dataclass
@@ -224,35 +223,22 @@ class NeighborhoodSpace:
     omega_id: int
     node_ids: np.ndarray
     eigvals: np.ndarray           # all l_i eigenvalues, ascending
-    M_off: int
-    basis_full: np.ndarray        # all l_i fine-nodal modes, precomputed once
+    basis_full: np.ndarray        # all l_i fine-nodal modes, computed once
     regularized: bool = False
 
     @property
     def l_i(self) -> int:
         return len(self.eigvals)
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Fine-nodal offline basis on the neighborhood, (nodes x M_off)."""
-        # a slice of the precomputed modes, so enriching a space extends
-        # it by new columns without perturbing the old ones
-        return self.basis_full[:, :self.M_off]
-
-    def with_m_off(self, m: int) -> "NeighborhoodSpace":
-        return replace(self, M_off=min(int(m), self.l_i))
-
 
 def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
-                               pou: PartitionOfUnity, M_off: int) -> NeighborhoodSpace:
-    """Smallest modes of A_off Psi = lambda S_off Psi on one neighborhood.
+                               pou: PartitionOfUnity) -> NeighborhoodSpace:
+    """All modes of A_off Psi = lambda S_off Psi on one neighborhood.
 
     Both forms are integrated over the neighborhood only (local
     re-assembly, not a submatrix of the global operators, which would
     leak energy from the surrounding cells into the boundary rows).
     """
-    if M_off < 1:
-        raise ValueError("M_off must be >= 1")
     g = sys.grid
     nb = g.neighborhoods[snap.omega_id]
     A_loc = node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
@@ -292,8 +278,6 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
         if np.max(np.abs(alpha * psi1 - 1.0)) <= 1e-6:
             scale[0] = alpha
 
-    m = min(int(M_off), snap.l_i)
-    basis_full = V @ (Psi * scale)
     return NeighborhoodSpace(omega_id=snap.omega_id, node_ids=snap.node_ids,
-                             eigvals=w, M_off=m, basis_full=basis_full,
+                             eigvals=w, basis_full=V @ (Psi * scale),
                              regularized=regularized)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 from hypothesis import settings, HealthCheck
 
+import msfrac as mf
 from msfrac.assembly import node_operator
 
 settings.register_profile(
@@ -22,6 +23,17 @@ def dense_chi(pou):
     for nb in g.neighborhoods:
         chi[nb.index, nb.node_ids] = pou.chi[nb.index]
     return chi
+
+
+def neighborhood_spaces(sys, pou, kind="full", **snapshot_kw):
+    """Offline space of every coarse node, all modes kept, from "full"
+    or "randomized" snapshots; ``snapshot_kw`` goes to the snapshot
+    builder."""
+    snapshots = {"full": mf.full_snapshots,
+                 "randomized": mf.randomized_snapshots}[kind]
+    return [mf.offline_eigendecomposition(
+                snapshots(pou.grid, sys, nb.index, **snapshot_kw), sys, pou)
+            for nb in pou.grid.neighborhoods]
 
 
 def mode_gram(pou, space):

@@ -16,36 +16,29 @@ import scipy.sparse as sparse
 import msfrac as mf
 from msfrac.driver import m_off_schedule
 
-from conftest import dense_chi, mode_gram
+from conftest import dense_chi, mode_gram, neighborhood_spaces
 
 BC = mf.bilinear_bc(0.0, 1.0, 1.0, 0.0)
 
 
 def build_system(g, net, kappa=None, bc=BC):
     if kappa is None:
-        perm = mf.PermeabilityField.constant(g, 1.0, net)
+        perm = mf.PermeabilityField.constant(g, 1.0)
     elif callable(kappa):
-        perm = mf.PermeabilityField.from_callable(g, kappa, net)
+        perm = mf.PermeabilityField.from_callable(g, kappa)
     else:
-        perm = mf.PermeabilityField(kappa, net)
+        perm = mf.PermeabilityField(kappa)
     traces = [mf.rasterize_dfm(fr, g) for fr in (net.dfm if net else [])]
     return mf.assemble_dfm(g, perm, traces, bc=bc)
 
 
 def full_pipeline(g, sys):
     pou = mf.compute_pou(g, sys)
-    spaces = []
-    for nb in g.neighborhoods:
-        snap = mf.full_snapshots(g, sys, nb.index)
-        spaces.append(mf.offline_eigendecomposition(snap, sys, pou,
-                                                    M_off=snap.l_i))
-    return pou, spaces
+    return pou, neighborhood_spaces(sys, pou)
 
 
 def solve_at(g, sys, pou, spaces, M):
-    sched = m_off_schedule(g, M)
-    ms = mf.build_space(pou, [sp.with_m_off(sched[sp.omega_id])
-                              for sp in spaces])
+    ms = mf.build_space(pou, spaces, m_off_schedule(g, M))
     return ms, mf.solve_coarse_dfm(ms, sys)
 
 
@@ -78,7 +71,7 @@ def test_full_snapshot_space_recovers_snapshot_solution():
     sys = build_system(g, net)
     u_fine = mf.solve_fine(sys).u
     pou, spaces = full_pipeline(g, sys)
-    ms = mf.build_space(pou, spaces)
+    ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
     sol = mf.solve_coarse_dfm(ms, sys)
 
     # independent oracle: Galerkin directly on the chi-weighted snapshot
@@ -149,16 +142,13 @@ def test_embedded_single_fracture_under_one_percent():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 10, t=0)
     net = mf.fields.single_long_efm(g, seed=0, kappa_f=10.0)
     kfun = lambda x, y: 1.0 + 0.25 * np.sin(np.pi * x) * np.cos(np.pi * y)
-    perm = mf.PermeabilityField.from_callable(g, kfun, net)
+    perm = mf.PermeabilityField.from_callable(g, kfun)
     sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(net.efm[0], g)],
                           bc=BC)
     fine = mf.solve_fine(sys)
     pou = mf.compute_pou(g, sys)
-    spaces = []
-    for nb in g.neighborhoods:
-        snap = mf.full_snapshots(g, sys, nb.index)
-        spaces.append(mf.offline_eigendecomposition(snap, sys, pou, M_off=1))
-    ms = mf.build_space(pou, spaces)
+    spaces = neighborhood_spaces(sys, pou)
+    ms = mf.build_space(pou, spaces, np.ones(len(spaces), dtype=int))
     sol = mf.solve_coarse_efm(ms, sys)
     rep = mf.analysis.errors(
         fine.block_vector(), None,
@@ -191,7 +181,7 @@ def _dfm_vs_resolved_band(refine_factor):
     cy = (np.arange(gr.n_cells) // gr.fine_nx + 0.5) * gr.hy
     kap = np.ones(gr.n_cells)
     kap[(cy > 0.5) & (cy < 0.5 + eps) & (cx > 0.2) & (cx < 0.8)] = kappa_f
-    sysr = mf.assemble_dfm(gr, mf.PermeabilityField(kap, None), [], bc=BC)
+    sysr = mf.assemble_dfm(gr, mf.PermeabilityField(kap), [], bc=BC)
     u2 = mf.solve_fine(sysr).u
 
     f = gr.fine_nx // gb.fine_nx
@@ -239,8 +229,7 @@ def test_randomized_snapshots_match_full_at_equal_dims(channels):
         for nb in g.neighborhoods:
             snap = mf.randomized_snapshots(g, sys, nb.index, k_nb=M,
                                            p_bf=4, seed=0)
-            rand_spaces.append(mf.offline_eigendecomposition(
-                snap, sys, pou, M_off=1))
+            rand_spaces.append(mf.offline_eigendecomposition(snap, sys, pou))
             if nb.is_interior:
                 interior.append(snap)
         ms_r, sol_r = solve_at(g, sys, pou, rand_spaces, M)
@@ -262,11 +251,7 @@ def test_invariant_suite():
     # partition of unity sums to one everywhere
     np.testing.assert_allclose(dense_chi(pou).sum(axis=0), 1.0, atol=1e-12)
 
-    spaces = []
-    for nb in g.neighborhoods:
-        snap = mf.full_snapshots(g, sys, nb.index)
-        spaces.append(mf.offline_eigendecomposition(snap, sys, pou,
-                                                    M_off=snap.l_i))
+    spaces = neighborhood_spaces(sys, pou)
     for sp in spaces:
         # eigenvalues nonnegative (constants are exactly A-null) and
         # sorted ascending
@@ -277,7 +262,7 @@ def test_invariant_suite():
                                    atol=1e-12)
 
     # Galerkin orthogonality of the coarse solve
-    ms = mf.build_space(pou, [sp.with_m_off(2) for sp in spaces])
+    ms = mf.build_space(pou, spaces, np.full(len(spaces), 2))
     sol = mf.solve_coarse_dfm(ms, sys)
     u_fine = mf.solve_fine(sys).u
     resid = ms.R0T.T @ (sys.A @ (u_fine - sol.u_ms_fine))
@@ -297,7 +282,7 @@ def test_invariant_suite():
     # embedded-model block operator is symmetric
     ef = mf.Fracture(np.array([[0.15, 0.45], [0.85, 0.62]]), 1e-3, 25.0,
                      "efm", 0)
-    perm = mf.PermeabilityField.constant(g, 1.0, mf.FractureNetwork([ef]))
+    perm = mf.PermeabilityField.constant(g, 1.0)
     sys_e = mf.assemble_efm(g, perm, [], [mf.intersect_efm(ef, g)], bc=BC)
     Ab = sys_e.block_matrix()
     assert np.abs(Ab - Ab.T).max() <= 1e-12 * np.abs(Ab).max()
@@ -305,12 +290,9 @@ def test_invariant_suite():
     # determinism: the randomized pipeline is byte-identical under a
     # fixed seed and differs under another
     def rand_solution(seed):
-        rsp = [mf.offline_eigendecomposition(
-                   mf.randomized_snapshots(g, sys, nb.index, k_nb=3,
-                                           p_bf=2, seed=seed),
-                   sys, pou, M_off=1)
-               for nb in g.neighborhoods]
-        msr = mf.build_space(pou, [sp.with_m_off(2) for sp in rsp])
+        rsp = neighborhood_spaces(sys, pou, "randomized", k_nb=3, p_bf=2,
+                                  seed=seed)
+        msr = mf.build_space(pou, rsp, np.full(len(rsp), 2))
         return mf.solve_coarse_dfm(msr, sys).u_ms_fine
 
     a, b = rand_solution(7), rand_solution(7)

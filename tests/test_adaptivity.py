@@ -11,7 +11,7 @@ import msfrac as mf
 from msfrac.adaptivity import (AdaptConfig, adaptive_loop, compute_indicators,
                                enrich, mark_dorfler)
 
-from conftest import dense_chi
+from conftest import dense_chi, neighborhood_spaces
 
 BC = mf.bilinear_bc(0.1, 0.8, -0.4, 1.2)
 
@@ -19,16 +19,11 @@ BC = mf.bilinear_bc(0.1, 0.8, -0.4, 1.2)
 def setup(coarse=10, refine=2, field=mf.fields.crossing_channels, seed=3):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=0)
     net = field(g, seed=seed) if field else None
-    perm = mf.PermeabilityField.constant(g, 1.0, net)
+    perm = mf.PermeabilityField.constant(g, 1.0)
     traces = [mf.rasterize_dfm(fr, g) for fr in (net.dfm if net else [])]
     sys = mf.assemble_dfm(g, perm, traces, bc=BC)
     pou = mf.compute_pou(g, sys)
-    spaces = []
-    for nb in g.neighborhoods:
-        snap = mf.full_snapshots(g, sys, nb.index)
-        spaces.append(mf.offline_eigendecomposition(snap, sys, pou,
-                                                    M_off=snap.l_i))
-    return g, sys, pou, spaces
+    return g, sys, pou, neighborhood_spaces(sys, pou)
 
 
 def test_config_validation():
@@ -67,9 +62,9 @@ def test_manual_rectangle_21_nodes_grows_to_163():
 
 def test_full_space_has_zero_indicators():
     g, sys, pou, spaces = setup(coarse=4, refine=3)
-    ms = mf.build_space(pou, spaces)
+    ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
     sol = mf.solve_coarse_dfm(ms, sys)
-    rep = compute_indicators(ms, spaces, sol, sys)
+    rep = compute_indicators(ms, sol, sys)
     assert np.all(rep.eta <= 1e-9)
 
 
@@ -78,23 +73,22 @@ def test_indicator_matches_global_residual_oracle():
     # to each unused chi-weighted eigenmode as a *global* fine vector
     g, sys, pou, spaces = setup(coarse=4, refine=3)
     M = 2
-    sel = [sp.with_m_off(min(M, sp.l_i)) for sp in spaces]
-    ms = mf.build_space(pou, sel)
+    ms = mf.build_space(pou, spaces, np.full(len(spaces), M))
     sol = mf.solve_coarse_dfm(ms, sys)
-    rep = compute_indicators(ms, sel, sol, sys)
+    rep = compute_indicators(ms, sol, sys)
 
     r = sys.F - sys.A @ sol.u_ms_fine
     r[sys.dirichlet_nodes] = 0.0
     chi = dense_chi(pou)
-    for sp in sel[:6]:
-        if sp.M_off >= sp.l_i:
+    for sp, m in zip(ms.spaces[:6], ms.counts):
+        if m >= sp.l_i:
             continue
         acc = 0.0
-        for k in range(sp.M_off, sp.l_i):
+        for k in range(m, sp.l_i):
             w = np.zeros(g.n_nodes)
             w[sp.node_ids] = sp.basis_full[:, k]
             acc += float((chi[sp.omega_id] * w) @ r) ** 2
-        eta = np.sqrt(acc / sp.eigvals[sp.M_off])
+        eta = np.sqrt(acc / sp.eigvals[m])
         assert rep.eta[sp.omega_id] == pytest.approx(eta, rel=1e-10, abs=1e-14)
 
 
@@ -139,21 +133,22 @@ def test_dorfler_ties_broken_by_index():
 
 def test_enrich_caps_and_warns_when_exhausted():
     g, sys, pou, spaces = setup(coarse=3, refine=2)
-    full = spaces[0]  # already at M_off = l_i
+    full = spaces[0]
+    ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
     rep = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),
                              marked=np.array([full.omega_id]))
     with pytest.warns(UserWarning, match="exhausted"):
-        out = enrich(rep, spaces, AdaptConfig(basis_increment=2))
-    assert out[0].M_off == full.l_i
+        out = enrich(rep, ms, AdaptConfig(basis_increment=2))
+    assert out[0] == full.l_i
     assert rep.skipped == [full.omega_id]
 
-    trimmed = [sp.with_m_off(1) for sp in spaces]
+    trimmed = mf.build_space(pou, spaces, np.ones(len(spaces), dtype=int))
     rep2 = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),
                               marked=np.arange(g.n_coarse_nodes))
     same = enrich(rep2, trimmed, AdaptConfig(basis_increment=0))
-    assert all(a.M_off == b.M_off for a, b in zip(same, trimmed))
+    np.testing.assert_array_equal(same, trimmed.counts)
     grown = enrich(rep2, trimmed, AdaptConfig(basis_increment=2))
-    assert all(sp.M_off == 3 for sp in grown)
+    assert all(grown == 3)
 
 
 def test_loop_stops_at_loose_tolerance():

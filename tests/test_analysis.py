@@ -15,7 +15,7 @@ def small_system(kappa_f=1e3, bc=None, efm=False, f=None):
                        "efm" if efm else "dfm", 0)]
     rng = np.random.default_rng(11)
     kap = rng.uniform(0.5, 3.0, g.fine_nx * g.fine_ny)
-    perm = mf.PermeabilityField(kap, mf.FractureNetwork(frs))
+    perm = mf.PermeabilityField(kap)
     if efm:
         sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(frs[0], g)],
                               bc=bc, f=f)

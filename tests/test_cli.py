@@ -51,6 +51,7 @@ def test_solve_without_fractures_is_exact(tmp_path, capsys):
     assert doc["run"]["command"] == "solve"
     assert doc["run"]["coarse_solver"] == "direct"
     assert doc["run"]["coarse_rcond"] > np.finfo(float).eps
+    assert doc["run"]["coarse_rank"] is None
 
 
 def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
@@ -98,6 +99,8 @@ def test_sweep_records_coarse_path_per_row(tmp_path):
     assert run["coarse_solver"] == ["lstsq"] * 3
     assert len(run["coarse_rcond"]) == len(run["dims"]) == 3
     assert all(r < np.finfo(float).eps for r in run["coarse_rcond"])
+    assert run["dims"] == [16, 20, 24]
+    assert run["coarse_rank"] == [15, 19, 23]
     assert main(["sweep", "-c", str(cfg)]) == 0
     assert (out / "manifest.yml").read_bytes() == first
 
@@ -159,6 +162,7 @@ def test_adapt_trajectory_csv(tmp_path):
     run = yaml.safe_load((out / "manifest.yml").read_text())["run"]
     assert run["coarse_solver"] == ["direct"] * 3
     assert len(run["coarse_rcond"]) == 3
+    assert run["coarse_rank"] == [None] * 3
 
 
 @pytest.mark.parametrize("fractures", [CHANNELS, EFM_LINE], ids=["dfm", "efm"])
@@ -208,9 +212,9 @@ def test_sweep_builds_norm_operators_once(tmp_path, monkeypatch):
     cfg, out = write_cfg(tmp_path, fractures=EFM_LINE, sweep=[1, 2, 3])
     assert main(["sweep", "-c", str(cfg)]) == 0
     assert len((out / "errors.csv").read_text().splitlines()) == 4
-    # whole-grid masses: the POU's S and the L2 norm's; one block
-    # operator, shared by the fine solve, the coarse solves and the norm
-    assert counts == {"mass": 2, "block": 1}
+    # one whole-grid mass, the L2 norm's; one block operator, shared by
+    # the fine solve, the coarse solves and the norm
+    assert counts == {"mass": 1, "block": 1}
 
 
 def test_adapt_builds_norm_operators_once(tmp_path, monkeypatch):
@@ -220,7 +224,7 @@ def test_adapt_builds_norm_operators_once(tmp_path, monkeypatch):
                                 "basis_increment": 1})
     assert main(["adapt", "-c", str(cfg)]) == 0
     assert len((out / "errors.csv").read_text().splitlines()) == 4
-    assert counts["mass"] == 2       # the POU's S and the L2 norm's
+    assert counts["mass"] == 1       # the L2 norm's
 
 
 def test_adapt_rejects_embedded_fractures(tmp_path, capsys):

@@ -7,9 +7,12 @@ import pytest
 
 import msfrac as mf
 from msfrac import driver
-from msfrac.coarse import MultiscaleSpace, coarse_system
+from msfrac.adaptivity import AdaptConfig, enrich
+from msfrac.coarse import coarse_system
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
+
+from conftest import neighborhood_spaces
 
 BC = mf.bilinear_bc(0.2, 1.0, -0.5, 0.3)
 
@@ -18,11 +21,11 @@ def dfm_setup(coarse=3, refine=4, field=None, seed=1, kappa=None, bc=BC, f=None)
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=0)
     net = field(g, seed=seed) if field else None
     if kappa is None:
-        perm = mf.PermeabilityField.constant(g, 1.0, net)
+        perm = mf.PermeabilityField.constant(g, 1.0)
     elif callable(kappa):
-        perm = mf.PermeabilityField.from_callable(g, kappa, net)
+        perm = mf.PermeabilityField.from_callable(g, kappa)
     else:
-        perm = mf.PermeabilityField(kappa, net)
+        perm = mf.PermeabilityField(kappa)
     traces = [mf.rasterize_dfm(fr, g) for fr in (net.dfm if net else [])]
     sys = mf.assemble_dfm(g, perm, traces, bc=bc, f=f)
     return g, sys
@@ -31,21 +34,12 @@ def dfm_setup(coarse=3, refine=4, field=None, seed=1, kappa=None, bc=BC, f=None)
 def offline_spaces(g, sys):
     """Full eigendecomposition (all modes kept) for every coarse node."""
     pou = mf.compute_pou(g, sys)
-    spaces = []
-    for nb in g.neighborhoods:
-        snap = mf.full_snapshots(g, sys, nb.index)
-        spaces.append(mf.offline_eigendecomposition(snap, sys, pou,
-                                                    M_off=snap.l_i))
-    return pou, spaces
+    return pou, neighborhood_spaces(sys, pou)
 
 
 def space_at(g, pou, spaces, M=None, full=False):
-    if full:
-        sel = spaces
-    else:
-        sched = m_off_schedule(g, M)
-        sel = [sp.with_m_off(sched[sp.omega_id]) for sp in spaces]
-    return mf.build_space(pou, sel)
+    counts = [sp.l_i for sp in spaces] if full else m_off_schedule(g, M)
+    return mf.build_space(pou, spaces, counts)
 
 
 def energy(sys, e):
@@ -101,8 +95,7 @@ def test_coarse_matrix_matches_dense_product():
     rng = np.random.default_rng(8)
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 4, t=0)
     f = mf.Fracture(np.array([[0.25, 0.5], [0.75, 0.5]]), 1e-3, 1e5, "dfm", 0)
-    net = mf.FractureNetwork([f])
-    perm = mf.PermeabilityField(rng.uniform(0.5, 50.0, g.n_cells), net)
+    perm = mf.PermeabilityField(rng.uniform(0.5, 50.0, g.n_cells))
     sys = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(f, g)], bc=BC)
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, full=True)
@@ -132,6 +125,7 @@ def test_enrichment_is_nested_and_monotone():
     errs, prev_ms = [], None
     for M in (1, 2, 3, 4):
         ms = space_at(g, pou, spaces, M=M)
+        assert ms.counts.sum() == ms.N_c
         sol = mf.solve_coarse_dfm(ms, sys)
         errs.append(energy(sys, fine.u - sol.u_ms_fine) / ref)
         if prev_ms is not None:
@@ -143,6 +137,16 @@ def test_enrichment_is_nested_and_monotone():
                 np.testing.assert_array_equal(small, big[:, :small.shape[1]])
         prev_ms = ms
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+    # counts above a neighborhood's snapshot count are clamped to it
+    l_i = [sp.l_i for sp in spaces]
+    big = mf.build_space(pou, spaces, np.full(len(spaces), max(l_i) + 5))
+    np.testing.assert_array_equal(big.counts, l_i)
+    assert big.N_c == sum(l_i)
+    # enriching every node by zero modes keeps every count
+    rep = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),
+                             marked=np.arange(g.n_coarse_nodes))
+    np.testing.assert_array_equal(
+        enrich(rep, ms, AdaptConfig(basis_increment=0)), ms.counts)
 
 
 def test_galerkin_orthogonality():
@@ -180,9 +184,9 @@ def test_duplicate_column_flags_rank_deficiency():
     ms = space_at(g, pou, spaces, M=2)
     sol = mf.solve_coarse_dfm(ms, sys)
     import scipy.sparse as sparse
-    dup = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces,
-                          R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
-                          col_node=np.append(ms.col_node, ms.col_node[0]))
+    dup = dataclasses.replace(
+        ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+        col_node=np.append(ms.col_node, ms.col_node[0]))
     sol2 = mf.solve_coarse_dfm(dup, sys)
     assert sol2.info["rank_deficient"]
     # same span, same fine-grid Galerkin solution
@@ -225,9 +229,8 @@ def test_rcond_estimate_is_deterministic_and_close(case, tmp_path):
 def efm_setup(coupling_scale, coarse=4, refine=5):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=0)
     f = mf.Fracture(np.array([[0.2, 0.55], [0.8, 0.52]]), 1e-3, 50.0, "efm", 0)
-    net = mf.FractureNetwork([f])
     perm = mf.PermeabilityField.from_callable(
-        g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.sin(np.pi * y), net)
+        g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.sin(np.pi * y))
     tr = mf.intersect_efm(f, g)
     sys = mf.assemble_efm(g, perm, [], [tr], bc=BC,
                           coupling_scale=coupling_scale)
@@ -241,7 +244,7 @@ def test_efm_zero_coupling_reduces_to_dfm():
     sol = mf.solve_coarse_efm(ms, sys)
     assert sol.info.get("decoupled")
 
-    perm0 = mf.PermeabilityField(sys.perm.kappa_cells, None)
+    perm0 = mf.PermeabilityField(sys.perm.kappa_cells)
     sys0 = mf.assemble_dfm(g, perm0, [], bc=BC)
     sol0 = mf.solve_coarse_dfm(ms, sys0)
     np.testing.assert_allclose(sol.U0, sol0.U0, atol=1e-11)

@@ -15,6 +15,8 @@ from msfrac.analysis import ErrorReport
 from msfrac.config import (ConfigError, config_to_dict, load_config,
                            parse_config)
 
+from conftest import neighborhood_spaces
+
 FULL_CONFIG = {
     "grid": {"domain": [0.0, 0.0, 2.0, 1.0], "coarse": [6, 4],
              "refine": 3, "t": 1},
@@ -204,11 +206,7 @@ def test_eigenvalue_csv_rows(tmp_path):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
     perm = mf.PermeabilityField.constant(g, 1.0)
     sys = mf.assemble_dfm(g, perm, [])
-    pou = mf.compute_pou(g, sys)
-    spaces = []
-    for nb in g.neighborhoods:
-        snap = mf.full_snapshots(g, sys, nb.index)
-        spaces.append(mf.offline_eigendecomposition(snap, sys, pou, M_off=1))
+    spaces = neighborhood_spaces(sys, mf.compute_pou(g, sys))
     path = tmp_path / "eig.csv"
     io_formats.write_eigenvalue_csv(str(path), spaces)
     lines = path.read_text().splitlines()

@@ -21,7 +21,7 @@ GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 def const_system(coarse=3, refine=4, kappa=1.0, net=None, t=0):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=t)
-    perm = mf.PermeabilityField.constant(g, kappa, net)
+    perm = mf.PermeabilityField.constant(g, kappa)
     traces = [mf.rasterize_dfm(f, g) for f in (net.dfm if net else [])]
     return g, mf.assemble_dfm(g, perm, traces, bc=mf.bilinear_bc(0, 1, 1, 0))
 
@@ -46,7 +46,7 @@ def test_pou_sum_to_one_and_bounds_heterogeneous():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
     net = mf.fields.crossing_channels(g, seed=4, n=5)
     rng = np.random.default_rng(0)
-    perm = mf.PermeabilityField(rng.uniform(0.1, 100.0, g.n_cells), net)
+    perm = mf.PermeabilityField(rng.uniform(0.1, 100.0, g.n_cells))
     traces = [mf.rasterize_dfm(f, g) for f in net.dfm]
     sys = mf.assemble_dfm(g, perm, traces)
     pou = mf.compute_pou(g, sys)
@@ -125,7 +125,7 @@ def test_full_snapshots_superpose_to_constant():
 def test_full_snapshots_harmonic_in_omega():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
     net = mf.fields.mixed_short_long(g, seed=2, n_short=4)
-    perm = mf.PermeabilityField.constant(g, 1.0, net)
+    perm = mf.PermeabilityField.constant(g, 1.0)
     traces = [mf.rasterize_dfm(f, g) for f in net.dfm]
     sys = mf.assemble_dfm(g, perm, traces)
     nb = g.neighborhoods[4]
@@ -208,13 +208,13 @@ def test_snapshot_ratio_reference_scale():
 def test_eigvals_sorted_nonnegative_and_s_orthogonal():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
     net = mf.fields.crossing_channels(g, seed=9, n=5)
-    perm = mf.PermeabilityField.constant(g, 1.0, net)
+    perm = mf.PermeabilityField.constant(g, 1.0)
     traces = [mf.rasterize_dfm(f, g) for f in net.dfm]
     sys = mf.assemble_dfm(g, perm, traces)
     pou = mf.compute_pou(g, sys)
     for omega in range(g.n_coarse_nodes):
         snap = mf.full_snapshots(g, sys, omega)
-        spc = mf.offline_eigendecomposition(snap, sys, pou, M_off=3)
+        spc = mf.offline_eigendecomposition(snap, sys, pou)
         assert (np.diff(spc.eigvals) >= -1e-9 * max(1, spc.eigvals[-1])).all()
         assert spc.eigvals[0] >= -1e-10
         np.testing.assert_allclose(mode_gram(pou, spc), np.eye(snap.l_i),
@@ -225,9 +225,9 @@ def test_first_mode_reproduces_constant():
     g, sys = const_system(coarse=3, refine=4)
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
-    spc = mf.offline_eigendecomposition(snap, sys, pou, M_off=1)
+    spc = mf.offline_eigendecomposition(snap, sys, pou)
     assert abs(spc.eigvals[0]) < 1e-10
-    psi1 = spc.basis[:, 0]
+    psi1 = spc.basis_full[:, 0]
     np.testing.assert_allclose(psi1, 1.0, atol=1e-6)
 
 
@@ -236,7 +236,7 @@ def test_single_snapshot_rayleigh_quotient():
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
     one = dataclasses.replace(snap, vectors=snap.vectors[:, 3:4])
-    spc = mf.offline_eigendecomposition(one, sys, pou, M_off=1)
+    spc = mf.offline_eigendecomposition(one, sys, pou)
     assert spc.eigvals.shape == (1,)
     nb = g.neighborhoods[4]
     v = one.vectors[:, 0]
@@ -266,7 +266,7 @@ def _patch_spectrum(polyline, kappa_f):
     nb = next(n for n in g.neighborhoods if n.ci == 5 and n.cj == 5)
     assert nb.cells.ncells == 400  # 20x20 fine-cell patch
     snap = mf.full_snapshots(g, sys, nb.index)
-    return mf.offline_eigendecomposition(snap, sys, pou, M_off=6).eigvals
+    return mf.offline_eigendecomposition(snap, sys, pou).eigvals
 
 
 def test_fracture_gap_in_local_spectrum():
@@ -296,9 +296,9 @@ def test_single_strand_merges_with_constant():
 def test_spectral_containment_full_vs_randomized():
     g, sys = const_system(coarse=3, refine=4, t=1)
     pou = mf.compute_pou(g, sys)
-    full = mf.offline_eigendecomposition(mf.full_snapshots(g, sys, 4), sys, pou, 1)
+    full = mf.offline_eigendecomposition(mf.full_snapshots(g, sys, 4), sys, pou)
     rand = mf.offline_eigendecomposition(
-        mf.randomized_snapshots(g, sys, 4, k_nb=4, p_bf=2, seed=5), sys, pou, 1)
+        mf.randomized_snapshots(g, sys, 4, k_nb=4, p_bf=2, seed=5), sys, pou)
     k = min(len(full.eigvals), len(rand.eigvals))
     scale = abs(rand.eigvals[:k]).max() + 1e-30
     assert (full.eigvals[:k] <= rand.eigvals[:k] + 1e-9 * scale).all()
@@ -310,6 +310,6 @@ def test_regularization_flag_on_dependent_snapshots():
     snap = mf.full_snapshots(g, sys, 4)
     dup = dataclasses.replace(
         snap, vectors=np.column_stack([snap.vectors[:, :4], snap.vectors[:, 3]]))
-    spc = mf.offline_eigendecomposition(dup, sys, pou, M_off=2)
+    spc = mf.offline_eigendecomposition(dup, sys, pou)
     assert spc.regularized
     assert np.isfinite(spc.eigvals).all()

@@ -54,7 +54,7 @@ def test_pool_matches_serial_loop(name, tmp_path, monkeypatch):
                                            p_bf=off.p_bf, seed=off.seed)
             else:
                 ref = full_snapshots(rs.grid, rs.sys, nb.index)
-            ref_space = offline_eigendecomposition(ref, rs.sys, pou, M_off=1)
+            ref_space = offline_eigendecomposition(ref, rs.sys, pou)
             assert space.omega_id == nb.index
             assert count == (ref.l_i - int(ref.constant_included),
                              ref.gen_boundary_count)
