@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import errors
 from .assembly import FineSystem
 from .coarse import MultiscaleSpace, CoarseSolution, build_space, solve_coarse_dfm
 from .offline import NeighborhoodSpace, PartitionOfUnity
@@ -144,8 +145,6 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
     fraction is effectively 1 in manual mode (the rectangle is the
     marked set).
     """
-    from .analysis import errors as _errors
-
     counts = np.full(len(spaces), cfg.initial_basis)
     history: list[IndicatorReport] = []
     sol = None
@@ -154,10 +153,9 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
         sol = solve_coarse_dfm(ms, sys)
         report = compute_indicators(ms, sol, sys, cfg)
         report.iteration = it
-        report.dim = ms.N_c
         report.coarse_info = sol.info
         if u_fine is not None:
-            rep = _errors(u_fine, None, sol.u_ms_fine, sys, dim_Voff=ms.N_c)
+            rep = errors(u_fine, None, sol.u_ms_fine, sys, dim_Voff=ms.N_c)
             report.energy_error = rep.rel_energy_vs_fine
             report.l2_error = rep.rel_L2_vs_fine
         total = float(np.sum(report.eta ** 2))

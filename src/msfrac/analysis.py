@@ -41,7 +41,7 @@ def errors(u_fine, u_snap, u_off, sys: FineSystem,
     """
     u_fine = np.asarray(u_fine, dtype=float)
     u_off = np.asarray(u_off, dtype=float)
-    A, M = sys.energy_matrix, sys.mass_matrix
+    A, M = sys.K, sys.mass_matrix
     if u_fine.shape[0] != A.shape[0] or u_off.shape[0] != A.shape[0]:
         raise ValueError("solution vectors do not match the system size")
 

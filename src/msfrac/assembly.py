@@ -3,15 +3,17 @@
 The matrix is discretized with bilinear quads (2x2 Gauss, exact for Q1),
 fractures with linear 1D elements.  Conforming fractures add an edge
 stiffness c/h*[[1,-1],[-1,1]] with c = kappa_f*aperture directly into
-the nodal operator; embedded fractures get their own unknowns and a
-block system
+the nodal operator A.  Embedded fractures get their own unknowns after
+the matrix nodes, and the fine problem is one symmetric operator
 
-    [ A_m    B_mf^1 ... ] [u_m]   [f_m]
-    [ B_fm^1 B^1        ] [u_1] = [f_1]
-    [ ...        ...    ] [...]   [...]
+    K = [[A, 0], [0, 0]] + sum_segments c/h*[[1,-1],[-1,1]]
+                         + sum_overlaps CI * w w^T
 
-coupled through a connectivity-index transfer term per fracture/cell
-intersection.
+with w the four bilinear weights of an overlap's midpoint followed by
+the two negated 1D hat weights: the connectivity-index transfer term of
+``assemble_efm``, one per fracture/cell intersection.
+``FineSystem.block(i, j)`` reads its blocks: 0 is the matrix nodes,
+k >= 1 the k-th embedded fracture.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "PermeabilityField", "FineSystem", "FineSolution",
     "q1_shape_tables", "q1_stiffness", "q1_mass",
     "node_operator", "load_vector", "edge_coefficients",
-    "assemble_dfm", "assemble_efm", "solve_fine", "decoupled_fracture_fields",
+    "assemble_dfm", "assemble_efm", "solve_fine", "solved_system",
     "bilinear_bc",
 ]
 
@@ -80,6 +82,17 @@ def bilinear_bc(a=0.0, b=0.0, c=0.0, d=0.0):
         return a + b * np.asarray(x) + c * np.asarray(y) + d * np.asarray(x) * np.asarray(y)
 
     return g
+
+
+def _point_values(data, x, y) -> np.ndarray:
+    """Values at the points (x, y) of data given as None (zero), a
+    scalar or a callable g(x, y)."""
+    x = np.asarray(x, dtype=float)
+    if data is None:
+        return np.zeros_like(x)
+    if np.isscalar(data):
+        return np.full_like(x, float(data))
+    return np.broadcast_to(np.asarray(data(x, y), dtype=float), x.shape).copy()
 
 
 def edge_coefficients(traces: list[DfmTrace]) -> dict[int, float]:
@@ -161,9 +174,6 @@ def load_vector(g: GridHierarchy, f) -> np.ndarray:
     F = np.zeros(g.n_nodes)
     if f is None:
         return F
-    if np.isscalar(f):
-        fval = float(f)
-        f = lambda x, y: np.full_like(np.asarray(x, dtype=float), fval)
     vals, _, _, w = q1_shape_tables(g.hx, g.hy)
     nodes = g.all_cell_nodes()
     ci = np.arange(g.n_cells) % g.fine_nx
@@ -173,7 +183,7 @@ def load_vector(g: GridHierarchy, f) -> np.ndarray:
     q = 0
     for eta in _G:
         for xi in _G:
-            fq = np.asarray(f(x0 + xi * g.hx, y0 + eta * g.hy), dtype=float)
+            fq = _point_values(f, x0 + xi * g.hx, y0 + eta * g.hy)
             np.add.at(F, nodes, (w[q] * fq)[:, None] * vals[q][None, :])
             q += 1
     return F
@@ -204,28 +214,24 @@ class PermeabilityField:
 class FineSystem:
     """Assembled fine-scale system.
 
-    ``A`` is always the nodal operator carrying the matrix stiffness and
-    any conforming-fracture edge terms; with embedded fractures it is
-    what the offline stage works with, while the block data (A_m with
-    the coupling mass, the per-fracture B/B_mf blocks) describe the
-    actual fine problem.  A conforming system is the block system with
-    no embedded fracture: its block operator is ``A``.
+    ``K`` u = ``f`` is the fine problem.  Its unknowns are the matrix
+    nodes, then the nodes of each embedded fracture, ``efm_traces[k]``
+    from ``frac_offsets[k]``.  ``A`` and ``F`` are its nodal part
+    without the embedded fractures, which the offline stage works with;
+    a conforming system has K = A and f = F.
     """
 
     grid: GridHierarchy
     perm: PermeabilityField
     A: sparse.csr_matrix
     F: np.ndarray
+    K: sparse.csr_matrix
+    f: np.ndarray
     edge_coeffs: dict[int, float]
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
     bc: object = None
-    # embedded-fracture blocks (empty for a conforming system)
     efm_traces: list[EfmTrace] = field(default_factory=list)
-    A_m: sparse.csr_matrix | None = None
-    B_blocks: list[sparse.csr_matrix] = field(default_factory=list)
-    B_mf: list[sparse.csr_matrix] = field(default_factory=list)
-    F_frac: list[np.ndarray] = field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
@@ -238,23 +244,11 @@ class FineSystem:
             off.append(off[-1] + t.n_nodes)
         return off
 
-    def block_matrix(self) -> sparse.csr_matrix:
-        """Full symmetric block operator (matrix + fracture unknowns)."""
-        if not self.efm_traces:
-            return self.A
-        nf = len(self.efm_traces)
-        blocks = [[None] * (nf + 1) for _ in range(nf + 1)]
-        blocks[0][0] = self.A_m
-        for i in range(nf):
-            blocks[0][i + 1] = self.B_mf[i]
-            blocks[i + 1][0] = self.B_mf[i].T
-            blocks[i + 1][i + 1] = self.B_blocks[i]
-        return sparse.bmat(blocks, format="csr")
-
-    @cached_property
-    def energy_matrix(self) -> sparse.csr_matrix:
-        """The form a(.,.) of the energy norm, ``block_matrix()``, built once."""
-        return self.block_matrix()
+    def block(self, i: int, j: int) -> sparse.csr_matrix:
+        """Block (i, j) of K: block 0 is the matrix nodes, block k >= 1
+        the nodes of ``efm_traces[k - 1]``."""
+        off = [0] + self.frac_offsets
+        return self.K[off[i]:off[i + 1], off[j]:off[j + 1]]
 
     @cached_property
     def mass_matrix(self) -> sparse.csr_matrix:
@@ -272,11 +266,6 @@ class FineSystem:
             blocks.append(sparse.diags([w, d, w], [-1, 0, 1]))
         return sparse.block_diag(blocks, format="csr")
 
-    def block_rhs(self) -> np.ndarray:
-        if not self.efm_traces:
-            return self.F
-        return np.concatenate([self.F] + list(self.F_frac))
-
 
 @dataclass
 class FineSolution:
@@ -291,14 +280,7 @@ class FineSolution:
 def _dirichlet_data(g: GridHierarchy, bc):
     nodes = g.boundary_nodes()
     xy = g.node_coords[nodes]
-    if bc is None:
-        vals = np.zeros(len(nodes))
-    elif np.isscalar(bc):
-        vals = np.full(len(nodes), float(bc))
-    else:
-        vals = np.asarray(bc(xy[:, 0], xy[:, 1]), dtype=float)
-        vals = np.broadcast_to(vals, (len(nodes),)).copy()
-    return nodes, vals
+    return nodes, _point_values(bc, xy[:, 0], xy[:, 1])
 
 
 def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
@@ -312,9 +294,8 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     A = node_operator(g, perm.kappa_cells, coeffs, kind="stiffness")
     F = load_vector(g, f)
     nodes, vals = _dirichlet_data(g, bc)
-    return FineSystem(grid=g, perm=perm, A=A, F=F, edge_coeffs=coeffs,
-                      dirichlet_nodes=nodes, dirichlet_values=vals,
-                      bc=bc)
+    return FineSystem(grid=g, perm=perm, A=A, F=F, K=A, f=F, edge_coeffs=coeffs,
+                      dirichlet_nodes=nodes, dirichlet_values=vals, bc=bc)
 
 
 def _cell_shape_weights(g: GridHierarchy, cell: int, x: float, y: float):
@@ -330,7 +311,7 @@ def _cell_shape_weights(g: GridHierarchy, cell: int, x: float, y: float):
 def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
                  dfm_traces: list[DfmTrace], efm_traces: list[EfmTrace],
                  f=None, bc=None, coupling_scale: float = 1.0) -> FineSystem:
-    """Block system with independent fracture meshes.
+    """Fine system K u = f with independent fracture meshes.
 
     The transfer coefficient per fracture/cell intersection of length
     |S| is CI = kappa_m * |S| / <d> with the mean matrix-fracture
@@ -342,95 +323,71 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     if not efm_traces:
         raise ValueError("embedded assembly requires at least one embedded trace")
     base = assemble_dfm(g, perm, dfm_traces, f=f, bc=bc)
-    n = g.n_nodes
-    area = g.hx * g.hy
+    base.efm_traces = list(efm_traces)
+    off = base.frac_offsets
     cell_nodes = g.all_cell_nodes()
 
-    Cmm_r, Cmm_c, Cmm_v = [], [], []
-    B_blocks, B_mf, F_frac = [], [], []
-    for tr in efm_traces:
+    rows, cols, vals, loads = [], [], [], [base.F]
+    for tr, o in zip(efm_traces, off):
         if not tr.cell_overlaps:
             raise ValueError(
                 f"fracture {tr.fracture_id}: embedded trace has no cell overlaps")
-        nf = tr.n_nodes
         # 1D stiffness along the fracture
-        Bi = sparse.lil_matrix((nf, nf))
         ds = np.diff(tr.arclengths)
-        for k, h in enumerate(ds):
-            c = tr.effective_coeff / h
-            Bi[k, k] += c
-            Bi[k + 1, k + 1] += c
-            Bi[k, k + 1] -= c
-            Bi[k + 1, k] -= c
-        Ci = sparse.lil_matrix((n, nf))
+        seg = o + np.arange(len(ds))
+        rows.append(np.column_stack([seg, seg, seg + 1, seg + 1]).ravel())
+        cols.append(np.column_stack([seg, seg + 1, seg, seg + 1]).ravel())
+        vals.append(np.outer(tr.effective_coeff / ds, [1.0, -1.0, -1.0, 1.0]).ravel())
         for piece in tr.cell_overlaps:
             ci = coupling_scale * perm.kappa_cells[piece.cell] \
-                * 2.0 * piece.length ** 2 / area
-            if ci == 0.0:
-                continue
-            nm = cell_nodes[piece.cell]
-            wm = _cell_shape_weights(g, piece.cell, *piece.midpoint)
+                * 2.0 * piece.length ** 2 / (g.hx * g.hy)
             k, w0, w1 = tr.hat_weights(piece.arclength)
-            wf = np.array([w0, w1])
-            kf = np.array([k, k + 1])
-            Cmm_r.append(np.repeat(nm, 4))
-            Cmm_c.append(np.tile(nm, 4))
-            Cmm_v.append(ci * np.outer(wm, wm).ravel())
-            for a in range(2):
-                for b in range(2):
-                    Bi[kf[a], kf[b]] += ci * wf[a] * wf[b]
-            for m_loc in range(4):
-                for a in range(2):
-                    Ci[nm[m_loc], kf[a]] -= ci * wm[m_loc] * wf[a]
-        B_blocks.append(Bi.tocsr())
-        B_mf.append(Ci.tocsr())
+            w = np.r_[_cell_shape_weights(g, piece.cell, *piece.midpoint), -w0, -w1]
+            dofs = np.r_[cell_nodes[piece.cell], o + k, o + k + 1]
+            rows.append(np.repeat(dofs, 6))
+            cols.append(np.tile(dofs, 6))
+            vals.append(ci * np.outer(w, w).ravel())
         # aperture-weighted 1D load, midpoint rule per element
-        fi = np.zeros(nf)
-        if f is not None:
-            fsrc = (lambda x, y, _v=float(f): _v) if np.isscalar(f) else f
-            mids = 0.5 * (tr.frac_nodes[:-1] + tr.frac_nodes[1:])
-            fm = np.array([float(fsrc(x, y)) for x, y in mids])
-            fi[:-1] += 0.5 * fm * ds * tr.aperture
-            fi[1:] += 0.5 * fm * ds * tr.aperture
-        F_frac.append(fi)
+        mids = 0.5 * (tr.frac_nodes[:-1] + tr.frac_nodes[1:])
+        fe = 0.5 * _point_values(f, mids[:, 0], mids[:, 1]) * ds * tr.aperture
+        loads.append(np.r_[fe, 0.0] + np.r_[0.0, fe])
 
-    if Cmm_r:
-        Cmm = sparse.coo_matrix(
-            (np.concatenate(Cmm_v), (np.concatenate(Cmm_r), np.concatenate(Cmm_c))),
-            shape=(n, n)).tocsr()
-    else:
-        Cmm = sparse.csr_matrix((n, n))
-    base.efm_traces = list(efm_traces)
-    base.A_m = (base.A + Cmm).tocsr()
-    base.B_blocks = B_blocks
-    base.B_mf = B_mf
-    base.F_frac = F_frac
+    T = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(off[-1], off[-1])).tocsr()
+    K = base.A.copy()
+    K.resize(off[-1], off[-1])
+    # T is summed before it is transposed, so K is bitwise symmetric
+    base.K = (K + 0.5 * (T + T.T)).tocsr()
+    base.f = np.concatenate(loads)
     return base
 
 
-def decoupled_fracture_fields(sys: FineSystem) -> list[np.ndarray] | None:
-    """Fracture fields of an embedded system without matrix coupling.
+def solved_system(sys: FineSystem):
+    """Operator, load and decoupled fracture fields of the problem solved.
 
-    When every transfer block B_mf is empty the matrix problem stands
-    alone and each fracture solves its own, possibly floating, 1D
-    problem B u_f = f_f; lstsq gives its minimum-norm solution.  Returns
-    None for a coupled or conforming system.
+    When no embedded fracture couples to the matrix (every block (0, k)
+    of K is zero) the matrix problem block(0, 0) u = F stands alone and
+    each fracture solves its own, possibly floating, 1D problem
+    block(k, k) u_k = f_k; lstsq gives its minimum-norm solution.
+    Otherwise, and for a conforming system, the whole K u = f is solved
+    and the fracture fields are None.
     """
-    if not sys.efm_traces or any(B.nnz for B in sys.B_mf):
-        return None
-    return [np.linalg.lstsq(B.toarray(), fi, rcond=None)[0]
-            for B, fi in zip(sys.B_blocks, sys.F_frac)]
+    n_frac = len(sys.efm_traces)
+    if not n_frac or any(sys.block(0, k).count_nonzero()
+                         for k in range(1, n_frac + 1)):
+        return sys.K, sys.f, None
+    off = sys.frac_offsets
+    u_frac = [np.linalg.lstsq(sys.block(k, k).toarray(), sys.f[off[k - 1]:off[k]],
+                              rcond=None)[0] for k in range(1, n_frac + 1)]
+    return sys.block(0, 0), sys.F, u_frac
 
 
 def solve_fine(sys: FineSystem) -> FineSolution:
     """Direct sparse solve after Dirichlet elimination."""
     if len(sys.dirichlet_nodes) == 0:
         raise ValueError("no Dirichlet data: pure-Neumann systems are not supported")
-    u_frac = decoupled_fracture_fields(sys)
-    if u_frac is None:
-        M, rhs = sys.energy_matrix, sys.block_rhs()
-    else:
-        M, rhs = sys.A_m, sys.F
+    M, rhs, u_frac = solved_system(sys)
     lift = np.zeros(M.shape[0])
     lift[sys.dirichlet_nodes] = sys.dirichlet_values
     fixed = np.zeros(M.shape[0], dtype=bool)

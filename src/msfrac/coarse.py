@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import FineSystem, decoupled_fracture_fields
+from .assembly import FineSystem, solved_system
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
 __all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "coarse_system",
@@ -141,15 +141,11 @@ def _solve_spd_or_lstsq(K0, F0, ms):
 def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
     """Galerkin projection K0 = P^T K P, F0 = P^T (f - K lift) of the fine
     problem that is solved, with P = diag(R0T, I) and the partition-of-
-    unity lift of the boundary data.  K is the block operator (``A`` for
-    a conforming system), or A_m alone when the embedded fractures
-    decouple.  Returns K0, F0, the lift and the decoupled fracture
-    fields (None when the fractures couple)."""
-    u_frac = decoupled_fracture_fields(sys)
-    if u_frac is None:
-        K, f = sys.energy_matrix, sys.block_rhs()
-    else:
-        K, f = sys.A_m, sys.F
+    unity lift of the boundary data.  K and f are ``solved_system``'s:
+    the fine system's K and f, or its matrix block and F alone when the
+    embedded fractures decouple.  Returns K0, F0, the lift and the
+    decoupled fracture fields (None when the fractures couple)."""
+    K, f, u_frac = solved_system(sys)
     n_frac = K.shape[0] - sys.n_nodes
     P = sparse.block_diag([ms.R0T, sparse.identity(n_frac)], format="csr")
     lift = ms.pou.boundary_lift(sys.bc)

@@ -294,9 +294,10 @@ def run_export_matrices(cfg: RunConfig) -> list[str]:
     S = node_operator(rs.grid, pou.kappa_tilde, pou.edge_kappa_tilde, kind="mass")
     mats = {"A.mtx": rs.sys.A, "S.mtx": S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
     if rs.sys.efm_traces:
-        mats["A_m.mtx"] = rs.sys.A_m
-        for i, (B, C) in enumerate(zip(rs.sys.B_blocks, rs.sys.B_mf)):
-            mats[f"B_{i}.mtx"], mats[f"B_mf_{i}.mtx"] = B, C
+        mats["A_m.mtx"] = rs.sys.block(0, 0)
+        for i in range(len(rs.sys.efm_traces)):
+            mats[f"B_{i}.mtx"] = rs.sys.block(i + 1, i + 1)
+            mats[f"B_mf_{i}.mtx"] = rs.sys.block(0, i + 1)
     for name, M in mats.items():
         io_formats.write_matrix_market(_outpath(cfg, name), M)
     io_formats.write_manifest(_outpath(cfg, cfg.outputs.manifest),

@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .grids import CellBox, GridHierarchy
-from .assembly import FineSystem, node_operator, q1_shape_tables
+from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
 
 __all__ = [
     "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace",
@@ -73,17 +73,10 @@ class PartitionOfUnity:
         """
         g = self.grid
         lift = np.zeros(g.n_nodes)
-        if bc is None:
-            return lift
-        if np.isscalar(bc):
-            fn = lambda x, y, _v=float(bc): _v
-        else:
-            fn = bc
-        for nb in g.neighborhoods:
-            if nb.is_interior:
-                continue
-            x, y = g.node_coords[g.coarse_nodes[nb.index]]
-            lift[nb.node_ids] += float(fn(x, y)) * self.chi[nb.index]
+        bnd = [nb for nb in g.neighborhoods if not nb.is_interior]
+        x, y = g.node_coords[g.coarse_nodes[[nb.index for nb in bnd]]].T
+        for nb, v in zip(bnd, _point_values(bc, x, y)):
+            lift[nb.node_ids] += v * self.chi[nb.index]
         return lift
 
 

@@ -25,6 +25,18 @@ def dense_chi(pou):
     return chi
 
 
+def two_embedded_system(g, perm, bc=None, f=None):
+    """Fine system with two embedded fractures, which cross, and one
+    conforming fracture."""
+    efm = [mf.Fracture(np.array(poly), 1e-3, kf, "efm", k) for k, (poly, kf)
+           in enumerate([([[0.15, 0.3], [0.85, 0.62]], 5e4),
+                         ([[0.3, 0.85], [0.65, 0.2]], 8e4)])]
+    dfm = mf.Fracture(np.array([[0.25, 0.25], [0.75, 0.25]]), 1e-3, 1e4,
+                      "dfm", 2)
+    return mf.assemble_efm(g, perm, [mf.rasterize_dfm(dfm, g)],
+                           [mf.intersect_efm(fr, g) for fr in efm], bc=bc, f=f)
+
+
 def neighborhood_spaces(sys, pou, kind="full", **snapshot_kw):
     """Offline space of every coarse node, all modes kept, from "full"
     or "randomized" snapshots; ``snapshot_kw`` goes to the snapshot

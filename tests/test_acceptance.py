@@ -284,7 +284,7 @@ def test_invariant_suite():
                      "efm", 0)
     perm = mf.PermeabilityField.constant(g, 1.0)
     sys_e = mf.assemble_efm(g, perm, [], [mf.intersect_efm(ef, g)], bc=BC)
-    Ab = sys_e.block_matrix()
+    Ab = sys_e.K
     assert np.abs(Ab - Ab.T).max() <= 1e-12 * np.abs(Ab).max()
 
     # determinism: the randomized pipeline is byte-identical under a

@@ -88,7 +88,7 @@ def test_energy_error_two_expansions_agree():
     u = mf.solve_fine(sys).u
     rng = np.random.default_rng(9)
     v = u + 0.05 * rng.standard_normal(u.size)
-    A = sys.block_matrix()
+    A = sys.K
     direct = float((u - v) @ (A @ (u - v)))
     expanded = float(u @ (A @ u)) + float(v @ (A @ v)) - 2 * float(u @ (A @ v))
     assert direct == pytest.approx(expanded, rel=1e-10)
@@ -122,7 +122,7 @@ def test_efm_norms_use_block_operators():
     g, sys = small_system(efm=True, kappa_f=40.0,
                           bc=mf.bilinear_bc(0.0, 1.0, 0.5, 0.0))
     sol = mf.solve_fine(sys)
-    n_total = sys.block_matrix().shape[0]
+    n_total = sys.K.shape[0]
     assert n_total == g.n_nodes + sys.efm_traces[0].n_nodes
     ub = sol.block_vector()
     assert ub.shape[0] == n_total

@@ -8,14 +8,22 @@ hx-by-hy rectangle (node order sw, se, ne, nw):
     M  = hx*hy/36  * [[ 4, 2, 1, 2],[ 2, 4, 2, 1],[ 1, 2, 4, 2],[ 2, 1, 2, 4]]
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import msfrac as mf
+from msfrac import driver
 from msfrac.assembly import (q1_stiffness, q1_mass, node_operator,
                              load_vector, edge_coefficients)
+from msfrac.config import load_config
+
+from conftest import two_embedded_system
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def hand_q1_stiffness(hx, hy):
@@ -208,11 +216,14 @@ def efm_system(g, poly, cond, coupling_scale=1.0, bc=None, f=None, kappa=1.0):
 
 def test_efm_block_symmetry():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
-    sys = efm_system(g, [[0.15, 0.3], [0.85, 0.62]], 10.0,
-                     bc=mf.bilinear_bc(0, 1, 1, 0))
-    K = sys.block_matrix()
-    d = (K - K.T).toarray()
-    assert np.abs(d).max() == 0.0
+    bc = mf.bilinear_bc(0, 1, 1, 0)
+    systems = [
+        efm_system(g, [[0.15, 0.3], [0.85, 0.62]], 10.0, bc=bc),
+        driver.setup(load_config(ROOT / "configs" / "efm_single.yml")).sys,
+        two_embedded_system(g, mf.PermeabilityField.constant(g, 1.0), bc=bc),
+    ]
+    for sys in systems:
+        assert np.abs(sys.K - sys.K.T).max() == 0.0
 
 
 def test_efm_zero_coupling_decouples():
@@ -225,7 +236,7 @@ def test_efm_zero_coupling_decouples():
     ref = mf.solve_fine(mf.assemble_dfm(g, perm, [], bc=bc))
     np.testing.assert_allclose(sol.u, ref.u, atol=1e-12)
     # fracture block solved on its own: 1D Neumann residual vanishes
-    r = sys.B_blocks[0] @ sol.u_frac[0] - sys.F_frac[0]
+    r = sys.block(1, 1) @ sol.u_frac[0] - sys.f[g.n_nodes:]
     assert np.abs(r).max() < 1e-10
 
 
@@ -270,7 +281,7 @@ def test_efm_fracture_load_scales_with_aperture():
         tr = mf.intersect_efm(fr, g)
         perm = mf.PermeabilityField.constant(g, 1.0)
         sys = mf.assemble_efm(g, perm, [], [tr], f=2.0, bc=0.0)
-        out.append(sys.F_frac[0].sum())
+        out.append(sys.f[g.n_nodes:].sum())
     assert out[1] == pytest.approx(2 * out[0], rel=1e-12)
     # total 1D load = f * aperture * length
     L = np.hypot(0.6, 0.2)

@@ -11,7 +11,6 @@ import scipy.io
 import yaml
 
 import msfrac
-from msfrac.assembly import FineSystem
 from msfrac.cli import main
 
 BASE = {
@@ -23,6 +22,11 @@ BASE = {
 }
 EFM_LINE = {"list": [{"polyline": [[0.2, 0.5], [0.8, 0.6]],
                       "aperture": 1e-3, "kappa_f": 50.0, "model": "efm"}]}
+EFM_TWO = {"list": EFM_LINE["list"] + [
+    {"polyline": [[0.3, 0.85], [0.65, 0.2]], "aperture": 1e-3,
+     "kappa_f": 80.0, "model": "efm"},
+    {"polyline": [[0.25, 0.25], [0.75, 0.25]], "aperture": 1e-3,
+     "kappa_f": 50.0, "model": "dfm"}]}
 CHANNELS = {"field": "crossing_channels", "seed": 2, "params": {"n": 5}}
 
 
@@ -183,27 +187,29 @@ def test_solve_is_the_one_row_sweep(fractures, tmp_path):
 
 
 def spy_norm_builds(monkeypatch):
-    """Counts of whole-grid mass assemblies and of block-operator builds.
+    """Counts of whole-grid mass assemblies and of block-operator builds,
+    the ``assemble_efm`` calls that build K.
 
-    ``node_operator`` is replaced in every msfrac module that holds it."""
+    Both functions are replaced in every msfrac module that holds them."""
     counts = {"mass": 0, "block": 0}
     node_operator = msfrac.assembly.node_operator
-    block_matrix = FineSystem.block_matrix
+    assemble_efm = msfrac.assembly.assemble_efm
 
     def mass_spy(g, cell_weights, edge_weights=None, kind="stiffness",
                  box=None):
         counts["mass"] += kind == "mass" and box is None
         return node_operator(g, cell_weights, edge_weights, kind, box)
 
-    def block_spy(self):
+    def block_spy(*args, **kwargs):
         counts["block"] += 1
-        return block_matrix(self)
+        return assemble_efm(*args, **kwargs)
 
+    spies = [(node_operator, "node_operator", mass_spy),
+             (assemble_efm, "assemble_efm", block_spy)]
     for name, mod in list(sys.modules.items()):
-        if (name.startswith("msfrac")
-                and getattr(mod, "node_operator", None) is node_operator):
-            monkeypatch.setattr(mod, "node_operator", mass_spy)
-    monkeypatch.setattr(FineSystem, "block_matrix", block_spy)
+        for fn, attr, spy in spies:
+            if name.startswith("msfrac") and getattr(mod, attr, None) is fn:
+                monkeypatch.setattr(mod, attr, spy)
     return counts
 
 
@@ -212,8 +218,9 @@ def test_sweep_builds_norm_operators_once(tmp_path, monkeypatch):
     cfg, out = write_cfg(tmp_path, fractures=EFM_LINE, sweep=[1, 2, 3])
     assert main(["sweep", "-c", str(cfg)]) == 0
     assert len((out / "errors.csv").read_text().splitlines()) == 4
-    # one whole-grid mass, the L2 norm's; one block operator, shared by
-    # the fine solve, the coarse solves and the norm
+    # one whole-grid mass, the L2 norm's; one block operator, built by
+    # the one embedded assembly and shared by the fine solve, the coarse
+    # solves and the norm
     assert counts == {"mass": 1, "block": 1}
 
 
@@ -236,21 +243,27 @@ def test_adapt_rejects_embedded_fractures(tmp_path, capsys):
 
 
 def test_export_matrices_files_load(tmp_path, capsys):
-    cfg, out = write_cfg(
-        tmp_path,
-        fractures=EFM_LINE)
-    assert main(["export-matrices", "-c", str(cfg)]) == 0
-    printed = capsys.readouterr().out.splitlines()
-    names = {p.rsplit("/", 1)[-1] for p in printed}
-    assert {"A.mtx", "S.mtx", "A0.mtx", "R0T.mtx",
-            "A_m.mtx", "B_0.mtx", "B_mf_0.mtx"} <= names
-    A0, R0T, A_m = (scipy.io.mmread(str(out / name)).tocsr()
-                    for name in ("A0.mtx", "R0T.mtx", "A_m.mtx"))
-    assert A0.shape[0] == A0.shape[1] == 34
-    scale = np.abs(A0).max()
-    assert np.abs(A0 - A0.T).max() <= 1e-12 * scale
-    # the matrix block of the operator the embedded-fracture solve factors
-    assert np.abs(A0 - R0T.T @ A_m @ R0T).max() <= 1e-12 * scale
+    for n_efm, fractures in ((1, EFM_LINE), (2, EFM_TWO)):
+        (tmp_path / str(n_efm)).mkdir()
+        cfg, out = write_cfg(tmp_path / str(n_efm), fractures=fractures)
+        assert main(["export-matrices", "-c", str(cfg)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        names = {p.rsplit("/", 1)[-1] for p in printed}
+        assert {"A.mtx", "S.mtx", "A0.mtx", "R0T.mtx", "A_m.mtx"} <= names
+        A0, R0T, A_m = (scipy.io.mmread(str(out / name)).tocsr()
+                        for name in ("A0.mtx", "R0T.mtx", "A_m.mtx"))
+        assert A0.shape[0] == A0.shape[1] == 34
+        scale = np.abs(A0).max()
+        assert np.abs(A0 - A0.T).max() <= 1e-12 * scale
+        # the matrix block of the operator the embedded-fracture solve factors
+        assert np.abs(A0 - R0T.T @ A_m @ R0T).max() <= 1e-12 * scale
+        # every fracture's 1D block and its coupling to the matrix nodes
+        for i in range(n_efm):
+            assert {f"B_{i}.mtx", f"B_mf_{i}.mtx"} <= names
+            B, C = (scipy.io.mmread(str(out / f"{name}_{i}.mtx")).tocsr()
+                    for name in ("B", "B_mf"))
+            assert B.shape == (C.shape[1], C.shape[1])
+            assert C.shape[0] == A_m.shape[0] and C.nnz > 0
 
 
 def test_raster_field_through_cli(tmp_path):

@@ -1,6 +1,7 @@
 """Multiscale space assembly, the coarse solves, and their oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from msfrac.coarse import coarse_system
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
 
-from conftest import neighborhood_spaces
+from conftest import neighborhood_spaces, two_embedded_system
 
 BC = mf.bilinear_bc(0.2, 1.0, -0.5, 0.3)
 
@@ -226,11 +227,13 @@ def test_rcond_estimate_is_deterministic_and_close(case, tmp_path):
     assert exact / 3 <= rconds[0] <= 3 * exact
 
 
-def efm_setup(coupling_scale, coarse=4, refine=5):
+def efm_setup(coupling_scale, coarse=4, refine=5, two=False):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=0)
     f = mf.Fracture(np.array([[0.2, 0.55], [0.8, 0.52]]), 1e-3, 50.0, "efm", 0)
     perm = mf.PermeabilityField.from_callable(
         g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.sin(np.pi * y))
+    if two:
+        return g, two_embedded_system(g, perm, bc=BC, f=1.5)
     tr = mf.intersect_efm(f, g)
     sys = mf.assemble_efm(g, perm, [], [tr], bc=BC,
                           coupling_scale=coupling_scale)
@@ -253,22 +256,34 @@ def test_efm_zero_coupling_reduces_to_dfm():
 
 
 def test_efm_block_solve_matches_dense_oracle():
-    g, sys = efm_setup(coupling_scale=1.0, coarse=3, refine=4)
-    pou, spaces = offline_spaces(g, sys)
-    ms = space_at(g, pou, spaces, M=2)
-    sol = mf.solve_coarse_efm(ms, sys)
+    for two in (False, True):
+        g, sys = efm_setup(coupling_scale=1.0, coarse=3, refine=4, two=two)
+        pou, spaces = offline_spaces(g, sys)
+        ms = space_at(g, pou, spaces, M=2)
+        sol = mf.solve_coarse_efm(ms, sys)
 
-    R = ms.R0T.toarray()
-    lift = pou.boundary_lift(sys.bc)
-    A0 = R.T @ sys.A_m.toarray() @ R
-    C = R.T @ sys.B_mf[0].toarray()
-    B = sys.B_blocks[0].toarray()
-    M = np.block([[A0, C], [C.T, B]])
-    b = np.concatenate([R.T @ (sys.F - sys.A_m @ lift),
-                        sys.F_frac[0] - sys.B_mf[0].T @ lift])
-    x = np.linalg.solve(M, b)
-    got = np.concatenate([sol.U0, sol.efm_fracture_dofs[0]])
-    np.testing.assert_allclose(got, x, atol=1e-11 * max(1, np.abs(x).max()))
+        # fracture k's unknowns follow the matrix nodes and fractures < k
+        nf = len(sys.efm_traces)
+        off = g.n_nodes + np.cumsum([0] + [tr.n_nodes for tr in sys.efm_traces])
+        K = sys.K.toarray()
+        R = ms.R0T.toarray()
+        lift = pou.boundary_lift(sys.bc)
+        edges = np.r_[0, off]
+        for i, j in itertools.product(range(nf + 1), repeat=2):
+            np.testing.assert_array_equal(
+                sys.block(i, j).toarray(),
+                K[edges[i]:edges[i + 1], edges[j]:edges[j + 1]])
+        Am = K[:g.n_nodes, :g.n_nodes]
+        C = [K[:g.n_nodes, off[k]:off[k + 1]] for k in range(nf)]
+        M = np.block([[R.T @ Am @ R] + [R.T @ Ck for Ck in C]]
+                     + [[C[i].T @ R] + [K[off[i]:off[i + 1], off[k]:off[k + 1]]
+                                        for k in range(nf)] for i in range(nf)])
+        b = np.concatenate([R.T @ (sys.F - Am @ lift)]
+                           + [sys.f[off[k]:off[k + 1]] - C[k].T @ lift
+                              for k in range(nf)])
+        x = np.linalg.solve(M, b)
+        got = np.concatenate([sol.U0] + sol.efm_fracture_dofs)
+        np.testing.assert_allclose(got, x, atol=1e-11 * max(1, np.abs(x).max()))
 
 
 def test_dfm_solver_rejects_efm_system():
