@@ -60,7 +60,8 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
     ``spaces`` holds one offline space per coarse node, in node order,
     and node i contributes its first ``counts[i]`` modes (at most l_i),
     so a space with larger counts extends a smaller one by new columns
-    without perturbing the old ones.  Rows at boundary fine nodes are
+    without perturbing the old ones.  A clamped count beyond the modes
+    a space kept raises ValueError.  Rows at boundary fine nodes are
     zeroed: boundary values are carried by the lift, not by the space.
     """
     g = pou.grid
@@ -71,6 +72,9 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
     for sp, m in zip(spaces, counts):
         if len(sp.node_ids) != len(pou.chi[sp.omega_id]):
             raise ValueError("offline vectors do not match the chi support")
+        if m > sp.basis_full.shape[1]:
+            raise ValueError(f"neighborhood {sp.omega_id}: {m} modes asked, "
+                             f"{sp.basis_full.shape[1]} kept offline")
         B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
         B[bmask[sp.node_ids]] = 0.0
         rows.append(np.repeat(sp.node_ids, m))

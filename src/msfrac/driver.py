@@ -130,35 +130,39 @@ def _one_blas_thread():
             set_(n)
 
 
-def _neighborhood_offline(rs: RunSetup, pou, omega_id: int):
-    """Local spectral space of one coarse neighborhood, and its drawn and
-    full-snapshot counts; the snapshots themselves are dropped here."""
+def _neighborhood_offline(rs: RunSetup, pou, n_modes, omega_id: int):
+    """Local spectral space of one coarse neighborhood with its first
+    ``n_modes`` modes, and its drawn and full-snapshot counts; the
+    snapshots themselves are dropped here."""
     off = rs.cfg.offline
     if off.mode == "randomized":
         snap = randomized_snapshots(rs.grid, rs.sys, omega_id, k_nb=off.k_nb,
                                     p_bf=off.p_bf, seed=off.seed)
     else:
         snap = full_snapshots(rs.grid, rs.sys, omega_id)
-    space = offline_eigendecomposition(snap, rs.sys, pou)
+    space = offline_eigendecomposition(snap, rs.sys, pou, n_modes)
     drawn = snap.l_i - int(snap.constant_included)  # the constant is free
     return space, (drawn, snap.gen_boundary_count)
 
 
-def _offline(rs: RunSetup):
+def _offline(rs: RunSetup, n_modes: int | None):
     """Output directory, POU, local spectra and snapshot counts of a run.
+    Every space keeps all its eigenvalues and its first ``n_modes``
+    modes (all of them when None), the most any coarse node of the run
+    reads.
 
     The neighborhoods are independent local problems, solved on one
-    worker thread per usable CPU: their sparse LU solves and matrix
-    products release the interpreter lock.  Each runs on one BLAS
-    thread, so its result does not depend on the worker count.  Without
-    a BLAS that can be capped the map runs on a single worker.
+    worker thread per usable CPU: their sparse LU solves, matrix
+    products and eigensolves release the interpreter lock.  Each runs on
+    one BLAS thread, so its result does not depend on the worker count.
+    Without a BLAS that can be capped the map runs on a single worker.
     """
     os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
     pou = compute_pou(rs.grid, rs.sys)
     with _one_blas_thread() as capped:
         workers = len(os.sched_getaffinity(0)) if capped else 1
         with ThreadPoolExecutor(workers) as pool:
-            done = list(pool.map(partial(_neighborhood_offline, rs, pou),
+            done = list(pool.map(partial(_neighborhood_offline, rs, pou, n_modes),
                                  [nb.index for nb in rs.grid.neighborhoods]))
     return pou, [space for space, _ in done], [counts for _, counts in done]
 
@@ -235,7 +239,7 @@ def _write(rs, sol, spaces, run):
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
-    pou, spaces, _ = _offline(rs)
+    pou, spaces, _ = _offline(rs, cfg.offline.M_off)
     reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
                                        snapshot_reference=False)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
@@ -249,7 +253,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     """Convergence table over the offline-dimension schedule; the
     snapshot-error columns are relative to the largest space's solution."""
     rs = setup(cfg)
-    pou, spaces, counts = _offline(rs)
+    pou, spaces, counts = _offline(rs, max(cfg.sweep))
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
                                        snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
@@ -274,7 +278,8 @@ def run_adapt(cfg: RunConfig):
     rs = setup(cfg)
     if rs.sys.efm_traces:
         raise ValueError("adaptive enrichment runs on the monolithic model only")
-    pou, spaces, _ = _offline(rs)
+    # every mode: the indicators read the ones a node does not use yet
+    pou, spaces, _ = _offline(rs, None)
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
                                  u_fine=solve_fine(rs.sys).u)
     io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
@@ -288,7 +293,7 @@ def run_adapt(cfg: RunConfig):
 def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)
-    pou, spaces, _ = _offline(rs)
+    pou, spaces, _ = _offline(rs, cfg.offline.M_off)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]
     S = node_operator(rs.grid, pou.kappa_tilde, pou.edge_kappa_tilde, kind="mass")

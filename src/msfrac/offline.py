@@ -12,12 +12,17 @@ Per coarse node i this produces, in order:
    restricted back to omega_i;
 3. the generalized eigenproblem A_off Psi = lambda S_off Psi on the
    snapshot-projected pencil, whose smallest modes become the offline
-   basis of the neighborhood.
+   basis of the neighborhood.  It is reduced to one symmetric standard
+   eigenproblem by the Cholesky factor of S_off (Golub & Van Loan,
+   Matrix Computations, 8.7); the factorization and the eigensolve are
+   NumPy's LAPACK calls, which release the interpreter lock, so
+   neighborhoods run in parallel.
 
-Each neighborhood keeps only chi_i on its own fine nodes, its
-eigenvalues and one fine-nodal copy of every mode; the snapshots and
-the pencil are dropped once the eigensolve returns.  How many modes a
-coarse node uses is decided by the online stage (``build_space``).
+Each neighborhood keeps only chi_i on its own fine nodes, all its
+eigenvalues and one fine-nodal copy of the modes its run reads (the
+first ``n_modes``); the snapshots and the pencil are dropped once the
+eigensolve returns.  How many of the kept modes a coarse node uses is
+decided by the online stage (``build_space``).
 
 All local solves use the nodal operator that already carries the
 conforming-fracture edge terms, so the basis sees the fractures.
@@ -28,8 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .grids import CellBox, GridHierarchy
 from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
@@ -50,10 +55,9 @@ def harmonic_extension(A, interior, boundary, gb):
     extension; returns the interior values, same column layout.
     """
     gb = np.asarray(gb, dtype=float).reshape(len(boundary), -1)
-    Aii = A[interior][:, interior].tocsc()
-    Aib = A[interior][:, boundary]
-    rhs = -np.asarray(Aib @ gb)
-    return spla.splu(Aii).solve(rhs)
+    Ai = A[interior]
+    rhs = -np.asarray(Ai[:, boundary] @ gb)
+    return spla.splu(Ai[:, interior].tocsc()).solve(rhs)
 
 
 @dataclass
@@ -159,12 +163,6 @@ class SnapshotSpace:
     def l_i(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def snapshot_ratio(self) -> float:
-        """Generated harmonic extensions over the full count (= boundary nodes)."""
-        n = self.l_i - (1 if self.constant_included else 0)
-        return n / self.gen_boundary_count
-
 
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> SnapshotSpace:
     """One harmonic extension per fine boundary node of the neighborhood."""
@@ -216,7 +214,7 @@ class NeighborhoodSpace:
     omega_id: int
     node_ids: np.ndarray
     eigvals: np.ndarray           # all l_i eigenvalues, ascending
-    basis_full: np.ndarray        # all l_i fine-nodal modes, computed once
+    basis_full: np.ndarray        # the first modes the run reads, fine-nodal
     regularized: bool = False
 
     @property
@@ -224,14 +222,48 @@ class NeighborhoodSpace:
         return len(self.eigvals)
 
 
+def _mass_factor(S: np.ndarray, omega_id: int):
+    """Lower Cholesky factor of the snapshot mass S and whether S was
+    shifted first.
+
+    S is shifted by 1e-12 tr(S)/l_i where it does not factor or its
+    smallest pivot squared is below 1e-14 tr(S), i.e. where snapshots
+    are dependent to working precision, and by 1e-10 tr(S)/l_i if that
+    shift does not factor either.
+    """
+    tr, n = np.trace(S), len(S)
+    try:
+        L = np.linalg.cholesky(S)
+        if np.min(np.diag(L)) ** 2 >= 1e-14 * tr:
+            return L, False
+    except np.linalg.LinAlgError:
+        pass
+    for rel in (1e-12, 1e-10):
+        try:
+            return np.linalg.cholesky(S + (rel * tr / n) * np.eye(n)), True
+        except np.linalg.LinAlgError:
+            pass
+    raise np.linalg.LinAlgError(
+        f"neighborhood {omega_id}: snapshot mass matrix is not positive "
+        "definite after regularization")
+
+
 def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
-                               pou: PartitionOfUnity) -> NeighborhoodSpace:
-    """All modes of A_off Psi = lambda S_off Psi on one neighborhood.
+                               pou: PartitionOfUnity,
+                               n_modes: int | None = None) -> NeighborhoodSpace:
+    """Eigenpairs of A_off Psi = lambda S_off Psi on one neighborhood:
+    all l_i eigenvalues, and the first ``n_modes`` modes (all of them
+    when None) mapped to fine nodes.
 
     Both forms are integrated over the neighborhood only (local
     re-assembly, not a submatrix of the global operators, which would
     leak energy from the surrounding cells into the boundary rows).
+    With S_off = L L^T the pencil has the eigenvalues of the symmetric
+    C = L^-1 A_off L^-T, and Psi = L^-T Q for C's eigenvectors Q.
     """
+    k = snap.l_i if n_modes is None else min(n_modes, snap.l_i)
+    if k < 1:
+        raise ValueError("n_modes must be >= 1")
     g = sys.grid
     nb = g.neighborhoods[snap.omega_id]
     A_loc = node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
@@ -244,17 +276,10 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
     A_off = 0.5 * (A_off + A_off.T)
     S_off = 0.5 * (S_off + S_off.T)
 
-    regularized = False
-    tr = np.trace(S_off)
-    if scipy.linalg.eigvalsh(S_off)[0] < 1e-14 * tr:
-        S_off = S_off + (1e-12 * tr / snap.l_i) * np.eye(snap.l_i)
-        regularized = True
-    try:
-        w, Psi = scipy.linalg.eigh(A_off, S_off)
-    except scipy.linalg.LinAlgError:
-        S_off = S_off + (1e-10 * tr / snap.l_i) * np.eye(snap.l_i)
-        regularized = True
-        w, Psi = scipy.linalg.eigh(A_off, S_off)
+    L, regularized = _mass_factor(S_off, snap.omega_id)
+    C = solve_triangular(L, solve_triangular(L, A_off, lower=True).T, lower=True)
+    w, Q = np.linalg.eigh(0.5 * (C + C.T))
+    Psi = solve_triangular(L, Q[:, :k], lower=True, trans="T")
 
     # deterministic sign: largest-magnitude snapshot coordinate positive
     flip = np.sign(Psi[np.argmax(np.abs(Psi), axis=0), np.arange(Psi.shape[1])])
@@ -263,14 +288,13 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
 
     # rescale the lowest mode to reproduce the constant where it does so
     # up to scaling (then chi-weighted sums of first modes recover 1)
-    scale = np.ones(snap.l_i)
     psi1 = V @ Psi[:, 0]
     denom = float(psi1 @ psi1)
     if denom > 0:
         alpha = float(psi1.sum()) / denom
         if np.max(np.abs(alpha * psi1 - 1.0)) <= 1e-6:
-            scale[0] = alpha
+            Psi[:, 0] *= alpha
 
     return NeighborhoodSpace(omega_id=snap.omega_id, node_ids=snap.node_ids,
-                             eigvals=w, basis_full=V @ (Psi * scale),
+                             eigvals=w, basis_full=V @ Psi,
                              regularized=regularized)

@@ -38,9 +38,10 @@ def two_embedded_system(g, perm, bc=None, f=None):
 
 
 def neighborhood_spaces(sys, pou, kind="full", **snapshot_kw):
-    """Offline space of every coarse node, all modes kept, from "full"
-    or "randomized" snapshots; ``snapshot_kw`` goes to the snapshot
-    builder."""
+    """Offline space of every coarse node, from "full" or "randomized"
+    snapshots; ``snapshot_kw`` goes to the snapshot builder.  A space
+    keeps all its eigenvalues and the modes its caller reads, here every
+    mode, from one eigensolve per neighborhood."""
     snapshots = {"full": mf.full_snapshots,
                  "randomized": mf.randomized_snapshots}[kind]
     return [mf.offline_eigendecomposition(

@@ -180,18 +180,30 @@ def test_prolong_identities():
 
 
 def test_duplicate_column_flags_rank_deficiency():
-    g, sys = dfm_setup(field=mf.fields.crossing_channels, seed=7)
-    pou, spaces = offline_spaces(g, sys)
-    ms = space_at(g, pou, spaces, M=2)
-    sol = mf.solve_coarse_dfm(ms, sys)
+    # one exactly repeated basis column makes K0 singular in floating
+    # point: the LU path must give way to lstsq, which finds rank N_c - 1.
+    # Without fractures the one-mode space holds the fine solution.
     import scipy.sparse as sparse
-    dup = dataclasses.replace(
-        ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
-        col_node=np.append(ms.col_node, ms.col_node[0]))
-    sol2 = mf.solve_coarse_dfm(dup, sys)
-    assert sol2.info["rank_deficient"]
-    # same span, same fine-grid Galerkin solution
-    np.testing.assert_allclose(sol2.u_ms_fine, sol.u_ms_fine, atol=1e-8)
+    for field, M in [(None, 1), (mf.fields.crossing_channels, 2)]:
+        g, sys = dfm_setup(field=field, seed=7)
+        pou, spaces = offline_spaces(g, sys)
+        ms = space_at(g, pou, spaces, M=M)
+        sol = mf.solve_coarse_dfm(ms, sys)
+        dup = dataclasses.replace(
+            ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+            col_node=np.append(ms.col_node, ms.col_node[0]))
+        sol2 = mf.solve_coarse_dfm(dup, sys)
+        assert sol.info["solver"] == "direct"
+        assert sol2.info["solver"] == "lstsq"
+        assert sol2.info["rank_deficient"]
+        assert sol2.info["rank"] == dup.N_c - 1
+        # same span, same fine-grid Galerkin solution, hence the same error
+        np.testing.assert_allclose(sol2.u_ms_fine, sol.u_ms_fine, atol=1e-8)
+        u = mf.solve_fine(sys).u
+        err, err2 = (energy(sys, u - s.u_ms_fine) for s in (sol, sol2))
+        assert abs(err2 - err) <= 1e-10 * energy(sys, u)
+        if field is None:
+            assert err2 <= 1e-10 * energy(sys, u)
 
 
 def randomized_3x3_space(out_dir):
@@ -202,8 +214,28 @@ def randomized_3x3_space(out_dir):
         "fractures": {"field": "crossing_channels", "kappa_f": 1e3},
         "offline": {"mode": "randomized", "M_off": 2},
         "outputs": {"dir": str(out_dir)}}))
-    pou, spaces, _ = driver._offline(rs)
+    pou, spaces, _ = driver._offline(rs, 2)
     return driver._space_at(rs, pou, spaces, 2), rs.sys
+
+
+@pytest.mark.parametrize("n_modes", [2, 8])
+def test_offline_keeps_the_modes_the_run_reads(n_modes, tmp_path):
+    # k_nb + p_bf + 1 = 6 snapshots per neighborhood, so 8 is clamped
+    rs = driver.setup(parse_config({
+        "grid": {"coarse": [3, 3], "refine": 3},
+        "fractures": {"field": "crossing_channels", "seed": 1},
+        "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2},
+        "outputs": {"dir": str(tmp_path)}}))
+    _, every, _ = driver._offline(rs, None)
+    pou, spaces, _ = driver._offline(rs, n_modes)
+    for sp, ref in zip(spaces, every, strict=True):
+        assert sp.eigvals.tobytes() == ref.eigvals.tobytes()
+        assert sp.basis_full.shape == (len(sp.node_ids), min(n_modes, ref.l_i))
+    ms = mf.build_space(pou, spaces, np.full(len(spaces), n_modes))
+    np.testing.assert_array_equal(ms.counts, [min(n_modes, 6)] * len(spaces))
+    if n_modes < 6:
+        with pytest.raises(ValueError, match=f"{n_modes + 1} modes asked"):
+            mf.build_space(pou, spaces, np.full(len(spaces), n_modes + 1))
 
 
 @pytest.mark.parametrize("case", ["randomized_3x3", "full_dfm"])

@@ -198,7 +198,8 @@ def test_snapshot_ratio_reference_scale():
     for k_nb in (3, 4, 5):
         snap = mf.randomized_snapshots(g, sys, deep.index, k_nb=k_nb, p_bf=2, seed=0)
         assert snap.gen_boundary_count == 96  # 24x24 oversampled patch rim
-        got.append(100 * snap.snapshot_ratio)
+        drawn = snap.l_i - int(snap.constant_included)  # the constant is free
+        got.append(100 * drawn / snap.gen_boundary_count)
     np.testing.assert_allclose(got, [5.21, 6.25, 7.29], atol=0.005)
 
 
@@ -313,3 +314,83 @@ def test_regularization_flag_on_dependent_snapshots():
     spc = mf.offline_eigendecomposition(dup, sys, pou)
     assert spc.regularized
     assert np.isfinite(spc.eigvals).all()
+
+
+def _pencil(snap, sys, pou):
+    """The snapshot pencil (A_off, S_off) of one neighborhood, as
+    ``offline_eigendecomposition`` forms it."""
+    g = pou.grid
+    box = g.neighborhoods[snap.omega_id].cells
+    V = snap.vectors
+    A = V.T @ (node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
+                             kind="stiffness", box=box) @ V)
+    S = V.T @ (node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
+                             kind="mass", box=box) @ V)
+    return 0.5 * (A + A.T), 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("case", ["full_dfm", "randomized", "efm"])
+def test_eigenvalues_match_generalized_eigh(case):
+    import scipy.linalg
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 5, t=1)
+    perm = mf.PermeabilityField.constant(g, 1.0)
+    if case == "efm":
+        fr = mf.Fracture(np.array([[0.2, 0.55], [0.8, 0.52]]), 1e-3, 50.0, "efm", 0)
+        sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(fr, g)])
+    else:
+        net = mf.fields.crossing_channels(g, seed=3, n=5)
+        sys = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(f, g) for f in net.dfm])
+    pou = mf.compute_pou(g, sys)
+    for omega in (6, 12):
+        if case == "randomized":
+            snap = mf.randomized_snapshots(g, sys, omega, k_nb=5, p_bf=3, seed=2)
+        else:
+            snap = mf.full_snapshots(g, sys, omega)
+        spc = mf.offline_eigendecomposition(snap, sys, pou)
+        assert not spc.regularized
+        want = scipy.linalg.eigh(*_pencil(snap, sys, pou), eigvals_only=True)
+        big = want > 1e-8 * want.max()
+        assert big.sum() >= snap.l_i - 1
+        np.testing.assert_allclose(spc.eigvals[big], want[big], rtol=1e-10)
+
+
+def test_eigensolve_calls_no_scipy_dense_eigensolver(monkeypatch):
+    import scipy.linalg
+
+    def banned(*args, **kwargs):
+        raise AssertionError("scipy dense eigensolver or Cholesky called")
+
+    g, sys = const_system(coarse=3, refine=4, t=1)
+    pou = mf.compute_pou(g, sys)
+    snap = mf.randomized_snapshots(g, sys, 4, k_nb=4, p_bf=2, seed=5)
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(scipy.linalg, name, banned)
+    spc = mf.offline_eigendecomposition(snap, sys, pou)
+    assert spc.eigvals.shape == (snap.l_i,)
+    assert spc.basis_full.shape == (len(snap.node_ids), snap.l_i)
+
+
+def test_kept_modes_lead_the_full_basis():
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4)
+    g, sys = const_system(net=mf.fields.crossing_channels(g, seed=9, n=5))
+    pou = mf.compute_pou(g, sys)
+    snap = mf.full_snapshots(g, sys, 4)
+    full = mf.offline_eigendecomposition(snap, sys, pou)
+    for n in (1, 3, snap.l_i + 2):
+        kept = mf.offline_eigendecomposition(snap, sys, pou, n_modes=n)
+        k = min(n, snap.l_i)
+        assert kept.eigvals.tobytes() == full.eigvals.tobytes()
+        assert kept.basis_full.shape == (len(snap.node_ids), k)
+        np.testing.assert_allclose(kept.basis_full, full.basis_full[:, :k],
+                                   rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="n_modes"):
+        mf.offline_eigendecomposition(snap, sys, pou, n_modes=0)
+
+
+def test_unfactorable_mass_names_its_neighborhood():
+    g, sys = const_system(coarse=3, refine=4)
+    pou = mf.compute_pou(g, sys)
+    snap = mf.full_snapshots(g, sys, 4)
+    zero = dataclasses.replace(snap, vectors=np.zeros((len(snap.node_ids), 3)))
+    with pytest.raises(np.linalg.LinAlgError, match="neighborhood 4"):
+        mf.offline_eigendecomposition(zero, sys, pou)

@@ -1,6 +1,7 @@
 """What the offline stage keeps: after ``_offline`` returns, the memory
-still allocated is little more than the modes and eigenvalues of the
-neighborhood spaces (no snapshots, no pencils, no dense POU rows)."""
+still allocated is little more than the kept modes and the eigenvalues
+of the neighborhood spaces and the POU on its patches (no snapshots, no
+pencils, no dropped modes, no dense POU rows)."""
 
 import gc
 import tracemalloc
@@ -22,14 +23,19 @@ def test_offline_retains_little_beyond_the_modes(name, tmp_path):
         "grid": {"coarse": [6, 6], "refine": 6},
         "fractures": FRACTURES[name],
         "outputs": {"dir": str(tmp_path / "out")}}))
-    driver._offline(rs)      # lazy imports and first-call caches
-    gc.collect()
-    tracemalloc.start()
-    try:
-        pou, spaces, counts = driver._offline(rs)
+    for n_modes in (None, 2):       # every mode, and a kept count
+        driver._offline(rs, n_modes)      # lazy imports and first-call caches
         gc.collect()
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    modes = sum(sp.basis_full.nbytes + sp.eigvals.nbytes for sp in spaces)
-    assert retained <= 1.5 * modes, f"{retained / modes:.2f}x the modes"
+        tracemalloc.start()
+        try:
+            pou, spaces, counts = driver._offline(rs, n_modes)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the stage returns the kept modes, every eigenvalue and the POU
+        kept = sum(sp.basis_full.nbytes + sp.eigvals.nbytes for sp in spaces)
+        kept += sum(c.nbytes for c in pou.chi) + pou.kappa_tilde.nbytes
+        assert retained <= 1.45 * kept, \
+            f"n_modes={n_modes}: {retained / kept:.2f}x what is kept"
+        del pou, spaces, counts

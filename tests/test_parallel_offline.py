@@ -42,7 +42,7 @@ def test_pool_matches_serial_loop(name, tmp_path, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pou, spaces, counts = driver._offline(rs)
+        pou, spaces, counts = driver._offline(rs, None)
     finally:
         sys.setswitchinterval(interval)
 
@@ -77,7 +77,7 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
     try:
         for _, set_ in controls:       # a count other than the cap's
             set_(2)
-        driver._offline(rs)
+        driver._offline(rs, None)
         assert blas_threads() == [2] * len(controls)
     finally:
         for (_, set_), n in zip(controls, before):
