@@ -31,7 +31,8 @@ from .fractures import DfmTrace, EfmTrace
 __all__ = [
     "PermeabilityField", "FineSystem", "FineSolution",
     "q1_shape_tables", "q1_stiffness", "q1_mass",
-    "node_operator", "load_vector", "edge_coefficients",
+    "node_operator", "edge_arrays", "box_edges", "load_vector",
+    "edge_coefficients",
     "assemble_dfm", "assemble_efm", "solve_fine", "solved_system",
     "bilinear_bc",
 ]
@@ -105,8 +106,29 @@ def edge_coefficients(traces: list[DfmTrace]) -> dict[int, float]:
     return coeffs
 
 
+def edge_arrays(edge_weights: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of an edge-weight dict in ascending order, and their weights."""
+    eids = np.array(sorted(edge_weights), dtype=np.int64)
+    return eids, np.array([edge_weights[e] for e in eids.tolist()], dtype=float)
+
+
+def box_edges(g: GridHierarchy, edges: tuple[np.ndarray, np.ndarray],
+              box: CellBox):
+    """The weighted edges of ``edges`` (an ``edge_arrays`` pair) with both
+    end nodes in the closed node rectangle of box: their ids and weights,
+    in ascending id order, and their end nodes a < b in the box's local
+    node numbering (see ``node_operator``)."""
+    eids, w = edges
+    (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
+    keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
+    row = box.i1 - box.i0 + 1
+    a = (aj[keep] - box.j0) * row + (ai[keep] - box.i0)
+    b = (bj[keep] - box.j0) * row + (bi[keep] - box.i0)
+    return eids[keep], w[keep], a, b
+
+
 def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
-                  edge_weights: dict[int, float] | None = None,
+                  edge_weights: dict[int, float] | tuple | None = None,
                   kind: str = "stiffness",
                   box: CellBox | None = None) -> sparse.csr_matrix:
     """Assemble a symmetric node-space operator from cell and edge weights.
@@ -121,6 +143,8 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     rectangle.  Node (i, j) of that rectangle is numbered
     (j - j0) * (i1 - i0 + 1) + (i - i0): x-fastest, so the whole-grid box
     gives the global numbering and any box follows ``g.box_nodes(box)``.
+    ``edge_weights`` is an edge-weight dict or its ``edge_arrays`` pair,
+    which callers that assemble many boxes build once.
     """
     if kind == "stiffness":
         ke2d = q1_stiffness(g.hx, g.hy)
@@ -135,11 +159,8 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     row = box.i1 - box.i0 + 1
     n = row * (box.j1 - box.j0 + 1)
 
-    def local(i, j):
-        return (j - box.j0) * row + (i - box.i0)
-
     cells = g.box_cells(box)
-    sw = local(cells % g.fine_nx, cells // g.fine_nx)
+    sw = (cells // g.fine_nx - box.j0) * row + (cells % g.fine_nx - box.i0)
     nodes = np.column_stack([sw, sw + 1, sw + row + 1, sw + row])
     data = np.asarray(cell_weights, dtype=float)[cells, None, None] * ke2d[None, :, :]
     rows = np.broadcast_to(nodes[:, :, None], data.shape)
@@ -148,16 +169,13 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
         (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
     A.sum_duplicates()
 
-    if not edge_weights:
+    if edge_weights is None:
         return A
-    eids = np.array(sorted(edge_weights))
-    w = np.array([edge_weights[e] for e in eids.tolist()], dtype=float)
-    (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
-    keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
-    if not keep.any():
+    if isinstance(edge_weights, dict):
+        edge_weights = edge_arrays(edge_weights)
+    eids, w, a, b = box_edges(g, edge_weights, box)
+    if not len(eids):
         return A
-    eids, w = eids[keep], w[keep]
-    a, b = local(ai[keep], aj[keep]), local(bi[keep], bj[keep])
     data = edge_elem(w, np.where(eids < g.n_hedges, g.hx, g.hy))
     # separate canonical matrix so cell/edge values merge positionwise
     # (keeps A bitwise symmetric regardless of duplicate-sum order)
@@ -251,10 +269,15 @@ class FineSystem:
         return self.K[off[i]:off[i + 1], off[j]:off[j + 1]]
 
     @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``edge_coeffs`` as sorted id and weight arrays, built once."""
+        return edge_arrays(self.edge_coeffs)
+
+    @cached_property
     def mass_matrix(self) -> sparse.csr_matrix:
         """kappa-weighted L2 mass, fracture parts weighted by
         kappa_f*aperture, built once."""
-        M = node_operator(self.grid, self.perm.kappa_cells, self.edge_coeffs,
+        M = node_operator(self.grid, self.perm.kappa_cells, self.edge_arrays,
                           kind="mass")
         if not self.efm_traces:
             return M

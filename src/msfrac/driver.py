@@ -13,7 +13,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -22,8 +22,8 @@ from .grids import Rect, GridHierarchy, build_hierarchy
 from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
 from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
-from .offline import (compute_pou, full_snapshots, randomized_snapshots,
-                      offline_eigendecomposition)
+from .offline import (_problem_key, compute_pou, full_snapshots,
+                      randomized_snapshots, offline_eigendecomposition)
 from .coarse import build_space, coarse_system, solve_coarse_dfm, solve_coarse_efm
 from .adaptivity import adaptive_loop
 from .analysis import ErrorReport, errors
@@ -151,20 +151,42 @@ def _offline(rs: RunSetup, n_modes: int | None):
     modes (all of them when None), the most any coarse node of the run
     reads.
 
-    The neighborhoods are independent local problems, solved on one
-    worker thread per usable CPU: their sparse LU solves, matrix
-    products and eigensolves release the interpreter lock.  Each runs on
-    one BLAS thread, so its result does not depend on the worker count.
-    Without a BLAS that can be capped the map runs on a single worker.
+    Neighborhoods with the same local problem are solved once: they are
+    grouped by their box shape and the exact bytes of the permeability,
+    kappa_tilde and both edge-weight sets on the box (``_problem_key``).
+    A randomized neighborhood also reads its own draws and its
+    oversampled box, so its index is in its key and it shares with no
+    other.  The first neighborhood of each group is solved; every one
+    gets its own space, with its own ``omega_id`` and ``node_ids``, on
+    the group's read-only ``eigvals`` and ``basis_full``.
+
+    The solved neighborhoods are mapped over one worker thread per
+    usable CPU: their sparse LU solves, matrix products and eigensolves
+    release the interpreter lock.  Each runs on one BLAS thread, so its
+    result depends neither on the worker count nor on which neighborhood
+    of its group it was solved for.  Without a BLAS that can be capped
+    the map runs on a single worker.
     """
     os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
-    pou = compute_pou(rs.grid, rs.sys)
+    g, sys = rs.grid, rs.sys
+    pou = compute_pou(g, sys)
+    randomized = rs.cfg.offline.mode == "randomized"
+    first: dict[tuple, int] = {}
+    leader = [first.setdefault(_problem_key(
+                  g, nb.cells, (sys.perm.kappa_cells, pou.kappa_tilde),
+                  (sys.edge_arrays, pou.edge_kappa_tilde),
+                  owner=nb.index if randomized else None), nb.index)
+              for nb in g.neighborhoods]
+    del first                          # the keys are not needed past here
+    solve = sorted(set(leader))
     with _one_blas_thread() as capped:
         workers = len(os.sched_getaffinity(0)) if capped else 1
         with ThreadPoolExecutor(workers) as pool:
-            done = list(pool.map(partial(_neighborhood_offline, rs, pou, n_modes),
-                                 [nb.index for nb in rs.grid.neighborhoods]))
-    return pou, [space for space, _ in done], [counts for _, counts in done]
+            done = dict(zip(solve, pool.map(
+                partial(_neighborhood_offline, rs, pou, n_modes), solve)))
+    spaces = [replace(done[i][0], omega_id=nb.index, node_ids=nb.node_ids)
+              for nb, i in zip(g.neighborhoods, leader)]
+    return pou, spaces, [done[i][1] for i in leader]
 
 
 def _space_at(rs, pou, spaces, m):

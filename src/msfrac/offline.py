@@ -24,6 +24,17 @@ first ``n_modes``); the snapshots and the pencil are dropped once the
 eigensolve returns.  How many of the kept modes a coarse node uses is
 decided by the online stage (``build_space``).
 
+Each distinct local problem is solved once.  A coarse cell's POU
+extension reads the matrix permeability and the conforming-fracture
+edges of the cell; a neighborhood's snapshots and pencil read those and
+kappa_tilde with its edge weights, all on the neighborhood's box.  Two
+cells, or two neighborhoods, whose boxes have the same shape and whose
+data there is byte-identical (``_problem_key``, compared exactly) run
+the same computation to the same result, so one solve serves both, and
+the neighborhoods' spaces share their read-only ``eigvals`` and
+``basis_full``.  Randomized neighborhoods never share: their draws are
+seeded per neighborhood and their snapshots read the oversampled box.
+
 All local solves use the nodal operator that already carries the
 conforming-fracture edge terms, so the basis sees the fractures.
 """
@@ -37,7 +48,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .grids import CellBox, GridHierarchy
-from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
+from .assembly import (FineSystem, _point_values, box_edges, node_operator,
+                       q1_shape_tables)
 
 __all__ = [
     "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace",
@@ -60,6 +72,31 @@ def harmonic_extension(A, interior, boundary, gb):
     return spla.splu(Ai[:, interior].tocsc()).solve(rhs)
 
 
+def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
+                 owner: int | None = None) -> tuple:
+    """Everything a local problem on ``box`` reads, as exact bytes: the
+    box shape, each per-cell field on the box cells and, for each
+    ``edge_arrays`` pair, the box-local end nodes and the weights of its
+    edges in the closed box.
+
+    Two problems with equal keys see byte-identical local data, so they
+    run the same computation (on one BLAS thread) and get the same
+    result, which is why one solve may serve both.  The rows of the
+    global operator A that a box's interior nodes read are summed from
+    these same cell and edge weights, in the same relative order.  The bytes are
+    compared exactly, never to a tolerance.  A problem that reads more
+    than its box passes its own ``owner`` index, so that its key
+    matches no other.
+    """
+    cells = g.box_cells(box)
+    key = [owner, (box.i1 - box.i0, box.j1 - box.j0)]
+    key += [np.asarray(c, dtype=float)[cells].tobytes() for c in cell_weights]
+    for pair in edges:
+        _, w, a, b = box_edges(g, pair, box)
+        key.append((a.tobytes(), b.tobytes(), w.tobytes()))
+    return tuple(key)
+
+
 @dataclass
 class PartitionOfUnity:
     """Multiscale hat functions chi_i and the energy weight they induce."""
@@ -67,7 +104,7 @@ class PartitionOfUnity:
     grid: GridHierarchy
     chi: list[np.ndarray]             # chi_i on neighborhoods[i].node_ids
     kappa_tilde: np.ndarray           # per fine cell
-    edge_kappa_tilde: dict[int, float]
+    edge_kappa_tilde: tuple[np.ndarray, np.ndarray]   # sorted ids, weights
 
     def boundary_lift(self, bc) -> np.ndarray:
         """POU interpolant of the boundary data over boundary coarse nodes.
@@ -91,10 +128,14 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     that is linear along the cell edges (1 at the corner, 0 at the
     others), solved with the fracture-aware operator; their sum extends
     the constant 1 and is therefore exactly 1.
+
+    Cells with byte-identical permeability and conforming-fracture edges
+    (``_problem_key``) share the extension solved on the first of them.
     """
     A = sys.A
     r = g.refine
     chi = [np.zeros(len(nb.node_ids)) for nb in g.neighborhoods]
+    extensions = {}     # local key -> interior values of the four corners
     for J in range(g.coarse_ny):
         for I in range(g.coarse_nx):
             box = CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
@@ -105,7 +146,10 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
             eta = (jb - J * r) / r
             gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
                                   xi * eta, (1 - xi) * eta])
-            X = harmonic_extension(A, intr, bnd, gb)
+            key = _problem_key(g, box, (sys.perm.kappa_cells,), (sys.edge_arrays,))
+            X = extensions.get(key)
+            if X is None:
+                X = extensions[key] = harmonic_extension(A, intr, bnd, gb)
             corners = (J * (g.coarse_nx + 1) + I,
                        J * (g.coarse_nx + 1) + I + 1,
                        (J + 1) * (g.coarse_nx + 1) + I + 1,
@@ -134,13 +178,12 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     # chi gradient matters here: the harmonic chi flattens tangentially
     # along a conductive fracture, but its normal boundary layer is what
     # weights the fracture in the spectral mass.
-    edge_kt: dict[int, float] = {}
-    for e, c in sorted(sys.edge_coeffs.items()):
-        adj = g.edge_cells(e)
-        edge_kt[e] = c * H2 * float(np.mean(grad2[adj]))
+    eids, coeffs = sys.edge_arrays
+    edge_kt = np.array([c * H2 * float(np.mean(grad2[g.edge_cells(e)]))
+                        for e, c in zip(eids.tolist(), coeffs.tolist())], dtype=float)
 
     return PartitionOfUnity(grid=g, chi=chi, kappa_tilde=kappa_tilde,
-                            edge_kappa_tilde=edge_kt)
+                            edge_kappa_tilde=(eids, edge_kt))
 
 
 @dataclass
@@ -209,13 +252,21 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
 
 @dataclass
 class NeighborhoodSpace:
-    """Spectral modes of one neighborhood's snapshot pencil."""
+    """Spectral modes of one neighborhood's snapshot pencil.
+
+    Neighborhoods with the same local problem share ``eigvals`` and
+    ``basis_full``, so both arrays are read-only.
+    """
 
     omega_id: int
     node_ids: np.ndarray
     eigvals: np.ndarray           # all l_i eigenvalues, ascending
     basis_full: np.ndarray        # the first modes the run reads, fine-nodal
     regularized: bool = False
+
+    def __post_init__(self):
+        self.eigvals.flags.writeable = False
+        self.basis_full.flags.writeable = False
 
     @property
     def l_i(self) -> int:
@@ -266,7 +317,7 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
         raise ValueError("n_modes must be >= 1")
     g = sys.grid
     nb = g.neighborhoods[snap.omega_id]
-    A_loc = node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
+    A_loc = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays,
                           kind="stiffness", box=nb.cells)
     S_loc = node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
                           kind="mass", box=nb.cells)

@@ -1,13 +1,15 @@
 """The offline stage's neighborhood pool: serial equivalence, the BLAS
-thread cap, and error propagation."""
+thread cap, error propagation, and one solve per distinct local problem."""
 
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from msfrac import driver
+from msfrac import driver, offline
 from msfrac.config import parse_config
+from msfrac.grids import CellBox
 from msfrac.offline import (full_snapshots, offline_eigendecomposition,
                             randomized_snapshots)
 
@@ -100,3 +102,111 @@ def test_neighborhood_error_propagates(tmp_path, monkeypatch):
         driver.run_sweep(rs.cfg)
     assert exc.value is err
     assert blas_threads() == before
+
+
+def box_shape(box):
+    return box.i1 - box.i0, box.j1 - box.j0
+
+
+def spy_solves(monkeypatch):
+    """Neighborhoods whose spectra are solved, and the interior node sets
+    of the harmonic extensions solved."""
+    calls = {"spectra": [], "extensions": []}
+    eig, ext = driver.offline_eigendecomposition, offline.harmonic_extension
+
+    def spectra(snap, *args, **kwargs):
+        calls["spectra"].append(snap.omega_id)
+        return eig(snap, *args, **kwargs)
+
+    def extension(A, interior, *args):
+        calls["extensions"].append(frozenset(interior.tolist()))
+        return ext(A, interior, *args)
+
+    monkeypatch.setattr(driver, "offline_eigendecomposition", spectra)
+    monkeypatch.setattr(offline, "harmonic_extension", extension)
+    return calls
+
+
+def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
+    # unit matrix permeability and no conforming edge: every coarse cell
+    # is the same problem, and so is every neighborhood of one box shape
+    rs = run_setup("efm", tmp_path)
+    calls = spy_solves(monkeypatch)
+    offline.compute_pou(rs.grid, rs.sys)
+    assert len(calls["extensions"]) == 1
+    _, spaces, _ = driver._offline(rs, None)
+    shapes = {box_shape(nb.cells) for nb in rs.grid.neighborhoods}
+    assert len(shapes) == 4
+    assert len(calls["spectra"]) == len(shapes)
+    assert {box_shape(rs.grid.neighborhoods[i].cells)
+            for i in calls["spectra"]} == shapes
+    assert len({id(sp.basis_full) for sp in spaces}) == len(shapes)
+    for nb, sp in zip(rs.grid.neighborhoods, spaces, strict=True):
+        assert sp.omega_id == nb.index and sp.node_ids is nb.node_ids
+
+
+def test_randomized_neighborhoods_never_share(tmp_path, monkeypatch):
+    # same homogeneous data on every box, but each draw is its own
+    rs = driver.setup(parse_config({
+        "grid": GRID, "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2},
+        "outputs": {"dir": str(tmp_path / "out")}}))
+    calls = spy_solves(monkeypatch)
+    _, spaces, _ = driver._offline(rs, None)
+    assert sorted(calls["spectra"]) == [nb.index for nb in rs.grid.neighborhoods]
+    assert len({id(sp.basis_full) for sp in spaces}) == len(spaces)
+
+
+def test_shared_arrays_are_read_only(tmp_path):
+    rs = run_setup("efm", tmp_path)
+    _, spaces, _ = driver._offline(rs, None)
+    for sp in spaces:
+        for arr in (sp.eigvals, sp.basis_full):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+# fine cell (5, 5) of the 16 x 12 fine grid, inside coarse cell (1, 1)
+ULP_CELL = 5 * 16 + 5
+
+
+def test_one_ulp_apart_is_never_shared(tmp_path, monkeypatch):
+    kappa = np.ones((12, 16))
+    kappa.flat[ULP_CELL] = np.nextafter(1.0, 2.0)
+    raster = tmp_path / "kappa.txt"
+    with open(raster, "w") as fh:
+        fh.write("16 12\n")
+        np.savetxt(fh, kappa, fmt="%.17g")
+    rs = driver.setup(parse_config({
+        "grid": GRID, "matrix": {"raster": str(raster)},
+        "outputs": {"dir": str(tmp_path / "out")}}))
+    g = rs.grid
+    assert rs.sys.perm.kappa_cells[ULP_CELL] == np.nextafter(1.0, 2.0)
+    holds = [nb.index for nb in g.neighborhoods
+             if ULP_CELL in g.box_cells(nb.cells)]
+    assert len(holds) == 4
+
+    calls = spy_solves(monkeypatch)
+    pou = offline.compute_pou(g, rs.sys)
+    r = g.refine          # coarse cell (1, 1) holds the moved cell
+    own = frozenset(g.box_boundary_interior(
+        CellBox(r, r, 2 * r, 2 * r))[1].tolist())
+    assert len(calls["extensions"]) == 2 and own in calls["extensions"]
+    # every cell's chi equals its own extension, solved without sharing
+    monkeypatch.setattr(offline, "_problem_key", lambda *args, **kw: object())
+    ref = offline.compute_pou(g, rs.sys)
+    monkeypatch.undo()
+    assert pou.kappa_tilde.tobytes() == ref.kappa_tilde.tobytes()
+    for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
+        assert chi.tobytes() == chi_ref.tobytes()
+
+    calls = spy_solves(monkeypatch)
+    pou, spaces, _ = driver._offline(rs, None)
+    shapes = {box_shape(nb.cells) for nb in g.neighborhoods}
+    assert set(holds) <= set(calls["spectra"])
+    assert len(calls["spectra"]) == len(shapes) + len(holds)
+    with driver._one_blas_thread():
+        for nb, space in zip(g.neighborhoods, spaces, strict=True):
+            ref = offline_eigendecomposition(full_snapshots(g, rs.sys, nb.index),
+                                             rs.sys, pou)
+            assert space.eigvals.tobytes() == ref.eigvals.tobytes()
+            assert space.basis_full.tobytes() == ref.basis_full.tobytes()
