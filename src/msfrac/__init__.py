@@ -12,7 +12,8 @@ from .grids import Rect, UNIT_SQUARE, CellBox, GridHierarchy, build_hierarchy
 from .fractures import (Fracture, FractureModel, FractureNetwork, DfmTrace,
                         EfmTrace, GeometryError, rasterize_dfm, intersect_efm)
 from .assembly import (PermeabilityField, FineSystem, FineSolution,
-                       assemble_dfm, assemble_efm, solve_fine, bilinear_bc)
+                       FineSolveError, assemble_dfm, assemble_efm, solve_fine,
+                       bilinear_bc)
 from .offline import (PartitionOfUnity, SnapshotSpace, NeighborhoodSpace,
                       compute_pou, full_snapshots, randomized_snapshots,
                       offline_eigendecomposition)

@@ -10,6 +10,12 @@ Every fracture model has one coarse problem, the Galerkin projection
 P^T K P of the fine operator K that is solved, with P = diag(R0T, I):
 the 1D embedded-fracture unknowns stay at fine scale.  It is factored
 by one sparse LU at every size.
+
+Nested spaces share one projection.  The space of the first m_i modes
+of every node is a column restriction of any space with larger counts,
+so its coarse system is a principal submatrix of the larger one's
+(``restrict``); a sweep projects its largest space once and cuts each
+row's system from it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .assembly import FineSystem, solved_system
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
 __all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "coarse_system",
-           "solve_coarse_dfm", "solve_coarse_efm", "prolong"]
+           "restrict", "solve_coarse_dfm", "solve_coarse_efm", "prolong"]
 
 
 @dataclass
@@ -158,8 +164,31 @@ def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
     return K0, F0, lift, u_frac
 
 
-def _solve(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
-    K0, F0, lift, u_frac = coarse_system(ms, sys)
+def restrict(ms: MultiscaleSpace, system, counts):
+    """The space of the first min(counts[i], ms.counts[i]) modes of each
+    coarse node, as the column restriction of ``ms``, and its coarse
+    system cut from ``system``, ms's ``coarse_system``: the principal
+    submatrix of K0 and the entries of F0 at the kept columns and at
+    every fracture unknown, with the same lift and decoupled fields.
+
+    The kept columns are those ``build_space`` gives the clamped counts,
+    in the same order and with the same values, and every entry of P^T K
+    P is summed over its own two columns of P only; so the cut is the
+    projection of the smaller space, bit for bit.
+    """
+    K0, F0, lift, u_frac = system
+    counts = np.minimum(counts, ms.counts)
+    first = np.repeat(np.cumsum(ms.counts) - ms.counts, ms.counts)
+    mode = np.arange(ms.N_c) - first           # mode index within its node
+    cols = np.flatnonzero(mode < np.repeat(counts, ms.counts))
+    keep = np.r_[cols, np.arange(ms.N_c, K0.shape[0])]
+    sub = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces, counts=counts,
+                          R0T=ms.R0T[:, cols], col_node=ms.col_node[cols])
+    return sub, (K0[keep][:, keep], F0[keep], lift, u_frac)
+
+
+def _solve(ms: MultiscaleSpace, sys: FineSystem, system) -> CoarseSolution:
+    K0, F0, lift, u_frac = coarse_system(ms, sys) if system is None else system
     x, info = _solve_spd_or_lstsq(K0, F0, ms)
     if u_frac is None:
         off = np.subtract(sys.frac_offsets, sys.n_nodes) + ms.N_c
@@ -171,18 +200,22 @@ def _solve(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
                           efm_fracture_dofs=u_frac, info=info)
 
 
-def solve_coarse_dfm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
-    """Galerkin coarse solve of a conforming (monolithic nodal) system."""
+def solve_coarse_dfm(ms: MultiscaleSpace, sys: FineSystem,
+                     system=None) -> CoarseSolution:
+    """Galerkin coarse solve of a conforming (monolithic nodal) system;
+    ``system`` is ms's ``coarse_system`` (projected here when None)."""
     if sys.efm_traces:
         raise ValueError("expected a monolithic fine system")
-    return _solve(ms, sys)
+    return _solve(ms, sys, system)
 
 
-def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem) -> CoarseSolution:
-    """Coarse matrix block + fine fracture unknowns, solved together."""
+def solve_coarse_efm(ms: MultiscaleSpace, sys: FineSystem,
+                     system=None) -> CoarseSolution:
+    """Coarse matrix block + fine fracture unknowns, solved together;
+    ``system`` is ms's ``coarse_system`` (projected here when None)."""
     if not sys.efm_traces:
         raise ValueError("expected an embedded-fracture fine system")
-    return _solve(ms, sys)
+    return _solve(ms, sys, system)
 
 
 def prolong(ms: MultiscaleSpace, U0: np.ndarray, lift: np.ndarray | None = None):

@@ -1,7 +1,9 @@
 """Experiment pipelines behind the CLI subcommands, on one staged path:
 ``setup`` (grid, traces, fine system) -> ``_offline`` (POU and local
-spectral spaces) -> fine reference -> a coarse solve and its error norms
-per mode count -> ``_write`` (solution files, eigenvalues, manifest).
+spectral spaces) -> fine reference -> one Galerkin projection of the
+largest space, then a coarse solve on each row's cut of it and its
+error norms per mode count -> ``_write`` (solution files, eigenvalues,
+manifest).
 ``solve`` is the one-row sweep without the snapshot reference, ``adapt``
 swaps the sweep for the enrichment loop, and ``export-matrices`` dumps
 the operators of the configured space.
@@ -24,7 +26,8 @@ from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
 from .offline import (_problem_key, compute_pou, full_snapshots,
                       randomized_snapshots, offline_eigendecomposition)
-from .coarse import build_space, coarse_system, solve_coarse_dfm, solve_coarse_efm
+from .coarse import (build_space, coarse_system, restrict, solve_coarse_dfm,
+                     solve_coarse_efm)
 from .adaptivity import adaptive_loop
 from .analysis import ErrorReport, errors
 from .config import RunConfig, config_to_dict
@@ -189,50 +192,64 @@ def _offline(rs: RunSetup, n_modes: int | None):
     return pou, spaces, [done[i][1] for i in leader]
 
 
+def _counts_at(rs, m):
+    """Per-coarse-node mode counts of the row with m modes per interior
+    coarse node."""
+    return m_off_schedule(rs.grid, m, rs.cfg.offline.enrich_boundary)
+
+
 def _space_at(rs, pou, spaces, m):
     """Multiscale space with m modes per interior coarse node."""
-    return build_space(pou, spaces, m_off_schedule(
-        rs.grid, m, rs.cfg.offline.enrich_boundary))
+    return build_space(pou, spaces, _counts_at(rs, m))
 
 
-def _solve_at(rs, pou, spaces, m):
-    """Dimension of the m-mode space and the coarse solution in it; the
-    space itself is dropped here."""
-    ms = _space_at(rs, pou, spaces, m)
-    solve = solve_coarse_efm if rs.sys.efm_traces else solve_coarse_dfm
-    return ms.N_c, solve(ms, rs.sys)
+def _error_table(rs, pou, spaces, schedule, u_fine, snapshot_reference):
+    """Error report against the fine solution ``u_fine`` (a block vector)
+    and coarse-solve info per mode count of the schedule, and the coarse
+    solution of the last count.
 
-
-def _error_table(rs, pou, spaces, schedule, snapshot_reference):
-    """Error report against the fine solution and coarse-solve info per
-    mode count of the schedule, and the coarse solution of the last count.
-
-    With ``snapshot_reference`` the coarse solution of the largest count
-    is also the reference of the snapshot-error columns, so that row's
-    snapshot errors vanish by construction; it is solved once.
+    The space of the largest count is built and projected once; the
+    space of each row is its column restriction to the row's first
+    min(m, l_i) modes per node, solved on the matching principal
+    submatrix of the one coarse system (``restrict``), which is that
+    space's own projection bit for bit.  With ``snapshot_reference`` the
+    coarse solution of the largest count is also the reference of the
+    snapshot-error columns, so that row's snapshot errors vanish by
+    construction; it is solved once.
     """
-    u_fine = solve_fine(rs.sys).block_vector()
+    m_ref = max(schedule)
+    ms = _space_at(rs, pou, spaces, m_ref)
+    system = coarse_system(ms, rs.sys)
+    solve = solve_coarse_efm if rs.sys.efm_traces else solve_coarse_dfm
+
+    def solve_at(m):
+        row, row_system = restrict(ms, system, _counts_at(rs, m))
+        return row.N_c, solve(row, rs.sys, row_system)
+
     solved, u_snap = {}, None
     if snapshot_reference:
-        m_ref = max(schedule)
-        solved[m_ref] = _solve_at(rs, pou, spaces, m_ref)
+        solved[m_ref] = solve_at(m_ref)
         u_snap = solved[m_ref][1].block_vector()
     reports, infos = [], []
     for m in schedule:
-        dim, sol = solved.get(m) or _solve_at(rs, pou, spaces, m)
+        dim, sol = solved.get(m) or solve_at(m)
         reports.append(errors(u_fine, u_snap, sol.block_vector(), rs.sys,
                               dim_Voff=dim))
         infos.append(sol.info)
     return reports, infos, sol
 
 
+def _2g(x):
+    """x to 2 significant digits, so that reruns repeat it (None stays)."""
+    return None if x is None else float(f"{x:.2g}")
+
+
 def _coarse_paths(infos):
     """Manifest record of the coarse solves: the solver path of each, its
-    rcond to 2 significant digits, so that reruns repeat it, and the
-    least-squares rank (None on the LU path)."""
+    rcond to 2 significant digits and the least-squares rank (None on
+    the LU path)."""
     return {"coarse_solver": [i["solver"] for i in infos],
-            "coarse_rcond": [None if i["rcond"] is None
-                             else float(f"{i['rcond']:.2g}") for i in infos],
+            "coarse_rcond": [_2g(i["rcond"]) for i in infos],
             "coarse_rank": [i.get("rank") for i in infos]}
 
 
@@ -262,11 +279,14 @@ def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
     pou, spaces, _ = _offline(rs, cfg.offline.M_off)
+    fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
+                                       fine.block_vector(),
                                        snapshot_reference=False)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
     _write(rs, sol, spaces, {"command": "solve", "dim": reports[0].dim_Voff,
                              "offline_mode": cfg.offline.mode,
+                             "fine_residual": _2g(fine.residual),
                              **{k: v[0] for k, v in _coarse_paths(infos).items()}})
     return reports
 
@@ -276,11 +296,14 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     snapshot-error columns are relative to the largest space's solution."""
     rs = setup(cfg)
     pou, spaces, counts = _offline(rs, max(cfg.sweep))
+    fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
+                                       fine.block_vector(),
                                        snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
     run = {"command": "sweep", "schedule": list(cfg.sweep),
            "offline_mode": cfg.offline.mode,
+           "fine_residual": _2g(fine.residual),
            "dims": [r.dim_Voff for r in reports], **_coarse_paths(infos)}
     if cfg.offline.mode == "randomized":
         # snapshot work actually done over interior neighborhoods, as a
@@ -302,11 +325,12 @@ def run_adapt(cfg: RunConfig):
         raise ValueError("adaptive enrichment runs on the monolithic model only")
     # every mode: the indicators read the ones a node does not use yet
     pou, spaces, _ = _offline(rs, None)
-    sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
-                                 u_fine=solve_fine(rs.sys).u)
+    fine = solve_fine(rs.sys)
+    sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt, u_fine=fine.u)
     io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
     _write(rs, sol, spaces, {"command": "adapt", "theta": cfg.adapt.theta,
                              "indicator": cfg.adapt.indicator,
+                             "fine_residual": _2g(fine.residual),
                              "dims": [rep.dim for rep in history],
                              **_coarse_paths([rep.coarse_info for rep in history])})
     return sol, history

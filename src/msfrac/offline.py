@@ -73,7 +73,7 @@ def harmonic_extension(A, interior, boundary, gb):
 
 
 def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
-                 owner: int | None = None) -> tuple:
+                 owner: int | None = None, rim_edges: bool = True) -> tuple:
     """Everything a local problem on ``box`` reads, as exact bytes: the
     box shape, each per-cell field on the box cells and, for each
     ``edge_arrays`` pair, the box-local end nodes and the weights of its
@@ -83,16 +83,25 @@ def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
     run the same computation (on one BLAS thread) and get the same
     result, which is why one solve may serve both.  The rows of the
     global operator A that a box's interior nodes read are summed from
-    these same cell and edge weights, in the same relative order.  The bytes are
-    compared exactly, never to a tolerance.  A problem that reads more
-    than its box passes its own ``owner`` index, so that its key
+    these same cell and edge weights, in the same relative order.  The
+    bytes are compared exactly, never to a tolerance.  A problem that
+    reads only those interior rows (a harmonic extension) passes
+    ``rim_edges=False``: an edge with both ends on the box rim touches
+    no interior row, so it is left out of the key.  A problem that reads
+    more than its box passes its own ``owner`` index, so that its key
     matches no other.
     """
     cells = g.box_cells(box)
-    key = [owner, (box.i1 - box.i0, box.j1 - box.j0)]
+    nx, ny = box.i1 - box.i0 + 1, box.j1 - box.j0 + 1
+    key = [owner, (nx - 1, ny - 1)]
     key += [np.asarray(c, dtype=float)[cells].tobytes() for c in cell_weights]
     for pair in edges:
         _, w, a, b = box_edges(g, pair, box)
+        if not rim_edges:
+            j, i = np.divmod(np.r_[a, b], nx)
+            rim = ((i == 0) | (i == nx - 1) | (j == 0) | (j == ny - 1)).reshape(2, -1)
+            inner = ~(rim[0] & rim[1])
+            w, a, b = w[inner], a[inner], b[inner]
         key.append((a.tobytes(), b.tobytes(), w.tobytes()))
     return tuple(key)
 
@@ -130,7 +139,9 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     the constant 1 and is therefore exactly 1.
 
     Cells with byte-identical permeability and conforming-fracture edges
-    (``_problem_key``) share the extension solved on the first of them.
+    (``_problem_key``) share the extension solved on the first of them;
+    the edges along the cell rim are not compared, since the extension
+    reads only the rows of A at the cell's interior nodes.
     """
     A = sys.A
     r = g.refine
@@ -146,7 +157,8 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
             eta = (jb - J * r) / r
             gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
                                   xi * eta, (1 - xi) * eta])
-            key = _problem_key(g, box, (sys.perm.kappa_cells,), (sys.edge_arrays,))
+            key = _problem_key(g, box, (sys.perm.kappa_cells,), (sys.edge_arrays,),
+                               rim_edges=False)
             X = extensions.get(key)
             if X is None:
                 X = extensions[key] = harmonic_extension(A, intr, bnd, gb)

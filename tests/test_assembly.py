@@ -8,17 +8,20 @@ hx-by-hy rectangle (node order sw, se, ne, nw):
     M  = hx*hy/36  * [[ 4, 2, 1, 2],[ 2, 4, 2, 1],[ 1, 2, 4, 2],[ 2, 1, 2, 4]]
 """
 
+import dataclasses
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
 import msfrac as mf
 from msfrac import driver
 from msfrac.assembly import (q1_stiffness, q1_mass, node_operator,
-                             load_vector, edge_coefficients)
+                             load_vector, edge_coefficients, solved_system)
 from msfrac.config import load_config
 
 from conftest import two_embedded_system
@@ -151,6 +154,68 @@ def test_fine_solve_matches_dense_oracle():
     u[free] = np.linalg.solve(A[np.ix_(free, free)],
                               sys.F[free] - A[np.ix_(free, fixed)] @ lift[fixed])
     np.testing.assert_allclose(sol.u, u, atol=1e-12)
+
+
+def reduced_fine_system(sys):
+    """The Dirichlet-reduced operator and load that ``solve_fine`` factors,
+    built here from ``solved_system``."""
+    M, rhs, _ = solved_system(sys)
+    fixed = np.zeros(M.shape[0], bool)
+    fixed[sys.dirichlet_nodes] = True
+    lift = np.zeros(M.shape[0])
+    lift[sys.dirichlet_nodes] = sys.dirichlet_values
+    free = ~fixed
+    return M[free][:, free].tocsc(), rhs[free] - M[free][:, fixed] @ lift[fixed]
+
+
+@pytest.mark.parametrize("kappa_f", [1e2, 1e6, 1e10])
+@pytest.mark.parametrize("model", ["dfm", "efm"])
+def test_fine_residual_no_worse_than_spsolve(model, kappa_f):
+    # a conforming channel, or a coupled embedded fracture, across contrast
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 5, t=0)
+    perm = mf.PermeabilityField.from_callable(
+        g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.sin(np.pi * y))
+    fr = mf.Fracture(np.array([[0.1, 0.3], [0.9, 0.65]]), 1e-3, kappa_f, model, 0)
+    bc = mf.bilinear_bc(0.2, 1.0, -0.5, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if model == "dfm":
+            sys = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(fr, g)], bc=bc, f=1.0)
+        else:
+            sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(fr, g)],
+                                  bc=bc, f=1.0)
+            assert solved_system(sys)[2] is None        # coupled
+        sol = mf.solve_fine(sys)
+        Mff, b = reduced_fine_system(sys)
+        x = spla.spsolve(Mff, b)
+    ref = np.linalg.norm(Mff @ x - b) / np.linalg.norm(b)
+    assert np.isfinite(sol.residual)
+    assert sol.residual <= 10.0 * ref
+
+
+def test_singular_fine_operator_raises_named_error():
+    # a hand-made singular operator: the centre node of a 4 x 4 fine
+    # grid loses every coupling; spsolve would warn and return NaN
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
+    sys = mf.assemble_dfm(g, mf.PermeabilityField.constant(g, 1.0), [],
+                          bc=mf.bilinear_bc(0.0, 1.0), f=1.0)
+    c = 12
+    K = sys.K.tolil()
+    K[c, :] = 0.0
+    K[:, c] = 0.0
+    singular = dataclasses.replace(sys, K=K.tocsr())
+    # the same node with a subnormal diagonal: the factor exists, but
+    # the solution overflows
+    K[c, c] = 1e-320
+    overflowing = dataclasses.replace(sys, K=K.tocsr())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mf.solve_fine(sys).residual < 1e-12
+        with pytest.raises(mf.FineSolveError, match="fine reference.*singular"):
+            mf.solve_fine(singular)
+        with pytest.raises(mf.FineSolveError,
+                           match="fine reference.*residual is inf"):
+            mf.solve_fine(overflowing)
 
 
 def test_galerkin_identity_zero_bc():

@@ -56,6 +56,9 @@ def test_solve_without_fractures_is_exact(tmp_path, capsys):
     assert doc["run"]["coarse_solver"] == "direct"
     assert doc["run"]["coarse_rcond"] > np.finfo(float).eps
     assert doc["run"]["coarse_rank"] is None
+    # the fine reference residual, to 2 significant digits
+    res = doc["run"]["fine_residual"]
+    assert 0.0 <= res < 1e-12 and res == float(f"{res:.2g}")
 
 
 def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
@@ -110,6 +113,7 @@ def test_sweep_records_coarse_path_per_row(tmp_path):
     for solver, rank in zip(run["coarse_solver"], run["coarse_rank"]):
         assert (rank is None) == (solver != "lstsq")
     assert run["dims"] == [16, 20, 24]
+    assert 0.0 <= run["fine_residual"] < 1e-10
     assert main(["sweep", "-c", str(cfg)]) == 0
     assert (out / "manifest.yml").read_bytes() == first
 
@@ -172,6 +176,7 @@ def test_adapt_trajectory_csv(tmp_path):
     assert run["coarse_solver"] == ["direct"] * 3
     assert len(run["coarse_rcond"]) == 3
     assert run["coarse_rank"] == [None] * 3
+    assert 0.0 <= run["fine_residual"] < 1e-10
 
 
 @pytest.mark.parametrize("fractures", [CHANNELS, EFM_LINE], ids=["dfm", "efm"])

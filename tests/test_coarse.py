@@ -9,7 +9,7 @@ import pytest
 import msfrac as mf
 from msfrac import driver
 from msfrac.adaptivity import AdaptConfig, enrich
-from msfrac.coarse import coarse_system
+from msfrac.coarse import coarse_system, restrict
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
 
@@ -257,6 +257,94 @@ def test_rcond_estimate_is_deterministic_and_close(case, tmp_path):
         np.random.set_state(state)
     assert rconds[0].tobytes() == rconds[1].tobytes()
     assert exact / 3 <= rconds[0] <= 3 * exact
+
+
+SWEEP_CASES = {
+    "dfm": {"grid": {"coarse": [4, 4], "refine": 3},
+            "fractures": {"field": "crossing_channels", "seed": 2,
+                          "params": {"n": 5}}},
+    "efm": {"grid": {"coarse": [4, 4], "refine": 3},
+            "fractures": {"list": [{"polyline": [[0.2, 0.5], [0.8, 0.6]],
+                                    "aperture": 1e-3, "kappa_f": 50.0,
+                                    "model": "efm"}]}},
+    # the case of test_sweep_records_coarse_path_per_row, where a row
+    # may take the lstsq path
+    "randomized_3x3": {"grid": {"coarse": [3, 3], "refine": 2},
+                       "offline": {"mode": "randomized"},
+                       "fractures": {"field": "crossing_channels",
+                                     "kappa_f": 1e3}},
+}
+
+
+def sparse_bytes(M):
+    M = M.tocsr()
+    return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_rows_are_cut_from_one_projection(case, tmp_path, monkeypatch):
+    cfg = parse_config({**SWEEP_CASES[case], "sweep": [1, 2, 3],
+                        "outputs": {"dir": str(tmp_path)}})
+    calls = {"build_space": 0, "coarse_system": 0}
+    rows = []
+
+    def counted(name):
+        fn = getattr(driver, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    def solving(fn):
+        def spy(ms, sys, system):
+            sol = fn(ms, sys, system)
+            rows.append((ms, sys, system, sol, fn))
+            return sol
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(driver, name, counted(name))
+    for name in ("solve_coarse_dfm", "solve_coarse_efm"):
+        monkeypatch.setattr(driver, name, solving(getattr(driver, name)))
+    driver.run_sweep(cfg)
+    assert calls == {"build_space": 1, "coarse_system": 1}
+    # the largest row is solved first, as the snapshot reference
+    assert len(rows) == 3
+    for m, (ms, sys, system, sol, solve) in zip([3, 1, 2], rows):
+        ref = mf.build_space(ms.pou, ms.spaces, m_off_schedule(sys.grid, m))
+        assert ms.counts.tobytes() == ref.counts.tobytes()
+        assert ms.col_node.tobytes() == ref.col_node.tobytes()
+        assert sparse_bytes(ms.R0T) == sparse_bytes(ref.R0T)
+        K0, F0, lift, u_frac = system
+        K0_ref, F0_ref, lift_ref, u_frac_ref = coarse_system(ref, sys)
+        assert sparse_bytes(K0) == sparse_bytes(K0_ref)
+        assert F0.tobytes() == F0_ref.tobytes()
+        assert lift.tobytes() == lift_ref.tobytes()
+        assert u_frac is None and u_frac_ref is None
+        sol_ref = solve(ref, sys)
+        assert sol.info == sol_ref.info
+        assert sol.block_vector().tobytes() == sol_ref.block_vector().tobytes()
+
+
+def test_restrict_keeps_the_decoupled_fracture_fields():
+    # zero coupling: the embedded fractures are solved apart, K0 is the
+    # matrix block alone and every cut shares the fracture fields
+    g, sys = efm_setup(coupling_scale=0.0)
+    pou, spaces = offline_spaces(g, sys)
+    big = space_at(g, pou, spaces, M=3)
+    system = coarse_system(big, sys)
+    assert system[3] is not None and system[0].shape == (big.N_c, big.N_c)
+    ms, cut = restrict(big, system, m_off_schedule(g, 1))
+    ref = space_at(g, pou, spaces, M=1)
+    K0, F0, _, _ = coarse_system(ref, sys)
+    assert sparse_bytes(cut[0]) == sparse_bytes(K0)
+    assert cut[1].tobytes() == F0.tobytes()
+    assert cut[3] is system[3]
+    sol = mf.solve_coarse_efm(ms, sys, cut)
+    sol_ref = mf.solve_coarse_efm(ref, sys)
+    assert sol.info == sol_ref.info and sol.info["decoupled"]
+    assert sol.block_vector().tobytes() == sol_ref.block_vector().tobytes()
 
 
 def efm_setup(coupling_scale, coarse=4, refine=5, two=False):

@@ -210,3 +210,35 @@ def test_one_ulp_apart_is_never_shared(tmp_path, monkeypatch):
                                              rs.sys, pou)
             assert space.eigvals.tobytes() == ref.eigvals.tobytes()
             assert space.basis_full.tobytes() == ref.basis_full.tobytes()
+
+
+def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
+    # a conforming fracture along the coarse line y = 1/2 lies on the
+    # rims of the cells it touches, whose extensions read only interior
+    # rows of A: every cell is one POU problem.  The neighborhoods' box
+    # operators read those edges, so a neighborhood that touches the line
+    # never shares its spectral solve with one that does not.
+    rs = driver.setup(parse_config({
+        "grid": {"coarse": [6, 6], "refine": 4, "t": 0},
+        "fractures": {"list": [{"polyline": [[0.0, 0.5], [1.0, 0.5]],
+                                "aperture": 1e-3, "kappa_f": 1e4,
+                                "model": "dfm"}]},
+        "outputs": {"dir": str(tmp_path / "out")}}))
+    g = rs.grid
+    assert len(rs.sys.edge_coeffs) == g.fine_nx
+    calls = spy_solves(monkeypatch)
+    pou = offline.compute_pou(g, rs.sys)
+    assert len(calls["extensions"]) == 1
+    monkeypatch.setattr(offline, "_problem_key", lambda *args, **kw: object())
+    ref = offline.compute_pou(g, rs.sys)
+    monkeypatch.undo()
+    assert pou.kappa_tilde.tobytes() == ref.kappa_tilde.tobytes()
+    assert pou.edge_kappa_tilde[1].tobytes() == ref.edge_kappa_tilde[1].tobytes()
+    for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
+        assert chi.tobytes() == chi_ref.tobytes()
+
+    _, spaces, _ = driver._offline(rs, None)
+    touch = [nb.cells.j0 <= 3 * g.refine <= nb.cells.j1 for nb in g.neighborhoods]
+    shared = [{id(sp.basis_full) for sp, t in zip(spaces, touch) if t == side}
+              for side in (True, False)]
+    assert not shared[0] & shared[1]
