@@ -156,12 +156,10 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
         raise ValueError(f"unknown operator kind {kind!r}")
 
     box = box or CellBox(0, 0, g.fine_nx, g.fine_ny)
-    row = box.i1 - box.i0 + 1
-    n = row * (box.j1 - box.j0 + 1)
+    n = (box.i1 - box.i0 + 1) * (box.j1 - box.j0 + 1)
 
     cells = g.box_cells(box)
-    sw = (cells // g.fine_nx - box.j0) * row + (cells % g.fine_nx - box.i0)
-    nodes = np.column_stack([sw, sw + 1, sw + row + 1, sw + row])
+    nodes = g.box_cell_nodes(box)
     data = np.asarray(cell_weights, dtype=float)[cells, None, None] * ke2d[None, :, :]
     rows = np.broadcast_to(nodes[:, :, None], data.shape)
     cols = np.broadcast_to(nodes[:, None, :], data.shape)

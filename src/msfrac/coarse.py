@@ -73,8 +73,7 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
     g = pou.grid
     bmask = g.boundary_node_mask()
     counts = np.minimum(counts, [sp.l_i for sp in spaces])
-    rows, cols, vals = [], [], []
-    c0 = 0
+    indices, vals = [], []
     for sp, m in zip(spaces, counts):
         if len(sp.node_ids) != len(pou.chi[sp.omega_id]):
             raise ValueError("offline vectors do not match the chi support")
@@ -83,13 +82,13 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
                              f"{sp.basis_full.shape[1]} kept offline")
         B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
         B[bmask[sp.node_ids]] = 0.0
-        rows.append(np.repeat(sp.node_ids, m))
-        cols.append((c0 + np.arange(m))[None, :].repeat(len(sp.node_ids), 0).ravel())
-        vals.append(B.ravel())
-        c0 += m
-    R0T = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(g.n_nodes, c0)).tocsr()
+        indices.append(np.tile(sp.node_ids.astype(np.int32), m))
+        vals.append(B.T.ravel())
+    # built column by column: each of node i's columns holds its node ids
+    col_nnz = np.repeat([len(sp.node_ids) for sp in spaces], counts)
+    R0T = sparse.csc_matrix(
+        (np.concatenate(vals), np.concatenate(indices), np.r_[0, np.cumsum(col_nnz)]),
+        shape=(g.n_nodes, len(col_nnz))).tocsr()
     col_node = np.repeat([sp.omega_id for sp in spaces], counts)
     return MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T,
                            col_node=col_node)

@@ -3,7 +3,7 @@
 spectral spaces) -> fine reference -> one Galerkin projection of the
 largest space, then a coarse solve on each row's cut of it and its
 error norms per mode count -> ``_write`` (solution files, eigenvalues,
-manifest).
+manifest).  Each command runs on one BLAS thread (``_one_blas_thread``).
 ``solve`` is the one-row sweep without the snapshot reference, ``adapt``
 swaps the sweep for the enrichment loop, and ``export-matrices`` dumps
 the operators of the configured space.
@@ -121,7 +121,14 @@ def _openblas_thread_controls():
 @contextmanager
 def _one_blas_thread():
     """Cap every loaded OpenBLAS at one thread, restoring the previous
-    counts on exit; yields whether any library was capped."""
+    counts on exit; yields whether any library was capped.
+
+    Every command runs under it (it decorates the ``run_*`` functions):
+    an idle OpenBLAS helper thread spins after each multithreaded call
+    and takes a core from the serial stages, while the sparse fine LU
+    takes as long on one thread as on two.  The offline pool enters it
+    again to learn whether a cap holds; nested, it sets 1 and restores 1.
+    """
     restore = []
     try:
         for get, set_ in _openblas_thread_controls():
@@ -275,6 +282,7 @@ def _write(rs, sol, spaces, run):
                               config_to_dict(cfg), run)
 
 
+@_one_blas_thread()
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
@@ -291,6 +299,7 @@ def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     return reports
 
 
+@_one_blas_thread()
 def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     """Convergence table over the offline-dimension schedule; the
     snapshot-error columns are relative to the largest space's solution."""
@@ -318,6 +327,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     return reports
 
 
+@_one_blas_thread()
 def run_adapt(cfg: RunConfig):
     """Adaptive enrichment driven by the residual (or manual) indicator."""
     rs = setup(cfg)
@@ -336,6 +346,7 @@ def run_adapt(cfg: RunConfig):
     return sol, history
 
 
+@_one_blas_thread()
 def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)

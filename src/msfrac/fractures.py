@@ -235,28 +235,32 @@ def rasterize_dfm(f: Fracture, grid: GridHierarchy,
                     effective_coeff=f.conductivity)
 
 
-def _clip_segment_to_cell(p0, p1, cx0, cy0, cx1, cy1):
-    """Liang-Barsky clip of segment p0->p1 against a cell rectangle.
+def _clip_segment_to_cells(p0, p1, xs, ys):
+    """Liang-Barsky clip of segment p0->p1 against every cell
+    [xs[i], xs[i+1]] x [ys[j], ys[j+1]] at once.
 
-    Returns (t_enter, t_exit) parameters in [0, 1], or None if the
-    intersection is empty.
+    Returns (t_enter, t_exit, hit), each of shape (len(ys) - 1,
+    len(xs) - 1): the parameters in [0, 1] and whether the intersection
+    is non-empty.  Each entry is the scalar clip's arithmetic, bit for
+    bit: the x slab, then the y slab, ties kept as ``max``/``min`` keep
+    their first argument.
     """
     d = p1 - p0
-    t0, t1 = 0.0, 1.0
-    for delta, lo, hi, p in ((d[0], cx0, cx1, p0[0]), (d[1], cy0, cy1, p0[1])):
+    shape = (len(ys) - 1, len(xs) - 1)
+    t0, t1 = np.zeros(shape), np.ones(shape)
+    hit = np.ones(shape, dtype=bool)
+    for delta, p, lo, hi in ((d[0], p0[0], xs[None, :-1], xs[None, 1:]),
+                             (d[1], p0[1], ys[:-1, None], ys[1:, None])):
         if delta == 0.0:
-            if p < lo or p > hi:
-                return None
+            hit &= (p >= lo) & (p <= hi)
             continue
         ta = (lo - p) / delta
         tb = (hi - p) / delta
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return None
-    return t0, t1
+        swap = ta > tb
+        ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
+        t0 = np.where(ta > t0, ta, t0)
+        t1 = np.where(tb < t1, tb, t1)
+    return t0, t1, hit & (t0 <= t1)
 
 
 def _subtract_intervals(span, claimed):
@@ -328,24 +332,27 @@ def intersect_efm(f: Fracture, grid: GridHierarchy,
                           0, grid.fine_ny - 1))
         jhi = int(np.clip(np.ceil((max(p0[1], p1[1]) - y0d) / grid.hy + 1e-12),
                           1, grid.fine_ny))
-        claimed: list[tuple[float, float]] = []
-        for j in range(jlo, jhi):
-            for i in range(ilo, ihi):
-                span = _clip_segment_to_cell(
-                    p0, p1,
-                    x0d + i * grid.hx, y0d + j * grid.hy,
-                    x0d + (i + 1) * grid.hx, y0d + (j + 1) * grid.hy)
-                if span is None:
+        t_in, t_out, hit = _clip_segment_to_cells(
+            p0, p1, x0d + np.arange(ilo, ihi + 1) * grid.hx,
+            y0d + np.arange(jlo, jhi + 1) * grid.hy)
+        # the cells the segment meets, in (j, i) order; each subtracts
+        # what earlier cells claimed, read off the spans it overlaps
+        jj, ii = np.nonzero(hit)
+        a, b = t_in[hit], t_out[hit]
+        claimed: list[list[tuple[float, float]]] = []
+        for k, (i, j) in enumerate(zip((ii + ilo).tolist(), (jj + jlo).tolist())):
+            near = np.flatnonzero(np.minimum(b[:k], b[k]) > np.maximum(a[:k], a[k]))
+            claimed.append([])
+            for t0, t1 in _subtract_intervals(
+                    (a[k], b[k]), [c for n in near.tolist() for c in claimed[n]]):
+                length = (t1 - t0) * seg
+                if length <= tol:
                     continue
-                for t0, t1 in _subtract_intervals(span, claimed):
-                    length = (t1 - t0) * seg
-                    if length <= tol:
-                        continue
-                    claimed.append((t0, t1))
-                    tm = 0.5 * (t0 + t1)
-                    overlaps.append(OverlapPiece(
-                        cell=grid.cell_id(i, j), length=length,
-                        midpoint=p0 + tm * (p1 - p0), arclength=s + tm * seg))
+                claimed[k].append((t0, t1))
+                tm = 0.5 * (t0 + t1)
+                overlaps.append(OverlapPiece(
+                    cell=grid.cell_id(i, j), length=length,
+                    midpoint=p0 + tm * (p1 - p0), arclength=s + tm * seg))
         s += seg
 
     return EfmTrace(fracture_id=f.id, frac_nodes=frac_nodes,

@@ -149,11 +149,7 @@ class GridHierarchy:
 
     def all_cell_nodes(self) -> np.ndarray:
         """(n_cells, 4) connectivity, counterclockwise, x-fastest cell order."""
-        i, j = np.meshgrid(np.arange(self.fine_nx), np.arange(self.fine_ny),
-                           indexing="xy")
-        sw = (j * (self.fine_nx + 1) + i).ravel()
-        return np.column_stack([sw, sw + 1,
-                                sw + self.fine_nx + 2, sw + self.fine_nx + 1])
+        return self.box_cell_nodes(CellBox(0, 0, self.fine_nx, self.fine_ny))
 
     def boundary_node_mask(self) -> np.ndarray:
         i = np.arange(self.n_nodes) % (self.fine_nx + 1)
@@ -210,28 +206,36 @@ class GridHierarchy:
 
     # -- box helpers ---------------------------------------------------------
 
+    def _box_node_grid(self, box: CellBox) -> np.ndarray:
+        """Fine-node ids of the closed node rectangle, one row per y."""
+        return np.add.outer(np.arange(box.j0, box.j1 + 1) * (self.fine_nx + 1),
+                            np.arange(box.i0, box.i1 + 1))
+
     def box_nodes(self, box: CellBox) -> np.ndarray:
         """Sorted fine-node ids of the closed node rectangle spanned by box."""
-        i = np.arange(box.i0, box.i1 + 1)
-        j = np.arange(box.j0, box.j1 + 1)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        return (jj * (self.fine_nx + 1) + ii).ravel()
+        return self._box_node_grid(box).ravel()
 
     def box_boundary_interior(self, box: CellBox) -> tuple[np.ndarray, np.ndarray]:
         """Node ids on the perimeter of the box and strictly inside it."""
-        i = np.arange(box.i0, box.i1 + 1)
-        j = np.arange(box.j0, box.j1 + 1)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        on_rim = ((ii == box.i0) | (ii == box.i1)
-                  | (jj == box.j0) | (jj == box.j1))
-        ids = jj * (self.fine_nx + 1) + ii
-        return ids[on_rim].ravel(), ids[~on_rim].ravel()
+        ids = self._box_node_grid(box)
+        on_rim = np.ones(ids.shape, dtype=bool)
+        on_rim[1:-1, 1:-1] = False
+        return ids[on_rim], ids[~on_rim]
 
     def box_cells(self, box: CellBox) -> np.ndarray:
-        i = np.arange(box.i0, box.i1)
-        j = np.arange(box.j0, box.j1)
-        jj, ii = np.meshgrid(j, i, indexing="ij")
-        return (jj * self.fine_nx + ii).ravel()
+        """Fine-cell ids of the box, x fastest."""
+        return np.add.outer(np.arange(box.j0, box.j1) * self.fine_nx,
+                            np.arange(box.i0, box.i1)).ravel()
+
+    def box_cell_nodes(self, box: CellBox) -> np.ndarray:
+        """(ncells, 4) corners (sw, se, ne, nw) of the box cells, in
+        ``box_cells`` order, numbered locally: node (i, j) of the closed
+        node rectangle is (j - j0) * (i1 - i0 + 1) + (i - i0), its index
+        in ``box_nodes(box)``."""
+        row = box.i1 - box.i0 + 1
+        sw = np.add.outer(np.arange(box.j1 - box.j0) * row,
+                          np.arange(box.i1 - box.i0)).ravel()
+        return np.column_stack([sw, sw + 1, sw + row + 1, sw + row])
 
     def cell_centers(self) -> np.ndarray:
         i = np.arange(self.n_cells) % self.fine_nx

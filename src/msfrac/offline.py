@@ -151,8 +151,8 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
         for I in range(g.coarse_nx):
             box = CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
             bnd, intr = g.box_boundary_interior(box)
-            ib = bnd % (g.fine_nx + 1)
-            jb = bnd // (g.fine_nx + 1)
+            jb, ib = np.divmod(bnd, g.fine_nx + 1)
+            ji, ii = np.divmod(intr, g.fine_nx + 1)
             xi = (ib - I * r) / r
             eta = (jb - J * r) / r
             gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
@@ -167,19 +167,20 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
                        (J + 1) * (g.coarse_nx + 1) + I + 1,
                        (J + 1) * (g.coarse_nx + 1) + I)
             for k, c in enumerate(corners):
-                ids = g.neighborhoods[c].node_ids
-                chi[c][np.searchsorted(ids, bnd)] = gb[:, k]
-                chi[c][np.searchsorted(ids, intr)] = X[:, k]
+                # chi_c is numbered on the nodes of its neighborhood box
+                b = g.neighborhoods[c].cells
+                row = b.i1 - b.i0 + 1
+                chi[c][(jb - b.j0) * row + (ib - b.i0)] = gb[:, k]
+                chi[c][(ji - b.j0) * row + (ii - b.i0)] = X[:, k]
 
     # cell-wise kappa_tilde: kappa * sum_i H^2 |grad chi_i|^2, averaged
     # over the 2x2 Gauss points of each cell
     _, gx, gy, _ = q1_shape_tables(g.hx, g.hy)
     H2 = g.Hx * g.Hy
-    all_nodes = g.all_cell_nodes()
     grad2 = np.zeros(g.n_cells)
     for nb in g.neighborhoods:
         cells = g.box_cells(nb.cells)
-        ch = chi[nb.index][np.searchsorted(nb.node_ids, all_nodes[cells])]
+        ch = chi[nb.index][g.box_cell_nodes(nb.cells)]
         gxv = ch @ gx.T                               # (m, 4 gauss pts)
         gyv = ch @ gy.T
         grad2[cells] += np.mean(gxv ** 2 + gyv ** 2, axis=1)

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import msfrac as mf
 from msfrac import driver
@@ -236,6 +237,52 @@ def test_offline_keeps_the_modes_the_run_reads(n_modes, tmp_path):
     if n_modes < 6:
         with pytest.raises(ValueError, match=f"{n_modes + 1} modes asked"):
             mf.build_space(pou, spaces, np.full(len(spaces), n_modes + 1))
+
+
+def coo_prolongation(pou, spaces, counts):
+    """R0T from (row, column, value) triplets, node by node with each
+    node's modes fastest (oracle: the triplet build the column-wise
+    build replaced)."""
+    g = pou.grid
+    bmask = g.boundary_node_mask()
+    counts = np.minimum(counts, [sp.l_i for sp in spaces])
+    rows, cols, vals, c0 = [], [], [], 0
+    for sp, m in zip(spaces, counts):
+        B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
+        B[bmask[sp.node_ids]] = 0.0
+        rows.append(np.repeat(sp.node_ids, m))
+        cols.append(np.tile(c0 + np.arange(m), len(sp.node_ids)))
+        vals.append(B.ravel())
+        c0 += m
+    return sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(g.n_nodes, c0)).tocsr()
+
+
+PROLONGATION_CASES = {
+    "dfm": {"fractures": {"field": "crossing_channels", "seed": 1}},
+    "efm": {"fractures": {"field": "single_long_efm", "kappa_f": 10.0}},
+    "randomized": {"fractures": {"field": "crossing_channels", "seed": 1},
+                   "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROLONGATION_CASES))
+def test_prolongation_matches_triplet_build(case, tmp_path):
+    rs = driver.setup(parse_config({
+        "grid": {"coarse": [4, 3], "refine": 4, "t": 1},
+        **PROLONGATION_CASES[case], "outputs": {"dir": str(tmp_path)}}))
+    pou, spaces, _ = driver._offline(rs, None)
+    l_i = np.array([sp.l_i for sp in spaces])
+    rng = np.random.default_rng(0)
+    for counts in (m_off_schedule(rs.grid, 1), m_off_schedule(rs.grid, 3),
+                   l_i + 2,                          # every count clamped
+                   rng.integers(0, l_i + 3)):        # some clamped, some 0
+        got = mf.build_space(pou, spaces, counts).R0T
+        want = coo_prolongation(pou, spaces, counts)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("case", ["randomized_3x3", "full_dfm"])

@@ -199,6 +199,108 @@ def test_overlaps_match_sampling_oracle(seed):
         assert abs(got.get(cid, 0.0) - want.get(cid, 0.0)) < 2e-5
 
 
+def scalar_overlaps(f, g):
+    """(cell, length, midpoint, arclength) of every overlap piece, in
+    order, by one scalar Liang-Barsky clip per cell of each segment's
+    bounding box and a claim subtraction against every earlier piece
+    (oracle: the cell-by-cell loop the vectorized clip replaced)."""
+    def clip(p0, p1, cx0, cy0, cx1, cy1):
+        d = p1 - p0
+        t0, t1 = 0.0, 1.0
+        for delta, lo, hi, p in ((d[0], cx0, cx1, p0[0]), (d[1], cy0, cy1, p0[1])):
+            if delta == 0.0:
+                if p < lo or p > hi:
+                    return None
+                continue
+            ta, tb = (lo - p) / delta, (hi - p) / delta
+            if ta > tb:
+                ta, tb = tb, ta
+            t0, t1 = max(t0, ta), min(t1, tb)
+            if t0 > t1:
+                return None
+        return t0, t1
+
+    def subtract(span, claimed):
+        parts = [span]
+        for c0, c1 in claimed:
+            nxt = []
+            for a, b in parts:
+                if min(b, c1) <= max(a, c0):
+                    nxt.append((a, b))
+                    continue
+                if c0 > a:
+                    nxt.append((a, c0))
+                if c1 < b:
+                    nxt.append((c1, b))
+            parts = nxt
+        return parts
+
+    out, s = [], 0.0
+    x0d, y0d = g.domain.x0, g.domain.y0
+    for p0, p1 in zip(f.polyline[:-1], f.polyline[1:]):
+        seg = float(np.hypot(*(p1 - p0)))
+        ilo = int(np.clip(np.floor((min(p0[0], p1[0]) - x0d) / g.hx - 1e-12),
+                          0, g.fine_nx - 1))
+        ihi = int(np.clip(np.ceil((max(p0[0], p1[0]) - x0d) / g.hx + 1e-12),
+                          1, g.fine_nx))
+        jlo = int(np.clip(np.floor((min(p0[1], p1[1]) - y0d) / g.hy - 1e-12),
+                          0, g.fine_ny - 1))
+        jhi = int(np.clip(np.ceil((max(p0[1], p1[1]) - y0d) / g.hy + 1e-12),
+                          1, g.fine_ny))
+        claimed = []
+        for j in range(jlo, jhi):
+            for i in range(ilo, ihi):
+                span = clip(p0, p1, x0d + i * g.hx, y0d + j * g.hy,
+                            x0d + (i + 1) * g.hx, y0d + (j + 1) * g.hy)
+                if span is None:
+                    continue
+                for t0, t1 in subtract(span, claimed):
+                    length = (t1 - t0) * seg
+                    if length <= g.geom_tol:
+                        continue
+                    claimed.append((t0, t1))
+                    tm = 0.5 * (t0 + t1)
+                    out.append((g.cell_id(i, j), length, p0 + tm * (p1 - p0),
+                                s + tm * seg))
+        s += seg
+    return out
+
+
+def exact(piece):
+    """An overlap piece as comparable bytes."""
+    cell, length, midpoint, arclength = piece
+    return (int(cell), np.float64(length).tobytes(),
+            np.asarray(midpoint, dtype=float).tobytes(),
+            np.float64(arclength).tobytes())
+
+
+def efm_field(g):
+    return mf.fields.FIELD_GENERATORS["single_long_efm"](g, seed=0, kappa_f=10.0).efm[0]
+
+
+@pytest.mark.parametrize("case", ["single_long_efm_r20", "efm_single", "on_hline",
+                                  "on_vline", "through_corners", "inner_vertex"])
+def test_vectorized_clip_matches_scalar_loop(case):
+    if case == "single_long_efm_r20":       # bench/configs/efm_sweep_r20.yml
+        g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 20, t=2)
+        f = efm_field(g)
+    elif case == "efm_single":              # configs/efm_single.yml
+        g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 10, t=2)
+        f = efm_field(g)
+    else:
+        g = mf.build_hierarchy(mf.UNIT_SQUARE, 5, 5, 8, t=0)
+        poly = {"on_hline": [[0.2, 0.5], [0.8, 0.5]],      # delta_y == 0, claims
+                "on_vline": [[0.325, 0.9], [0.325, 0.15]],  # delta_x == 0, claims
+                "through_corners": [[0.25, 0.25], [0.75, 0.75]],
+                "inner_vertex": [[0.13, 0.21], [0.57, 0.48], [0.91, 0.86]]}[case]
+        f = mf.Fracture(np.asarray(poly, float), 1e-3, 1e4, "efm", 0)
+    want = [exact(p) for p in scalar_overlaps(f, g)]
+    got = [exact((p.cell, p.length, p.midpoint, p.arclength))
+           for p in mf.intersect_efm(f, g).cell_overlaps]
+    assert len(want) > 0
+    assert got == want
+
+
 def test_frac_nodes_ordered_and_dense_enough():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 4, t=0)
     tr = efm([[0.1, 0.2], [0.6, 0.5], [0.9, 0.85]], g, seg_len=0.04)

@@ -1,5 +1,6 @@
 """The offline stage's neighborhood pool: serial equivalence, the BLAS
-thread cap, error propagation, and one solve per distinct local problem."""
+thread cap (of the pool and of every command), error propagation, and
+one solve per distinct local problem."""
 
 import os
 import sys
@@ -7,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from msfrac import driver, offline
+from msfrac import adaptivity, coarse, driver, offline
+from msfrac.assembly import FineSolveError
 from msfrac.config import parse_config
 from msfrac.grids import CellBox
 from msfrac.offline import (full_snapshots, offline_eigendecomposition,
@@ -85,6 +87,60 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
         for (_, set_), n in zip(controls, before):
             set_(n)
     assert inside and all(counts == [1] * len(controls) for counts in inside)
+
+
+COMMANDS = {
+    "sweep_dfm": ("run_sweep", {**CONFIGS["full_dfm"], "sweep": [1, 2]}),
+    "sweep_efm": ("run_sweep", {**CONFIGS["efm"], "sweep": [1, 2]}),
+    "solve": ("run_solve", CONFIGS["full_dfm"]),
+    "adapt": ("run_adapt", {**CONFIGS["full_dfm"],
+                            "adapt": {"theta": 0.7, "max_iters": 2}}),
+}
+# the stages outside the offline pool, by the modules that call them
+STAGES = {"compute_pou": (driver,), "solve_fine": (driver,),
+          "coarse_system": (driver, coarse), "errors": (driver, adaptivity),
+          "solve_coarse_dfm": (driver, adaptivity), "solve_coarse_efm": (driver,)}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_stage_runs_on_one_blas_thread(command, tmp_path, monkeypatch):
+    run, data = COMMANDS[command]
+    cfg = parse_config({**data, "outputs": {"dir": str(tmp_path / "out")}})
+    controls = driver._openblas_thread_controls()
+    assert controls, "no OpenBLAS found in the process"
+    before = blas_threads()
+    inside = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            inside.setdefault(name, []).append(blas_threads())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name, modules in STAGES.items():
+        for mod in modules:
+            monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    try:
+        for _, set_ in controls:       # a count other than the cap's
+            set_(2)
+        getattr(driver, run)(cfg)
+        assert blas_threads() == [2] * len(controls)
+
+        def failing(sys_):
+            inside.setdefault("failing solve_fine", []).append(blas_threads())
+            raise FineSolveError("singular")
+
+        monkeypatch.setattr(driver, "solve_fine", failing)
+        with pytest.raises(FineSolveError):
+            getattr(driver, run)(cfg)
+        assert blas_threads() == [2] * len(controls)
+    finally:
+        for (_, set_), n in zip(controls, before):
+            set_(n)
+    unused = "solve_coarse_dfm" if command == "sweep_efm" else "solve_coarse_efm"
+    assert set(inside) == set(STAGES) - {unused} | {"failing solve_fine"}
+    for name, counts in inside.items():
+        assert all(c == [1] * len(controls) for c in counts), name
 
 
 def test_neighborhood_error_propagates(tmp_path, monkeypatch):
