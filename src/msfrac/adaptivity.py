@@ -1,10 +1,12 @@
 """Adaptive enrichment of the multiscale space.
 
 Each iteration solves the coarse problem, computes per-neighborhood
-indicators (the coarse residual projected onto the unused snapshot
-eigen-directions, scaled by the first skipped eigenvalue), marks a
-theta-bulk of nodes, and raises their mode counts.  A manual mode marks
-a fixed rectangle of coarse nodes instead, for reproducing hand-picked
+indicators (the fine residual on the matrix nodes projected onto the
+unused snapshot eigen-directions, scaled by the first skipped
+eigenvalue), marks a theta-bulk of nodes, and raises their mode counts.
+Every fracture model runs through the same loop: embedded-fracture
+unknowns stay at fine scale in every space.  A manual mode marks a
+fixed rectangle of coarse nodes instead, for reproducing hand-picked
 enrichment regions.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 
 from .analysis import errors
 from .assembly import FineSystem
-from .coarse import MultiscaleSpace, CoarseSolution, build_space, solve_coarse_dfm
+from .coarse import MultiscaleSpace, CoarseSolution, build_space, solve_coarse
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
 __all__ = ["AdaptConfig", "IndicatorReport", "compute_indicators",
@@ -71,9 +73,11 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
     """Per-coarse-node error indicators for the current coarse solution.
 
     eta_i^2 = sum_{k > m_i} |R(chi_i psi_k^off)|^2 / lambda_{m_i+1}, with
-    m_i = ms.counts[i] the modes node i uses and R the fine residual
-    functional of u_ms; directions already in the space contribute
-    nothing by Galerkin orthogonality.
+    m_i = ms.counts[i] the modes node i uses and R the residual f - K u
+    of the solved fine system K u = f at the coarse solution's block
+    vector, on the matrix-node rows (F - A u_ms on a conforming system);
+    directions already in the space contribute nothing by Galerkin
+    orthogonality.
     """
     cfg = cfg or AdaptConfig()
     g = sys.grid
@@ -85,7 +89,7 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
                 eta[nb.index] = 1.0
         return IndicatorReport(eta=eta, marked=np.empty(0, dtype=int), dim=ms.N_c)
 
-    r = sys.F - sys.A @ sol.u_ms_fine
+    r = (sys.f - sys.K @ sol.block_vector())[:sys.n_nodes]
     r[sys.dirichlet_nodes] = 0.0
     for sp, m in zip(ms.spaces, ms.counts):
         if m >= sp.l_i:
@@ -141,7 +145,8 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
     indicator norm sqrt(sum_i eta_i^2) is at most cfg.tol, an absolute
     bound in the residual's units.  Returns the last coarse solution
     and the per-iteration report history; when the fine solution is
-    supplied the history also records relative errors.  The marking
+    supplied (as a block vector, ``FineSolution.block_vector()``) the
+    history also records relative errors.  The marking
     fraction is effectively 1 in manual mode (the rectangle is the
     marked set).
     """
@@ -150,12 +155,12 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
     sol = None
     for it in range(cfg.max_iters + 1):
         ms = build_space(pou, spaces, counts)
-        sol = solve_coarse_dfm(ms, sys)
+        sol = solve_coarse(ms, sys)
         report = compute_indicators(ms, sol, sys, cfg)
         report.iteration = it
         report.coarse_info = sol.info
         if u_fine is not None:
-            rep = errors(u_fine, None, sol.u_ms_fine, sys, dim_Voff=ms.N_c)
+            rep = errors(u_fine, None, sol.block_vector(), sys, dim_Voff=ms.N_c)
             report.energy_error = rep.rel_energy_vs_fine
             report.l2_error = rep.rel_L2_vs_fine
         total = float(np.sum(report.eta ** 2))

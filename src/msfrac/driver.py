@@ -26,8 +26,7 @@ from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
 from .offline import (_problem_key, compute_pou, full_snapshots,
                       randomized_snapshots, offline_eigendecomposition)
-from .coarse import (build_space, coarse_system, restrict, solve_coarse_dfm,
-                     solve_coarse_efm)
+from .coarse import build_space, coarse_system, restrict, solve_coarse
 from .adaptivity import adaptive_loop
 from .analysis import ErrorReport, errors
 from .config import RunConfig, config_to_dict
@@ -227,11 +226,10 @@ def _error_table(rs, pou, spaces, schedule, u_fine, snapshot_reference):
     m_ref = max(schedule)
     ms = _space_at(rs, pou, spaces, m_ref)
     system = coarse_system(ms, rs.sys)
-    solve = solve_coarse_efm if rs.sys.efm_traces else solve_coarse_dfm
 
     def solve_at(m):
         row, row_system = restrict(ms, system, _counts_at(rs, m))
-        return row.N_c, solve(row, rs.sys, row_system)
+        return row.N_c, solve_coarse(row, rs.sys, row_system)
 
     solved, u_snap = {}, None
     if snapshot_reference:
@@ -331,12 +329,11 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
 def run_adapt(cfg: RunConfig):
     """Adaptive enrichment driven by the residual (or manual) indicator."""
     rs = setup(cfg)
-    if rs.sys.efm_traces:
-        raise ValueError("adaptive enrichment runs on the monolithic model only")
     # every mode: the indicators read the ones a node does not use yet
     pou, spaces, _ = _offline(rs, None)
     fine = solve_fine(rs.sys)
-    sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt, u_fine=fine.u)
+    sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
+                                 u_fine=fine.block_vector())
     io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
     _write(rs, sol, spaces, {"command": "adapt", "theta": cfg.adapt.theta,
                              "indicator": cfg.adapt.indicator,

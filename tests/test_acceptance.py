@@ -39,7 +39,7 @@ def full_pipeline(g, sys):
 
 def solve_at(g, sys, pou, spaces, M):
     ms = mf.build_space(pou, spaces, m_off_schedule(g, M))
-    return ms, mf.solve_coarse_dfm(ms, sys)
+    return ms, mf.solve_coarse(ms, sys)
 
 
 def h1_rel(sys, u_ref, u):
@@ -72,7 +72,7 @@ def test_full_snapshot_space_recovers_snapshot_solution():
     u_fine = mf.solve_fine(sys).u
     pou, spaces = full_pipeline(g, sys)
     ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
-    sol = mf.solve_coarse_dfm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
 
     # independent oracle: Galerkin directly on the chi-weighted snapshot
     # vectors, no eigendecomposition involved
@@ -149,7 +149,7 @@ def test_embedded_single_fracture_under_one_percent():
     pou = mf.compute_pou(g, sys)
     spaces = neighborhood_spaces(sys, pou)
     ms = mf.build_space(pou, spaces, np.ones(len(spaces), dtype=int))
-    sol = mf.solve_coarse_efm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     rep = mf.analysis.errors(
         fine.block_vector(), None,
         np.concatenate([sol.u_ms_fine] + list(sol.efm_fracture_dofs)),
@@ -263,7 +263,7 @@ def test_invariant_suite():
 
     # Galerkin orthogonality of the coarse solve
     ms = mf.build_space(pou, spaces, np.full(len(spaces), 2))
-    sol = mf.solve_coarse_dfm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     u_fine = mf.solve_fine(sys).u
     resid = ms.R0T.T @ (sys.A @ (u_fine - sol.u_ms_fine))
     scale = float(np.abs(sys.A @ u_fine).max())
@@ -293,7 +293,7 @@ def test_invariant_suite():
         rsp = neighborhood_spaces(sys, pou, "randomized", k_nb=3, p_bf=2,
                                   seed=seed)
         msr = mf.build_space(pou, rsp, np.full(len(rsp), 2))
-        return mf.solve_coarse_dfm(msr, sys).u_ms_fine
+        return mf.solve_coarse(msr, sys).u_ms_fine
 
     a, b = rand_solution(7), rand_solution(7)
     assert a.tobytes() == b.tobytes()

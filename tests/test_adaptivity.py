@@ -11,7 +11,7 @@ import msfrac as mf
 from msfrac.adaptivity import (AdaptConfig, adaptive_loop, compute_indicators,
                                enrich, mark_dorfler)
 
-from conftest import dense_chi, neighborhood_spaces
+from conftest import dense_chi, neighborhood_spaces, two_embedded_system
 
 BC = mf.bilinear_bc(0.1, 0.8, -0.4, 1.2)
 
@@ -63,33 +63,63 @@ def test_manual_rectangle_21_nodes_grows_to_163():
 def test_full_space_has_zero_indicators():
     g, sys, pou, spaces = setup(coarse=4, refine=3)
     ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
-    sol = mf.solve_coarse_dfm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     rep = compute_indicators(ms, sol, sys)
     assert np.all(rep.eta <= 1e-9)
 
 
 def test_indicator_matches_global_residual_oracle():
-    # eta_i recomputed from scratch: apply the fine residual functional
-    # to each unused chi-weighted eigenmode as a *global* fine vector
-    g, sys, pou, spaces = setup(coarse=4, refine=3)
+    # eta_i recomputed from scratch: apply the full block residual
+    # functional f - K u to each unused chi-weighted eigenmode as a
+    # *global* vector [chi psi, 0], zero on every fracture unknown
+    g, dfm, *_ = setup(coarse=4, refine=3)
+    mixed = two_embedded_system(g, mf.PermeabilityField.constant(g, 1.0), bc=BC)
+    assert mixed.block(0, 1).count_nonzero() and mixed.block(0, 2).count_nonzero()
     M = 2
-    ms = mf.build_space(pou, spaces, np.full(len(spaces), M))
-    sol = mf.solve_coarse_dfm(ms, sys)
-    rep = compute_indicators(ms, sol, sys)
+    for sys in (dfm, mixed):
+        pou = mf.compute_pou(g, sys)
+        spaces = neighborhood_spaces(sys, pou)
+        ms = mf.build_space(pou, spaces, np.full(len(spaces), M))
+        sol = mf.solve_coarse(ms, sys)
+        rep = compute_indicators(ms, sol, sys)
 
-    r = sys.F - sys.A @ sol.u_ms_fine
-    r[sys.dirichlet_nodes] = 0.0
-    chi = dense_chi(pou)
-    for sp, m in zip(ms.spaces[:6], ms.counts):
-        if m >= sp.l_i:
-            continue
-        acc = 0.0
-        for k in range(m, sp.l_i):
-            w = np.zeros(g.n_nodes)
-            w[sp.node_ids] = sp.basis_full[:, k]
-            acc += float((chi[sp.omega_id] * w) @ r) ** 2
-        eta = np.sqrt(acc / sp.eigvals[m])
-        assert rep.eta[sp.omega_id] == pytest.approx(eta, rel=1e-10, abs=1e-14)
+        r = sys.f - sys.K @ sol.block_vector()
+        r[sys.dirichlet_nodes] = 0.0
+        chi = dense_chi(pou)
+        checked = 0
+        for sp, m in zip(ms.spaces[:6], ms.counts):
+            if m >= sp.l_i:
+                continue
+            acc = 0.0
+            for k in range(m, sp.l_i):
+                w = np.zeros(sys.K.shape[0])
+                w[sp.node_ids] = chi[sp.omega_id, sp.node_ids] * sp.basis_full[:, k]
+                acc += float(w @ r) ** 2
+            eta = np.sqrt(acc / sp.eigvals[m])
+            assert rep.eta[sp.omega_id] == pytest.approx(eta, rel=1e-10, abs=1e-14)
+            checked += eta > 0
+        assert checked
+
+
+def test_zero_coupling_efm_indicators_match_dfm():
+    # decoupled embedded fractures leave the matrix problem alone, so the
+    # indicators are those of the conforming system without them
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 3, t=0)
+    perm = mf.PermeabilityField.constant(g, 1.0)
+    fr = mf.Fracture(np.array([[0.2, 0.5], [0.8, 0.6]]), 1e-3, 50.0, "efm", 0)
+    sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(fr, g)], bc=BC,
+                          coupling_scale=0.0)
+    sys0 = mf.assemble_dfm(g, perm, [], bc=BC)
+    pou = mf.compute_pou(g, sys)
+    spaces = neighborhood_spaces(sys, pou)
+    ms = mf.build_space(pou, spaces, np.full(len(spaces), 2))
+    sol = mf.solve_coarse(ms, sys)
+    sol0 = mf.solve_coarse(ms, sys0)
+    assert sol.info.get("decoupled")
+    rep = compute_indicators(ms, sol, sys)
+    rep0 = compute_indicators(ms, sol0, sys0)
+    assert np.any(rep0.eta > 0)
+    np.testing.assert_allclose(rep.eta, rep0.eta, rtol=1e-10, atol=1e-14)
 
 
 def test_dorfler_prefix_is_minimal():

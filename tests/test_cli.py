@@ -244,12 +244,26 @@ def test_adapt_builds_norm_operators_once(tmp_path, monkeypatch):
     assert counts["mass"] == 1       # the L2 norm's
 
 
-def test_adapt_rejects_embedded_fractures(tmp_path, capsys):
-    cfg, _ = write_cfg(
-        tmp_path,
-        fractures=EFM_LINE)
-    assert main(["adapt", "-c", str(cfg)]) == 2
-    assert "monolithic" in capsys.readouterr().err
+@pytest.mark.parametrize("fractures", [EFM_LINE, EFM_TWO], ids=["efm", "mixed"])
+def test_adapt_runs_on_every_fracture_model(fractures, tmp_path):
+    cfg, out = write_cfg(tmp_path, fractures=fractures,
+                         adapt={"theta": 0.7, "max_iters": 2,
+                                "basis_increment": 1})
+    runs = []
+    for _ in range(2):                 # the same --out both times
+        assert main(["adapt", "-c", str(cfg)]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert runs[0] == runs[1]
+    rows = [line.split(",") for line in
+            (out / "errors.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    # nested spaces that all hold every fracture unknown: the energy
+    # error of the Galerkin solution cannot grow
+    h1 = [float(r[3]) for r in rows]
+    assert all(b <= a for a, b in zip(h1, h1[1:])), h1
+    run = yaml.safe_load((out / "manifest.yml").read_text())["run"]
+    assert run["dims"] == [int(r[1]) for r in rows]
+    assert len(run["coarse_solver"]) == len(run["dims"])
 
 
 def test_export_matrices_files_load(tmp_path, capsys):
@@ -296,6 +310,7 @@ def test_raster_field_through_cli(tmp_path):
     ("convergence_study.py", ["--fields", "crossing_channels", "--max-modes", "1"]),
     ("adaptivity_trajectory.py", ["--max-iters", "1"]),
     ("randomized_comparison.py", ["--modes", "1"]),
+    ("adaptivity_trajectory.py", ["--field", "single_long_efm", "--max-iters", "1"]),
 ])
 def test_experiment_scripts_run(script, opts, tmp_path, monkeypatch, capsys):
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script

@@ -53,7 +53,7 @@ def test_constant_kappa_single_mode_is_coarse_fem():
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=1)
     assert ms.N_c == g.n_coarse_nodes
-    sol = mf.solve_coarse_dfm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     fine = mf.solve_fine(sys)
     # for constant kappa and bilinear data both scales reproduce the
     # interpolant of the data exactly
@@ -113,7 +113,7 @@ def test_full_snapshot_space_recovers_fine_solution():
                        kappa=lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * x) ** 2)
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, full=True)
-    sol = mf.solve_coarse_dfm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     fine = mf.solve_fine(sys)
     e = fine.u - sol.u_ms_fine
     assert energy(sys, e) <= 1e-9 * energy(sys, fine.u)
@@ -128,7 +128,7 @@ def test_enrichment_is_nested_and_monotone():
     for M in (1, 2, 3, 4):
         ms = space_at(g, pou, spaces, M=M)
         assert ms.counts.sum() == ms.N_c
-        sol = mf.solve_coarse_dfm(ms, sys)
+        sol = mf.solve_coarse(ms, sys)
         errs.append(energy(sys, fine.u - sol.u_ms_fine) / ref)
         if prev_ms is not None:
             # per-node column blocks of the smaller space are the exact
@@ -155,7 +155,7 @@ def test_galerkin_orthogonality():
     g, sys = dfm_setup(field=mf.fields.mixed_short_long, seed=4, f=1.0)
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=2)
-    sol = mf.solve_coarse_dfm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     r = ms.R0T.T @ (sys.F - sys.A @ sol.u_ms_fine)
     scale = max(1.0, float(np.abs(ms.R0T.T @ sys.F).max()))
     assert np.abs(r).max() <= 1e-9 * scale
@@ -189,11 +189,11 @@ def test_duplicate_column_flags_rank_deficiency():
         g, sys = dfm_setup(field=field, seed=7)
         pou, spaces = offline_spaces(g, sys)
         ms = space_at(g, pou, spaces, M=M)
-        sol = mf.solve_coarse_dfm(ms, sys)
+        sol = mf.solve_coarse(ms, sys)
         dup = dataclasses.replace(
             ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
             col_node=np.append(ms.col_node, ms.col_node[0]))
-        sol2 = mf.solve_coarse_dfm(dup, sys)
+        sol2 = mf.solve_coarse(dup, sys)
         assert sol.info["solver"] == "direct"
         assert sol2.info["solver"] == "lstsq"
         assert sol2.info["rank_deficient"]
@@ -299,7 +299,7 @@ def test_rcond_estimate_is_deterministic_and_close(case, tmp_path):
         rconds = []
         for seed in (0, 1):
             np.random.seed(seed)
-            rconds.append(np.float64(mf.solve_coarse_dfm(ms, sys).info["rcond"]))
+            rconds.append(np.float64(mf.solve_coarse(ms, sys).info["rcond"]))
     finally:
         np.random.set_state(state)
     assert rconds[0].tobytes() == rconds[1].tobytes()
@@ -352,8 +352,7 @@ def test_sweep_rows_are_cut_from_one_projection(case, tmp_path, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(driver, name, counted(name))
-    for name in ("solve_coarse_dfm", "solve_coarse_efm"):
-        monkeypatch.setattr(driver, name, solving(getattr(driver, name)))
+    monkeypatch.setattr(driver, "solve_coarse", solving(driver.solve_coarse))
     driver.run_sweep(cfg)
     assert calls == {"build_space": 1, "coarse_system": 1}
     # the largest row is solved first, as the snapshot reference
@@ -388,8 +387,8 @@ def test_restrict_keeps_the_decoupled_fracture_fields():
     assert sparse_bytes(cut[0]) == sparse_bytes(K0)
     assert cut[1].tobytes() == F0.tobytes()
     assert cut[3] is system[3]
-    sol = mf.solve_coarse_efm(ms, sys, cut)
-    sol_ref = mf.solve_coarse_efm(ref, sys)
+    sol = mf.solve_coarse(ms, sys, cut)
+    sol_ref = mf.solve_coarse(ref, sys)
     assert sol.info == sol_ref.info and sol.info["decoupled"]
     assert sol.block_vector().tobytes() == sol_ref.block_vector().tobytes()
 
@@ -411,12 +410,12 @@ def test_efm_zero_coupling_reduces_to_dfm():
     g, sys = efm_setup(coupling_scale=0.0)
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=2)
-    sol = mf.solve_coarse_efm(ms, sys)
+    sol = mf.solve_coarse(ms, sys)
     assert sol.info.get("decoupled")
 
     perm0 = mf.PermeabilityField(sys.perm.kappa_cells)
     sys0 = mf.assemble_dfm(g, perm0, [], bc=BC)
-    sol0 = mf.solve_coarse_dfm(ms, sys0)
+    sol0 = mf.solve_coarse(ms, sys0)
     np.testing.assert_allclose(sol.U0, sol0.U0, atol=1e-11)
     np.testing.assert_allclose(sol.u_ms_fine, sol0.u_ms_fine, atol=1e-11)
     assert len(sol.efm_fracture_dofs) == 1
@@ -427,7 +426,7 @@ def test_efm_block_solve_matches_dense_oracle():
         g, sys = efm_setup(coupling_scale=1.0, coarse=3, refine=4, two=two)
         pou, spaces = offline_spaces(g, sys)
         ms = space_at(g, pou, spaces, M=2)
-        sol = mf.solve_coarse_efm(ms, sys)
+        sol = mf.solve_coarse(ms, sys)
 
         # fracture k's unknowns follow the matrix nodes and fractures < k
         nf = len(sys.efm_traces)
@@ -451,11 +450,3 @@ def test_efm_block_solve_matches_dense_oracle():
         x = np.linalg.solve(M, b)
         got = np.concatenate([sol.U0] + sol.efm_fracture_dofs)
         np.testing.assert_allclose(got, x, atol=1e-11 * max(1, np.abs(x).max()))
-
-
-def test_dfm_solver_rejects_efm_system():
-    g, sys = efm_setup(coupling_scale=1.0)
-    pou, spaces = offline_spaces(g, sys)
-    ms = space_at(g, pou, spaces, M=1)
-    with pytest.raises(ValueError, match="monolithic"):
-        mf.solve_coarse_dfm(ms, sys)

@@ -95,11 +95,13 @@ COMMANDS = {
     "solve": ("run_solve", CONFIGS["full_dfm"]),
     "adapt": ("run_adapt", {**CONFIGS["full_dfm"],
                             "adapt": {"theta": 0.7, "max_iters": 2}}),
+    "adapt_efm": ("run_adapt", {**CONFIGS["efm"],
+                                "adapt": {"theta": 0.7, "max_iters": 2}}),
 }
 # the stages outside the offline pool, by the modules that call them
 STAGES = {"compute_pou": (driver,), "solve_fine": (driver,),
           "coarse_system": (driver, coarse), "errors": (driver, adaptivity),
-          "solve_coarse_dfm": (driver, adaptivity), "solve_coarse_efm": (driver,)}
+          "solve_coarse": (driver, adaptivity)}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -137,8 +139,7 @@ def test_every_stage_runs_on_one_blas_thread(command, tmp_path, monkeypatch):
     finally:
         for (_, set_), n in zip(controls, before):
             set_(n)
-    unused = "solve_coarse_dfm" if command == "sweep_efm" else "solve_coarse_efm"
-    assert set(inside) == set(STAGES) - {unused} | {"failing solve_fine"}
+    assert set(inside) == set(STAGES) | {"failing solve_fine"}
     for name, counts in inside.items():
         assert all(c == [1] * len(controls) for c in counts), name
 
