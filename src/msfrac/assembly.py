@@ -31,7 +31,7 @@ from .fractures import DfmTrace, EfmTrace
 __all__ = [
     "PermeabilityField", "FineSystem", "FineSolution",
     "q1_shape_tables", "q1_stiffness", "q1_mass",
-    "node_operator", "edge_arrays", "box_edges", "load_vector",
+    "node_operator", "box_edges", "load_vector",
     "edge_coefficients",
     "assemble_dfm", "assemble_efm", "solve_fine", "solved_system",
     "FineSolveError", "bilinear_bc",
@@ -96,28 +96,24 @@ def _point_values(data, x, y) -> np.ndarray:
     return np.broadcast_to(np.asarray(data(x, y), dtype=float), x.shape).copy()
 
 
-def edge_coefficients(traces: list[DfmTrace]) -> dict[int, float]:
-    """Accumulate per-edge 1D conductivities; shared edges add up."""
-    coeffs: dict[int, float] = {}
-    for tr in traces:
-        for e in tr.fine_edges:
-            e = int(e)
-            coeffs[e] = coeffs.get(e, 0.0) + tr.effective_coeff
-    return coeffs
-
-
-def edge_arrays(edge_weights: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of an edge-weight dict in ascending order, and their weights."""
-    eids = np.array(sorted(edge_weights), dtype=np.int64)
-    return eids, np.array([edge_weights[e] for e in eids.tolist()], dtype=float)
+def edge_coefficients(traces: list[DfmTrace]) -> tuple[np.ndarray, np.ndarray]:
+    """The fine edges of the traces in ascending id order and their 1D
+    conductivities, an edge-weight pair.  A shared edge sums its traces'
+    conductivities in trace order, starting from 0.0."""
+    ids = np.concatenate([np.zeros(0, dtype=np.int64)]
+                         + [tr.fine_edges for tr in traces])
+    coeffs = np.repeat([tr.effective_coeff for tr in traces],
+                       [len(tr.fine_edges) for tr in traces])
+    eids, inv = np.unique(ids, return_inverse=True)
+    return eids, np.bincount(inv, weights=coeffs)
 
 
 def box_edges(g: GridHierarchy, edges: tuple[np.ndarray, np.ndarray],
               box: CellBox):
-    """The weighted edges of ``edges`` (an ``edge_arrays`` pair) with both
-    end nodes in the closed node rectangle of box: their ids and weights,
-    in ascending id order, and their end nodes a < b in the box's local
-    node numbering (see ``node_operator``)."""
+    """The weighted edges of an edge-weight pair (ascending ids, weights)
+    with both end nodes in the closed node rectangle of box: their ids and
+    weights, in ascending id order, and their end nodes a < b in the
+    box's local node numbering (see ``node_operator``)."""
     eids, w = edges
     (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
     keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
@@ -128,7 +124,7 @@ def box_edges(g: GridHierarchy, edges: tuple[np.ndarray, np.ndarray],
 
 
 def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
-                  edge_weights: dict[int, float] | tuple | None = None,
+                  edge_weights: tuple[np.ndarray, np.ndarray] | None = None,
                   kind: str = "stiffness",
                   box: CellBox | None = None) -> sparse.csr_matrix:
     """Assemble a symmetric node-space operator from cell and edge weights.
@@ -143,8 +139,8 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     rectangle.  Node (i, j) of that rectangle is numbered
     (j - j0) * (i1 - i0 + 1) + (i - i0): x-fastest, so the whole-grid box
     gives the global numbering and any box follows ``g.box_nodes(box)``.
-    ``edge_weights`` is an edge-weight dict or its ``edge_arrays`` pair,
-    which callers that assemble many boxes build once.
+    ``edge_weights`` is an edge-weight pair: ascending edge ids and
+    their weights.
     """
     if kind == "stiffness":
         ke2d = q1_stiffness(g.hx, g.hy)
@@ -169,8 +165,6 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
 
     if edge_weights is None:
         return A
-    if isinstance(edge_weights, dict):
-        edge_weights = edge_arrays(edge_weights)
     eids, w, a, b = box_edges(g, edge_weights, box)
     if not len(eids):
         return A
@@ -220,11 +214,6 @@ class PermeabilityField:
     def constant(cls, g: GridHierarchy, value: float = 1.0):
         return cls(np.full(g.n_cells, float(value)))
 
-    @classmethod
-    def from_callable(cls, g: GridHierarchy, fn):
-        centers = g.cell_centers()
-        return cls(np.asarray(fn(centers[:, 0], centers[:, 1]), dtype=float))
-
 
 @dataclass
 class FineSystem:
@@ -243,7 +232,7 @@ class FineSystem:
     F: np.ndarray
     K: sparse.csr_matrix
     f: np.ndarray
-    edge_coeffs: dict[int, float]
+    edge_arrays: tuple[np.ndarray, np.ndarray]   # conforming edges, weights
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
     bc: object = None
@@ -265,11 +254,6 @@ class FineSystem:
         the nodes of ``efm_traces[k - 1]``."""
         off = [0] + self.frac_offsets
         return self.K[off[i]:off[i + 1], off[j]:off[j + 1]]
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``edge_coeffs`` as sorted id and weight arrays, built once."""
-        return edge_arrays(self.edge_coeffs)
 
     @cached_property
     def mass_matrix(self) -> sparse.csr_matrix:
@@ -309,13 +293,14 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     """Monolithic nodal system: matrix stiffness + 1D edge terms."""
     if len(perm.kappa_cells) != g.n_cells:
         raise ValueError("permeability field does not match the grid")
-    coeffs = edge_coefficients(traces)
-    if coeffs and (min(coeffs) < 0 or max(coeffs) >= g.n_edges):
+    edges = edge_coefficients(traces)
+    eids = edges[0]
+    if len(eids) and (eids[0] < 0 or eids[-1] >= g.n_edges):
         raise ValueError("fracture trace references edges outside the grid")
-    A = node_operator(g, perm.kappa_cells, coeffs, kind="stiffness")
+    A = node_operator(g, perm.kappa_cells, edges, kind="stiffness")
     F = load_vector(g, f)
     nodes, vals = _dirichlet_data(g, bc)
-    return FineSystem(grid=g, perm=perm, A=A, F=F, K=A, f=F, edge_coeffs=coeffs,
+    return FineSystem(grid=g, perm=perm, A=A, F=F, K=A, f=F, edge_arrays=edges,
                       dirichlet_nodes=nodes, dirichlet_values=vals, bc=bc)
 
 

@@ -93,9 +93,6 @@ class FractureNetwork:
     def __iter__(self):
         return iter(self.fractures)
 
-    def __len__(self):
-        return len(self.fractures)
-
     @property
     def dfm(self) -> list[Fracture]:
         return [f for f in self.fractures if f.model is FractureModel.DFM]

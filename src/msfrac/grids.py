@@ -86,8 +86,6 @@ class Neighborhood:
     cells: CellBox            # fine cells of the neighborhood
     cells_plus: CellBox       # fine cells of the oversampled region
     node_ids: np.ndarray = field(repr=False, default=None)
-    boundary_node_ids: np.ndarray = field(repr=False, default=None)
-    interior_node_ids: np.ndarray = field(repr=False, default=None)
 
     @property
     def is_interior(self) -> bool:
@@ -190,9 +188,6 @@ class GridHierarchy:
             return int(a), int(b)
         return a, b
 
-    def edge_length(self, eid: int) -> float:
-        return self.hx if eid < self.n_hedges else self.hy
-
     def edge_cells(self, eid: int) -> list[int]:
         """The one or two cells sharing a fine edge."""
         if eid < self.n_hedges:
@@ -206,21 +201,16 @@ class GridHierarchy:
 
     # -- box helpers ---------------------------------------------------------
 
-    def _box_node_grid(self, box: CellBox) -> np.ndarray:
-        """Fine-node ids of the closed node rectangle, one row per y."""
-        return np.add.outer(np.arange(box.j0, box.j1 + 1) * (self.fine_nx + 1),
-                            np.arange(box.i0, box.i1 + 1))
-
     def box_nodes(self, box: CellBox) -> np.ndarray:
         """Sorted fine-node ids of the closed node rectangle spanned by box."""
-        return self._box_node_grid(box).ravel()
+        return np.add.outer(np.arange(box.j0, box.j1 + 1) * (self.fine_nx + 1),
+                            np.arange(box.i0, box.i1 + 1)).ravel()
 
-    def box_boundary_interior(self, box: CellBox) -> tuple[np.ndarray, np.ndarray]:
-        """Node ids on the perimeter of the box and strictly inside it."""
-        ids = self._box_node_grid(box)
-        on_rim = np.ones(ids.shape, dtype=bool)
-        on_rim[1:-1, 1:-1] = False
-        return ids[on_rim], ids[~on_rim]
+    def box_rim(self, box: CellBox) -> np.ndarray:
+        """Mask of the nodes on the perimeter of box, in ``box_nodes`` order."""
+        rim = np.ones((box.j1 - box.j0 + 1, box.i1 - box.i0 + 1), dtype=bool)
+        rim[1:-1, 1:-1] = False
+        return rim.ravel()
 
     def box_cells(self, box: CellBox) -> np.ndarray:
         """Fine-cell ids of the box, x fastest."""
@@ -236,13 +226,6 @@ class GridHierarchy:
         sw = np.add.outer(np.arange(box.j1 - box.j0) * row,
                           np.arange(box.i1 - box.i0)).ravel()
         return np.column_stack([sw, sw + 1, sw + row + 1, sw + row])
-
-    def cell_centers(self) -> np.ndarray:
-        i = np.arange(self.n_cells) % self.fine_nx
-        j = np.arange(self.n_cells) // self.fine_nx
-        x = self.domain.x0 + (i + 0.5) * self.hx
-        y = self.domain.y0 + (j + 0.5) * self.hy
-        return np.column_stack([x, y])
 
     def nearest_node(self, x: float, y: float) -> tuple[int, float]:
         """Nearest fine node id and its distance to (x, y)."""
@@ -321,8 +304,6 @@ def build_hierarchy(domain: Rect, coarse_nx: int, coarse_ny: int,
                 coarse_cells=cells, cells=box,
                 cells_plus=box.dilated(t, fine_nx, fine_ny))
             nb.node_ids = grid.box_nodes(box)
-            nb.boundary_node_ids, nb.interior_node_ids = \
-                grid.box_boundary_interior(box)
             grid.neighborhoods.append(nb)
 
     return grid

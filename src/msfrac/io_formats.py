@@ -20,7 +20,7 @@ from .grids import GridHierarchy
 
 __all__ = ["write_error_csv", "write_trajectory_csv", "write_solution_csv",
            "write_vtk", "write_matrix_market", "write_eigenvalue_csv",
-           "write_manifest", "read_kappa_raster", "write_kappa_raster"]
+           "write_manifest", "read_kappa_raster"]
 
 CSV_HEADER = "dim,l2_fine_pct,h1_fine_pct,l2_snap_pct,h1_snap_pct"
 TRAJECTORY_HEADER = "iteration,dim,l2_fine_pct,h1_fine_pct,marked"
@@ -110,14 +110,6 @@ def write_manifest(path: str, cfg_dict: dict, extras: dict | None = None) -> Non
         doc["run"] = extras
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=False)
-
-
-def write_kappa_raster(path: str, nx: int, ny: int, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=float).reshape(ny, nx)
-    with open(path, "w") as fh:
-        fh.write(f"{nx} {ny}\n")
-        for row in values:
-            fh.write(" ".join(f"{v:.10g}" for v in row) + "\n")
 
 
 def read_kappa_raster(path: str, g: GridHierarchy) -> np.ndarray:

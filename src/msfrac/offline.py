@@ -24,19 +24,11 @@ first ``n_modes``); the snapshots and the pencil are dropped once the
 eigensolve returns.  How many of the kept modes a coarse node uses is
 decided by the online stage (``build_space``).
 
-Each distinct local problem is solved once.  A coarse cell's POU
-extension reads the matrix permeability and the conforming-fracture
-edges of the cell; a neighborhood's snapshots and pencil read those and
-kappa_tilde with its edge weights, all on the neighborhood's box.  Two
-cells, or two neighborhoods, whose boxes have the same shape and whose
-data there is byte-identical (``_problem_key``, compared exactly) run
-the same computation to the same result, so one solve serves both, and
-the neighborhoods' spaces share their read-only ``eigvals`` and
-``basis_full``.  Randomized neighborhoods never share: their draws are
-seeded per neighborhood and their snapshots read the oversampled box.
-
-All local solves use the nodal operator that already carries the
-conforming-fracture edge terms, so the basis sees the fractures.
+The POU and both snapshot kinds are one local solve,
+``harmonic_extension``: the Dirichlet problem on a box of fine cells
+with given values on its rim.  It uses the nodal operator that already
+carries the conforming-fracture edge terms, so the basis sees the
+fractures.
 """
 
 from __future__ import annotations
@@ -58,18 +50,24 @@ __all__ = [
 ]
 
 
-def harmonic_extension(A, interior, boundary, gb):
-    """Solve the local Dirichlet problem of the operator A.
+def harmonic_extension(g: GridHierarchy, A, box: CellBox, gb) -> np.ndarray:
+    """Solve the Dirichlet problem of the operator A on box.
 
-    For rectangular patches the rows of the global operator at strictly
-    interior patch nodes coincide with the locally assembled rows, so no
-    re-assembly is needed.  gb holds boundary values, one column per
-    extension; returns the interior values, same column layout.
+    gb holds the values on the box rim (``g.box_rim(box)``), one column
+    per extension.  Returns each extension on ``g.box_nodes(box)``: gb on
+    the rim and, at the interior nodes, the solution of A's rows there,
+    from one sparse LU.  For a rectangular box the rows of the global
+    operator at its interior nodes coincide with the locally assembled
+    rows, so no re-assembly is needed.
     """
-    gb = np.asarray(gb, dtype=float).reshape(len(boundary), -1)
-    Ai = A[interior]
-    rhs = -np.asarray(Ai[:, boundary] @ gb)
-    return spla.splu(Ai[:, interior].tocsc()).solve(rhs)
+    nodes, rim = g.box_nodes(box), g.box_rim(box)
+    gb = np.asarray(gb, dtype=float).reshape(np.count_nonzero(rim), -1)
+    Ai = A[nodes[~rim]]
+    u = np.empty((len(nodes), gb.shape[1]))
+    u[rim] = gb
+    u[~rim] = spla.splu(Ai[:, nodes[~rim]].tocsc()).solve(
+        -np.asarray(Ai[:, nodes[rim]] @ gb))
+    return u
 
 
 def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
@@ -92,15 +90,13 @@ def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
     matches no other.
     """
     cells = g.box_cells(box)
-    nx, ny = box.i1 - box.i0 + 1, box.j1 - box.j0 + 1
-    key = [owner, (nx - 1, ny - 1)]
+    key = [owner, (box.i1 - box.i0, box.j1 - box.j0)]
     key += [np.asarray(c, dtype=float)[cells].tobytes() for c in cell_weights]
+    rim = g.box_rim(box)
     for pair in edges:
         _, w, a, b = box_edges(g, pair, box)
         if not rim_edges:
-            j, i = np.divmod(np.r_[a, b], nx)
-            rim = ((i == 0) | (i == nx - 1) | (j == 0) | (j == ny - 1)).reshape(2, -1)
-            inner = ~(rim[0] & rim[1])
+            inner = ~(rim[a] & rim[b])
             w, a, b = w[inner], a[inner], b[inner]
         key.append((a.tobytes(), b.tobytes(), w.tobytes()))
     return tuple(key)
@@ -143,25 +139,23 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     the edges along the cell rim are not compared, since the extension
     reads only the rows of A at the cell's interior nodes.
     """
-    A = sys.A
     r = g.refine
+    # the corner data on the rim of every cell, in cell-local coordinates
+    jl, il = np.divmod(np.flatnonzero(g.box_rim(CellBox(0, 0, r, r))), r + 1)
+    xi, eta = il / r, jl / r
+    gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
+                          xi * eta, (1 - xi) * eta])
     chi = [np.zeros(len(nb.node_ids)) for nb in g.neighborhoods]
-    extensions = {}     # local key -> interior values of the four corners
+    extensions = {}     # local key -> the four corner extensions
     for J in range(g.coarse_ny):
         for I in range(g.coarse_nx):
             box = CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
-            bnd, intr = g.box_boundary_interior(box)
-            jb, ib = np.divmod(bnd, g.fine_nx + 1)
-            ji, ii = np.divmod(intr, g.fine_nx + 1)
-            xi = (ib - I * r) / r
-            eta = (jb - J * r) / r
-            gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
-                                  xi * eta, (1 - xi) * eta])
             key = _problem_key(g, box, (sys.perm.kappa_cells,), (sys.edge_arrays,),
                                rim_edges=False)
             X = extensions.get(key)
             if X is None:
-                X = extensions[key] = harmonic_extension(A, intr, bnd, gb)
+                X = extensions[key] = harmonic_extension(g, sys.A, box, gb)
+            j, i = np.divmod(g.box_nodes(box), g.fine_nx + 1)
             corners = (J * (g.coarse_nx + 1) + I,
                        J * (g.coarse_nx + 1) + I + 1,
                        (J + 1) * (g.coarse_nx + 1) + I + 1,
@@ -169,9 +163,7 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
             for k, c in enumerate(corners):
                 # chi_c is numbered on the nodes of its neighborhood box
                 b = g.neighborhoods[c].cells
-                row = b.i1 - b.i0 + 1
-                chi[c][(jb - b.j0) * row + (ib - b.i0)] = gb[:, k]
-                chi[c][(ji - b.j0) * row + (ii - b.i0)] = X[:, k]
+                chi[c][(j - b.j0) * (b.i1 - b.i0 + 1) + (i - b.i0)] = X[:, k]
 
     # cell-wise kappa_tilde: kappa * sum_i H^2 |grad chi_i|^2, averaged
     # over the 2x2 Gauss points of each cell
@@ -223,15 +215,10 @@ class SnapshotSpace:
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> SnapshotSpace:
     """One harmonic extension per fine boundary node of the neighborhood."""
     nb = g.neighborhoods[omega_id]
-    bnd, intr = nb.boundary_node_ids, nb.interior_node_ids
-    if len(intr) == 0:
-        raise ValueError(f"neighborhood {omega_id} has no interior fine node")
-    X = harmonic_extension(sys.A, intr, bnd, np.eye(len(bnd)))
-    vectors = np.zeros((len(nb.node_ids), len(bnd)))
-    vectors[np.searchsorted(nb.node_ids, bnd)] = np.eye(len(bnd))
-    vectors[np.searchsorted(nb.node_ids, intr)] = X
-    return SnapshotSpace(omega_id=omega_id, vectors=vectors,
-                         node_ids=nb.node_ids, gen_boundary_count=len(bnd))
+    n_rim = int(np.count_nonzero(g.box_rim(nb.cells)))
+    return SnapshotSpace(omega_id=omega_id,
+                         vectors=harmonic_extension(g, sys.A, nb.cells, np.eye(n_rim)),
+                         node_ids=nb.node_ids, gen_boundary_count=n_rim)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
@@ -248,19 +235,16 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     if p_bf < 0:
         raise ValueError("p_bf must be >= 0")
     nb = g.neighborhoods[omega_id]
-    nodes_p = g.box_nodes(nb.cells_plus)
-    bnd_p, int_p = g.box_boundary_interior(nb.cells_plus)
+    box = nb.cells_plus
+    n_rim = int(np.count_nonzero(g.box_rim(box)))
     rng = np.random.default_rng([seed, omega_id])
-    G = rng.uniform(-1.0, 1.0, size=(len(bnd_p), k_nb + p_bf))
-    X = harmonic_extension(sys.A, int_p, bnd_p, G)
-    vec_p = np.zeros((len(nodes_p), k_nb + p_bf + 1))
-    vec_p[np.searchsorted(nodes_p, bnd_p), :-1] = G
-    vec_p[np.searchsorted(nodes_p, int_p), :-1] = X
-    vec_p[:, -1] = 1.0  # the harmonic extension of 1 is 1
-    restrict = np.searchsorted(nodes_p, nb.node_ids)
-    return SnapshotSpace(omega_id=omega_id, vectors=vec_p[restrict],
-                         node_ids=nb.node_ids, gen_boundary_count=len(bnd_p),
-                         constant_included=True)
+    G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
+    on_omega = np.searchsorted(g.box_nodes(box), nb.node_ids)
+    X = harmonic_extension(g, sys.A, box, G)[on_omega]
+    # the harmonic extension of 1 is 1
+    vectors = np.column_stack([X, np.ones(len(X))])
+    return SnapshotSpace(omega_id=omega_id, vectors=vectors, node_ids=nb.node_ids,
+                         gen_boundary_count=n_rim, constant_included=True)
 
 
 @dataclass

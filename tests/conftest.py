@@ -25,6 +25,14 @@ def dense_chi(pou):
     return chi
 
 
+def cell_permeability(g, fn):
+    """Permeability fn(x, y) at the fine-cell centers."""
+    c = np.arange(g.n_cells)
+    x = g.domain.x0 + (c % g.fine_nx + 0.5) * g.hx
+    y = g.domain.y0 + (c // g.fine_nx + 0.5) * g.hy
+    return mf.PermeabilityField(fn(x, y))
+
+
 def two_embedded_system(g, perm, bc=None, f=None):
     """Fine system with two embedded fractures, which cross, and one
     conforming fracture."""

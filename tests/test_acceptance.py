@@ -16,7 +16,7 @@ import scipy.sparse as sparse
 import msfrac as mf
 from msfrac.driver import m_off_schedule
 
-from conftest import dense_chi, mode_gram, neighborhood_spaces
+from conftest import cell_permeability, dense_chi, mode_gram, neighborhood_spaces
 
 BC = mf.bilinear_bc(0.0, 1.0, 1.0, 0.0)
 
@@ -25,7 +25,7 @@ def build_system(g, net, kappa=None, bc=BC):
     if kappa is None:
         perm = mf.PermeabilityField.constant(g, 1.0)
     elif callable(kappa):
-        perm = mf.PermeabilityField.from_callable(g, kappa)
+        perm = cell_permeability(g, kappa)
     else:
         perm = mf.PermeabilityField(kappa)
     traces = [mf.rasterize_dfm(fr, g) for fr in (net.dfm if net else [])]
@@ -142,7 +142,7 @@ def test_embedded_single_fracture_under_one_percent():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 10, t=0)
     net = mf.fields.single_long_efm(g, seed=0, kappa_f=10.0)
     kfun = lambda x, y: 1.0 + 0.25 * np.sin(np.pi * x) * np.cos(np.pi * y)
-    perm = mf.PermeabilityField.from_callable(g, kfun)
+    perm = cell_permeability(g, kfun)
     sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(net.efm[0], g)],
                           bc=BC)
     fine = mf.solve_fine(sys)

@@ -24,7 +24,7 @@ from msfrac.assembly import (q1_stiffness, q1_mass, node_operator,
                              load_vector, edge_coefficients, solved_system)
 from msfrac.config import load_config
 
-from conftest import two_embedded_system
+from conftest import cell_permeability, two_embedded_system
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -43,15 +43,16 @@ def hand_q1_mass(hx, hy):
 
 
 def dense_assemble(g, kappa, edge_w=None):
-    """Brute-force dense assembly (independent scatter loop)."""
+    """Brute-force dense assembly (independent scatter loop); edge_w is
+    an edge-weight pair (ids, weights)."""
     A = np.zeros((g.n_nodes, g.n_nodes))
     Ke = hand_q1_stiffness(g.hx, g.hy)
     for c in range(g.n_cells):
         nodes = g.cell_nodes(c)
         A[np.ix_(nodes, nodes)] += kappa[c] * Ke
-    for eid, w in (edge_w or {}).items():
+    for eid, w in zip(*(edge_w or ((), ()))):
         a, b = g.edge_nodes(eid)
-        h = g.edge_length(eid)
+        h = g.hx if eid < g.n_hedges else g.hy
         A[np.ix_([a, b], [a, b])] += w / h * np.array([[1, -1], [-1, 1]])
     return A
 
@@ -83,6 +84,22 @@ def test_hand_assembly_with_fracture_edge():
     assert np.count_nonzero(diff) == 4
 
 
+@given(st.lists(st.tuples(st.lists(st.integers(0, 11), max_size=8),
+                          st.floats(1e-3, 1e9)), max_size=5))
+def test_edge_coefficients_sum_shared_edges_in_trace_order(spec):
+    # few edge ids, so traces share edges; far-apart weights, so the
+    # order of each sum shows in its last bits
+    traces = [mf.DfmTrace(k, np.array(ids, dtype=int), c)
+              for k, (ids, c) in enumerate(spec)]
+    want = {}
+    for tr in traces:
+        for e in tr.fine_edges.tolist():
+            want[e] = want.get(e, 0.0) + tr.effective_coeff
+    eids, w = edge_coefficients(traces)
+    assert eids.tolist() == sorted(want)
+    assert w.tobytes() == np.array([want[e] for e in sorted(want)], dtype=float).tobytes()
+
+
 @given(st.integers(0, 10 ** 6))
 def test_node_operator_matches_dense_scatter(seed):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
@@ -93,7 +110,8 @@ def test_node_operator_matches_dense_scatter(seed):
     # interior, one on its rim and one with an end node outside it
     edges = {g.hedge_id(1, 2), g.hedge_id(1, 1), g.hedge_id(0, 1)}
     edges |= set(rng.choice(g.n_edges, rng.integers(0, g.n_edges), replace=False).tolist())
-    edge_w = {e: rng.uniform(0.1, 50.0) for e in sorted(edges)}
+    eids = np.array(sorted(edges), dtype=np.int64)
+    edge_w = (eids, np.array([rng.uniform(0.1, 50.0) for _ in eids]))
     for ew in (None, edge_w):
         A = node_operator(g, kappa, ew)
         np.testing.assert_allclose(A.toarray(), dense_assemble(g, kappa, ew),
@@ -108,8 +126,8 @@ def test_node_operator_matches_dense_scatter(seed):
         outside = np.ones(g.n_cells, bool)
         outside[g.box_cells(box)] = False
         kb[outside] = 0.0
-        kept = {e: w for e, w in (ew or {}).items()
-                if set(g.edge_nodes(e)) <= set(nodes.tolist())}
+        inside = [set(g.edge_nodes(e)) <= set(nodes.tolist()) for e in eids.tolist()]
+        kept = None if ew is None else (eids[inside], ew[1][inside])
         Aloc = node_operator(g, kappa, ew, box=box)
         np.testing.assert_allclose(Aloc.toarray(),
                                    dense_assemble(g, kb, kept)[np.ix_(nodes, nodes)],
@@ -173,7 +191,7 @@ def reduced_fine_system(sys):
 def test_fine_residual_no_worse_than_spsolve(model, kappa_f):
     # a conforming channel, or a coupled embedded fracture, across contrast
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 5, t=0)
-    perm = mf.PermeabilityField.from_callable(
+    perm = cell_permeability(
         g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.sin(np.pi * y))
     fr = mf.Fracture(np.array([[0.1, 0.3], [0.9, 0.65]]), 1e-3, kappa_f, model, 0)
     bc = mf.bilinear_bc(0.2, 1.0, -0.5, 0.3)

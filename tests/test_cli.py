@@ -291,14 +291,13 @@ def test_export_matrices_files_load(tmp_path, capsys):
 
 
 def test_raster_field_through_cli(tmp_path):
-    from msfrac import io_formats
     import msfrac as mf
 
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 3, t=0)
     rng = np.random.default_rng(4)
     raster = tmp_path / "kappa.txt"
-    io_formats.write_kappa_raster(str(raster), g.fine_nx, g.fine_ny,
-                                  rng.uniform(0.5, 5.0, g.n_cells))
+    np.savetxt(raster, rng.uniform(0.5, 5.0, (g.fine_ny, g.fine_nx)),
+               fmt="%.17g", header=f"{g.fine_nx} {g.fine_ny}", comments="")
     cfg, out = write_cfg(tmp_path, matrix={"kappa": 1.0,
                                            "raster": str(raster)})
     assert main(["solve", "-c", str(cfg)]) == 0

@@ -14,7 +14,7 @@ from msfrac.coarse import coarse_system, restrict
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
 
-from conftest import neighborhood_spaces, two_embedded_system
+from conftest import cell_permeability, neighborhood_spaces, two_embedded_system
 
 BC = mf.bilinear_bc(0.2, 1.0, -0.5, 0.3)
 
@@ -25,7 +25,7 @@ def dfm_setup(coarse=3, refine=4, field=None, seed=1, kappa=None, bc=BC, f=None)
     if kappa is None:
         perm = mf.PermeabilityField.constant(g, 1.0)
     elif callable(kappa):
-        perm = mf.PermeabilityField.from_callable(g, kappa)
+        perm = cell_permeability(g, kappa)
     else:
         perm = mf.PermeabilityField(kappa)
     traces = [mf.rasterize_dfm(fr, g) for fr in (net.dfm if net else [])]
@@ -396,7 +396,7 @@ def test_restrict_keeps_the_decoupled_fracture_fields():
 def efm_setup(coupling_scale, coarse=4, refine=5, two=False):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=0)
     f = mf.Fracture(np.array([[0.2, 0.55], [0.8, 0.52]]), 1e-3, 50.0, "efm", 0)
-    perm = mf.PermeabilityField.from_callable(
+    perm = cell_permeability(
         g, lambda x, y: 1.0 + 0.3 * np.cos(np.pi * x) * np.sin(np.pi * y))
     if two:
         return g, two_embedded_system(g, perm, bc=BC, f=1.5)

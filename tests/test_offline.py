@@ -26,6 +26,16 @@ def const_system(coarse=3, refine=4, kappa=1.0, net=None, t=0):
     return g, mf.assemble_dfm(g, perm, traces, bc=mf.bilinear_bc(0, 1, 1, 0))
 
 
+def rim_ids(g, nb):
+    """Fine-node ids on the rim of a neighborhood's box."""
+    return nb.node_ids[g.box_rim(nb.cells)]
+
+
+def interior_ids(g, nb):
+    """Fine-node ids strictly inside a neighborhood's box."""
+    return nb.node_ids[~g.box_rim(nb.cells)]
+
+
 def bilinear_hat(g, ci, cj, x, y):
     """Coarse Q1 hat at coarse node (ci, cj), evaluated analytically."""
     sx = np.clip(1.0 - np.abs(x / g.Hx - ci), 0.0, 1.0)
@@ -88,13 +98,40 @@ def test_kappa_tilde_analytic_2x2():
 def test_harmonic_extension_interior_residual():
     g, sys = const_system()
     nb = g.neighborhoods[4]
-    gb = np.random.default_rng(1).standard_normal(len(nb.boundary_node_ids))
-    u = harmonic_extension(sys.A, nb.interior_node_ids, nb.boundary_node_ids, gb)
+    gb = np.random.default_rng(1).standard_normal(len(rim_ids(g, nb)))
+    u = harmonic_extension(g, sys.A, nb.cells, gb)
     full = np.zeros(g.n_nodes)
-    full[nb.boundary_node_ids] = gb
-    full[nb.interior_node_ids] = u.ravel()
-    r = (sys.A @ full)[nb.interior_node_ids]
+    full[nb.node_ids] = u.ravel()
+    assert full[rim_ids(g, nb)].tobytes() == gb.tobytes()
+    r = (sys.A @ full)[interior_ids(g, nb)]
     assert np.abs(r).max() < 1e-10 * max(1.0, np.abs(gb).max())
+
+
+@pytest.mark.parametrize("dilated", [False, True])
+@pytest.mark.parametrize("where", [(0, 0), (2, 0), (2, 2)])
+def test_extension_keeps_the_box_perimeter(where, dilated):
+    # a corner, an edge and an interior neighborhood, each on its own box
+    # and on its oversampled box (clipped to the domain at the corner and
+    # the edge)
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 3, t=2)
+    net = mf.fields.crossing_channels(g, seed=4, n=4)
+    perm = mf.PermeabilityField(np.random.default_rng(0).uniform(0.1, 100.0, g.n_cells))
+    sys = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(f, g) for f in net.dfm])
+    nb = next(nb for nb in g.neighborhoods if (nb.ci, nb.cj) == where)
+    box = nb.cells_plus if dilated else nb.cells
+    perimeter = sorted(g.node_id(i, j) for j in range(box.j0, box.j1 + 1)
+                       for i in range(box.i0, box.i1 + 1)
+                       if i in (box.i0, box.i1) or j in (box.j0, box.j1))
+    nodes, rim = g.box_nodes(box), g.box_rim(box)
+    assert nodes[rim].tolist() == perimeter
+    gb = np.random.default_rng(2).standard_normal((len(perimeter), 3))
+    u = harmonic_extension(g, sys.A, box, gb)
+    assert u.shape == (len(nodes), 3)
+    assert u[rim].tobytes() == gb.tobytes()
+    full = np.zeros((g.n_nodes, 3))
+    full[nodes] = u
+    R = (sys.A @ full)[nodes[~rim]]
+    assert np.abs(R).max() < 1e-10 * np.abs(sys.A.data).max() * np.abs(gb).max()
 
 
 # ------------------------------------------------------- snapshots
@@ -108,8 +145,8 @@ def test_full_snapshot_count_and_interior_average():
     nb = g.neighborhoods[0]
     assert nb.cells.ncells == 4
     snap = mf.full_snapshots(g, sys, 0)
-    assert snap.l_i == len(nb.boundary_node_ids) == 8
-    interior_local = np.searchsorted(nb.node_ids, nb.interior_node_ids)
+    assert snap.l_i == len(rim_ids(g, nb)) == 8
+    interior_local = np.searchsorted(nb.node_ids, interior_ids(g, nb))
     np.testing.assert_allclose(snap.vectors[interior_local, :], 1.0 / 8.0,
                                atol=1e-13)
 
@@ -132,7 +169,7 @@ def test_full_snapshots_harmonic_in_omega():
     snap = mf.full_snapshots(g, sys, 4)
     full = np.zeros((g.n_nodes, snap.l_i))
     full[nb.node_ids] = snap.vectors
-    R = (sys.A @ full)[nb.interior_node_ids]
+    R = (sys.A @ full)[interior_ids(g, nb)]
     scale = np.abs(sys.A.data).max()
     assert np.abs(R).max() < 1e-10 * scale
 
@@ -146,7 +183,7 @@ def test_fracture_snapshot_matches_dense_local_solve():
     nb = g.neighborhoods[4]  # center node: fracture crosses its interior
     snap = mf.full_snapshots(g, sys, 4)
     A = sys.A.toarray()
-    I, B = nb.interior_node_ids, nb.boundary_node_ids
+    I, B = interior_ids(g, nb), rim_ids(g, nb)
     for col in (0, 3, snap.l_i - 1):
         gb = np.zeros(len(B))
         gb[col] = 1.0
@@ -185,7 +222,7 @@ def test_randomized_snapshots_harmonic_inside_omega():
     full[nb.node_ids] = snap.vectors
     # omega interior nodes are interior to omega+ as well, so the
     # restricted columns stay harmonic there
-    R = (sys.A @ full)[nb.interior_node_ids]
+    R = (sys.A @ full)[interior_ids(g, nb)]
     assert np.abs(R).max() < 1e-9 * np.abs(snap.vectors).max() * np.abs(sys.A.data).max()
 
 
@@ -241,7 +278,7 @@ def test_single_snapshot_rayleigh_quotient():
     assert spc.eigvals.shape == (1,)
     nb = g.neighborhoods[4]
     v = one.vectors[:, 0]
-    A_off = v @ (node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
+    A_off = v @ (node_operator(g, sys.perm.kappa_cells, sys.edge_arrays,
                                kind="stiffness", box=nb.cells) @ v)
     S_off = v @ (node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
                                kind="mass", box=nb.cells) @ v)
@@ -252,7 +289,7 @@ def test_single_snapshot_rayleigh_quotient():
     mask = np.ones(g.n_cells, bool)
     mask[g.box_cells(nb.cells)] = False
     kappa_local[mask] = 0.0
-    A_cells = node_operator(g, kappa_local, sys.edge_coeffs)
+    A_cells = node_operator(g, kappa_local, sys.edge_arrays)
     full = np.zeros(g.n_nodes)
     full[nb.node_ids] = one.vectors[:, 0]
     assert A_off == pytest.approx(float(full @ (A_cells @ full)), rel=1e-11)
@@ -322,7 +359,7 @@ def _pencil(snap, sys, pou):
     g = pou.grid
     box = g.neighborhoods[snap.omega_id].cells
     V = snap.vectors
-    A = V.T @ (node_operator(g, sys.perm.kappa_cells, sys.edge_coeffs,
+    A = V.T @ (node_operator(g, sys.perm.kappa_cells, sys.edge_arrays,
                              kind="stiffness", box=box) @ V)
     S = V.T @ (node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
                              kind="mass", box=box) @ V)

@@ -166,8 +166,8 @@ def box_shape(box):
 
 
 def spy_solves(monkeypatch):
-    """Neighborhoods whose spectra are solved, and the interior node sets
-    of the harmonic extensions solved."""
+    """Neighborhoods whose spectra are solved, and the boxes of the
+    harmonic extensions solved."""
     calls = {"spectra": [], "extensions": []}
     eig, ext = driver.offline_eigendecomposition, offline.harmonic_extension
 
@@ -175,9 +175,9 @@ def spy_solves(monkeypatch):
         calls["spectra"].append(snap.omega_id)
         return eig(snap, *args, **kwargs)
 
-    def extension(A, interior, *args):
-        calls["extensions"].append(frozenset(interior.tolist()))
-        return ext(A, interior, *args)
+    def extension(g, A, box, gb):
+        calls["extensions"].append(box)
+        return ext(g, A, box, gb)
 
     monkeypatch.setattr(driver, "offline_eigendecomposition", spectra)
     monkeypatch.setattr(offline, "harmonic_extension", extension)
@@ -245,8 +245,7 @@ def test_one_ulp_apart_is_never_shared(tmp_path, monkeypatch):
     calls = spy_solves(monkeypatch)
     pou = offline.compute_pou(g, rs.sys)
     r = g.refine          # coarse cell (1, 1) holds the moved cell
-    own = frozenset(g.box_boundary_interior(
-        CellBox(r, r, 2 * r, 2 * r))[1].tolist())
+    own = CellBox(r, r, 2 * r, 2 * r)
     assert len(calls["extensions"]) == 2 and own in calls["extensions"]
     # every cell's chi equals its own extension, solved without sharing
     monkeypatch.setattr(offline, "_problem_key", lambda *args, **kw: object())
@@ -282,7 +281,7 @@ def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
                                 "model": "dfm"}]},
         "outputs": {"dir": str(tmp_path / "out")}}))
     g = rs.grid
-    assert len(rs.sys.edge_coeffs) == g.fine_nx
+    assert len(rs.sys.edge_arrays[0]) == g.fine_nx
     calls = spy_solves(monkeypatch)
     pou = offline.compute_pou(g, rs.sys)
     assert len(calls["extensions"]) == 1
