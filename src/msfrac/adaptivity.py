@@ -49,6 +49,10 @@ class AdaptConfig:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.indicator not in _INDICATORS:
             raise ValueError(f"unknown indicator {self.indicator!r}")
         if self.indicator == "manual" and self.manual_box is None:

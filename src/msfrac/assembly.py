@@ -33,7 +33,7 @@ __all__ = [
     "q1_shape_tables", "q1_stiffness", "q1_mass",
     "node_operator", "box_edges", "load_vector",
     "edge_coefficients",
-    "assemble_dfm", "assemble_efm", "solve_fine", "solved_system",
+    "assemble_dfm", "assemble_efm", "solve_fine",
     "FineSolveError", "bilinear_bc",
 ]
 
@@ -324,10 +324,13 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     distance <d> = cell_area / (2 |S|); the symmetric form
     CI*(u_m(p) - u_f(p))*(v_m(p) - v_f(p)) at the intersection midpoint
     p is distributed with bilinear weights on the matrix side and 1D
-    hat weights on the fracture side.
+    hat weights on the fracture side.  ``coupling_scale`` > 0 multiplies
+    every CI, so each fracture exchanges flow with the matrix.
     """
     if not efm_traces:
         raise ValueError("embedded assembly requires at least one embedded trace")
+    if not coupling_scale > 0:
+        raise ValueError(f"coupling_scale must be positive, got {coupling_scale}")
     base = assemble_dfm(g, perm, dfm_traces, f=f, bc=bc)
     base.efm_traces = list(efm_traces)
     off = base.frac_offsets
@@ -369,32 +372,12 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     return base
 
 
-def solved_system(sys: FineSystem):
-    """Operator, load and decoupled fracture fields of the problem solved.
-
-    When no embedded fracture couples to the matrix (every block (0, k)
-    of K is zero) the matrix problem block(0, 0) u = F stands alone and
-    each fracture solves its own, possibly floating, 1D problem
-    block(k, k) u_k = f_k; lstsq gives its minimum-norm solution.
-    Otherwise, and for a conforming system, the whole K u = f is solved
-    and the fracture fields are None.
-    """
-    n_frac = len(sys.efm_traces)
-    if not n_frac or any(sys.block(0, k).count_nonzero()
-                         for k in range(1, n_frac + 1)):
-        return sys.K, sys.f, None
-    off = sys.frac_offsets
-    u_frac = [np.linalg.lstsq(sys.block(k, k).toarray(), sys.f[off[k - 1]:off[k]],
-                              rcond=None)[0] for k in range(1, n_frac + 1)]
-    return sys.block(0, 0), sys.F, u_frac
-
-
 class FineSolveError(RuntimeError):
     """The fine reference solve failed: its operator is singular."""
 
 
 def solve_fine(sys: FineSystem) -> FineSolution:
-    """Direct sparse solve after Dirichlet elimination.
+    """Direct sparse solve of K u = f after Dirichlet elimination.
 
     The reduced operator is symmetric positive definite (bitwise
     symmetric as assembled), so it is factored by one SuperLU in
@@ -404,15 +387,15 @@ def solve_fine(sys: FineSystem) -> FineSolution:
     """
     if len(sys.dirichlet_nodes) == 0:
         raise ValueError("no Dirichlet data: pure-Neumann systems are not supported")
-    M, rhs, u_frac = solved_system(sys)
-    lift = np.zeros(M.shape[0])
+    K = sys.K
+    lift = np.zeros(K.shape[0])
     lift[sys.dirichlet_nodes] = sys.dirichlet_values
-    fixed = np.zeros(M.shape[0], dtype=bool)
+    fixed = np.zeros(K.shape[0], dtype=bool)
     fixed[sys.dirichlet_nodes] = True
     free = ~fixed
 
-    b = rhs[free] - M[free][:, fixed] @ lift[fixed]
-    Mff = M[free][:, free].tocsc()
+    b = sys.f[free] - K[free][:, fixed] @ lift[fixed]
+    Mff = K[free][:, free].tocsc()
     try:
         lu = spla.splu(Mff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -427,7 +410,6 @@ def solve_fine(sys: FineSystem) -> FineSolution:
 
     u = lift.copy()
     u[free] = x
-    if u_frac is None:
-        off = sys.frac_offsets
-        u_frac = [u[off[i]:off[i + 1]] for i in range(len(sys.efm_traces))]
+    off = sys.frac_offsets
+    u_frac = [u[a:b] for a, b in zip(off, off[1:])]
     return FineSolution(u=u[:sys.n_nodes], u_frac=u_frac, residual=res)

@@ -7,7 +7,7 @@ rows at boundary fine nodes are zeroed, so the coarse space is
 conforming with the homogeneous problem.
 
 Every fracture model has one coarse problem, the Galerkin projection
-P^T K P of the fine operator K that is solved, with P = diag(R0T, I):
+P^T K P of the fine operator K, with P = diag(R0T, I):
 the 1D embedded-fracture unknowns stay at fine scale.  One
 ``solve_coarse`` solves it for conforming, embedded and mixed fracture
 inputs alike, by one sparse LU at every size.
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import FineSystem, solved_system
+from .assembly import FineSystem
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
 __all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "coarse_system",
@@ -150,18 +150,15 @@ def _solve_spd_or_lstsq(K0, F0, ms):
 
 def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
     """Galerkin projection K0 = P^T K P, F0 = P^T (f - K lift) of the fine
-    problem that is solved, with P = diag(R0T, I) and the partition-of-
-    unity lift of the boundary data.  K and f are ``solved_system``'s:
-    the fine system's K and f, or its matrix block and F alone when the
-    embedded fractures decouple.  Returns K0, F0, the lift and the
-    decoupled fracture fields (None when the fractures couple)."""
-    K, f, u_frac = solved_system(sys)
+    problem K u = f, with P = diag(R0T, I) and the partition-of-unity
+    lift of the boundary data.  Returns K0, F0 and the lift."""
+    K = sys.K
     n_frac = K.shape[0] - sys.n_nodes
     P = sparse.block_diag([ms.R0T, sparse.identity(n_frac)], format="csr")
     lift = ms.pou.boundary_lift(sys.bc)
     K0 = (P.T @ (K @ P)).tocsr()
-    F0 = P.T @ (f - K @ np.r_[lift, np.zeros(n_frac)])
-    return K0, F0, lift, u_frac
+    F0 = P.T @ (sys.f - K @ np.r_[lift, np.zeros(n_frac)])
+    return K0, F0, lift
 
 
 def restrict(ms: MultiscaleSpace, system, counts):
@@ -169,14 +166,14 @@ def restrict(ms: MultiscaleSpace, system, counts):
     coarse node, as the column restriction of ``ms``, and its coarse
     system cut from ``system``, ms's ``coarse_system``: the principal
     submatrix of K0 and the entries of F0 at the kept columns and at
-    every fracture unknown, with the same lift and decoupled fields.
+    every fracture unknown, with the same lift.
 
     The kept columns are those ``build_space`` gives the clamped counts,
     in the same order and with the same values, and every entry of P^T K
     P is summed over its own two columns of P only; so the cut is the
     projection of the smaller space, bit for bit.
     """
-    K0, F0, lift, u_frac = system
+    K0, F0, lift = system
     counts = np.minimum(counts, ms.counts)
     first = np.repeat(np.cumsum(ms.counts) - ms.counts, ms.counts)
     mode = np.arange(ms.N_c) - first           # mode index within its node
@@ -184,7 +181,7 @@ def restrict(ms: MultiscaleSpace, system, counts):
     keep = np.r_[cols, np.arange(ms.N_c, K0.shape[0])]
     sub = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces, counts=counts,
                           R0T=ms.R0T[:, cols], col_node=ms.col_node[cols])
-    return sub, (K0[keep][:, keep], F0[keep], lift, u_frac)
+    return sub, (K0[keep][:, keep], F0[keep], lift)
 
 
 def solve_coarse(ms: MultiscaleSpace, sys: FineSystem,
@@ -192,13 +189,10 @@ def solve_coarse(ms: MultiscaleSpace, sys: FineSystem,
     """Galerkin coarse solve of any fine system: the coarse matrix block
     and the fine fracture unknowns, if any, solved together.  ``system``
     is ms's ``coarse_system`` (projected here when None)."""
-    K0, F0, lift, u_frac = coarse_system(ms, sys) if system is None else system
+    K0, F0, lift = coarse_system(ms, sys) if system is None else system
     x, info = _solve_spd_or_lstsq(K0, F0, ms)
-    if u_frac is None:
-        off = np.subtract(sys.frac_offsets, sys.n_nodes) + ms.N_c
-        u_frac = [x[a:b] for a, b in zip(off, off[1:])]
-    else:
-        info["decoupled"] = True
+    off = np.subtract(sys.frac_offsets, sys.n_nodes) + ms.N_c
+    u_frac = [x[a:b] for a, b in zip(off, off[1:])]
     U0 = x[:ms.N_c]
     return CoarseSolution(U0=U0, u_ms_fine=prolong(ms, U0, lift),
                           efm_fracture_dofs=u_frac, info=info)

@@ -170,8 +170,10 @@ def _offline(rs: RunSetup, n_modes: int | None):
     the group's read-only ``eigvals`` and ``basis_full``.
 
     The solved neighborhoods are mapped over one worker thread per
-    usable CPU: their sparse LU solves, matrix products and eigensolves
-    release the interpreter lock.  Each runs on one BLAS thread, so its
+    usable CPU.  Their sparse LU factorizations and NumPy eigensolves
+    release the interpreter lock, but their box-local ``node_operator``
+    builds and ``solve_triangular`` calls hold it, so two workers are
+    often no faster than one.  Each runs on one BLAS thread, so its
     result depends neither on the worker count nor on which neighborhood
     of its group it was solved for.  Without a BLAS that can be capped
     the map runs on a single worker.

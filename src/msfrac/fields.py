@@ -33,6 +33,20 @@ def _params(g, kappa_f, aperture):
             default_aperture(g) if aperture is None else float(aperture))
 
 
+def _inner_box(g):
+    """Corners lo, hi of the domain shrunk by 2.5 fine cells on every side."""
+    margin = 2.5 * max(g.hx, g.hy)
+    d = g.domain
+    return (np.array([d.x0 + margin, d.y0 + margin]),
+            np.array([d.x1 - margin, d.y1 - margin]))
+
+
+def _add(fractures, seg, kf, ap):
+    """Append seg as the next fracture; a dropped draw (None) adds none."""
+    if seg is not None:
+        fractures.append(Fracture(seg, ap, kf, id=len(fractures)))
+
+
 def _clamped_segment(center, ang, half_len, lo, hi, min_len):
     """Segment center +- half_len*dir shrunk to stay inside [lo, hi]."""
     d = np.array([np.cos(ang), np.sin(ang)])
@@ -45,6 +59,25 @@ def _clamped_segment(center, ang, half_len, lo, hi, min_len):
     if 2 * t < min_len:
         return None
     return np.array([center - t * d, center + t * d])
+
+
+def _draw(g, rng, lo, hi, spread, half, min_len):
+    """A random segment in [lo, hi]: a centre uniform on the ``spread``
+    fraction of the box, an angle, and a half length uniform in ``half``
+    times min(Hx, Hy), clamped by ``_clamped_segment``."""
+    center = lo + rng.uniform(*spread, 2) * (hi - lo)
+    return _clamped_segment(center, rng.uniform(0.0, np.pi),
+                            rng.uniform(*half) * min(g.Hx, g.Hy), lo, hi, min_len)
+
+
+def _scatter(g, rng, fractures, total, tries, kf, ap, spread, half, min_len):
+    """Append ``_draw`` segments in the inner box until there are
+    ``total`` fractures or ``tries`` draws are spent."""
+    lo, hi = _inner_box(g)
+    for _ in range(tries):
+        if len(fractures) >= total:
+            break
+        _add(fractures, _draw(g, rng, lo, hi, spread, half, min_len), kf, ap)
 
 
 def isolated_blocks(g: GridHierarchy, seed: int = 0, kappa_f=None,
@@ -63,18 +96,9 @@ def isolated_blocks(g: GridHierarchy, seed: int = 0, kappa_f=None,
                            g.domain.y0 + J * g.Hy + margin])
             hi = np.array([g.domain.x0 + (I + 1) * g.Hx - margin,
                            g.domain.y0 + (J + 1) * g.Hy - margin])
-            if np.any(hi <= lo):
-                continue
-            center = lo + rng.uniform(0.3, 0.7, 2) * (hi - lo)
-            ang = rng.uniform(0.0, np.pi)
-            half = rng.uniform(0.18, 0.32) * min(g.Hx, g.Hy)
-            seg = _clamped_segment(center, ang, half, lo, hi,
-                                   min_len=3 * max(g.hx, g.hy))
-            if seg is None:
-                continue
-            fractures.append(Fracture(polyline=seg, aperture=ap, kappa_f=kf,
-                                      model=FractureModel.DFM,
-                                      id=len(fractures)))
+            if np.all(hi > lo):
+                _add(fractures, _draw(g, rng, lo, hi, (0.3, 0.7), (0.18, 0.32),
+                                      3 * max(g.hx, g.hy)), kf, ap)
     return FractureNetwork(fractures)
 
 
@@ -82,23 +106,9 @@ def crossing_channels(g: GridHierarchy, seed: int = 0, n: int = 10,
                       kappa_f=None, aperture=None) -> FractureNetwork:
     """Medium-length channels at random angles, crossing coarse edges."""
     kf, ap = _params(g, kappa_f, aperture)
-    rng = np.random.default_rng(seed)
-    margin = 2.5 * max(g.hx, g.hy)
-    lo = np.array([g.domain.x0 + margin, g.domain.y0 + margin])
-    hi = np.array([g.domain.x1 - margin, g.domain.y1 - margin])
     fractures = []
-    guard = 0
-    while len(fractures) < n and guard < 20 * n:
-        guard += 1
-        center = lo + rng.uniform(0.1, 0.9, 2) * (hi - lo)
-        ang = rng.uniform(0.0, np.pi)
-        half = rng.uniform(0.8, 1.3) * min(g.Hx, g.Hy)
-        seg = _clamped_segment(center, ang, half, lo, hi,
-                               min_len=1.2 * min(g.Hx, g.Hy))
-        if seg is None:
-            continue
-        fractures.append(Fracture(polyline=seg, aperture=ap, kappa_f=kf,
-                                  model=FractureModel.DFM, id=len(fractures)))
+    _scatter(g, np.random.default_rng(seed), fractures, n, 20 * n, kf, ap,
+             (0.1, 0.9), (0.8, 1.3), 1.2 * min(g.Hx, g.Hy))
     return FractureNetwork(fractures)
 
 
@@ -109,29 +119,20 @@ def crossing_network(g: GridHierarchy, seed: int = 0, n_pairs: int = 5,
     crossings) plus a few singles."""
     kf, ap = _params(g, kappa_f, aperture)
     rng = np.random.default_rng(seed)
-    margin = 2.5 * max(g.hx, g.hy)
-    lo = np.array([g.domain.x0 + margin, g.domain.y0 + margin])
-    hi = np.array([g.domain.x1 - margin, g.domain.y1 - margin])
+    lo, hi = _inner_box(g)
+    min_len = 0.8 * min(g.Hx, g.Hy)
     fractures = []
-
-    def add(center, ang, half):
-        seg = _clamped_segment(center, ang, half, lo, hi,
-                               min_len=0.8 * min(g.Hx, g.Hy))
-        if seg is not None:
-            fractures.append(Fracture(polyline=seg, aperture=ap, kappa_f=kf,
-                                      model=FractureModel.DFM,
-                                      id=len(fractures)))
-
     for _ in range(n_pairs):
         center = lo + rng.uniform(0.15, 0.85, 2) * (hi - lo)
         ang = rng.uniform(0.0, np.pi)
         dang = rng.uniform(np.pi / 3, 2 * np.pi / 3)
-        add(center, ang, rng.uniform(0.6, 1.1) * min(g.Hx, g.Hy))
-        add(center, ang + dang, rng.uniform(0.6, 1.1) * min(g.Hx, g.Hy))
+        for a in (ang, ang + dang):
+            seg = _clamped_segment(center, a, rng.uniform(0.6, 1.1) * min(g.Hx, g.Hy),
+                                   lo, hi, min_len)
+            _add(fractures, seg, kf, ap)
     for _ in range(n_single):
-        center = lo + rng.uniform(0.1, 0.9, 2) * (hi - lo)
-        add(center, rng.uniform(0.0, np.pi),
-            rng.uniform(0.5, 0.9) * min(g.Hx, g.Hy))
+        _add(fractures, _draw(g, rng, lo, hi, (0.1, 0.9), (0.5, 0.9), min_len),
+             kf, ap)
     return FractureNetwork(fractures)
 
 
@@ -148,22 +149,9 @@ def mixed_short_long(g: GridHierarchy, seed: int = 0, n_short: int = 12,
         xs = x0 + np.array([0.05, 0.35, 0.65, 0.95]) * w
         ys = y0 + (ylev + rng.uniform(-0.08, 0.08, 4)) * h
         ys = np.clip(ys, y0 + margin, y0 + h - margin)
-        fractures.append(Fracture(polyline=np.column_stack([xs, ys]),
-                                  aperture=ap, kappa_f=kf,
-                                  model=FractureModel.DFM, id=len(fractures)))
-    lo = np.array([x0 + margin, y0 + margin])
-    hi = np.array([x0 + w - margin, y0 + h - margin])
-    guard = 0
-    while sum(1 for f in fractures) < 2 + n_short and guard < 20 * n_short:
-        guard += 1
-        center = lo + rng.uniform(0.05, 0.95, 2) * (hi - lo)
-        seg = _clamped_segment(center, rng.uniform(0.0, np.pi),
-                               rng.uniform(0.25, 0.5) * min(g.Hx, g.Hy),
-                               lo, hi, min_len=3 * max(g.hx, g.hy))
-        if seg is None:
-            continue
-        fractures.append(Fracture(polyline=seg, aperture=ap, kappa_f=kf,
-                                  model=FractureModel.DFM, id=len(fractures)))
+        _add(fractures, np.column_stack([xs, ys]), kf, ap)
+    _scatter(g, rng, fractures, 2 + n_short, 20 * n_short, kf, ap,
+             (0.05, 0.95), (0.25, 0.5), 3 * max(g.hx, g.hy))
     return FractureNetwork(fractures)
 
 
@@ -207,21 +195,9 @@ def curved_long(g: GridHierarchy, seed: int = 0, n_short: int = 8,
     arc = arc[keep]
     fractures = []
     if len(arc) >= 2:
-        fractures.append(Fracture(polyline=arc, aperture=ap, kappa_f=kf,
-                                  model=FractureModel.DFM, id=0))
-    lo = np.array([x0 + margin, y0 + margin])
-    hi = np.array([x0 + w - margin, y0 + h - margin])
-    guard = 0
-    while len(fractures) < 1 + n_short and guard < 20 * n_short:
-        guard += 1
-        center = lo + rng.uniform(0.05, 0.95, 2) * (hi - lo)
-        seg = _clamped_segment(center, rng.uniform(0.0, np.pi),
-                               rng.uniform(0.25, 0.5) * min(g.Hx, g.Hy),
-                               lo, hi, min_len=3 * max(g.hx, g.hy))
-        if seg is None:
-            continue
-        fractures.append(Fracture(polyline=seg, aperture=ap, kappa_f=kf,
-                                  model=FractureModel.DFM, id=len(fractures)))
+        _add(fractures, arc, kf, ap)
+    _scatter(g, rng, fractures, 1 + n_short, 20 * n_short, kf, ap,
+             (0.05, 0.95), (0.25, 0.5), 3 * max(g.hx, g.hy))
     return FractureNetwork(fractures)
 
 

@@ -15,8 +15,9 @@ Per coarse node i this produces, in order:
    basis of the neighborhood.  It is reduced to one symmetric standard
    eigenproblem by the Cholesky factor of S_off (Golub & Van Loan,
    Matrix Computations, 8.7); the factorization and the eigensolve are
-   NumPy's LAPACK calls, which release the interpreter lock, so
-   neighborhoods run in parallel.
+   NumPy's LAPACK calls, which release the interpreter lock.  The
+   box-local ``node_operator`` builds and SciPy's ``solve_triangular``
+   hold it, so neighborhoods on two threads overlap only in part.
 
 Each neighborhood keeps only chi_i on its own fine nodes, all its
 eigenvalues and one fine-nodal copy of the modes its run reads (the

@@ -101,27 +101,6 @@ def test_indicator_matches_global_residual_oracle():
         assert checked
 
 
-def test_zero_coupling_efm_indicators_match_dfm():
-    # decoupled embedded fractures leave the matrix problem alone, so the
-    # indicators are those of the conforming system without them
-    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 3, t=0)
-    perm = mf.PermeabilityField.constant(g, 1.0)
-    fr = mf.Fracture(np.array([[0.2, 0.5], [0.8, 0.6]]), 1e-3, 50.0, "efm", 0)
-    sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(fr, g)], bc=BC,
-                          coupling_scale=0.0)
-    sys0 = mf.assemble_dfm(g, perm, [], bc=BC)
-    pou = mf.compute_pou(g, sys)
-    spaces = neighborhood_spaces(sys, pou)
-    ms = mf.build_space(pou, spaces, np.full(len(spaces), 2))
-    sol = mf.solve_coarse(ms, sys)
-    sol0 = mf.solve_coarse(ms, sys0)
-    assert sol.info.get("decoupled")
-    rep = compute_indicators(ms, sol, sys)
-    rep0 = compute_indicators(ms, sol0, sys0)
-    assert np.any(rep0.eta > 0)
-    np.testing.assert_allclose(rep.eta, rep0.eta, rtol=1e-10, atol=1e-14)
-
-
 def test_dorfler_prefix_is_minimal():
     eta = np.array([0.0, 3.0, 1.0, 2.0, 0.5])
     got = mark_dorfler(eta, 0.7)

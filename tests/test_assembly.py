@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 import msfrac as mf
 from msfrac import driver
 from msfrac.assembly import (q1_stiffness, q1_mass, node_operator,
-                             load_vector, edge_coefficients, solved_system)
+                             load_vector, edge_coefficients)
 from msfrac.config import load_config
 
 from conftest import cell_permeability, two_embedded_system
@@ -176,14 +176,14 @@ def test_fine_solve_matches_dense_oracle():
 
 def reduced_fine_system(sys):
     """The Dirichlet-reduced operator and load that ``solve_fine`` factors,
-    built here from ``solved_system``."""
-    M, rhs, _ = solved_system(sys)
-    fixed = np.zeros(M.shape[0], bool)
+    built here from ``sys.K`` and ``sys.f``."""
+    K = sys.K
+    fixed = np.zeros(K.shape[0], bool)
     fixed[sys.dirichlet_nodes] = True
-    lift = np.zeros(M.shape[0])
+    lift = np.zeros(K.shape[0])
     lift[sys.dirichlet_nodes] = sys.dirichlet_values
     free = ~fixed
-    return M[free][:, free].tocsc(), rhs[free] - M[free][:, fixed] @ lift[fixed]
+    return K[free][:, free].tocsc(), sys.f[free] - K[free][:, fixed] @ lift[fixed]
 
 
 @pytest.mark.parametrize("kappa_f", [1e2, 1e6, 1e10])
@@ -202,7 +202,7 @@ def test_fine_residual_no_worse_than_spsolve(model, kappa_f):
         else:
             sys = mf.assemble_efm(g, perm, [], [mf.intersect_efm(fr, g)],
                                   bc=bc, f=1.0)
-            assert solved_system(sys)[2] is None        # coupled
+            assert sys.block(0, 1).count_nonzero()      # coupled
         sol = mf.solve_fine(sys)
         Mff, b = reduced_fine_system(sys)
         x = spla.spsolve(Mff, b)
@@ -309,20 +309,6 @@ def test_efm_block_symmetry():
         assert np.abs(sys.K - sys.K.T).max() == 0.0
 
 
-def test_efm_zero_coupling_decouples():
-    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
-    bc = mf.bilinear_bc(0, 1, 1, 0)
-    sys = efm_system(g, [[0.15, 0.3], [0.85, 0.62]], 10.0,
-                     coupling_scale=0.0, bc=bc)
-    sol = mf.solve_fine(sys)
-    perm = mf.PermeabilityField.constant(g, 1.0)
-    ref = mf.solve_fine(mf.assemble_dfm(g, perm, [], bc=bc))
-    np.testing.assert_allclose(sol.u, ref.u, atol=1e-12)
-    # fracture block solved on its own: 1D Neumann residual vanishes
-    r = sys.block(1, 1) @ sol.u_frac[0] - sys.f[g.n_nodes:]
-    assert np.abs(r).max() < 1e-10
-
-
 def test_efm_reflection_symmetry():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 4, t=0)
     # vertical centered fracture, bc symmetric under x -> 1-x
@@ -354,6 +340,35 @@ def test_efm_requires_traces_and_overlaps():
     perm = mf.PermeabilityField.constant(g, 1.0)
     with pytest.raises(ValueError):
         mf.assemble_efm(g, perm, [], [])
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])
+def test_efm_requires_positive_coupling(scale):
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
+    with pytest.raises(ValueError, match="coupling_scale"):
+        efm_system(g, [[0.15, 0.3], [0.85, 0.62]], 10.0, coupling_scale=scale)
+
+
+# a coordinate anywhere in the unit square, or on a line of the 12 x 12
+# fine grid of a 3 x 3 x 4 hierarchy
+_coord = st.one_of(st.floats(0.0, 1.0), st.integers(0, 12).map(lambda i: i / 12))
+_segment = st.tuples(_coord, _coord, _coord, _coord).filter(
+    lambda s: np.hypot(s[2] - s[0], s[3] - s[1]) > 0.05)
+
+
+@given(st.lists(_segment, min_size=1, max_size=3))
+def test_every_embedded_fracture_couples_to_the_matrix(segments):
+    # each overlap adds CI * w_m w_f^T to block (0, k), with CI > 0 and
+    # bilinear and hat weights that are >= 0 and sum to 1, so the block
+    # sums to -sum CI; round-off may leave single entries just above 0
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
+    traces = [mf.intersect_efm(mf.Fracture(np.reshape(s, (2, 2)), 1e-3, 1e3,
+                                           "efm", k), g)
+              for k, s in enumerate(segments)]
+    sys = mf.assemble_efm(g, mf.PermeabilityField.constant(g, 1.0), [], traces)
+    for k in range(1, len(traces) + 1):
+        assert sys.block(0, k).count_nonzero()
+        assert sys.block(0, k).sum() < 0.0
 
 
 def test_efm_fracture_load_scales_with_aperture():

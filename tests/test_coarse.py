@@ -10,7 +10,7 @@ import scipy.sparse as sparse
 import msfrac as mf
 from msfrac import driver
 from msfrac.adaptivity import AdaptConfig, enrich
-from msfrac.coarse import coarse_system, restrict
+from msfrac.coarse import coarse_system
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
 
@@ -362,38 +362,17 @@ def test_sweep_rows_are_cut_from_one_projection(case, tmp_path, monkeypatch):
         assert ms.counts.tobytes() == ref.counts.tobytes()
         assert ms.col_node.tobytes() == ref.col_node.tobytes()
         assert sparse_bytes(ms.R0T) == sparse_bytes(ref.R0T)
-        K0, F0, lift, u_frac = system
-        K0_ref, F0_ref, lift_ref, u_frac_ref = coarse_system(ref, sys)
+        K0, F0, lift = system
+        K0_ref, F0_ref, lift_ref = coarse_system(ref, sys)
         assert sparse_bytes(K0) == sparse_bytes(K0_ref)
         assert F0.tobytes() == F0_ref.tobytes()
         assert lift.tobytes() == lift_ref.tobytes()
-        assert u_frac is None and u_frac_ref is None
         sol_ref = solve(ref, sys)
         assert sol.info == sol_ref.info
         assert sol.block_vector().tobytes() == sol_ref.block_vector().tobytes()
 
 
-def test_restrict_keeps_the_decoupled_fracture_fields():
-    # zero coupling: the embedded fractures are solved apart, K0 is the
-    # matrix block alone and every cut shares the fracture fields
-    g, sys = efm_setup(coupling_scale=0.0)
-    pou, spaces = offline_spaces(g, sys)
-    big = space_at(g, pou, spaces, M=3)
-    system = coarse_system(big, sys)
-    assert system[3] is not None and system[0].shape == (big.N_c, big.N_c)
-    ms, cut = restrict(big, system, m_off_schedule(g, 1))
-    ref = space_at(g, pou, spaces, M=1)
-    K0, F0, _, _ = coarse_system(ref, sys)
-    assert sparse_bytes(cut[0]) == sparse_bytes(K0)
-    assert cut[1].tobytes() == F0.tobytes()
-    assert cut[3] is system[3]
-    sol = mf.solve_coarse(ms, sys, cut)
-    sol_ref = mf.solve_coarse(ref, sys)
-    assert sol.info == sol_ref.info and sol.info["decoupled"]
-    assert sol.block_vector().tobytes() == sol_ref.block_vector().tobytes()
-
-
-def efm_setup(coupling_scale, coarse=4, refine=5, two=False):
+def efm_setup(coarse=4, refine=5, two=False):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, coarse, coarse, refine, t=0)
     f = mf.Fracture(np.array([[0.2, 0.55], [0.8, 0.52]]), 1e-3, 50.0, "efm", 0)
     perm = cell_permeability(
@@ -401,29 +380,12 @@ def efm_setup(coupling_scale, coarse=4, refine=5, two=False):
     if two:
         return g, two_embedded_system(g, perm, bc=BC, f=1.5)
     tr = mf.intersect_efm(f, g)
-    sys = mf.assemble_efm(g, perm, [], [tr], bc=BC,
-                          coupling_scale=coupling_scale)
-    return g, sys
-
-
-def test_efm_zero_coupling_reduces_to_dfm():
-    g, sys = efm_setup(coupling_scale=0.0)
-    pou, spaces = offline_spaces(g, sys)
-    ms = space_at(g, pou, spaces, M=2)
-    sol = mf.solve_coarse(ms, sys)
-    assert sol.info.get("decoupled")
-
-    perm0 = mf.PermeabilityField(sys.perm.kappa_cells)
-    sys0 = mf.assemble_dfm(g, perm0, [], bc=BC)
-    sol0 = mf.solve_coarse(ms, sys0)
-    np.testing.assert_allclose(sol.U0, sol0.U0, atol=1e-11)
-    np.testing.assert_allclose(sol.u_ms_fine, sol0.u_ms_fine, atol=1e-11)
-    assert len(sol.efm_fracture_dofs) == 1
+    return g, mf.assemble_efm(g, perm, [], [tr], bc=BC)
 
 
 def test_efm_block_solve_matches_dense_oracle():
     for two in (False, True):
-        g, sys = efm_setup(coupling_scale=1.0, coarse=3, refine=4, two=two)
+        g, sys = efm_setup(coarse=3, refine=4, two=two)
         pou, spaces = offline_spaces(g, sys)
         ms = space_at(g, pou, spaces, M=2)
         sol = mf.solve_coarse(ms, sys)

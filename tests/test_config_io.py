@@ -93,6 +93,8 @@ def test_unknown_keys_rejected(data, frag):
     ({"offline": {"enrich_boundary": "false"}}, r"offline\.enrich_boundary"),
     ({"sweep": [1, "x"]}, "sweep"),
     ({"fractures": {"params": {"nn": 4}, "kappa_f": 5.0}}, "field"),
+    ({"adapt": {"max_iters": -1}}, "max_iters"),
+    ({"adapt": {"tol": -0.5}}, "tol"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
