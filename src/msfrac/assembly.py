@@ -207,8 +207,8 @@ class PermeabilityField:
 
     def __post_init__(self):
         self.kappa_cells = np.asarray(self.kappa_cells, dtype=float)
-        if np.any(self.kappa_cells <= 0):
-            raise ValueError("matrix permeability must be positive")
+        if not np.all((self.kappa_cells > 0) & (self.kappa_cells < np.inf)):
+            raise ValueError("matrix permeability must be positive and finite")
 
     @classmethod
     def constant(cls, g: GridHierarchy, value: float = 1.0):
@@ -221,15 +221,14 @@ class FineSystem:
 
     ``K`` u = ``f`` is the fine problem.  Its unknowns are the matrix
     nodes, then the nodes of each embedded fracture, ``efm_traces[k]``
-    from ``frac_offsets[k]``.  ``A`` and ``F`` are its nodal part
-    without the embedded fractures, which the offline stage works with;
-    a conforming system has K = A and f = F.
+    from ``frac_offsets[k]``.  ``A`` is its nodal operator without the
+    embedded fractures, which the offline stage works with, and
+    ``f[:n_nodes]`` is the nodal load; a conforming system has K = A.
     """
 
     grid: GridHierarchy
     perm: PermeabilityField
     A: sparse.csr_matrix
-    F: np.ndarray
     K: sparse.csr_matrix
     f: np.ndarray
     edge_arrays: tuple[np.ndarray, np.ndarray]   # conforming edges, weights
@@ -298,10 +297,10 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     if len(eids) and (eids[0] < 0 or eids[-1] >= g.n_edges):
         raise ValueError("fracture trace references edges outside the grid")
     A = node_operator(g, perm.kappa_cells, edges, kind="stiffness")
-    F = load_vector(g, f)
     nodes, vals = _dirichlet_data(g, bc)
-    return FineSystem(grid=g, perm=perm, A=A, F=F, K=A, f=F, edge_arrays=edges,
-                      dirichlet_nodes=nodes, dirichlet_values=vals, bc=bc)
+    return FineSystem(grid=g, perm=perm, A=A, K=A, f=load_vector(g, f),
+                      edge_arrays=edges, dirichlet_nodes=nodes,
+                      dirichlet_values=vals, bc=bc)
 
 
 def _cell_shape_weights(g: GridHierarchy, cell: int, x: float, y: float):
@@ -336,7 +335,7 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     off = base.frac_offsets
     cell_nodes = g.all_cell_nodes()
 
-    rows, cols, vals, loads = [], [], [], [base.F]
+    rows, cols, vals, loads = [], [], [], [base.f]
     for tr, o in zip(efm_traces, off):
         if not tr.cell_overlaps:
             raise ValueError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_type_hints
@@ -156,6 +157,8 @@ def _value(kind, v, ctx, positive=False, choices=None):
     if isinstance(v, bool) != (kind is bool) or not isinstance(v, _ACCEPTS[kind]):
         raise ConfigError(f"{ctx}: expected {kind.__name__}, got {v!r}")
     v = kind(v)
+    if kind is float and not math.isfinite(v):
+        raise ConfigError(f"{ctx}: must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(f"{ctx}: must be positive, got {v}")
     if choices is not None:

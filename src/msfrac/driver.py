@@ -141,31 +141,27 @@ def _one_blas_thread():
 
 def _neighborhood_offline(rs: RunSetup, pou, n_modes, omega_id: int):
     """Local spectral space of one coarse neighborhood with its first
-    ``n_modes`` modes, and its drawn and full-snapshot counts; the
-    snapshots themselves are dropped here."""
+    ``n_modes`` modes; the snapshots themselves are dropped here."""
     off = rs.cfg.offline
     if off.mode == "randomized":
         snap = randomized_snapshots(rs.grid, rs.sys, omega_id, k_nb=off.k_nb,
                                     p_bf=off.p_bf, seed=off.seed)
     else:
         snap = full_snapshots(rs.grid, rs.sys, omega_id)
-    space = offline_eigendecomposition(snap, rs.sys, pou, n_modes)
-    drawn = snap.l_i - int(snap.constant_included)  # the constant is free
-    return space, (drawn, snap.gen_boundary_count)
+    return offline_eigendecomposition(snap, rs.sys, pou, n_modes)
 
 
 def _offline(rs: RunSetup, n_modes: int | None):
-    """Output directory, POU, local spectra and snapshot counts of a run.
-    Every space keeps all its eigenvalues and its first ``n_modes``
-    modes (all of them when None), the most any coarse node of the run
-    reads.
+    """Output directory, POU and local spectral spaces of a run.  Every
+    space keeps all its eigenvalues and its first ``n_modes`` modes (all
+    of them when None), the most any coarse node of the run reads.
 
-    Neighborhoods with the same local problem are solved once: they are
-    grouped by their box shape and the exact bytes of the permeability,
-    kappa_tilde and both edge-weight sets on the box (``_problem_key``).
-    A randomized neighborhood also reads its own draws and its
-    oversampled box, so its index is in its key and it shares with no
-    other.  The first neighborhood of each group is solved; every one
+    Full-snapshot neighborhoods with the same local problem are solved
+    once: they are grouped by their box shape and the exact bytes of the
+    permeability, kappa_tilde and both edge-weight sets on the box
+    (``_problem_key``).  A randomized neighborhood also reads its own
+    draws and its oversampled box, so it is not keyed and is solved for
+    itself.  The first neighborhood of each group is solved; every one
     gets its own space, with its own ``omega_id`` and ``node_ids``, on
     the group's read-only ``eigvals`` and ``basis_full``.
 
@@ -183,10 +179,9 @@ def _offline(rs: RunSetup, n_modes: int | None):
     pou = compute_pou(g, sys)
     randomized = rs.cfg.offline.mode == "randomized"
     first: dict[tuple, int] = {}
-    leader = [first.setdefault(_problem_key(
+    leader = [nb.index if randomized else first.setdefault(_problem_key(
                   g, nb.cells, (sys.perm.kappa_cells, pou.kappa_tilde),
-                  (sys.edge_arrays, pou.edge_kappa_tilde),
-                  owner=nb.index if randomized else None), nb.index)
+                  (sys.edge_arrays, pou.edge_kappa_tilde)), nb.index)
               for nb in g.neighborhoods]
     del first                          # the keys are not needed past here
     solve = sorted(set(leader))
@@ -195,9 +190,9 @@ def _offline(rs: RunSetup, n_modes: int | None):
         with ThreadPoolExecutor(workers) as pool:
             done = dict(zip(solve, pool.map(
                 partial(_neighborhood_offline, rs, pou, n_modes), solve)))
-    spaces = [replace(done[i][0], omega_id=nb.index, node_ids=nb.node_ids)
+    spaces = [replace(done[i], omega_id=nb.index, node_ids=nb.node_ids)
               for nb, i in zip(g.neighborhoods, leader)]
-    return pou, spaces, [done[i][1] for i in leader]
+    return pou, spaces
 
 
 def _counts_at(rs, m):
@@ -286,7 +281,7 @@ def _write(rs, sol, spaces, run):
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
-    pou, spaces, _ = _offline(rs, cfg.offline.M_off)
+    pou, spaces = _offline(rs, cfg.offline.M_off)
     fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
                                        fine.block_vector(),
@@ -304,7 +299,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     """Convergence table over the offline-dimension schedule; the
     snapshot-error columns are relative to the largest space's solution."""
     rs = setup(cfg)
-    pou, spaces, counts = _offline(rs, max(cfg.sweep))
+    pou, spaces = _offline(rs, max(cfg.sweep))
     fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
                                        fine.block_vector(),
@@ -315,14 +310,13 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
            "fine_residual": _2g(fine.residual),
            "dims": [r.dim_Voff for r in reports], **_coarse_paths(infos)}
     if cfg.offline.mode == "randomized":
-        # snapshot work actually done over interior neighborhoods, as a
-        # fraction of what full snapshots would cost there; boundary
-        # patches are excluded (they keep a single mode regardless)
-        interior = [c for c, nb in zip(counts, rs.grid.neighborhoods)
-                    if nb.is_interior]
-        drawn = sum(d for d, _ in interior)
-        full = sum(n for _, n in interior)
-        run["snapshot_ratio_pct"] = round(100.0 * drawn / full, 4)
+        # random draws (the constant snapshot is free) over the extensions
+        # full snapshots of the oversampled boxes would take, one per rim
+        # node; boundary patches keep a single mode and are left out
+        rims = [int(np.count_nonzero(rs.grid.box_rim(nb.cells_plus)))
+                for nb in rs.grid.neighborhoods if nb.is_interior]
+        drawn = (cfg.offline.k_nb + cfg.offline.p_bf) * len(rims)
+        run["snapshot_ratio_pct"] = round(100.0 * drawn / sum(rims), 4)
     _write(rs, sol, spaces, run)
     return reports
 
@@ -332,7 +326,7 @@ def run_adapt(cfg: RunConfig):
     """Adaptive enrichment driven by the residual (or manual) indicator."""
     rs = setup(cfg)
     # every mode: the indicators read the ones a node does not use yet
-    pou, spaces, _ = _offline(rs, None)
+    pou, spaces = _offline(rs, None)
     fine = solve_fine(rs.sys)
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
                                  u_fine=fine.block_vector())
@@ -349,7 +343,7 @@ def run_adapt(cfg: RunConfig):
 def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)
-    pou, spaces, _ = _offline(rs, cfg.offline.M_off)
+    pou, spaces = _offline(rs, cfg.offline.M_off)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]
     S = node_operator(rs.grid, pou.kappa_tilde, pou.edge_kappa_tilde, kind="mass")

@@ -59,10 +59,10 @@ class Fracture:
             raise GeometryError(f"fracture {self.id}: polyline must be (m, 2)")
         if self.polyline.shape[0] < 2:
             raise GeometryError(f"fracture {self.id}: polyline needs >= 2 vertices")
-        if self.aperture <= 0:
-            raise GeometryError(f"fracture {self.id}: aperture must be positive")
-        if self.kappa_f <= 0:
-            raise GeometryError(f"fracture {self.id}: kappa_f must be positive")
+        for name in ("aperture", "kappa_f"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise GeometryError(
+                    f"fracture {self.id}: {name} must be positive and finite")
         seg = np.diff(self.polyline, axis=0)
         if np.any(np.hypot(seg[:, 0], seg[:, 1]) == 0.0):
             raise GeometryError(f"fracture {self.id}: zero-length polyline segment")
@@ -166,17 +166,6 @@ class EfmTrace:
         return k, 1.0 - w1, w1
 
 
-def _snap_vertex(grid: GridHierarchy, x: float, y: float,
-                 strict: bool, fid: int) -> tuple[int, int]:
-    nid, dist = grid.nearest_node(x, y)
-    tol = grid.geom_tol
-    if strict and dist > 0.5 * min(grid.hx, grid.hy) + tol:
-        raise GeometryError(
-            f"fracture {fid}: vertex ({x}, {y}) is {dist:.3e} from the nearest "
-            "fine node (strict alignment requested)")
-    return grid.node_ij(nid)
-
-
 def _monotone_path(i0: int, j0: int, i1: int, j1: int):
     """Lattice steps from (i0,j0) to (i1,j1), axes interleaved evenly.
 
@@ -199,21 +188,18 @@ def _monotone_path(i0: int, j0: int, i1: int, j1: int):
     return steps
 
 
-def rasterize_dfm(f: Fracture, grid: GridHierarchy,
-                  strict: bool = False) -> DfmTrace:
+def rasterize_dfm(f: Fracture, grid: GridHierarchy) -> DfmTrace:
     """Snap a conforming fracture onto the fine-edge lattice.
 
     Each polyline vertex snaps to its nearest fine node; consecutive
     snapped vertices are joined by the monotone lattice path that
-    alternates axes as evenly as possible (ties toward x).  With
-    ``strict=True`` vertices farther than h/2 from a node are rejected
-    instead of snapped.
+    alternates axes as evenly as possible (ties toward x).
     """
     if f.model is not FractureModel.DFM:
         raise GeometryError(f"fracture {f.id}: not a conforming-model fracture")
     f.validate_inside(grid)
 
-    verts = [_snap_vertex(grid, x, y, strict, f.id) for x, y in f.polyline]
+    verts = [grid.nearest_node(x, y) for x, y in f.polyline]
     edges = []
     for (ia, ja), (ib, jb) in zip(verts[:-1], verts[1:]):
         if (ia, ja) == (ib, jb):
@@ -277,21 +263,16 @@ def _subtract_intervals(span, claimed):
     return parts
 
 
-def intersect_efm(f: Fracture, grid: GridHierarchy,
-                  seg_len: float | None = None) -> EfmTrace:
+def intersect_efm(f: Fracture, grid: GridHierarchy) -> EfmTrace:
     """Mesh an embedded fracture and clip it against the fine cells.
 
-    1D nodes are placed along arclength with spacing at most ``seg_len``
-    (default: the fine mesh size).  Cell overlaps come from exact
+    1D nodes are placed along arclength with spacing at most the fine
+    mesh size min(hx, hy).  Cell overlaps come from exact
     segment/rectangle clipping; zero-length touches are dropped.
     """
     if f.model is not FractureModel.EFM:
         raise GeometryError(f"fracture {f.id}: not an embedded-model fracture")
     f.validate_inside(grid)
-    if seg_len is None:
-        seg_len = min(grid.hx, grid.hy)
-    if seg_len <= 0:
-        raise GeometryError("seg_len must be positive")
     tol = grid.geom_tol
     if f.length < tol:
         raise GeometryError(f"fracture {f.id}: degenerate (length below tolerance)")
@@ -302,7 +283,7 @@ def intersect_efm(f: Fracture, grid: GridHierarchy,
     s = 0.0
     for p0, p1 in zip(f.polyline[:-1], f.polyline[1:]):
         seg = np.hypot(*(p1 - p0))
-        nsub = max(int(np.ceil(seg / seg_len - 1e-12)), 1)
+        nsub = max(int(np.ceil(seg / min(grid.hx, grid.hy) - 1e-12)), 1)
         for k in range(1, nsub + 1):
             t = k / nsub
             pts.append(p0 + t * (p1 - p0))

@@ -82,14 +82,10 @@ class Neighborhood:
     index: int                # coarse-node flat index
     ci: int                   # coarse-node (ci, cj) grid position
     cj: int
-    coarse_cells: list[int]   # flat coarse-cell ids touching the vertex
+    is_interior: bool         # away from the domain boundary: 2x2 coarse cells
     cells: CellBox            # fine cells of the neighborhood
     cells_plus: CellBox       # fine cells of the oversampled region
     node_ids: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def is_interior(self) -> bool:
-        return len(self.coarse_cells) == 4
 
 
 @dataclass
@@ -103,7 +99,6 @@ class GridHierarchy:
     coarse_nx: int
     coarse_ny: int
     refine: int
-    t: int
     fine_nx: int
     fine_ny: int
     hx: float
@@ -227,14 +222,11 @@ class GridHierarchy:
                           np.arange(box.i1 - box.i0)).ravel()
         return np.column_stack([sw, sw + 1, sw + row + 1, sw + row])
 
-    def nearest_node(self, x: float, y: float) -> tuple[int, float]:
-        """Nearest fine node id and its distance to (x, y)."""
+    def nearest_node(self, x: float, y: float) -> tuple[int, int]:
+        """Lattice position (i, j) of the fine node nearest to (x, y)."""
         i = int(np.clip(round((x - self.domain.x0) / self.hx), 0, self.fine_nx))
         j = int(np.clip(round((y - self.domain.y0) / self.hy), 0, self.fine_ny))
-        nid = self.node_id(i, j)
-        dx = x - (self.domain.x0 + i * self.hx)
-        dy = y - (self.domain.y0 + j * self.hy)
-        return nid, float(np.hypot(dx, dy))
+        return i, j
 
     @property
     def geom_tol(self) -> float:
@@ -265,7 +257,7 @@ def build_hierarchy(domain: Rect, coarse_nx: int, coarse_ny: int,
         raise ValueError("refine must be >= 2")
     if t < 0:
         raise ValueError("oversampling width t must be >= 0")
-    if domain.width <= 0 or domain.height <= 0:
+    if not (0 < domain.width < np.inf and 0 < domain.height < np.inf):
         raise ValueError("degenerate domain rectangle")
 
     fine_nx = coarse_nx * refine
@@ -285,23 +277,18 @@ def build_hierarchy(domain: Rect, coarse_nx: int, coarse_ny: int,
 
     grid = GridHierarchy(
         domain=domain, coarse_nx=coarse_nx, coarse_ny=coarse_ny,
-        refine=refine, t=t, fine_nx=fine_nx, fine_ny=fine_ny,
+        refine=refine, fine_nx=fine_nx, fine_ny=fine_ny,
         hx=hx, hy=hy, Hx=domain.width / coarse_nx, Hy=domain.height / coarse_ny,
         node_coords=node_coords, coarse_nodes=coarse_nodes, neighborhoods=[])
 
     for cjv in range(coarse_ny + 1):
         for civ in range(coarse_nx + 1):
-            cells = []
-            for dj in (cjv - 1, cjv):
-                for di in (civ - 1, civ):
-                    if 0 <= di < coarse_nx and 0 <= dj < coarse_ny:
-                        cells.append(dj * coarse_nx + di)
             box = CellBox(max(civ - 1, 0) * refine, max(cjv - 1, 0) * refine,
                           min(civ + 1, coarse_nx) * refine,
                           min(cjv + 1, coarse_ny) * refine)
             nb = Neighborhood(
                 index=cjv * (coarse_nx + 1) + civ, ci=civ, cj=cjv,
-                coarse_cells=cells, cells=box,
+                is_interior=0 < civ < coarse_nx and 0 < cjv < coarse_ny, cells=box,
                 cells_plus=box.dilated(t, fine_nx, fine_ny))
             nb.node_ids = grid.box_nodes(box)
             grid.neighborhoods.append(nb)

@@ -58,8 +58,7 @@ def write_solution_csv(path: str, g: GridHierarchy, u: np.ndarray) -> None:
             fh.write(f"{x:.10g},{y:.10g},{v:.12g}\n")
 
 
-def write_vtk(path: str, g: GridHierarchy, u: np.ndarray,
-              name: str = "pressure") -> None:
+def write_vtk(path: str, g: GridHierarchy, u: np.ndarray) -> None:
     """Legacy VTK structured-points file of a fine-nodal field."""
     u = np.asarray(u, dtype=float)
     if u.shape[0] != g.n_nodes:
@@ -73,7 +72,7 @@ def write_vtk(path: str, g: GridHierarchy, u: np.ndarray,
     buf.write(f"ORIGIN {g.domain.x0:.10g} {g.domain.y0:.10g} 0\n")
     buf.write(f"SPACING {g.hx:.10g} {g.hy:.10g} 1\n")
     buf.write(f"POINT_DATA {g.n_nodes}\n")
-    buf.write(f"SCALARS {name} double\n")
+    buf.write("SCALARS pressure double\n")
     buf.write("LOOKUP_TABLE default\n")
     for v in u:  # node order is already x-fastest, matching VTK
         buf.write(f"{v:.12g}\n")
@@ -129,6 +128,6 @@ def read_kappa_raster(path: str, g: GridHierarchy) -> np.ndarray:
     if data.shape != (ny, nx):
         raise ValueError(f"{path}: expected {ny} rows of {nx} values, "
                          f"got {data.shape}")
-    if np.any(data <= 0):
-        raise ValueError(f"{path}: permeability values must be positive")
+    if not np.all((data > 0) & (data < np.inf)):
+        raise ValueError(f"{path}: permeability values must be positive and finite")
     return data.reshape(-1)

@@ -72,7 +72,7 @@ def harmonic_extension(g: GridHierarchy, A, box: CellBox, gb) -> np.ndarray:
 
 
 def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
-                 owner: int | None = None, rim_edges: bool = True) -> tuple:
+                 rim_edges: bool = True) -> tuple:
     """Everything a local problem on ``box`` reads, as exact bytes: the
     box shape, each per-cell field on the box cells and, for each
     ``edge_arrays`` pair, the box-local end nodes and the weights of its
@@ -86,12 +86,10 @@ def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
     bytes are compared exactly, never to a tolerance.  A problem that
     reads only those interior rows (a harmonic extension) passes
     ``rim_edges=False``: an edge with both ends on the box rim touches
-    no interior row, so it is left out of the key.  A problem that reads
-    more than its box passes its own ``owner`` index, so that its key
-    matches no other.
+    no interior row, so it is left out of the key.
     """
     cells = g.box_cells(box)
-    key = [owner, (box.i1 - box.i0, box.j1 - box.j0)]
+    key = [(box.i1 - box.i0, box.j1 - box.j0)]
     key += [np.asarray(c, dtype=float)[cells].tobytes() for c in cell_weights]
     rim = g.box_rim(box)
     for pair in edges:
@@ -197,16 +195,12 @@ class SnapshotSpace:
     """Local solution samples on one neighborhood.
 
     ``vectors`` is (patch nodes x l_i) dense in the sorted node order of
-    ``node_ids``; ``gen_boundary_count`` is the number of fine boundary
-    nodes of the generation domain (the neighborhood itself, or its
-    oversampled dilation), used for snapshot-ratio reporting.
+    ``node_ids``.
     """
 
     omega_id: int
     vectors: np.ndarray
     node_ids: np.ndarray
-    gen_boundary_count: int
-    constant_included: bool = False
 
     @property
     def l_i(self) -> int:
@@ -219,7 +213,7 @@ def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> Snapshot
     n_rim = int(np.count_nonzero(g.box_rim(nb.cells)))
     return SnapshotSpace(omega_id=omega_id,
                          vectors=harmonic_extension(g, sys.A, nb.cells, np.eye(n_rim)),
-                         node_ids=nb.node_ids, gen_boundary_count=n_rim)
+                         node_ids=nb.node_ids)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
@@ -244,8 +238,7 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     X = harmonic_extension(g, sys.A, box, G)[on_omega]
     # the harmonic extension of 1 is 1
     vectors = np.column_stack([X, np.ones(len(X))])
-    return SnapshotSpace(omega_id=omega_id, vectors=vectors, node_ids=nb.node_ids,
-                         gen_boundary_count=n_rim, constant_included=True)
+    return SnapshotSpace(omega_id=omega_id, vectors=vectors, node_ids=nb.node_ids)
 
 
 @dataclass

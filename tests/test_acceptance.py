@@ -91,7 +91,7 @@ def test_full_snapshot_space_recovers_snapshot_solution():
     assert R.shape[1] == ms.N_c
     lift = pou.boundary_lift(sys.bc)
     A0 = (R.T @ (sys.A @ R)).toarray()
-    b0 = R.T @ (sys.F - sys.A @ lift)
+    b0 = R.T @ (sys.f - sys.A @ lift)
     U, *_ = np.linalg.lstsq(A0, b0, rcond=1e-12)
     u_snap = lift + R @ U
 
@@ -237,7 +237,8 @@ def test_randomized_snapshots_match_full_at_equal_dims(channels):
         err_rand = h1_rel(sys, u_fine, sol_r.u_ms_fine)
         assert err_rand <= 1.5 * err_full  # measured ratios 1.08-1.21
         drawn = sum(s.l_i - 1 for s in interior)  # constant column is free
-        full = sum(s.gen_boundary_count for s in interior)
+        full = sum(np.count_nonzero(g.box_rim(g.neighborhoods[s.omega_id].cells_plus))
+                   for s in interior)
         assert drawn / full <= 0.10  # ~(M + 4)/96, 9.55% at M=5
 
 
@@ -275,7 +276,7 @@ def test_invariant_suite():
         A0, ms.R0T.toarray().T @ sys.A.toarray() @ ms.R0T.toarray(),
         atol=1e-11 * np.abs(A0).max())
     lift = pou.boundary_lift(sys.bc)
-    U = np.linalg.solve(A0, ms.R0T.T @ (sys.F - sys.A @ lift))
+    U = np.linalg.solve(A0, ms.R0T.T @ (sys.f - sys.A @ lift))
     np.testing.assert_allclose(lift + ms.R0T @ U, sol.u_ms_fine,
                                atol=1e-11 * np.abs(sol.u_ms_fine).max())
 

@@ -170,7 +170,7 @@ def test_fine_solve_matches_dense_oracle():
     free = ~fixed
     u = lift.copy()
     u[free] = np.linalg.solve(A[np.ix_(free, free)],
-                              sys.F[free] - A[np.ix_(free, fixed)] @ lift[fixed])
+                              sys.f[free] - A[np.ix_(free, fixed)] @ lift[fixed])
     np.testing.assert_allclose(sol.u, u, atol=1e-12)
 
 
@@ -242,7 +242,7 @@ def test_galerkin_identity_zero_bc():
     sys = mf.assemble_dfm(g, perm, [], f=1.0, bc=0.0)
     sol = mf.solve_fine(sys)
     energy = float(sol.u @ (sys.A @ sol.u))
-    work = float(sys.F @ sol.u)
+    work = float(sys.f @ sol.u)
     assert energy == pytest.approx(work, rel=1e-12)
 
 

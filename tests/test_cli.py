@@ -118,10 +118,34 @@ def test_sweep_records_coarse_path_per_row(tmp_path):
     assert (out / "manifest.yml").read_bytes() == first
 
 
+def test_randomized_sweep_records_snapshot_ratio(tmp_path):
+    # (k_nb + p_bf) drawn extensions per interior neighborhood over the
+    # rim nodes of its oversampled box, the t-layer dilation of its 2x2
+    # coarse cells clipped to the grid
+    nx, ny, r, t, k_nb, p_bf = 4, 3, 4, 1, 3, 2
+    cfg, out = write_cfg(tmp_path, grid={"coarse": [nx, ny], "refine": r, "t": t},
+                         offline={"mode": "randomized", "k_nb": k_nb,
+                                  "p_bf": p_bf, "seed": 3},
+                         sweep=[1, 2])
+    assert main(["sweep", "-c", str(cfg)]) == 0
+    drawn = full = 0
+    for cj in range(1, ny):
+        for ci in range(1, nx):
+            w = min((ci + 1) * r + t, nx * r) - max((ci - 1) * r - t, 0)
+            h = min((cj + 1) * r + t, ny * r) - max((cj - 1) * r - t, 0)
+            drawn += k_nb + p_bf
+            full += 2 * (w + h)
+    run = yaml.safe_load((out / "manifest.yml").read_text())["run"]
+    assert run["snapshot_ratio_pct"] == round(100.0 * drawn / full, 4)
+
+
 def test_malformed_fracture_polyline_exits_nonzero(tmp_path, capsys):
     for fractures, frag in [
             ({"list": [{"polyline": [[0.5, 0.5]],
                         "aperture": 1e-3, "kappa_f": 1e3}]}, "list[0]"),
+            ({"list": [{"polyline": [[0.2, 0.5], [0.8, 0.5]],
+                        "aperture": 1e-3, "kappa_f": float("nan")}]},
+             "list[0].kappa_f: must be finite"),
             ({"field": "crossing_channels", "params": {"nn": 4}}, "nn")]:
         cfg, _ = write_cfg(tmp_path, fractures=fractures)
         assert main(["solve", "-c", str(cfg)]) == 2

@@ -156,8 +156,8 @@ def test_galerkin_orthogonality():
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=2)
     sol = mf.solve_coarse(ms, sys)
-    r = ms.R0T.T @ (sys.F - sys.A @ sol.u_ms_fine)
-    scale = max(1.0, float(np.abs(ms.R0T.T @ sys.F).max()))
+    r = ms.R0T.T @ (sys.f - sys.A @ sol.u_ms_fine)
+    scale = max(1.0, float(np.abs(ms.R0T.T @ sys.f).max()))
     assert np.abs(r).max() <= 1e-9 * scale
 
 
@@ -215,7 +215,7 @@ def randomized_3x3_space(out_dir):
         "fractures": {"field": "crossing_channels", "kappa_f": 1e3},
         "offline": {"mode": "randomized", "M_off": 2},
         "outputs": {"dir": str(out_dir)}}))
-    pou, spaces, _ = driver._offline(rs, 2)
+    pou, spaces = driver._offline(rs, 2)
     return driver._space_at(rs, pou, spaces, 2), rs.sys
 
 
@@ -227,8 +227,8 @@ def test_offline_keeps_the_modes_the_run_reads(n_modes, tmp_path):
         "fractures": {"field": "crossing_channels", "seed": 1},
         "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2},
         "outputs": {"dir": str(tmp_path)}}))
-    _, every, _ = driver._offline(rs, None)
-    pou, spaces, _ = driver._offline(rs, n_modes)
+    _, every = driver._offline(rs, None)
+    pou, spaces = driver._offline(rs, n_modes)
     for sp, ref in zip(spaces, every, strict=True):
         assert sp.eigvals.tobytes() == ref.eigvals.tobytes()
         assert sp.basis_full.shape == (len(sp.node_ids), min(n_modes, ref.l_i))
@@ -272,7 +272,7 @@ def test_prolongation_matches_triplet_build(case, tmp_path):
     rs = driver.setup(parse_config({
         "grid": {"coarse": [4, 3], "refine": 4, "t": 1},
         **PROLONGATION_CASES[case], "outputs": {"dir": str(tmp_path)}}))
-    pou, spaces, _ = driver._offline(rs, None)
+    pou, spaces = driver._offline(rs, None)
     l_i = np.array([sp.l_i for sp in spaces])
     rng = np.random.default_rng(0)
     for counts in (m_off_schedule(rs.grid, 1), m_off_schedule(rs.grid, 3),
@@ -406,7 +406,7 @@ def test_efm_block_solve_matches_dense_oracle():
         M = np.block([[R.T @ Am @ R] + [R.T @ Ck for Ck in C]]
                      + [[C[i].T @ R] + [K[off[i]:off[i + 1], off[k]:off[k + 1]]
                                         for k in range(nf)] for i in range(nf)])
-        b = np.concatenate([R.T @ (sys.F - Am @ lift)]
+        b = np.concatenate([R.T @ (sys.f[:sys.n_nodes] - Am @ lift)]
                            + [sys.f[off[k]:off[k + 1]] - C[k].T @ lift
                               for k in range(nf)])
         x = np.linalg.solve(M, b)

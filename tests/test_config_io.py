@@ -95,10 +95,42 @@ def test_unknown_keys_rejected(data, frag):
     ({"fractures": {"params": {"nn": 4}, "kappa_f": 5.0}}, "field"),
     ({"adapt": {"max_iters": -1}}, "max_iters"),
     ({"adapt": {"tol": -0.5}}, "tol"),
+    ({"fractures": {"field": "crossing_channels", "kappa_f": np.nan}},
+     r"^fractures\.kappa_f: must be finite"),
+    ({"fractures": {"field": "crossing_channels", "kappa_f": np.inf}},
+     r"^fractures\.kappa_f: must be finite"),
+    ({"matrix": {"kappa": np.nan}}, r"^matrix\.kappa: must be finite"),
+    ({"matrix": {"kappa": "nan"}}, r"^matrix\.kappa: must be finite"),
+    ({"fractures": {"list": [{"polyline": [[0, 0], [1, 1]],
+                              "aperture": 1e-3, "kappa_f": np.nan}]}},
+     r"^fractures\.list\[0\]\.kappa_f: must be finite"),
+    ({"grid": {"domain": [0, 0, np.nan, 1]}}, r"^grid\.domain: must be finite"),
+    ({"bc": {"bilinear": [np.nan, 1, 1, 0]}}, r"^bc\.bilinear: must be finite"),
+    ({"source": {"constant": -np.inf}}, r"^source\.constant: must be finite"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
         parse_config(data)
+
+
+def test_constructors_reject_non_finite_values(tmp_path):
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
+    for bad in (np.nan, np.inf):
+        for kw in ({"aperture": bad, "kappa_f": 1e3},
+                   {"aperture": 1e-3, "kappa_f": bad}):
+            with pytest.raises(mf.GeometryError, match="must be positive and finite"):
+                mf.Fracture([[0.1, 0.1], [0.9, 0.9]], model="dfm", **kw)
+        kappa = np.ones(g.n_cells)
+        kappa[3] = bad
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            mf.PermeabilityField(kappa)
+        raster = tmp_path / "kappa.txt"
+        np.savetxt(raster, kappa.reshape(g.fine_ny, g.fine_nx),
+                   header=f"{g.fine_nx} {g.fine_ny}", comments="")
+        with pytest.raises(ValueError, match="positive and finite"):
+            io_formats.read_kappa_raster(str(raster), g)
+        with pytest.raises(ValueError, match="degenerate domain"):
+            mf.build_hierarchy(mf.Rect(0.0, 0.0, bad, 1.0), 2, 2, 2)
 
 
 def _allowed(data):
@@ -156,7 +188,7 @@ def test_vtk_structured_points_layout(tmp_path):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
     u = np.arange(g.n_nodes, dtype=float)
     path = tmp_path / "u.vtk"
-    io_formats.write_vtk(str(path), g, u, name="pressure")
+    io_formats.write_vtk(str(path), g, u)
     lines = path.read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert lines[2] == "ASCII"

@@ -22,9 +22,9 @@ def dfm(poly, g=None, kappa_f=1e4, aperture=1e-3):
     return f if g is None else mf.rasterize_dfm(f, g)
 
 
-def efm(poly, g, kappa_f=1e4, aperture=1e-3, seg_len=None):
+def efm(poly, g, kappa_f=1e4, aperture=1e-3):
     f = mf.Fracture(np.asarray(poly, float), aperture, kappa_f, "efm", 0)
-    return mf.intersect_efm(f, g, seg_len=seg_len)
+    return mf.intersect_efm(f, g)
 
 
 def enumerate_monotone_paths(di, dj):
@@ -84,6 +84,13 @@ def test_degenerate_after_snapping_raises():
         dfm([[0.502, 0.502], [0.504, 0.504]], g)  # both snap to (0.5, 0.5)
 
 
+def test_offgrid_vertices_snap_to_nearest_node():
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 5, 5, 4, t=0)   # h = 0.05
+    off = dfm([[0.126, 0.524], [0.79, 0.49]], g)
+    on = dfm([[0.15, 0.5], [0.8, 0.5]], g)
+    np.testing.assert_array_equal(off.fine_edges, on.fine_edges)
+
+
 def test_rasterization_idempotent_on_aligned_input():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 5, 5, 4, t=0)
     tr1 = dfm([[0.25, 0.5], [0.75, 0.5]], g)
@@ -118,14 +125,6 @@ def test_path_connected():
     for a, b in zip(path[:-1], path[1:]):
         (i0, j0), (i1, j1) = g.node_ij(a), g.node_ij(b)
         assert abs(i1 - i0) + abs(j1 - j0) == 1
-
-
-def test_strict_mode_rejects_offgrid_vertex():
-    g = mf.build_hierarchy(mf.UNIT_SQUARE, 5, 5, 4, t=0)
-    f = mf.Fracture(np.array([[0.125, 0.525], [0.8, 0.5]]), 1e-3, 1e4, "dfm", 7)
-    with pytest.raises(GeometryError, match="7"):
-        mf.rasterize_dfm(f, g, strict=True)
-    mf.rasterize_dfm(f, g)  # non-strict snaps silently
 
 
 # ---------------------------------------------------------------- EFM
@@ -303,9 +302,9 @@ def test_vectorized_clip_matches_scalar_loop(case):
 
 def test_frac_nodes_ordered_and_dense_enough():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 4, t=0)
-    tr = efm([[0.1, 0.2], [0.6, 0.5], [0.9, 0.85]], g, seg_len=0.04)
+    tr = efm([[0.1, 0.2], [0.6, 0.5], [0.9, 0.85]], g)
     assert (np.diff(tr.arclengths) > 0).all()
-    assert np.diff(tr.arclengths).max() <= 0.04 + 1e-12
+    assert np.diff(tr.arclengths).max() <= min(g.hx, g.hy) + 1e-12
     # polyline vertices are mesh nodes
     arcs = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(
         np.array([[0.1, 0.2], [0.6, 0.5], [0.9, 0.85]]), axis=0).T))])

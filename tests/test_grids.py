@@ -89,9 +89,8 @@ def test_every_fine_node_covered():
 def test_interior_neighborhood_is_four_coarse_cells():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 3, 2, t=0)
     for nb in g.neighborhoods:
-        assert len(nb.coarse_cells) == (4 if nb.is_interior else len(nb.coarse_cells))
-        if 0 < nb.ci < 4 and 0 < nb.cj < 3:
-            assert len(nb.coarse_cells) == 4
+        assert nb.is_interior == (0 < nb.ci < 4 and 0 < nb.cj < 3)
+        assert nb.is_interior == (nb.cells.ncells == (2 * g.refine) ** 2)
 
 
 @given(st.integers(0, 2), st.integers(0, 3))

@@ -206,7 +206,6 @@ def test_randomized_snapshot_counts_and_determinism():
     a = mf.randomized_snapshots(g, sys, 4, k_nb=3, p_bf=2, seed=42)
     b = mf.randomized_snapshots(g, sys, 4, k_nb=3, p_bf=2, seed=42)
     assert a.l_i == 3 + 2 + 1
-    assert a.constant_included
     assert a.vectors.tobytes() == b.vectors.tobytes()
     c = mf.randomized_snapshots(g, sys, 4, k_nb=3, p_bf=2, seed=43)
     assert a.vectors.tobytes() != c.vectors.tobytes()
@@ -234,9 +233,10 @@ def test_snapshot_ratio_reference_scale():
     got = []
     for k_nb in (3, 4, 5):
         snap = mf.randomized_snapshots(g, sys, deep.index, k_nb=k_nb, p_bf=2, seed=0)
-        assert snap.gen_boundary_count == 96  # 24x24 oversampled patch rim
-        drawn = snap.l_i - int(snap.constant_included)  # the constant is free
-        got.append(100 * drawn / snap.gen_boundary_count)
+        n_rim = np.count_nonzero(g.box_rim(deep.cells_plus))
+        assert n_rim == 96  # 24x24 oversampled patch rim
+        drawn = snap.l_i - 1  # the constant is free
+        got.append(100 * drawn / n_rim)
     np.testing.assert_allclose(got, [5.21, 6.25, 7.29], atol=0.005)
 
 

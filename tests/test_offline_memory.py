@@ -28,7 +28,7 @@ def test_offline_retains_little_beyond_the_modes(name, tmp_path):
         gc.collect()
         tracemalloc.start()
         try:
-            pou, spaces, counts = driver._offline(rs, n_modes)
+            pou, spaces = driver._offline(rs, n_modes)
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:
@@ -40,4 +40,4 @@ def test_offline_retains_little_beyond_the_modes(name, tmp_path):
         kept = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
         assert retained <= 1.45 * kept, \
             f"n_modes={n_modes}: {retained / kept:.2f}x what is kept"
-        del pou, spaces, counts
+        del pou, spaces
