@@ -287,9 +287,17 @@ def _dirichlet_data(g: GridHierarchy, bc):
     return nodes, _point_values(bc, xy[:, 0], xy[:, 1])
 
 
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """values, or a ValueError naming them if one is not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
                  traces: list[DfmTrace], f=None, bc=None) -> FineSystem:
-    """Monolithic nodal system: matrix stiffness + 1D edge terms."""
+    """Monolithic nodal system: matrix stiffness + 1D edge terms.  A
+    non-finite load or Dirichlet value raises ``ValueError``."""
     if len(perm.kappa_cells) != g.n_cells:
         raise ValueError("permeability field does not match the grid")
     edges = edge_coefficients(traces)
@@ -298,19 +306,10 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
         raise ValueError("fracture trace references edges outside the grid")
     A = node_operator(g, perm.kappa_cells, edges, kind="stiffness")
     nodes, vals = _dirichlet_data(g, bc)
-    return FineSystem(grid=g, perm=perm, A=A, K=A, f=load_vector(g, f),
+    return FineSystem(grid=g, perm=perm, A=A, K=A,
+                      f=_finite("the load f", load_vector(g, f)),
                       edge_arrays=edges, dirichlet_nodes=nodes,
-                      dirichlet_values=vals, bc=bc)
-
-
-def _cell_shape_weights(g: GridHierarchy, cell: int, x: float, y: float):
-    """Bilinear weights of the 4 cell nodes at a point inside the cell."""
-    i = cell % g.fine_nx
-    j = cell // g.fine_nx
-    xi = (x - (g.domain.x0 + i * g.hx)) / g.hx
-    eta = (y - (g.domain.y0 + j * g.hy)) / g.hy
-    return np.array(((1 - xi) * (1 - eta), xi * (1 - eta),
-                     xi * eta, (1 - xi) * eta))
+                      dirichlet_values=_finite("the Dirichlet values", vals), bc=bc)
 
 
 def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
@@ -337,7 +336,7 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
 
     rows, cols, vals, loads = [], [], [], [base.f]
     for tr, o in zip(efm_traces, off):
-        if not tr.cell_overlaps:
+        if not len(tr.cells):
             raise ValueError(
                 f"fracture {tr.fracture_id}: embedded trace has no cell overlaps")
         # 1D stiffness along the fracture
@@ -346,15 +345,20 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
         rows.append(np.column_stack([seg, seg, seg + 1, seg + 1]).ravel())
         cols.append(np.column_stack([seg, seg + 1, seg, seg + 1]).ravel())
         vals.append(np.outer(tr.effective_coeff / ds, [1.0, -1.0, -1.0, 1.0]).ravel())
-        for piece in tr.cell_overlaps:
-            ci = coupling_scale * perm.kappa_cells[piece.cell] \
-                * 2.0 * piece.length ** 2 / (g.hx * g.hy)
-            k, w0, w1 = tr.hat_weights(piece.arclength)
-            w = np.r_[_cell_shape_weights(g, piece.cell, *piece.midpoint), -w0, -w1]
-            dofs = np.r_[cell_nodes[piece.cell], o + k, o + k + 1]
-            rows.append(np.repeat(dofs, 6))
-            cols.append(np.tile(dofs, 6))
-            vals.append(ci * np.outer(w, w).ravel())
+        # the transfer term CI * w w^T of every overlap at once
+        ci = coupling_scale * perm.kappa_cells[tr.cells] \
+            * 2.0 * tr.lengths ** 2 / (g.hx * g.hy)
+        k = np.clip(np.searchsorted(tr.arclengths, tr.mid_arcs, side="right") - 1,
+                    0, tr.n_nodes - 2)
+        w1 = (tr.mid_arcs - tr.arclengths[k]) / (tr.arclengths[k + 1] - tr.arclengths[k])
+        xi = (tr.midpoints[:, 0] - (g.domain.x0 + tr.cells % g.fine_nx * g.hx)) / g.hx
+        eta = (tr.midpoints[:, 1] - (g.domain.y0 + tr.cells // g.fine_nx * g.hy)) / g.hy
+        w = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta,
+                             (1 - xi) * eta, -(1.0 - w1), -w1])
+        dofs = np.column_stack([cell_nodes[tr.cells], o + k, o + k + 1])
+        rows.append(np.repeat(dofs, 6, axis=1).ravel())
+        cols.append(np.tile(dofs, 6).ravel())
+        vals.append((ci[:, None, None] * (w[:, :, None] * w[:, None, :])).ravel())
         # aperture-weighted 1D load, midpoint rule per element
         mids = 0.5 * (tr.frac_nodes[:-1] + tr.frac_nodes[1:])
         fe = 0.5 * _point_values(f, mids[:, 0], mids[:, 1]) * ds * tr.aperture
@@ -367,7 +371,7 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     K.resize(off[-1], off[-1])
     # T is summed before it is transposed, so K is bitwise symmetric
     base.K = (K + 0.5 * (T + T.T)).tocsr()
-    base.f = np.concatenate(loads)
+    base.f = _finite("the load f", np.concatenate(loads))
     return base
 
 

@@ -6,8 +6,10 @@ Two fine-scale representations are supported:
   contributes a one-dimensional stiffness along them (high-permeability
   lines embedded in the matrix mesh), and
 * embedded traces, where a fracture keeps its own 1D mesh, independent
-  of the matrix nodes, and talks to the matrix through per-cell
-  intersection data.
+  of the matrix nodes, and talks to the matrix through its overlaps
+  with the fine cells: the pieces between consecutive grid-line
+  crossings, each in the cell that holds its midpoint (the lower/left
+  one on a grid line), kept as parallel arrays on ``EfmTrace``.
 
 All geometry here is exact up to a relative tolerance of 1e-12 of the
 domain diameter.
@@ -133,37 +135,29 @@ class DfmTrace:
 
 
 @dataclass
-class OverlapPiece:
-    """One connected intersection of an embedded fracture with a fine cell."""
-
-    cell: int           # fine-cell id
-    length: float       # |S|, length of the intersection
-    midpoint: np.ndarray  # (x, y) of the piece midpoint
-    arclength: float    # fracture arclength at the midpoint
-
-
-@dataclass
 class EfmTrace:
-    """Embedded fracture: independent 1D mesh plus cell intersection data."""
+    """Embedded fracture: independent 1D mesh plus its cell overlaps.
+
+    Overlap n is the piece of the fracture in fine cell ``cells[n]``: its
+    length ``lengths[n]`` (|S|), its midpoint ``midpoints[n]`` and the
+    fracture arclength ``mid_arcs[n]`` at that midpoint.  The overlaps of
+    each polyline segment follow those of the previous one, in (j, i)
+    cell order.
+    """
 
     fracture_id: int
     frac_nodes: np.ndarray      # (k, 2) 1D mesh node positions
     arclengths: np.ndarray      # (k,) cumulative arclength of the nodes
-    cell_overlaps: list[OverlapPiece]
+    cells: np.ndarray           # (n,) fine-cell ids
+    lengths: np.ndarray         # (n,)
+    midpoints: np.ndarray       # (n, 2)
+    mid_arcs: np.ndarray        # (n,)
     effective_coeff: float
     aperture: float = 1.0
 
     @property
     def n_nodes(self) -> int:
         return len(self.frac_nodes)
-
-    def hat_weights(self, s: float) -> tuple[int, float, float]:
-        """1D element index and hat-function weights at arclength s."""
-        k = int(np.searchsorted(self.arclengths, s, side="right") - 1)
-        k = min(max(k, 0), self.n_nodes - 2)
-        t0, t1 = self.arclengths[k], self.arclengths[k + 1]
-        w1 = (s - t0) / (t1 - t0)
-        return k, 1.0 - w1, w1
 
 
 def _monotone_path(i0: int, j0: int, i1: int, j1: int):
@@ -218,57 +212,19 @@ def rasterize_dfm(f: Fracture, grid: GridHierarchy) -> DfmTrace:
                     effective_coeff=f.conductivity)
 
 
-def _clip_segment_to_cells(p0, p1, xs, ys):
-    """Liang-Barsky clip of segment p0->p1 against every cell
-    [xs[i], xs[i+1]] x [ys[j], ys[j+1]] at once.
-
-    Returns (t_enter, t_exit, hit), each of shape (len(ys) - 1,
-    len(xs) - 1): the parameters in [0, 1] and whether the intersection
-    is non-empty.  Each entry is the scalar clip's arithmetic, bit for
-    bit: the x slab, then the y slab, ties kept as ``max``/``min`` keep
-    their first argument.
-    """
-    d = p1 - p0
-    shape = (len(ys) - 1, len(xs) - 1)
-    t0, t1 = np.zeros(shape), np.ones(shape)
-    hit = np.ones(shape, dtype=bool)
-    for delta, p, lo, hi in ((d[0], p0[0], xs[None, :-1], xs[None, 1:]),
-                             (d[1], p0[1], ys[:-1, None], ys[1:, None])):
-        if delta == 0.0:
-            hit &= (p >= lo) & (p <= hi)
-            continue
-        ta = (lo - p) / delta
-        tb = (hi - p) / delta
-        swap = ta > tb
-        ta, tb = np.where(swap, tb, ta), np.where(swap, ta, tb)
-        t0 = np.where(ta > t0, ta, t0)
-        t1 = np.where(tb < t1, tb, t1)
-    return t0, t1, hit & (t0 <= t1)
-
-
-def _subtract_intervals(span, claimed):
-    """Parts of the interval ``span`` not covered by any interval in ``claimed``."""
-    parts = [span]
-    for c0, c1 in claimed:
-        nxt = []
-        for a, b in parts:
-            if min(b, c1) <= max(a, c0):
-                nxt.append((a, b))
-                continue
-            if c0 > a:
-                nxt.append((a, c0))
-            if c1 < b:
-                nxt.append((c1, b))
-        parts = nxt
-    return parts
-
-
 def intersect_efm(f: Fracture, grid: GridHierarchy) -> EfmTrace:
-    """Mesh an embedded fracture and clip it against the fine cells.
+    """Mesh an embedded fracture and cut it into its fine-cell overlaps.
 
     1D nodes are placed along arclength with spacing at most the fine
-    mesh size min(hx, hy).  Cell overlaps come from exact
-    segment/rectangle clipping; zero-length touches are dropped.
+    mesh size min(hx, hy).  A polyline segment p0 + t (p1 - p0) meets
+    the cells exactly between consecutive grid-line crossings, so it is
+    cut at t = 0, 1 and (x_k - p0x) / (p1x - p0x) for every grid line
+    x_k strictly inside its x span, likewise in y.  Each piece belongs
+    to the cell whose closed x and y ranges hold its midpoint, the
+    lower/left one when the midpoint is on a grid line (cell 0 on the
+    domain's left or bottom edge), so a fracture along a cell edge is
+    counted once.  Pieces of length <= ``grid.geom_tol`` and pieces
+    outside the grid are dropped.
     """
     if f.model is not FractureModel.EFM:
         raise GeometryError(f"fracture {f.id}: not an embedded-model fracture")
@@ -277,62 +233,36 @@ def intersect_efm(f: Fracture, grid: GridHierarchy) -> EfmTrace:
     if f.length < tol:
         raise GeometryError(f"fracture {f.id}: degenerate (length below tolerance)")
 
-    # 1D mesh along arclength, each polyline segment subdivided evenly
-    pts = [f.polyline[0]]
-    arcs = [0.0]
+    xs = grid.domain.x0 + np.arange(grid.fine_nx + 1) * grid.hx
+    ys = grid.domain.y0 + np.arange(grid.fine_ny + 1) * grid.hy
+    nodes, arcs, pieces = [f.polyline[:1]], [np.zeros(1)], []
     s = 0.0
     for p0, p1 in zip(f.polyline[:-1], f.polyline[1:]):
-        seg = np.hypot(*(p1 - p0))
+        d = p1 - p0
+        seg = np.hypot(*d)
+        # 1D mesh: the segment subdivided evenly
         nsub = max(int(np.ceil(seg / min(grid.hx, grid.hy) - 1e-12)), 1)
-        for k in range(1, nsub + 1):
-            t = k / nsub
-            pts.append(p0 + t * (p1 - p0))
-            arcs.append(s + t * seg)
-        s += seg
-    frac_nodes = np.array(pts)
-    arclengths = np.array(arcs)
-
-    # cell overlaps by clipping each polyline segment; a fracture running
-    # along a cell boundary would be clipped into both neighbours, so each
-    # stretch of arclength is claimed by the first cell that covers it
-    overlaps: list[OverlapPiece] = []
-    s = 0.0
-    x0d, y0d = grid.domain.x0, grid.domain.y0
-    for p0, p1 in zip(f.polyline[:-1], f.polyline[1:]):
-        p0 = np.asarray(p0, float)
-        p1 = np.asarray(p1, float)
-        seg = float(np.hypot(*(p1 - p0)))
-        ilo = int(np.clip(np.floor((min(p0[0], p1[0]) - x0d) / grid.hx - 1e-12),
-                          0, grid.fine_nx - 1))
-        ihi = int(np.clip(np.ceil((max(p0[0], p1[0]) - x0d) / grid.hx + 1e-12),
-                          1, grid.fine_nx))
-        jlo = int(np.clip(np.floor((min(p0[1], p1[1]) - y0d) / grid.hy - 1e-12),
-                          0, grid.fine_ny - 1))
-        jhi = int(np.clip(np.ceil((max(p0[1], p1[1]) - y0d) / grid.hy + 1e-12),
-                          1, grid.fine_ny))
-        t_in, t_out, hit = _clip_segment_to_cells(
-            p0, p1, x0d + np.arange(ilo, ihi + 1) * grid.hx,
-            y0d + np.arange(jlo, jhi + 1) * grid.hy)
-        # the cells the segment meets, in (j, i) order; each subtracts
-        # what earlier cells claimed, read off the spans it overlaps
-        jj, ii = np.nonzero(hit)
-        a, b = t_in[hit], t_out[hit]
-        claimed: list[list[tuple[float, float]]] = []
-        for k, (i, j) in enumerate(zip((ii + ilo).tolist(), (jj + jlo).tolist())):
-            near = np.flatnonzero(np.minimum(b[:k], b[k]) > np.maximum(a[:k], a[k]))
-            claimed.append([])
-            for t0, t1 in _subtract_intervals(
-                    (a[k], b[k]), [c for n in near.tolist() for c in claimed[n]]):
-                length = (t1 - t0) * seg
-                if length <= tol:
-                    continue
-                claimed[k].append((t0, t1))
-                tm = 0.5 * (t0 + t1)
-                overlaps.append(OverlapPiece(
-                    cell=grid.cell_id(i, j), length=length,
-                    midpoint=p0 + tm * (p1 - p0), arclength=s + tm * seg))
+        tk = np.arange(1, nsub + 1) / nsub
+        nodes.append(p0 + tk[:, None] * d)
+        arcs.append(s + tk * seg)
+        # overlaps: the pieces between consecutive grid-line crossings
+        t = np.unique(np.concatenate([[0.0, 1.0]] + [
+            (lines[(lines > min(a, b)) & (lines < max(a, b))] - a) / (b - a)
+            for lines, a, b in ((xs, p0[0], p1[0]), (ys, p0[1], p1[1]))]))
+        length = np.diff(t) * seg
+        tm = 0.5 * (t[:-1] + t[1:])
+        mid = p0 + tm[:, None] * d
+        # the first cell whose closed range holds the midpoint, per axis
+        i = np.searchsorted(xs[1:], mid[:, 0])
+        j = np.searchsorted(ys[1:], mid[:, 1])
+        n = np.flatnonzero((length > tol) & (i < grid.fine_nx) & (j < grid.fine_ny)
+                           & (mid >= (xs[0], ys[0])).all(axis=1))
+        n = n[np.lexsort((i[n], j[n]))]
+        pieces.append((grid.cell_id(i[n], j[n]), length[n], mid[n], s + tm[n] * seg))
         s += seg
 
-    return EfmTrace(fracture_id=f.id, frac_nodes=frac_nodes,
-                    arclengths=arclengths, cell_overlaps=overlaps,
+    cells, lengths, midpoints, mid_arcs = (np.concatenate(a) for a in zip(*pieces))
+    return EfmTrace(fracture_id=f.id, frac_nodes=np.concatenate(nodes),
+                    arclengths=np.concatenate(arcs), cells=cells, lengths=lengths,
+                    midpoints=midpoints, mid_arcs=mid_arcs,
                     effective_coeff=f.conductivity, aperture=f.aperture)

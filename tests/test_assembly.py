@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import msfrac as mf
 from msfrac import driver
@@ -357,6 +357,8 @@ _segment = st.tuples(_coord, _coord, _coord, _coord).filter(
 
 
 @given(st.lists(_segment, min_size=1, max_size=3))
+@example([(0.0, 0.0, 5e-324, 1 / 12)])      # subnormal x extent
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_embedded_fracture_couples_to_the_matrix(segments):
     # each overlap adds CI * w_m w_f^T to block (0, k), with CI > 0 and
     # bilinear and hat weights that are >= 0 and sum to 1, so the block
@@ -384,3 +386,77 @@ def test_efm_fracture_load_scales_with_aperture():
     # total 1D load = f * aperture * length
     L = np.hypot(0.6, 0.2)
     assert out[0] == pytest.approx(2.0 * 1e-3 * L, rel=1e-12)
+
+
+def scalar_efm_operator(g, perm, traces, coupling_scale):
+    """K of ``assemble_efm`` with one 6 x 6 transfer block per overlap
+    (oracle: the per-overlap loop the array assembly replaced, with its
+    scalar hat and bilinear weights).  CI squares |S| as the correctly
+    rounded product, as the array expression does; the loop's NumPy
+    scalar ``** 2`` went through libm pow instead."""
+    off = np.cumsum([g.n_nodes] + [tr.n_nodes for tr in traces])
+    rows, cols, vals = [], [], []
+    for tr, o in zip(traces, off):
+        ds = np.diff(tr.arclengths)
+        seg = o + np.arange(len(ds))
+        rows.append(np.column_stack([seg, seg, seg + 1, seg + 1]).ravel())
+        cols.append(np.column_stack([seg, seg + 1, seg, seg + 1]).ravel())
+        vals.append(np.outer(tr.effective_coeff / ds, [1.0, -1.0, -1.0, 1.0]).ravel())
+        for cell, length, (x, y), s in zip(tr.cells.tolist(), tr.lengths.tolist(),
+                                           tr.midpoints.tolist(), tr.mid_arcs.tolist()):
+            ci = coupling_scale * perm.kappa_cells[cell] \
+                * 2.0 * (length * length) / (g.hx * g.hy)
+            k = int(np.searchsorted(tr.arclengths, s, side="right") - 1)
+            k = min(max(k, 0), tr.n_nodes - 2)
+            t0, t1 = tr.arclengths[k], tr.arclengths[k + 1]
+            w1 = (s - t0) / (t1 - t0)
+            xi = (x - (g.domain.x0 + cell % g.fine_nx * g.hx)) / g.hx
+            eta = (y - (g.domain.y0 + cell // g.fine_nx * g.hy)) / g.hy
+            w = np.array([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta,
+                          (1 - xi) * eta, -(1.0 - w1), -w1])
+            dofs = np.r_[g.cell_nodes(cell), o + k, o + k + 1]
+            rows.append(np.repeat(dofs, 6))
+            cols.append(np.tile(dofs, 6))
+            vals.append(ci * np.outer(w, w).ravel())
+    T = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(off[-1], off[-1])).tocsr()
+    K = node_operator(g, perm.kappa_cells)
+    K.resize(off[-1], off[-1])
+    return (K + 0.5 * (T + T.T)).tocsr()
+
+
+# two embedded fractures per case
+_ORIENTATIONS = {
+    "up_right": ([[0.15, 0.3], [0.85, 0.62]], [[0.1, 0.12], [0.4, 0.7], [0.9, 0.95]]),
+    "down_left": ([[0.83, 0.71], [0.47, 0.52], [0.12, 0.09]], [[0.9, 0.4], [0.2, 0.05]]),
+    "on_grid_line": ([[0.25, 0.5], [0.75, 0.5]], [[0.5, 0.9], [0.5, 0.1]]),
+    "through_vertex": ([[0.25, 0.25], [0.75, 0.75]], [[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORIENTATIONS))
+def test_efm_operator_matches_per_overlap_loop(case):
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)   # grid lines at k / 12
+    perm = cell_permeability(g, lambda x, y: 1.0 + x + 2.0 * y)
+    traces = [mf.intersect_efm(mf.Fracture(np.array(poly, float), 1e-3, kf, "efm", k), g)
+              for k, (poly, kf) in enumerate(zip(_ORIENTATIONS[case], (5e4, 8e4)))]
+    got = mf.assemble_efm(g, perm, [], traces, coupling_scale=0.7).K
+    want = scalar_efm_operator(g, perm, traces, 0.7)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+@pytest.mark.parametrize("case", ["bc_nan", "f_inf", "f_callable_nan", "efm_f_nan"])
+def test_non_finite_data_is_named(case):
+    # bad data, not a singular operator: solve_fine would blame the latter
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
+    perm = mf.PermeabilityField.constant(g, 1.0)
+    with pytest.raises(ValueError, match="Dirichlet" if case == "bc_nan" else "load"):
+        if case == "bc_nan":
+            mf.assemble_dfm(g, perm, [], bc=mf.bilinear_bc(np.nan, 1.0))
+        elif case == "f_inf":
+            mf.assemble_dfm(g, perm, [], f=np.inf)
+        elif case == "f_callable_nan":
+            mf.assemble_dfm(g, perm, [], f=lambda x, y: np.nan * x)
+        else:
+            efm_system(g, [[0.15, 0.3], [0.85, 0.62]], 10.0, f=np.nan)

@@ -134,8 +134,8 @@ def test_diagonal_overlaps_fully_crossed_cells():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)  # 4x4 cells
     tr = efm([[0.25, 0.25], [0.75, 0.75]], g)
     by_cell = {}
-    for p in tr.cell_overlaps:
-        by_cell[p.cell] = by_cell.get(p.cell, 0.0) + p.length
+    for cell, length in zip(tr.cells, tr.lengths):
+        by_cell[cell] = by_cell.get(cell, 0.0) + length
     full = [c for c, L in by_cell.items() if abs(L - 0.25 * np.sqrt(2)) < 1e-12]
     assert len(full) == 2
     assert {g.cell_id(1, 1), g.cell_id(2, 2)} == set(full)
@@ -144,10 +144,9 @@ def test_diagonal_overlaps_fully_crossed_cells():
 def test_centerline_single_cell_overlap():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
     tr = efm([[0.26, 0.375], [0.49, 0.375]], g)  # inside cell (1, 1)
-    assert len(tr.cell_overlaps) == 1
-    p = tr.cell_overlaps[0]
-    assert p.cell == g.cell_id(1, 1)
-    assert abs(p.length - 0.23) < 1e-12
+    assert len(tr.cells) == 1
+    assert tr.cells[0] == g.cell_id(1, 1)
+    assert abs(tr.lengths[0] - 0.23) < 1e-12
 
 
 def test_corner_touch_excluded():
@@ -155,7 +154,7 @@ def test_corner_touch_excluded():
     # segment through the corner (0.5, 0.5) at 45 degrees touches two
     # cells only at that single point
     tr = efm([[0.3, 0.7], [0.7, 0.3]], g)
-    touched = {p.cell for p in tr.cell_overlaps}
+    touched = set(tr.cells.tolist())
     # cells (1,2) and (2,1) are crossed; (1,1) and (2,2) only touch the corner
     assert g.cell_id(1, 2) in touched and g.cell_id(2, 1) in touched
     assert g.cell_id(1, 1) not in touched and g.cell_id(2, 2) not in touched
@@ -164,9 +163,9 @@ def test_corner_touch_excluded():
 def test_on_edge_fracture_not_double_counted():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 5, 5, 8, t=0)
     tr = efm([[0.2, 0.5], [0.8, 0.5]], g)  # runs along fine-cell boundaries
-    total = sum(p.length for p in tr.cell_overlaps)
+    total = sum(tr.lengths)
     assert abs(total - 0.6) < 1e-10
-    cells = [p.cell for p in tr.cell_overlaps]
+    cells = tr.cells.tolist()
     assert len(cells) == len(set(cells))
 
 
@@ -178,7 +177,7 @@ def test_length_conservation(seed, nverts):
     lens = np.hypot(*np.diff(poly, axis=0).T)
     assume(lens.min() > 0.05)
     tr = efm(poly, g)
-    total = sum(p.length for p in tr.cell_overlaps)
+    total = sum(tr.lengths)
     expect = lens.sum()
     assert abs(total - expect) <= 1e-10 * expect
 
@@ -191,8 +190,8 @@ def test_overlaps_match_sampling_oracle(seed):
     assume(np.hypot(*(poly[1] - poly[0])) > 0.1)
     tr = efm(poly, g)
     got = {}
-    for p in tr.cell_overlaps:
-        got[p.cell] = got.get(p.cell, 0.0) + p.length
+    for cell, length in zip(tr.cells, tr.lengths):
+        got[cell] = got.get(cell, 0.0) + length
     want, _ = sampled_overlap_lengths(poly, g)
     for cid in set(got) | set(want):
         assert abs(got.get(cid, 0.0) - want.get(cid, 0.0)) < 2e-5
@@ -202,7 +201,9 @@ def scalar_overlaps(f, g):
     """(cell, length, midpoint, arclength) of every overlap piece, in
     order, by one scalar Liang-Barsky clip per cell of each segment's
     bounding box and a claim subtraction against every earlier piece
-    (oracle: the cell-by-cell loop the vectorized clip replaced)."""
+    (oracle: the cell-by-cell clip that the cut at grid-line crossings
+    replaced; a fracture along a cell edge goes to the lower/left cell,
+    which claims it first)."""
     def clip(p0, p1, cx0, cy0, cx1, cy1):
         d = p1 - p0
         t0, t1 = 0.0, 1.0
@@ -278,7 +279,8 @@ def efm_field(g):
 
 
 @pytest.mark.parametrize("case", ["single_long_efm_r20", "efm_single", "on_hline",
-                                  "on_vline", "through_corners", "inner_vertex"])
+                                  "on_vline", "through_corners", "inner_vertex",
+                                  "on_left_edge", "on_bottom_edge", "down_left"])
 def test_vectorized_clip_matches_scalar_loop(case):
     if case == "single_long_efm_r20":       # bench/configs/efm_sweep_r20.yml
         g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 20, t=2)
@@ -291,11 +293,14 @@ def test_vectorized_clip_matches_scalar_loop(case):
         poly = {"on_hline": [[0.2, 0.5], [0.8, 0.5]],      # delta_y == 0, claims
                 "on_vline": [[0.325, 0.9], [0.325, 0.15]],  # delta_x == 0, claims
                 "through_corners": [[0.25, 0.25], [0.75, 0.75]],
-                "inner_vertex": [[0.13, 0.21], [0.57, 0.48], [0.91, 0.86]]}[case]
+                "inner_vertex": [[0.13, 0.21], [0.57, 0.48], [0.91, 0.86]],
+                "on_left_edge": [[0, 0.2], [0, 0.8]],         # cell 0 on the edge
+                "on_bottom_edge": [[0.7, 0], [0.1, 0]],
+                "down_left": [[0.83, 0.71], [0.47, 0.52], [0.12, 0.09]]}[case]
         f = mf.Fracture(np.asarray(poly, float), 1e-3, 1e4, "efm", 0)
     want = [exact(p) for p in scalar_overlaps(f, g)]
-    got = [exact((p.cell, p.length, p.midpoint, p.arclength))
-           for p in mf.intersect_efm(f, g).cell_overlaps]
+    tr = mf.intersect_efm(f, g)
+    got = [exact(p) for p in zip(tr.cells, tr.lengths, tr.midpoints, tr.mid_arcs)]
     assert len(want) > 0
     assert got == want
 
