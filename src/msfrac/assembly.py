@@ -19,7 +19,7 @@ k >= 1 the k-th embedded fracture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -62,18 +62,26 @@ def q1_shape_tables(hx: float, hy: float):
     return vals, gx, gy, w
 
 
+@lru_cache(maxsize=16)
 def q1_stiffness(hx, hy):
-    """4x4 unit-coefficient stiffness of an hx-by-hy cell."""
+    """4x4 unit-coefficient stiffness of an hx-by-hy cell, computed once
+    per (hx, hy) and read-only."""
     _, gx, gy, w = q1_shape_tables(hx, hy)
     K = np.einsum("q,qi,qj->ij", w, gx, gx) + np.einsum("q,qi,qj->ij", w, gy, gy)
-    return 0.5 * (K + K.T)  # bitwise symmetric despite einsum rounding
+    K = 0.5 * (K + K.T)  # bitwise symmetric despite einsum rounding
+    K.flags.writeable = False
+    return K
 
 
+@lru_cache(maxsize=16)
 def q1_mass(hx, hy):
-    """4x4 unit-coefficient mass matrix of an hx-by-hy cell."""
+    """4x4 unit-coefficient mass matrix of an hx-by-hy cell, computed once
+    per (hx, hy) and read-only."""
     vals, _, _, w = q1_shape_tables(hx, hy)
     M = np.einsum("q,qi,qj->ij", w, vals, vals)
-    return 0.5 * (M + M.T)
+    M = 0.5 * (M + M.T)
+    M.flags.writeable = False
+    return M
 
 
 def bilinear_bc(a=0.0, b=0.0, c=0.0, d=0.0):
@@ -108,6 +116,21 @@ def edge_coefficients(traces: list[DfmTrace]) -> tuple[np.ndarray, np.ndarray]:
     return eids, np.bincount(inv, weights=coeffs)
 
 
+@lru_cache(maxsize=8)
+def _edge_ends(fine_nx: int, fine_ny: int, eids: bytes) -> np.ndarray:
+    """Lattice positions (ai, aj, bi, bj) of the end nodes a < b of the
+    fine edges with the int64 ids ``eids``, as the rows of one read-only
+    array.  Computed once per edge set, which ``FineSystem.edge_arrays``
+    and ``PartitionOfUnity.edge_kappa_tilde`` share."""
+    ids = np.frombuffer(eids, dtype=np.int64)
+    vert = ids >= fine_nx * (fine_ny + 1)
+    k = ids - vert * (fine_nx * (fine_ny + 1))
+    ai, aj = k % (fine_nx + vert), k // (fine_nx + vert)
+    ends = np.array([ai, aj, ai + ~vert, aj + vert])
+    ends.flags.writeable = False
+    return ends
+
+
 def box_edges(g: GridHierarchy, edges: tuple[np.ndarray, np.ndarray],
               box: CellBox):
     """The weighted edges of an edge-weight pair (ascending ids, weights)
@@ -115,12 +138,31 @@ def box_edges(g: GridHierarchy, edges: tuple[np.ndarray, np.ndarray],
     weights, in ascending id order, and their end nodes a < b in the
     box's local node numbering (see ``node_operator``)."""
     eids, w = edges
-    (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
-    keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
+    ends = _edge_ends(g.fine_nx, g.fine_ny,
+                      np.asarray(eids, dtype=np.int64).tobytes())
+    keep = ((ends[:2] >= [[box.i0], [box.j0]])
+            & (ends[2:] <= [[box.i1], [box.j1]])).all(axis=0)
+    ai, aj, bi, bj = ends[:, keep]
     row = box.i1 - box.i0 + 1
-    a = (aj[keep] - box.j0) * row + (ai[keep] - box.i0)
-    b = (bj[keep] - box.j0) * row + (bi[keep] - box.i0)
-    return eids[keep], w[keep], a, b
+    return (eids[keep], w[keep], (aj - box.j0) * row + (ai - box.i0),
+            (bj - box.j0) * row + (bi - box.i0))
+
+
+@lru_cache(maxsize=64)
+def _stencil(nx: int, ny: int):
+    """The CSR pattern of the 9-point stencil of an nx-by-ny cell box:
+    indptr, indices and the mask of the stored slots among the
+    (ny + 1) * (nx + 1) * 9 stencil slots.  Read-only, shared by every
+    operator on a box of this shape."""
+    j, i, k = np.ogrid[:ny + 1, :nx + 1, :9]
+    ci, cj = i + k % 3 - 1, j + k // 3 - 1
+    stored = (ci >= 0) & (ci <= nx) & (cj >= 0) & (cj <= ny)
+    indices = (cj * (nx + 1) + ci)[stored].astype(np.int32)
+    indptr = np.r_[0, np.cumsum(stored.sum(axis=2).ravel())].astype(np.int32)
+    stored = stored.ravel()
+    for x in (indptr, indices, stored):
+        x.flags.writeable = False
+    return indptr, indices, stored
 
 
 def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
@@ -141,6 +183,14 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     gives the global numbering and any box follows ``g.box_nodes(box)``.
     ``edge_weights`` is an edge-weight pair: ascending edge ids and
     their weights.
+
+    The operator stores the 9-point stencil of the node rectangle, whose
+    CSR pattern depends on the box shape alone (``_stencil``).  Each
+    stored value is a fixed sum, so its bits do not depend on the box:
+    the cell terms w_c * ke[a, b] in ascending cell id, starting from the
+    first, and then, once, the edge terms of the entry summed in
+    ascending edge id.  An operator with edges in the box drops the
+    entries that sum to zero.
     """
     if kind == "stiffness":
         ke2d = q1_stiffness(g.hx, g.hy)
@@ -152,31 +202,39 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
         raise ValueError(f"unknown operator kind {kind!r}")
 
     box = box or CellBox(0, 0, g.fine_nx, g.fine_ny)
-    n = (box.i1 - box.i0 + 1) * (box.j1 - box.j0 + 1)
+    nx, ny = box.i1 - box.i0, box.j1 - box.j0
+    n = (nx + 1) * (ny + 1)
+    indptr, indices, stored = _stencil(nx, ny)
 
-    cells = g.box_cells(box)
-    nodes = g.box_cell_nodes(box)
-    data = np.asarray(cell_weights, dtype=float)[cells, None, None] * ke2d[None, :, :]
-    rows = np.broadcast_to(nodes[:, :, None], data.shape)
-    cols = np.broadcast_to(nodes[:, None, :], data.shape)
-    A = sparse.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
-    A.sum_duplicates()
+    # V[dj + 1, di + 1, j, i]: the entry of node (i, j) at node
+    # (i + di, j + dj), starting from -0.0, the exact additive identity.
+    # A node is the ne, nw, se and sw corner c = (cx, cy) of its cells in
+    # ascending id.  Corner c couples to the 2 x 2 block of offsets
+    # (bx - cx, by - cy) of the cell corners (bx, by), whose columns of
+    # ke2d are [[sw, se], [nw, ne]] = [[0, 1], [3, 2]], indexed [by][bx].
+    w = np.asarray(cell_weights, dtype=float).reshape(
+        g.fine_ny, g.fine_nx)[box.j0:box.j1, box.i0:box.i1]
+    blocks = ke2d[:, [[0, 1], [3, 2]], None, None]
+    V = np.full((3, 3, ny + 1, nx + 1), -0.0)
+    for c, (cx, cy) in ((2, (1, 1)), (3, (0, 1)), (1, (1, 0)), (0, (0, 0))):
+        V[1 - cy:3 - cy, 1 - cx:3 - cx, cy:cy + ny, cx:cx + nx] += blocks[c] * w
 
-    if edge_weights is None:
-        return A
-    eids, w, a, b = box_edges(g, edge_weights, box)
-    if not len(eids):
-        return A
-    data = edge_elem(w, np.where(eids < g.n_hedges, g.hx, g.hy))
-    # separate canonical matrix so cell/edge values merge positionwise
-    # (keeps A bitwise symmetric regardless of duplicate-sum order)
-    E = sparse.coo_matrix(
-        (data.ravel(), (np.column_stack([a, a, b, b]).ravel(),
-                        np.column_stack([a, b, a, b]).ravel())),
-        shape=(n, n)).tocsr()
-    E.sum_duplicates()
-    return (A + E).tocsr()
+    eids, ew, a, b = box_edges(g, edge_weights or (np.zeros(0, int), np.zeros(0)), box)
+    if len(eids):
+        # the edge terms of a slot, summed in ascending edge id, are
+        # added to its cell sum once; slot k of local node a is
+        # V.flat[k * n + a]
+        vert = eids >= g.n_hedges
+        slots = np.column_stack([4 * n + a, (5 + 2 * vert) * n + a,
+                                 (3 - 2 * vert) * n + b, 4 * n + b])
+        terms = edge_elem(ew, np.where(vert, g.hy, g.hx))
+        V += np.bincount(slots.ravel(), terms.ravel(),
+                         minlength=V.size).reshape(V.shape)
+    data = V.reshape(9, n).T.ravel()[stored]
+    A = sparse.csr_matrix((data, indices, indptr), shape=(n, n), copy=True)
+    if len(eids) and not data.all():
+        A.eliminate_zeros()
+    return A
 
 
 def load_vector(g: GridHierarchy, f) -> np.ndarray:

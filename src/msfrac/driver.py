@@ -167,12 +167,12 @@ def _offline(rs: RunSetup, n_modes: int | None):
 
     The solved neighborhoods are mapped over one worker thread per
     usable CPU.  Their sparse LU factorizations and NumPy eigensolves
-    release the interpreter lock, but their box-local ``node_operator``
-    builds and ``solve_triangular`` calls hold it, so two workers are
-    often no faster than one.  Each runs on one BLAS thread, so its
-    result depends neither on the worker count nor on which neighborhood
-    of its group it was solved for.  Without a BLAS that can be capped
-    the map runs on a single worker.
+    release the interpreter lock, but their ``solve_triangular`` calls
+    and the SciPy sparse indexing and construction around each box
+    operator hold it, so two workers overlap only in part.  Each runs on
+    one BLAS thread, so its result depends neither on the worker count
+    nor on which neighborhood of its group it was solved for.  Without a
+    BLAS that can be capped the map runs on a single worker.
     """
     os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
     g, sys = rs.grid, rs.sys

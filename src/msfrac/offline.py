@@ -15,9 +15,10 @@ Per coarse node i this produces, in order:
    basis of the neighborhood.  It is reduced to one symmetric standard
    eigenproblem by the Cholesky factor of S_off (Golub & Van Loan,
    Matrix Computations, 8.7); the factorization and the eigensolve are
-   NumPy's LAPACK calls, which release the interpreter lock.  The
-   box-local ``node_operator`` builds and SciPy's ``solve_triangular``
-   hold it, so neighborhoods on two threads overlap only in part.
+   NumPy's LAPACK calls, which release the interpreter lock.  SciPy's
+   ``solve_triangular`` holds it, as do the SciPy sparse indexing and
+   construction around each box operator, so neighborhoods on two
+   threads overlap only in part.
 
 Each neighborhood keeps only chi_i on its own fine nodes, all its
 eigenvalues and one fine-nodal copy of the modes its run reads (the
@@ -27,9 +28,9 @@ decided by the online stage (``build_space``).
 
 The POU and both snapshot kinds are one local solve,
 ``harmonic_extension``: the Dirichlet problem on a box of fine cells
-with given values on its rim.  It uses the nodal operator that already
-carries the conforming-fracture edge terms, so the basis sees the
-fractures.
+with given values on its rim.  It solves with the box's own stiffness,
+which carries the conforming-fracture edge terms, so the basis sees
+the fractures.
 """
 
 from __future__ import annotations
@@ -52,22 +53,23 @@ __all__ = [
 
 
 def harmonic_extension(g: GridHierarchy, A, box: CellBox, gb) -> np.ndarray:
-    """Solve the Dirichlet problem of the operator A on box.
+    """Solve the Dirichlet problem of the box operator A on box.
 
-    gb holds the values on the box rim (``g.box_rim(box)``), one column
-    per extension.  Returns each extension on ``g.box_nodes(box)``: gb on
-    the rim and, at the interior nodes, the solution of A's rows there,
-    from one sparse LU.  For a rectangular box the rows of the global
-    operator at its interior nodes coincide with the locally assembled
-    rows, so no re-assembly is needed.
+    A is the operator ``node_operator`` assembles on box, numbered like
+    ``g.box_nodes(box)``.  Only its rows at the interior nodes are read,
+    and those equal the whole-grid operator's rows there bit for bit:
+    they sum the same cell and edge terms in the same order.  gb holds
+    the values on the box rim (``g.box_rim(box)``), one column per
+    extension.  Returns each extension on ``g.box_nodes(box)``: gb on the
+    rim and, at the interior nodes, the solution of A's rows there, from
+    one sparse LU.
     """
-    nodes, rim = g.box_nodes(box), g.box_rim(box)
+    rim = g.box_rim(box)
     gb = np.asarray(gb, dtype=float).reshape(np.count_nonzero(rim), -1)
-    Ai = A[nodes[~rim]]
-    u = np.empty((len(nodes), gb.shape[1]))
+    Ai = A[~rim]
+    u = np.empty((len(rim), gb.shape[1]))
     u[rim] = gb
-    u[~rim] = spla.splu(Ai[:, nodes[~rim]].tocsc()).solve(
-        -np.asarray(Ai[:, nodes[rim]] @ gb))
+    u[~rim] = spla.splu(Ai[:, ~rim].tocsc()).solve(-np.asarray(Ai[:, rim] @ gb))
     return u
 
 
@@ -80,13 +82,13 @@ def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
 
     Two problems with equal keys see byte-identical local data, so they
     run the same computation (on one BLAS thread) and get the same
-    result, which is why one solve may serve both.  The rows of the
-    global operator A that a box's interior nodes read are summed from
-    these same cell and edge weights, in the same relative order.  The
-    bytes are compared exactly, never to a tolerance.  A problem that
-    reads only those interior rows (a harmonic extension) passes
-    ``rim_edges=False``: an edge with both ends on the box rim touches
-    no interior row, so it is left out of the key.
+    result, which is why one solve may serve both.  The box operators
+    (``node_operator``) are summed from these same cell and edge
+    weights in a fixed order.  The bytes are compared exactly, never to
+    a tolerance.  A problem that reads only the rows at the box's
+    interior nodes (a harmonic extension) passes ``rim_edges=False``: an
+    edge with both ends on the box rim touches no interior row, so it is
+    left out of the key.
     """
     cells = g.box_cells(box)
     key = [(box.i1 - box.i0, box.j1 - box.j0)]
@@ -153,7 +155,8 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
                                rim_edges=False)
             X = extensions.get(key)
             if X is None:
-                X = extensions[key] = harmonic_extension(g, sys.A, box, gb)
+                A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
+                X = extensions[key] = harmonic_extension(g, A, box, gb)
             j, i = np.divmod(g.box_nodes(box), g.fine_nx + 1)
             corners = (J * (g.coarse_nx + 1) + I,
                        J * (g.coarse_nx + 1) + I + 1,
@@ -210,9 +213,10 @@ class SnapshotSpace:
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> SnapshotSpace:
     """One harmonic extension per fine boundary node of the neighborhood."""
     nb = g.neighborhoods[omega_id]
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
     n_rim = int(np.count_nonzero(g.box_rim(nb.cells)))
     return SnapshotSpace(omega_id=omega_id,
-                         vectors=harmonic_extension(g, sys.A, nb.cells, np.eye(n_rim)),
+                         vectors=harmonic_extension(g, A, nb.cells, np.eye(n_rim)),
                          node_ids=nb.node_ids)
 
 
@@ -235,7 +239,8 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     rng = np.random.default_rng([seed, omega_id])
     G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
     on_omega = np.searchsorted(g.box_nodes(box), nb.node_ids)
-    X = harmonic_extension(g, sys.A, box, G)[on_omega]
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
+    X = harmonic_extension(g, A, box, G)[on_omega]
     # the harmonic extension of 1 is 1
     vectors = np.column_stack([X, np.ones(len(X))])
     return SnapshotSpace(omega_id=omega_id, vectors=vectors, node_ids=nb.node_ids)

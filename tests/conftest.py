@@ -45,6 +45,34 @@ def two_embedded_system(g, perm, bc=None, f=None):
                            [mf.intersect_efm(fr, g) for fr in efm], bc=bc, f=f)
 
 
+def operator_case(case):
+    """(grid, fine system) of one of the grids the operator oracles run
+    on: "channels", a channel network in which two traces share fine
+    edges; "efm", one embedded fracture and no conforming edge; "plain",
+    no fracture; "non_square", channels on cells with hx != hy."""
+    if case == "non_square":
+        g = mf.build_hierarchy(mf.Rect(0.0, 0.0, 2.0, 1.0), 4, 3, 3, t=2)
+    else:
+        g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 4, t=2)
+    perm = cell_permeability(g, lambda x, y: 1.0 + x + 2.0 * y)
+    if case == "efm":
+        (fr,) = mf.fields.single_long_efm(g, seed=0).efm
+        return g, mf.assemble_efm(g, perm, [], [mf.intersect_efm(fr, g)])
+    traces = [] if case == "plain" else [
+        mf.rasterize_dfm(f, g) for f in mf.fields.crossing_channels(g, seed=1).dfm]
+    return g, mf.assemble_dfm(g, perm, traces, bc=mf.bilinear_bc(0, 1, 1, 0))
+
+
+def operator_boxes(g):
+    """Every box a run assembles on: the whole grid (None), each
+    neighborhood, each oversampled neighborhood and each coarse cell."""
+    r = g.refine
+    return ([None] + [nb.cells for nb in g.neighborhoods]
+            + [nb.cells_plus for nb in g.neighborhoods]
+            + [mf.CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
+               for J in range(g.coarse_ny) for I in range(g.coarse_nx)])
+
+
 def neighborhood_spaces(sys, pou, kind="full", **snapshot_kw):
     """Offline space of every coarse node, from "full" or "randomized"
     snapshots; ``snapshot_kw`` goes to the snapshot builder.  A space

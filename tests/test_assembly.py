@@ -10,7 +10,10 @@ hx-by-hy rectangle (node order sw, se, ne, nw):
 
 import dataclasses
 import pathlib
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,12 +22,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, strategies as st
 
 import msfrac as mf
-from msfrac import driver
+from msfrac import assembly, driver
 from msfrac.assembly import (q1_stiffness, q1_mass, node_operator,
                              load_vector, edge_coefficients)
 from msfrac.config import load_config
 
-from conftest import cell_permeability, two_embedded_system
+from conftest import (cell_permeability, operator_boxes, operator_case,
+                      two_embedded_system)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -132,6 +136,126 @@ def test_node_operator_matches_dense_scatter(seed):
         np.testing.assert_allclose(Aloc.toarray(),
                                    dense_assemble(g, kb, kept)[np.ix_(nodes, nodes)],
                                    rtol=0, atol=1e-12)
+
+
+def coo_node_operator(g, cell_weights, edge_weights=None, kind="stiffness",
+                      box=None):
+    """``node_operator`` as a sum of sparse COO matrices (oracle: the
+    assembly the stencil fill replaced).  The cell terms go through one
+    COO matrix, converted to CSR with its duplicates summed; the edge
+    terms through a second one, added to it."""
+    ke2d = q1_stiffness(g.hx, g.hy) if kind == "stiffness" else q1_mass(g.hx, g.hy)
+    box = box or mf.CellBox(0, 0, g.fine_nx, g.fine_ny)
+    n = (box.i1 - box.i0 + 1) * (box.j1 - box.j0 + 1)
+    cells = g.box_cells(box)
+    nodes = g.box_cell_nodes(box)
+    data = np.asarray(cell_weights, dtype=float)[cells, None, None] * ke2d[None, :, :]
+    rows = np.broadcast_to(nodes[:, :, None], data.shape)
+    cols = np.broadcast_to(nodes[:, None, :], data.shape)
+    A = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    if edge_weights is None:
+        return A
+    eids, w = edge_weights
+    (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
+    keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
+    if not keep.any():
+        return A
+    row = box.i1 - box.i0 + 1
+    a = (aj[keep] - box.j0) * row + (ai[keep] - box.i0)
+    b = (bj[keep] - box.j0) * row + (bi[keep] - box.i0)
+    h = np.where(eids[keep] < g.n_hedges, g.hx, g.hy)
+    if kind == "stiffness":
+        data = (w[keep] / h)[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
+    else:
+        data = (w[keep] * h / 6.0)[:, None] * np.array([2.0, 1.0, 1.0, 2.0])
+    E = sp.coo_matrix((data.ravel(), (np.column_stack([a, a, b, b]).ravel(),
+                                      np.column_stack([a, b, a, b]).ravel())),
+                      shape=(n, n)).tocsr()
+    E.sum_duplicates()
+    return (A + E).tocsr()
+
+
+def assert_same_bytes(got, want):
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).dtype == getattr(want, part).dtype
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+@pytest.mark.parametrize("case", ["channels", "efm", "plain", "non_square"])
+def test_node_operator_bytes_match_coo_assembly(case):
+    g, fine = operator_case(case)
+    if case == "channels":    # some fine edges lie on two traces
+        ids = np.concatenate([tr.fine_edges for tr in
+                              (mf.rasterize_dfm(f, g) for f in
+                               mf.fields.crossing_channels(g, seed=1).dfm)])
+        assert len(np.unique(ids)) < len(ids)
+    pou = mf.compute_pou(g, fine)
+    # weights over six decades, so a change of summation order shows
+    rng = np.random.default_rng(3)
+    eids = fine.edge_arrays[0]
+    spread = (10.0 ** rng.uniform(-3, 3, g.n_cells),
+              (eids, 10.0 ** rng.uniform(-3, 3, len(eids))))
+    for cells, edges in ((fine.perm.kappa_cells, fine.edge_arrays),
+                         (pou.kappa_tilde, pou.edge_kappa_tilde), spread):
+        for kind in ("stiffness", "mass"):
+            for box in operator_boxes(g):
+                assert_same_bytes(node_operator(g, cells, edges, kind, box),
+                                  coo_node_operator(g, cells, edges, kind, box))
+
+
+def test_node_operator_drops_zero_sums_like_a_sparse_sum():
+    # a zero cell weight gives zero sums, which the COO sum with an edge
+    # matrix drops and the cell matrix alone keeps
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
+    w = np.ones(g.n_cells)
+    w[[0, 5]] = 0.0
+    edges = (np.array([g.hedge_id(2, 2)]), np.array([3.0]))
+    for kind in ("stiffness", "mass"):
+        for ew in (None, edges):
+            got = node_operator(g, w, ew, kind)
+            assert_same_bytes(got, coo_node_operator(g, w, ew, kind))
+            assert (got.data == 0).any() == (ew is None)
+
+
+def test_stencil_state_is_built_once_and_read_only():
+    g, fine = operator_case("channels")
+    args = (fine.perm.kappa_cells, fine.edge_arrays, "stiffness")
+    boxes = operator_boxes(g)
+    serial = [node_operator(g, *args, box) for box in boxes]
+    for cache in (assembly._stencil, assembly._edge_ends, q1_stiffness, q1_mass):
+        cache.cache_clear()
+    start = threading.Barrier(4, timeout=30)
+
+    def build(_):
+        start.wait()           # all four threads meet the cold caches
+        return [node_operator(g, *args, box) for box in boxes]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            built = [f.result(timeout=60) for f in
+                     [pool.submit(build, k) for k in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for ops in built:
+        for got, want in zip(ops, serial):
+            assert_same_bytes(got, want)
+    shared = assembly._stencil(g.fine_nx, g.fine_ny) + (
+        assembly._edge_ends(g.fine_nx, g.fine_ny, fine.edge_arrays[0].tobytes()),
+        q1_stiffness(g.hx, g.hy))
+    assert not any(x.flags.writeable for x in shared)
+
+    # the caller owns every array of a returned operator
+    for box in (None, g.neighborhoods[6].cells):
+        A = node_operator(g, *args, box)
+        want = node_operator(g, *args, box)
+        A.data *= 2
+        A.sort_indices()
+        A.data[::3] = 0.0
+        A.eliminate_zeros()         # rewrites indices and indptr in place
+        assert_same_bytes(node_operator(g, *args, box), want)
 
 
 def test_symmetry_exact():

@@ -9,12 +9,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import msfrac as mf
 from msfrac.assembly import node_operator
 from msfrac.offline import harmonic_extension
 
-from conftest import dense_chi, mode_gram
+from conftest import dense_chi, mode_gram, operator_boxes, operator_case
 
 GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
@@ -99,7 +100,8 @@ def test_harmonic_extension_interior_residual():
     g, sys = const_system()
     nb = g.neighborhoods[4]
     gb = np.random.default_rng(1).standard_normal(len(rim_ids(g, nb)))
-    u = harmonic_extension(g, sys.A, nb.cells, gb)
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
+    u = harmonic_extension(g, A, nb.cells, gb)
     full = np.zeros(g.n_nodes)
     full[nb.node_ids] = u.ravel()
     assert full[rim_ids(g, nb)].tobytes() == gb.tobytes()
@@ -125,13 +127,39 @@ def test_extension_keeps_the_box_perimeter(where, dilated):
     nodes, rim = g.box_nodes(box), g.box_rim(box)
     assert nodes[rim].tolist() == perimeter
     gb = np.random.default_rng(2).standard_normal((len(perimeter), 3))
-    u = harmonic_extension(g, sys.A, box, gb)
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
+    u = harmonic_extension(g, A, box, gb)
     assert u.shape == (len(nodes), 3)
     assert u[rim].tobytes() == gb.tobytes()
     full = np.zeros((g.n_nodes, 3))
     full[nodes] = u
     R = (sys.A @ full)[nodes[~rim]]
     assert np.abs(R).max() < 1e-10 * np.abs(sys.A.data).max() * np.abs(gb).max()
+
+
+def global_slice_extension(g, A, box, gb):
+    """``harmonic_extension`` on the whole-grid operator A (oracle: the
+    version that sliced the box's interior rows out of the global
+    operator)."""
+    nodes, rim = g.box_nodes(box), g.box_rim(box)
+    gb = np.asarray(gb, dtype=float).reshape(np.count_nonzero(rim), -1)
+    Ai = A[nodes[~rim]]
+    u = np.empty((len(nodes), gb.shape[1]))
+    u[rim] = gb
+    u[~rim] = spla.splu(Ai[:, nodes[~rim]].tocsc()).solve(
+        -np.asarray(Ai[:, nodes[rim]] @ gb))
+    return u
+
+
+@pytest.mark.parametrize("case", ["channels", "efm", "plain", "non_square"])
+def test_box_extension_matches_global_slice(case):
+    g, fine = operator_case(case)
+    rng = np.random.default_rng(4)
+    for box in operator_boxes(g)[1:]:
+        A = node_operator(g, fine.perm.kappa_cells, fine.edge_arrays, box=box)
+        gb = rng.uniform(-1.0, 1.0, (np.count_nonzero(g.box_rim(box)), 3))
+        assert harmonic_extension(g, A, box, gb).tobytes() \
+            == global_slice_extension(g, fine.A, box, gb).tobytes()
 
 
 # ------------------------------------------------------- snapshots
