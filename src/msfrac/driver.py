@@ -24,8 +24,9 @@ from .grids import Rect, GridHierarchy, build_hierarchy
 from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
 from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
-from .offline import (_problem_key, compute_pou, full_snapshots,
-                      randomized_snapshots, offline_eigendecomposition)
+from .offline import (_groups, _problem_key, compute_pou, full_snapshots,
+                      harmonic_extension, randomized_snapshots,
+                      offline_eigendecomposition)
 from .coarse import build_space, coarse_system, restrict, solve_coarse
 from .adaptivity import adaptive_loop
 from .analysis import ErrorReport, errors
@@ -139,16 +140,23 @@ def _one_blas_thread():
             set_(n)
 
 
-def _neighborhood_offline(rs: RunSetup, pou, n_modes, omega_id: int):
-    """Local spectral space of one coarse neighborhood with its first
-    ``n_modes`` modes; the snapshots themselves are dropped here."""
-    off = rs.cfg.offline
+def _group_offline(rs: RunSetup, pou, n_modes, group: list[int]):
+    """Spectral spaces, with their first ``n_modes`` modes, of a group of
+    neighborhoods with equal ``_problem_key``.  A full-snapshot group is
+    solved once, and each neighborhood gets its own space on the same
+    read-only arrays.  A randomized group factors its oversampled box
+    once, and each neighborhood solves its own draws on that factor and
+    then its own spectra, one at a time."""
+    g, sys, off = rs.grid, rs.sys, rs.cfg.offline
     if off.mode == "randomized":
-        snap = randomized_snapshots(rs.grid, rs.sys, omega_id, k_nb=off.k_nb,
-                                    p_bf=off.p_bf, seed=off.seed)
-    else:
-        snap = full_snapshots(rs.grid, rs.sys, omega_id)
-    return offline_eigendecomposition(snap, rs.sys, pou, n_modes)
+        extend = harmonic_extension(g, sys, g.neighborhoods[group[0]].cells_plus)
+        return [offline_eigendecomposition(randomized_snapshots(
+                    g, sys, i, off.k_nb, off.p_bf, off.seed, extend),
+                    sys, pou, n_modes) for i in group]
+    space = offline_eigendecomposition(full_snapshots(g, sys, group[0]),
+                                       sys, pou, n_modes)
+    return [replace(space, omega_id=i, node_ids=g.neighborhoods[i].node_ids)
+            for i in group]
 
 
 def _offline(rs: RunSetup, n_modes: int | None):
@@ -156,42 +164,33 @@ def _offline(rs: RunSetup, n_modes: int | None):
     space keeps all its eigenvalues and its first ``n_modes`` modes (all
     of them when None), the most any coarse node of the run reads.
 
-    Full-snapshot neighborhoods with the same local problem are solved
-    once: they are grouped by their box shape and the exact bytes of the
-    permeability, kappa_tilde and both edge-weight sets on the box
-    (``_problem_key``).  A randomized neighborhood also reads its own
-    draws and its oversampled box, so it is not keyed and is solved for
-    itself.  The first neighborhood of each group is solved; every one
-    gets its own space, with its own ``omega_id`` and ``node_ids``, on
-    the group's read-only ``eigvals`` and ``basis_full``.
+    The neighborhoods are grouped by the exact bytes of what they read
+    (``_problem_key``), and each group is one unit of work
+    (``_group_offline``): a full-snapshot neighborhood by its whole
+    spectral problem, a randomized one by the extension on its
+    oversampled box, since its draws are its own.
 
-    The solved neighborhoods are mapped over one worker thread per
-    usable CPU.  Their sparse LU factorizations and NumPy eigensolves
-    release the interpreter lock, but their ``solve_triangular`` calls
-    and the SciPy sparse indexing and construction around each box
-    operator hold it, so two workers overlap only in part.  Each runs on
-    one BLAS thread, so its result depends neither on the worker count
-    nor on which neighborhood of its group it was solved for.  Without a
-    BLAS that can be capped the map runs on a single worker.
+    The groups are mapped over one worker thread per usable CPU.  Their
+    sparse LU factorizations and NumPy eigensolves release the
+    interpreter lock, but their ``solve_triangular`` calls and the SciPy
+    sparse indexing and construction around each box operator hold it,
+    so two workers overlap only in part.  Each runs on one BLAS thread,
+    so its result depends neither on the worker count nor on which
+    neighborhood leads its group.  Without a BLAS that can be capped the
+    map runs on a single worker.
     """
     os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
     g, sys = rs.grid, rs.sys
     pou = compute_pou(g, sys)
     randomized = rs.cfg.offline.mode == "randomized"
-    first: dict[tuple, int] = {}
-    leader = [nb.index if randomized else first.setdefault(_problem_key(
-                  g, nb.cells, (sys.perm.kappa_cells, pou.kappa_tilde),
-                  (sys.edge_arrays, pou.edge_kappa_tilde)), nb.index)
-              for nb in g.neighborhoods]
-    del first                          # the keys are not needed past here
-    solve = sorted(set(leader))
+    keys = (_problem_key(g, nb.cells_plus, sys) if randomized
+            else _problem_key(g, nb.cells, sys, pou) for nb in g.neighborhoods)
     with _one_blas_thread() as capped:
         workers = len(os.sched_getaffinity(0)) if capped else 1
         with ThreadPoolExecutor(workers) as pool:
-            done = dict(zip(solve, pool.map(
-                partial(_neighborhood_offline, rs, pou, n_modes), solve)))
-    spaces = [replace(done[i], omega_id=nb.index, node_ids=nb.node_ids)
-              for nb, i in zip(g.neighborhoods, leader)]
+            solved = pool.map(partial(_group_offline, rs, pou, n_modes), _groups(keys))
+            spaces = sorted((sp for group in solved for sp in group),
+                            key=lambda sp: sp.omega_id)
     return pou, spaces
 
 

@@ -1,36 +1,23 @@
 """Offline stage of the multiscale solver.
 
-Per coarse node i this produces, in order:
-
-1. a partition-of-unity function chi_i (kappa-harmonic extension of
-   linear edge data on each coarse cell), together with the weight
-   kappa_tilde = kappa * sum_i H^2 |grad chi_i|^2 that weights the
-   spectral mass S;
-2. a local snapshot space on the neighborhood omega_i — either one
-   harmonic extension per fine boundary node, or a handful of harmonic
-   extensions of random boundary data on the oversampled region,
-   restricted back to omega_i;
-3. the generalized eigenproblem A_off Psi = lambda S_off Psi on the
-   snapshot-projected pencil, whose smallest modes become the offline
-   basis of the neighborhood.  It is reduced to one symmetric standard
-   eigenproblem by the Cholesky factor of S_off (Golub & Van Loan,
-   Matrix Computations, 8.7); the factorization and the eigensolve are
-   NumPy's LAPACK calls, which release the interpreter lock.  SciPy's
-   ``solve_triangular`` holds it, as do the SciPy sparse indexing and
-   construction around each box operator, so neighborhoods on two
-   threads overlap only in part.
-
-Each neighborhood keeps only chi_i on its own fine nodes, all its
-eigenvalues and one fine-nodal copy of the modes its run reads (the
-first ``n_modes``); the snapshots and the pencil are dropped once the
+Per coarse node i this produces, in order, a partition-of-unity
+function chi_i and the weight kappa_tilde of the spectral mass
+(``compute_pou``), a snapshot space on the neighborhood omega_i
+(``full_snapshots``, ``randomized_snapshots``) and the smallest modes of
+the snapshot pencil, the offline basis of omega_i
+(``offline_eigendecomposition``).  Each neighborhood keeps only chi_i on
+its own fine nodes, all its eigenvalues and one fine-nodal copy of the
+modes its run reads; the snapshots and the pencil are dropped once the
 eigensolve returns.  How many of the kept modes a coarse node uses is
 decided by the online stage (``build_space``).
 
-The POU and both snapshot kinds are one local solve,
-``harmonic_extension``: the Dirichlet problem on a box of fine cells
-with given values on its rim.  It solves with the box's own stiffness,
-which carries the conforming-fracture edge terms, so the basis sees
-the fractures.
+The POU and both snapshot kinds rest on one local solve,
+``harmonic_extension``: the Dirichlet problem of a box's own stiffness,
+which carries the conforming-fracture edge terms, factored once.  Boxes
+whose local problems read byte-identical data (``_problem_key``) form
+one group (``_groups``) on one factor: a coarse cell's group solves the
+four corner fields once, a full-snapshot neighborhood's group its
+snapshots and spectra, and each randomized neighborhood its own draws.
 """
 
 from __future__ import annotations
@@ -52,55 +39,74 @@ __all__ = [
 ]
 
 
-def harmonic_extension(g: GridHierarchy, A, box: CellBox, gb) -> np.ndarray:
-    """Solve the Dirichlet problem of the box operator A on box.
+def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
+    """Factor the Dirichlet problem of the box stiffness of sys on box
+    once, and return the function that solves it for given rim values.
 
-    A is the operator ``node_operator`` assembles on box, numbered like
-    ``g.box_nodes(box)``.  Only its rows at the interior nodes are read,
-    and those equal the whole-grid operator's rows there bit for bit:
-    they sum the same cell and edge terms in the same order.  gb holds
-    the values on the box rim (``g.box_rim(box)``), one column per
-    extension.  Returns each extension on ``g.box_nodes(box)``: gb on the
-    rim and, at the interior nodes, the solution of A's rows there, from
-    one sparse LU.
+    The operator is the one ``node_operator`` assembles on box, numbered
+    like ``g.box_nodes(box)``.  Only its rows at the interior nodes are
+    read, and those equal the whole-grid operator's rows there bit for
+    bit: they sum the same cell and edge terms in the same order.  Their
+    stored zeros are dropped before the one sparse LU, so the factor
+    depends on the values of those rows alone.  The returned function
+    takes the values on the box rim (``g.box_rim(box)``), one column per
+    extension, and returns each extension on ``g.box_nodes(box)``: those
+    values on the rim and, at the interior nodes, the solution of the
+    operator's rows there, from one solve on the factor.
     """
     rim = g.box_rim(box)
-    gb = np.asarray(gb, dtype=float).reshape(np.count_nonzero(rim), -1)
-    Ai = A[~rim]
-    u = np.empty((len(rim), gb.shape[1]))
-    u[rim] = gb
-    u[~rim] = spla.splu(Ai[:, ~rim].tocsc()).solve(-np.asarray(Ai[:, rim] @ gb))
-    return u
+    Ai = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)[~rim]
+    Ai.eliminate_zeros()
+    lu, Ar = spla.splu(Ai[:, ~rim].tocsc()), Ai[:, rim]
+
+    def extend(gb) -> np.ndarray:
+        gb = np.reshape(gb, (Ar.shape[1], -1))
+        u = np.empty((len(rim), gb.shape[1]))
+        u[rim] = gb
+        u[~rim] = lu.solve(-np.asarray(Ar @ gb))
+        return u
+    return extend
 
 
-def _problem_key(g: GridHierarchy, box: CellBox, cell_weights, edges,
-                 rim_edges: bool = True) -> tuple:
+def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem,
+                 pou: PartitionOfUnity | None = None) -> tuple:
     """Everything a local problem on ``box`` reads, as exact bytes: the
     box shape, each per-cell field on the box cells and, for each
-    ``edge_arrays`` pair, the box-local end nodes and the weights of its
-    edges in the closed box.
+    edge-weight pair, the box-local end nodes and the weights of its
+    edges in the closed box.  Without pou the problem is the harmonic
+    extension with the stiffness of sys.  It reads only the operator rows
+    at the box's interior nodes, so an edge with both ends on the rim,
+    which touches no such row, is left out.  With pou it is a
+    neighborhood's whole spectral problem, which also reads kappa_tilde
+    and its edge weights.
 
     Two problems with equal keys see byte-identical local data, so they
     run the same computation (on one BLAS thread) and get the same
-    result, which is why one solve may serve both.  The box operators
-    (``node_operator``) are summed from these same cell and edge
-    weights in a fixed order.  The bytes are compared exactly, never to
-    a tolerance.  A problem that reads only the rows at the box's
-    interior nodes (a harmonic extension) passes ``rim_edges=False``: an
-    edge with both ends on the box rim touches no interior row, so it is
-    left out of the key.
+    result, which is why one factor may serve both (``_groups``).  The
+    box operators (``node_operator``) are summed from these same cell and
+    edge weights in a fixed order.  The bytes are compared exactly, never
+    to a tolerance.
     """
-    cells = g.box_cells(box)
+    cells, rim = g.box_cells(box), g.box_rim(box)
     key = [(box.i1 - box.i0, box.j1 - box.j0)]
-    key += [np.asarray(c, dtype=float)[cells].tobytes() for c in cell_weights]
-    rim = g.box_rim(box)
-    for pair in edges:
+    forms = [(sys.perm.kappa_cells, sys.edge_arrays)] + (
+        [] if pou is None else [(pou.kappa_tilde, pou.edge_kappa_tilde)])
+    for cell_weights, pair in forms:
         _, w, a, b = box_edges(g, pair, box)
-        if not rim_edges:
+        if pou is None:
             inner = ~(rim[a] & rim[b])
             w, a, b = w[inner], a[inner], b[inner]
-        key.append((a.tobytes(), b.tobytes(), w.tobytes()))
+        key += [cell_weights[cells].tobytes(), (a.tobytes(), b.tobytes(), w.tobytes())]
     return tuple(key)
+
+
+def _groups(keys) -> list[list[int]]:
+    """The positions of equal keys, one ascending list per distinct key in
+    order of first appearance; only the distinct keys are held."""
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 @dataclass
@@ -133,36 +139,25 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     On each coarse cell the four corner functions extend boundary data
     that is linear along the cell edges (1 at the corner, 0 at the
     others), solved with the fracture-aware operator; their sum extends
-    the constant 1 and is therefore exactly 1.
-
-    Cells with byte-identical permeability and conforming-fracture edges
-    (``_problem_key``) share the extension solved on the first of them;
-    the edges along the cell rim are not compared, since the extension
-    reads only the rows of A at the cell's interior nodes.
+    the constant 1 and is therefore exactly 1.  They are solved once per
+    group of cells with equal ``_problem_key``.
     """
-    r = g.refine
+    r, row = g.refine, g.coarse_nx + 1
     # the corner data on the rim of every cell, in cell-local coordinates
     jl, il = np.divmod(np.flatnonzero(g.box_rim(CellBox(0, 0, r, r))), r + 1)
     xi, eta = il / r, jl / r
     gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
                           xi * eta, (1 - xi) * eta])
     chi = [np.zeros(len(nb.node_ids)) for nb in g.neighborhoods]
-    extensions = {}     # local key -> the four corner extensions
-    for J in range(g.coarse_ny):
-        for I in range(g.coarse_nx):
-            box = CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
-            key = _problem_key(g, box, (sys.perm.kappa_cells,), (sys.edge_arrays,),
-                               rim_edges=False)
-            X = extensions.get(key)
-            if X is None:
-                A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
-                X = extensions[key] = harmonic_extension(g, A, box, gb)
-            j, i = np.divmod(g.box_nodes(box), g.fine_nx + 1)
-            corners = (J * (g.coarse_nx + 1) + I,
-                       J * (g.coarse_nx + 1) + I + 1,
-                       (J + 1) * (g.coarse_nx + 1) + I + 1,
-                       (J + 1) * (g.coarse_nx + 1) + I)
-            for k, c in enumerate(corners):
+    boxes = [CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
+             for J in range(g.coarse_ny) for I in range(g.coarse_nx)]
+    for group in _groups(_problem_key(g, box, sys) for box in boxes):
+        X = harmonic_extension(g, sys, boxes[group[0]])(gb)
+        for cell in group:
+            J, I = divmod(cell, g.coarse_nx)
+            j, i = np.divmod(g.box_nodes(boxes[cell]), g.fine_nx + 1)
+            sw = J * row + I
+            for k, c in enumerate((sw, sw + 1, sw + row + 1, sw + row)):
                 # chi_c is numbered on the nodes of its neighborhood box
                 b = g.neighborhoods[c].cells
                 chi[c][(j - b.j0) * (b.i1 - b.i0 + 1) + (i - b.i0)] = X[:, k]
@@ -213,18 +208,19 @@ class SnapshotSpace:
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> SnapshotSpace:
     """One harmonic extension per fine boundary node of the neighborhood."""
     nb = g.neighborhoods[omega_id]
-    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
     n_rim = int(np.count_nonzero(g.box_rim(nb.cells)))
     return SnapshotSpace(omega_id=omega_id,
-                         vectors=harmonic_extension(g, A, nb.cells, np.eye(n_rim)),
+                         vectors=harmonic_extension(g, sys, nb.cells)(np.eye(n_rim)),
                          node_ids=nb.node_ids)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
-                         k_nb: int, p_bf: int = 4, seed: int = 0) -> SnapshotSpace:
+                         k_nb: int, p_bf: int = 4, seed: int = 0,
+                         extend=None) -> SnapshotSpace:
     """k_nb + p_bf harmonic extensions of random boundary data, plus one
     constant snapshot, generated on the oversampled region and restricted
-    to the neighborhood.
+    to the neighborhood.  ``extend`` solves them (``harmonic_extension``
+    on the oversampled box; a factor of its own box stiffness when None).
 
     Boundary values are i.i.d. uniform(-1, 1); the stream is seeded per
     neighborhood so results do not depend on evaluation order.
@@ -235,12 +231,11 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
         raise ValueError("p_bf must be >= 0")
     nb = g.neighborhoods[omega_id]
     box = nb.cells_plus
+    extend = extend or harmonic_extension(g, sys, box)
     n_rim = int(np.count_nonzero(g.box_rim(box)))
     rng = np.random.default_rng([seed, omega_id])
     G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
-    on_omega = np.searchsorted(g.box_nodes(box), nb.node_ids)
-    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
-    X = harmonic_extension(g, A, box, G)[on_omega]
+    X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids)]
     # the harmonic extension of 1 is 1
     vectors = np.column_stack([X, np.ones(len(X))])
     return SnapshotSpace(omega_id=omega_id, vectors=vectors, node_ids=nb.node_ids)
@@ -306,7 +301,8 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
     re-assembly, not a submatrix of the global operators, which would
     leak energy from the surrounding cells into the boundary rows).
     With S_off = L L^T the pencil has the eigenvalues of the symmetric
-    C = L^-1 A_off L^-T, and Psi = L^-T Q for C's eigenvectors Q.
+    C = L^-1 A_off L^-T, and Psi = L^-T Q for C's eigenvectors Q (Golub
+    & Van Loan, Matrix Computations, 8.7).
     """
     k = snap.l_i if n_modes is None else min(n_modes, snap.l_i)
     if k < 1:

@@ -45,9 +45,12 @@ RUNS = {
 def versions() -> dict:
     """numpy and scipy versions, as the manifest records them, and the
     config string of every OpenBLAS the process has loaded."""
-    with open("/proc/self/maps") as fh:
-        paths = sorted({ln.split()[-1] for ln in fh
-                        if "openblas" in os.path.basename(ln.split()[-1]).lower()})
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh
+                            if "openblas" in os.path.basename(ln.split()[-1]).lower()})
+    except OSError:                   # no /proc: no build to compare, so skip
+        paths = []
     blas = []
     for path in paths:
         lib = ctypes.CDLL(path)

@@ -100,8 +100,7 @@ def test_harmonic_extension_interior_residual():
     g, sys = const_system()
     nb = g.neighborhoods[4]
     gb = np.random.default_rng(1).standard_normal(len(rim_ids(g, nb)))
-    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
-    u = harmonic_extension(g, A, nb.cells, gb)
+    u = harmonic_extension(g, sys, nb.cells)(gb)
     full = np.zeros(g.n_nodes)
     full[nb.node_ids] = u.ravel()
     assert full[rim_ids(g, nb)].tobytes() == gb.tobytes()
@@ -127,8 +126,7 @@ def test_extension_keeps_the_box_perimeter(where, dilated):
     nodes, rim = g.box_nodes(box), g.box_rim(box)
     assert nodes[rim].tolist() == perimeter
     gb = np.random.default_rng(2).standard_normal((len(perimeter), 3))
-    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
-    u = harmonic_extension(g, A, box, gb)
+    u = harmonic_extension(g, sys, box)(gb)
     assert u.shape == (len(nodes), 3)
     assert u[rim].tobytes() == gb.tobytes()
     full = np.zeros((g.n_nodes, 3))
@@ -156,9 +154,8 @@ def test_box_extension_matches_global_slice(case):
     g, fine = operator_case(case)
     rng = np.random.default_rng(4)
     for box in operator_boxes(g)[1:]:
-        A = node_operator(g, fine.perm.kappa_cells, fine.edge_arrays, box=box)
         gb = rng.uniform(-1.0, 1.0, (np.count_nonzero(g.box_rim(box)), 3))
-        assert harmonic_extension(g, A, box, gb).tobytes() \
+        assert harmonic_extension(g, fine, box)(gb).tobytes() \
             == global_slice_extension(g, fine.A, box, gb).tobytes()
 
 

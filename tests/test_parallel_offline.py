@@ -1,16 +1,18 @@
 """The offline stage's neighborhood pool: serial equivalence, the BLAS
 thread cap (of the pool and of every command), error propagation, and
-one solve per distinct local problem."""
+one factor per distinct local problem."""
 
 import os
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 
+import msfrac as mf
 from msfrac import adaptivity, coarse, driver, offline
-from msfrac.assembly import FineSolveError
-from msfrac.config import parse_config
+from msfrac.assembly import FineSolveError, node_operator
+from msfrac.config import load_config, parse_config
 from msfrac.grids import CellBox
 from msfrac.offline import (full_snapshots, offline_eigendecomposition,
                             randomized_snapshots)
@@ -163,8 +165,8 @@ def box_shape(box):
 
 
 def spy_solves(monkeypatch):
-    """Neighborhoods whose spectra are solved, and the boxes of the
-    harmonic extensions solved."""
+    """Neighborhoods whose spectra are solved, and the boxes whose
+    harmonic extensions are factored."""
     calls = {"spectra": [], "extensions": []}
     eig, ext = driver.offline_eigendecomposition, offline.harmonic_extension
 
@@ -172,13 +174,20 @@ def spy_solves(monkeypatch):
         calls["spectra"].append(snap.omega_id)
         return eig(snap, *args, **kwargs)
 
-    def extension(g, A, box, gb):
+    def extension(g, sys_, box):
         calls["extensions"].append(box)
-        return ext(g, A, box, gb)
+        return ext(g, sys_, box)
 
     monkeypatch.setattr(driver, "offline_eigendecomposition", spectra)
-    monkeypatch.setattr(offline, "harmonic_extension", extension)
+    for module in (offline, driver):
+        monkeypatch.setattr(module, "harmonic_extension", extension)
     return calls
+
+
+def cell_boxes(g):
+    r = g.refine
+    return [CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
+            for J in range(g.coarse_ny) for I in range(g.coarse_nx)]
 
 
 def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
@@ -199,15 +208,35 @@ def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
         assert sp.omega_id == nb.index and sp.node_ids is nb.node_ids
 
 
-def test_randomized_neighborhoods_never_share(tmp_path, monkeypatch):
-    # same homogeneous data on every box, but each draw is its own
+def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch):
+    # same homogeneous data on every box: one factor per distinct POU cell
+    # and per distinct oversampled box, but each neighborhood draws its
+    # own boundary data and solves its own spectra
     rs = driver.setup(parse_config({
         "grid": GRID, "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2},
         "outputs": {"dir": str(tmp_path / "out")}}))
+    g, off = rs.grid, rs.cfg.offline
     calls = spy_solves(monkeypatch)
-    _, spaces = driver._offline(rs, None)
-    assert sorted(calls["spectra"]) == [nb.index for nb in rs.grid.neighborhoods]
+    pou, spaces = driver._offline(rs, None)
+    pou_keys = {offline._problem_key(g, box, rs.sys) for box in cell_boxes(g)}
+    plus_keys = {offline._problem_key(g, nb.cells_plus, rs.sys)
+                 for nb in g.neighborhoods}
+    # on homogeneous data a key is the box shape
+    assert len(pou_keys) == 1
+    assert len(plus_keys) == len({box_shape(nb.cells_plus) for nb in g.neighborhoods})
+    assert 1 < len(plus_keys) < len(g.neighborhoods)
+    assert len(calls["extensions"]) == len(pou_keys) + len(plus_keys)
+    assert sorted(calls["spectra"]) == [nb.index for nb in g.neighborhoods]
     assert len({id(sp.basis_full) for sp in spaces}) == len(spaces)
+    with driver._one_blas_thread():
+        for nb, space in zip(g.neighborhoods, spaces, strict=True):
+            # the reference factors the neighborhood's own oversampled box
+            ref = offline_eigendecomposition(randomized_snapshots(
+                rs.grid, rs.sys, nb.index, k_nb=off.k_nb, p_bf=off.p_bf,
+                seed=off.seed), rs.sys, pou)
+            assert space.omega_id == nb.index and space.node_ids is nb.node_ids
+            assert space.eigvals.tobytes() == ref.eigvals.tobytes()
+            assert space.basis_full.tobytes() == ref.basis_full.tobytes()
 
 
 def test_shared_arrays_are_read_only(tmp_path):
@@ -223,7 +252,8 @@ def test_shared_arrays_are_read_only(tmp_path):
 ULP_CELL = 5 * 16 + 5
 
 
-def test_one_ulp_apart_is_never_shared(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["full", "randomized"])
+def test_one_ulp_apart_is_never_shared(mode, tmp_path, monkeypatch):
     kappa = np.ones((12, 16))
     kappa.flat[ULP_CELL] = np.nextafter(1.0, 2.0)
     raster = tmp_path / "kappa.txt"
@@ -232,8 +262,9 @@ def test_one_ulp_apart_is_never_shared(tmp_path, monkeypatch):
         np.savetxt(fh, kappa, fmt="%.17g")
     rs = driver.setup(parse_config({
         "grid": GRID, "matrix": {"raster": str(raster)},
+        "offline": {"mode": mode, "k_nb": 3, "p_bf": 2},
         "outputs": {"dir": str(tmp_path / "out")}}))
-    g = rs.grid
+    g, off = rs.grid, rs.cfg.offline
     assert rs.sys.perm.kappa_cells[ULP_CELL] == np.nextafter(1.0, 2.0)
     holds = [nb.index for nb in g.neighborhoods
              if ULP_CELL in g.box_cells(nb.cells)]
@@ -254,15 +285,36 @@ def test_one_ulp_apart_is_never_shared(tmp_path, monkeypatch):
 
     calls = spy_solves(monkeypatch)
     pou, spaces = driver._offline(rs, None)
-    shapes = {box_shape(nb.cells) for nb in g.neighborhoods}
-    assert set(holds) <= set(calls["spectra"])
-    assert len(calls["spectra"]) == len(shapes) + len(holds)
+    if mode == "full":
+        shapes = {box_shape(nb.cells) for nb in g.neighborhoods}
+        assert set(holds) <= set(calls["spectra"])
+        assert len(calls["spectra"]) == len(shapes) + len(holds)
+    else:
+        # one factor per oversampled box shape and place of the moved
+        # cell in it (none when the box does not hold it), after the POU's 2
+        i, j = ULP_CELL % 16, ULP_CELL // 16
+        places = {(box_shape(b), (i - b.i0, j - b.j0)
+                   if ULP_CELL in g.box_cells(b) else None)
+                  for b in (nb.cells_plus for nb in g.neighborhoods)}
+        assert any(place is not None for _, place in places)
+        assert len(calls["extensions"]) == 2 + len(places)
+        assert sorted(calls["spectra"]) == [nb.index for nb in g.neighborhoods]
     with driver._one_blas_thread():
         for nb, space in zip(g.neighborhoods, spaces, strict=True):
-            ref = offline_eigendecomposition(full_snapshots(g, rs.sys, nb.index),
-                                             rs.sys, pou)
+            if mode == "full":
+                snap = full_snapshots(g, rs.sys, nb.index)
+            else:
+                snap = randomized_snapshots(g, rs.sys, nb.index, k_nb=off.k_nb,
+                                            p_bf=off.p_bf, seed=off.seed)
+            ref = offline_eigendecomposition(snap, rs.sys, pou)
             assert space.eigvals.tobytes() == ref.eigvals.tobytes()
             assert space.basis_full.tobytes() == ref.basis_full.tobytes()
+
+
+RIM_FRACTURE = {"grid": {"coarse": [6, 6], "refine": 4, "t": 0},
+                "fractures": {"list": [{"polyline": [[0.0, 0.5], [1.0, 0.5]],
+                                        "aperture": 1e-3, "kappa_f": 1e4,
+                                        "model": "dfm"}]}}
 
 
 def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
@@ -271,12 +323,8 @@ def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
     # rows of A: every cell is one POU problem.  The neighborhoods' box
     # operators read those edges, so a neighborhood that touches the line
     # never shares its spectral solve with one that does not.
-    rs = driver.setup(parse_config({
-        "grid": {"coarse": [6, 6], "refine": 4, "t": 0},
-        "fractures": {"list": [{"polyline": [[0.0, 0.5], [1.0, 0.5]],
-                                "aperture": 1e-3, "kappa_f": 1e4,
-                                "model": "dfm"}]},
-        "outputs": {"dir": str(tmp_path / "out")}}))
+    rs = driver.setup(parse_config({**RIM_FRACTURE,
+                                    "outputs": {"dir": str(tmp_path / "out")}}))
     g = rs.grid
     assert len(rs.sys.edge_arrays[0]) == g.fine_nx
     calls = spy_solves(monkeypatch)
@@ -295,3 +343,82 @@ def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
     shared = [{id(sp.basis_full) for sp, t in zip(spaces, touch) if t == side}
               for side in (True, False)]
     assert not shared[0] & shared[1]
+
+
+def csr_bytes(A):
+    return A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes()
+
+
+def interior_rows(sys, box, drop_zeros=False):
+    """The rows of a box stiffness at the box's interior nodes, the rows
+    a harmonic extension factors, as (indptr, indices, data) bytes."""
+    g = sys.grid
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
+    A = A[~g.box_rim(box)]
+    if drop_zeros:
+        A.eliminate_zeros()
+    return csr_bytes(A)
+
+
+def assert_groups_read_equal_operators(rs, pou):
+    """Every member of every group a run can form reads its leader's
+    operator bytes: the interior rows of a POU cell's or an oversampled
+    box's stiffness, and the whole stiffness and mass of a full-snapshot
+    neighborhood."""
+    g, sys = rs.grid, rs.sys
+    plus = [nb.cells_plus for nb in g.neighborhoods]
+    for boxes in (cell_boxes(g), plus):
+        for group in offline._groups(offline._problem_key(g, b, sys) for b in boxes):
+            lead = interior_rows(sys, boxes[group[0]])
+            assert all(interior_rows(sys, boxes[m]) == lead for m in group)
+    forms = [("stiffness", (sys.perm.kappa_cells, sys.edge_arrays)),
+             ("mass", (pou.kappa_tilde, pou.edge_kappa_tilde))]
+    cells = [nb.cells for nb in g.neighborhoods]
+    for group in offline._groups(offline._problem_key(g, b, sys, pou) for b in cells):
+        for kind, weights in forms:
+            ops = [csr_bytes(node_operator(g, *weights, kind, cells[m]))
+                   for m in group]
+            assert all(op == ops[0] for op in ops)
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.yml")))
+def test_equal_keys_read_equal_operators_on_shipped_configs(config):
+    rs = driver.setup(load_config(CONFIG_DIR / config))
+    assert_groups_read_equal_operators(rs, offline.compute_pou(rs.grid, rs.sys))
+
+
+def test_equal_keys_read_equal_operators_with_rim_edges(tmp_path):
+    # the rim-fracture grid of test_pou_key_leaves_out_edges_along_the_cell_rim
+    rs = driver.setup(parse_config({**RIM_FRACTURE,
+                                    "outputs": {"dir": str(tmp_path / "out")}}))
+    assert_groups_read_equal_operators(rs, offline.compute_pou(rs.grid, rs.sys))
+
+
+def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
+    # a subnormal permeability makes the cell terms of its fine cell zero.
+    # node_operator drops zero sums only on a box with edges, so a coarse
+    # cell with conforming edges along its rim stores fewer entries than
+    # one without, under the same extension key; the rows a harmonic
+    # extension factors drop them on every box
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
+    r = g.refine
+    kappa = np.ones(g.n_cells)
+    for J in range(3):
+        for I in range(3):
+            kappa[(J * r + 1) * g.fine_nx + I * r + 1] = 5e-324
+    line = mf.Fracture(np.array([[0.0, 1 / 3], [1.0, 1 / 3]]), 1e-3, 1e4, "dfm", 0)
+    sys = mf.assemble_dfm(g, mf.PermeabilityField(kappa), [mf.rasterize_dfm(line, g)])
+    boxes = cell_boxes(g)
+    assert len(offline._groups(offline._problem_key(g, b, sys) for b in boxes)) == 1
+    assert len({interior_rows(sys, b) for b in boxes}) == 2
+    assert len({interior_rows(sys, b, drop_zeros=True) for b in boxes}) == 1
+
+    # so the grouped POU is the POU of every cell on its own factor
+    pou = offline.compute_pou(g, sys)
+    monkeypatch.setattr(offline, "_problem_key", lambda *args, **kw: object())
+    ref = offline.compute_pou(g, sys)
+    for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
+        assert chi.tobytes() == chi_ref.tobytes()
