@@ -3,7 +3,9 @@
 The matrix is discretized with bilinear quads (2x2 Gauss, exact for Q1),
 fractures with linear 1D elements.  Conforming fractures add an edge
 stiffness c/h*[[1,-1],[-1,1]] with c = kappa_f*aperture directly into
-the nodal operator A.  Embedded fractures get their own unknowns after
+the nodal operator A; c is one field over the fine edges, indexed by
+edge id (``edge_coefficients``), which a box reads as two slices like
+its cells.  Embedded fractures get their own unknowns after
 the matrix nodes, and the fine problem is one symmetric operator
 
     K = [[A, 0], [0, 0]] + sum_segments c/h*[[1,-1],[-1,1]]
@@ -31,8 +33,7 @@ from .fractures import DfmTrace, EfmTrace
 __all__ = [
     "PermeabilityField", "FineSystem", "FineSolution",
     "q1_shape_tables", "q1_stiffness", "q1_mass",
-    "node_operator", "box_edges", "load_vector",
-    "edge_coefficients",
+    "node_operator", "load_vector", "edge_coefficients",
     "assemble_dfm", "assemble_efm", "solve_fine",
     "FineSolveError", "bilinear_bc",
 ]
@@ -104,48 +105,19 @@ def _point_values(data, x, y) -> np.ndarray:
     return np.broadcast_to(np.asarray(data(x, y), dtype=float), x.shape).copy()
 
 
-def edge_coefficients(traces: list[DfmTrace]) -> tuple[np.ndarray, np.ndarray]:
-    """The fine edges of the traces in ascending id order and their 1D
-    conductivities, an edge-weight pair.  A shared edge sums its traces'
-    conductivities in trace order, starting from 0.0."""
+def edge_coefficients(g: GridHierarchy, traces: list[DfmTrace]) -> np.ndarray:
+    """The 1D conductivities of the traces as one field over the fine
+    edges, indexed by edge id and 0.0 on edges no trace covers.  A shared
+    edge sums its traces' conductivities in trace order, starting from
+    0.0.  An edge id outside the grid raises ``ValueError``."""
     ids = np.concatenate([np.zeros(0, dtype=np.int64)]
                          + [tr.fine_edges for tr in traces])
-    coeffs = np.repeat([tr.effective_coeff for tr in traces],
-                       [len(tr.fine_edges) for tr in traces])
-    eids, inv = np.unique(ids, return_inverse=True)
-    return eids, np.bincount(inv, weights=coeffs)
-
-
-@lru_cache(maxsize=8)
-def _edge_ends(fine_nx: int, fine_ny: int, eids: bytes) -> np.ndarray:
-    """Lattice positions (ai, aj, bi, bj) of the end nodes a < b of the
-    fine edges with the int64 ids ``eids``, as the rows of one read-only
-    array.  Computed once per edge set, which ``FineSystem.edge_arrays``
-    and ``PartitionOfUnity.edge_kappa_tilde`` share."""
-    ids = np.frombuffer(eids, dtype=np.int64)
-    vert = ids >= fine_nx * (fine_ny + 1)
-    k = ids - vert * (fine_nx * (fine_ny + 1))
-    ai, aj = k % (fine_nx + vert), k // (fine_nx + vert)
-    ends = np.array([ai, aj, ai + ~vert, aj + vert])
-    ends.flags.writeable = False
-    return ends
-
-
-def box_edges(g: GridHierarchy, edges: tuple[np.ndarray, np.ndarray],
-              box: CellBox):
-    """The weighted edges of an edge-weight pair (ascending ids, weights)
-    with both end nodes in the closed node rectangle of box: their ids and
-    weights, in ascending id order, and their end nodes a < b in the
-    box's local node numbering (see ``node_operator``)."""
-    eids, w = edges
-    ends = _edge_ends(g.fine_nx, g.fine_ny,
-                      np.asarray(eids, dtype=np.int64).tobytes())
-    keep = ((ends[:2] >= [[box.i0], [box.j0]])
-            & (ends[2:] <= [[box.i1], [box.j1]])).all(axis=0)
-    ai, aj, bi, bj = ends[:, keep]
-    row = box.i1 - box.i0 + 1
-    return (eids[keep], w[keep], (aj - box.j0) * row + (ai - box.i0),
-            (bj - box.j0) * row + (bi - box.i0))
+    if len(ids) and (ids.min() < 0 or ids.max() >= g.n_edges):
+        raise ValueError("fracture trace references edges outside the grid")
+    w = np.zeros(g.n_edges)
+    np.add.at(w, ids, np.repeat([tr.effective_coeff for tr in traces],
+                                [len(tr.fine_edges) for tr in traces]))
+    return w
 
 
 @lru_cache(maxsize=64)
@@ -166,7 +138,7 @@ def _stencil(nx: int, ny: int):
 
 
 def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
-                  edge_weights: tuple[np.ndarray, np.ndarray] | None = None,
+                  edge_weights: np.ndarray | None = None,
                   kind: str = "stiffness",
                   box: CellBox | None = None) -> sparse.csr_matrix:
     """Assemble a symmetric node-space operator from cell and edge weights.
@@ -177,27 +149,27 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     w*h/6*[[2,1],[1,2]].
 
     Integration covers the cells of ``box`` (the whole grid when None)
-    and the weighted edges with both end nodes in its closed node
-    rectangle.  Node (i, j) of that rectangle is numbered
+    and the edges with both end nodes in its closed node rectangle.
+    Node (i, j) of that rectangle is numbered
     (j - j0) * (i1 - i0 + 1) + (i - i0): x-fastest, so the whole-grid box
     gives the global numbering and any box follows ``g.box_nodes(box)``.
-    ``edge_weights`` is an edge-weight pair: ascending edge ids and
-    their weights.
+    ``edge_weights`` is a field over the fine edges, one weight per edge
+    id (``edge_coefficients``); None means no edge terms.
 
     The operator stores the 9-point stencil of the node rectangle, whose
     CSR pattern depends on the box shape alone (``_stencil``).  Each
     stored value is a fixed sum, so its bits do not depend on the box:
     the cell terms w_c * ke[a, b] in ascending cell id, starting from the
     first, and then, once, the edge terms of the entry summed in
-    ascending edge id.  An operator with edges in the box drops the
-    entries that sum to zero.
+    ascending edge id.  An operator with a nonzero edge weight in the
+    box drops the entries that sum to zero.
     """
     if kind == "stiffness":
         ke2d = q1_stiffness(g.hx, g.hy)
-        edge_elem = lambda w, h: (w / h)[:, None] * np.array([1.0, -1.0, -1.0, 1.0])
+        edge_elem = lambda w, h: (w / h, -(w / h))
     elif kind == "mass":
         ke2d = q1_mass(g.hx, g.hy)
-        edge_elem = lambda w, h: (w * h / 6.0)[:, None] * np.array([2.0, 1.0, 1.0, 2.0])
+        edge_elem = lambda w, h: (w * h / 6.0 * 2.0, w * h / 6.0)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -219,20 +191,27 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     for c, (cx, cy) in ((2, (1, 1)), (3, (0, 1)), (1, (1, 0)), (0, (0, 0))):
         V[1 - cy:3 - cy, 1 - cx:3 - cx, cy:cy + ny, cx:cx + nx] += blocks[c] * w
 
-    eids, ew, a, b = box_edges(g, edge_weights or (np.zeros(0, int), np.zeros(0)), box)
-    if len(eids):
-        # the edge terms of a slot, summed in ascending edge id, are
-        # added to its cell sum once; slot k of local node a is
-        # V.flat[k * n + a]
-        vert = eids >= g.n_hedges
-        slots = np.column_stack([4 * n + a, (5 + 2 * vert) * n + a,
-                                 (3 - 2 * vert) * n + b, 4 * n + b])
-        terms = edge_elem(ew, np.where(vert, g.hy, g.hx))
-        V += np.bincount(slots.ravel(), terms.ravel(),
-                         minlength=V.size).reshape(V.shape)
+    h, v = (None, None) if edge_weights is None else g.box_edge_weights(edge_weights, box)
+    edges = h is not None and (h.any() or v.any())
+    if edges:
+        # the edge terms of an entry, summed from 0.0 in ascending edge
+        # id, are added to its cell sum once.  A node's diagonal sums its
+        # left, right, lower and upper edge; an off-diagonal entry holds
+        # the one edge between its nodes, so it needs no buffer.
+        (hd, ho), (vd, vo) = edge_elem(h, g.hx), edge_elem(v, g.hy)
+        D = np.zeros((ny + 1, nx + 1))
+        D[:, 1:] += hd
+        D[:, :-1] += hd
+        D[1:] += vd
+        D[:-1] += vd
+        V[1, 1] += D
+        V[1, 2, :, :-1] += ho
+        V[1, 0, :, 1:] += ho
+        V[2, 1, :-1] += vo
+        V[0, 1, 1:] += vo
     data = V.reshape(9, n).T.ravel()[stored]
     A = sparse.csr_matrix((data, indices, indptr), shape=(n, n), copy=True)
-    if len(eids) and not data.all():
+    if edges and not data.all():
         A.eliminate_zeros()
     return A
 
@@ -289,7 +268,7 @@ class FineSystem:
     A: sparse.csr_matrix
     K: sparse.csr_matrix
     f: np.ndarray
-    edge_arrays: tuple[np.ndarray, np.ndarray]   # conforming edges, weights
+    edge_arrays: np.ndarray           # conforming weight per fine edge
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
     bc: object = None
@@ -358,10 +337,7 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     non-finite load or Dirichlet value raises ``ValueError``."""
     if len(perm.kappa_cells) != g.n_cells:
         raise ValueError("permeability field does not match the grid")
-    edges = edge_coefficients(traces)
-    eids = edges[0]
-    if len(eids) and (eids[0] < 0 or eids[-1] >= g.n_edges):
-        raise ValueError("fracture trace references edges outside the grid")
+    edges = edge_coefficients(g, traces)
     A = node_operator(g, perm.kappa_cells, edges, kind="stiffness")
     nodes, vals = _dirichlet_data(g, bc)
     return FineSystem(grid=g, perm=perm, A=A, K=A,

@@ -15,9 +15,16 @@ from .fractures import GeometryError
 from . import driver
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p):
     p.add_argument("-c", "--config", required=True, help="YAML run config")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="override fracture and offline seeds")
     p.add_argument("--out", default=None, help="override output directory")
 

@@ -117,13 +117,13 @@ def _solve_spd_or_lstsq(K0, F0, ms):
     column, which draws no random numbers.  Full snapshot spaces can
     exceed the fine dimension, making K0 consistent but singular; the
     dense least-squares pseudo-solution then still reproduces the unique
-    Galerkin solution in the fine space.  ``info`` records the path and
-    rcond (None where the LU failed).
+    Galerkin solution in the fine space.  ``info`` records the path,
+    rcond (None where the LU failed) and the rank least squares found.
     """
     n = K0.shape[0]
     K0 = K0.tocsc()
     normF = max(np.linalg.norm(F0), 1e-300)
-    info = {"rank_deficient": False, "solver": "direct", "rcond": None}
+    info = {"solver": "direct", "rcond": None}
     try:
         lu = spla.splu(K0)
     except RuntimeError:              # exactly singular factor
@@ -144,7 +144,7 @@ def _solve_spd_or_lstsq(K0, F0, ms):
         raise RuntimeError(
             "coarse system is singular beyond a pseudo-inverse rescue; "
             f"locally dependent neighborhoods: {_rank_report(ms)}")
-    info.update(rank_deficient=bool(rank < n), rank=int(rank), solver="lstsq")
+    info.update(rank=int(rank), solver="lstsq")
     return U, info
 
 

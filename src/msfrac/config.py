@@ -1,10 +1,11 @@
 """Run configuration: YAML schema, strict validation, round-tripping.
 
 The block dataclasses are the schema: each field is one YAML key with
-its default, checked by its type and its ``positive`` / ``choices``
-metadata (choices match case-insensitively); only keys shaped unlike
-their field are parsed by hand (``_SHAPED``).  Unknown keys fail loudly,
-and the echo re-parses to an equal config for the run manifest.
+its default, checked by its type and its ``positive`` / ``nonnegative``
+/ ``choices`` metadata (choices match case-insensitively); only keys
+shaped unlike their field are parsed by hand (``_SHAPED``).  Unknown
+keys fail loudly, and the echo re-parses to an equal config for the run
+manifest.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ class ConfigError(ValueError):
 
 
 def _opt(default=MISSING, **checks):
-    """A field with its value checks (``positive``, ``choices``)."""
+    """A field with its value checks (``positive``, ``nonnegative``,
+    ``choices``)."""
     return field(default=default, metadata=checks)
 
 
@@ -41,7 +43,7 @@ class GridConfig:
     coarse_nx: int = 10
     coarse_ny: int = 10
     refine: int = _opt(10, positive=True)
-    t: int = 0
+    t: int = _opt(0, nonnegative=True)
 
 
 @dataclass
@@ -61,7 +63,7 @@ class FractureSpec:
 @dataclass
 class FracturesConfig:
     field: str | None = None          # generator name
-    seed: int = 0
+    seed: int = _opt(0, nonnegative=True)
     kappa_f: float | None = _opt(None, positive=True)
     aperture: float | None = _opt(None, positive=True)
     params: dict = None               # extra generator keyword arguments
@@ -94,8 +96,8 @@ class OfflineConfig:
     M_off: int = _opt(1, positive=True)
     enrich_boundary: bool = False     # extra modes at boundary coarse nodes too
     k_nb: int = _opt(4, positive=True)
-    p_bf: int = 4
-    seed: int = 0
+    p_bf: int = _opt(4, nonnegative=True)
+    seed: int = _opt(0, nonnegative=True)
 
 
 @dataclass
@@ -145,7 +147,7 @@ def _check_keys(d: dict, allowed: set[str], ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
-def _value(kind, v, ctx, positive=False, choices=None):
+def _value(kind, v, ctx, positive=False, nonnegative=False, choices=None):
     """Check one value against its field type; a block type recurses."""
     if is_dataclass(kind):
         return _parse_block(kind, v, ctx)
@@ -161,6 +163,8 @@ def _value(kind, v, ctx, positive=False, choices=None):
         raise ConfigError(f"{ctx}: must be finite, got {v}")
     if positive and v <= 0:
         raise ConfigError(f"{ctx}: must be positive, got {v}")
+    if nonnegative and v < 0:
+        raise ConfigError(f"{ctx}: must be non-negative, got {v}")
     if choices is not None:
         v = v.lower()
         if v not in choices:

@@ -183,17 +183,6 @@ class GridHierarchy:
             return int(a), int(b)
         return a, b
 
-    def edge_cells(self, eid: int) -> list[int]:
-        """The one or two cells sharing a fine edge."""
-        if eid < self.n_hedges:
-            i, j = eid % self.fine_nx, eid // self.fine_nx
-            rows = [j - 1, j]
-            return [r * self.fine_nx + i for r in rows if 0 <= r < self.fine_ny]
-        k = eid - self.n_hedges
-        i, j = k % (self.fine_nx + 1), k // (self.fine_nx + 1)
-        cols = [i - 1, i]
-        return [j * self.fine_nx + c for c in cols if 0 <= c < self.fine_nx]
-
     # -- box helpers ---------------------------------------------------------
 
     def box_nodes(self, box: CellBox) -> np.ndarray:
@@ -211,6 +200,17 @@ class GridHierarchy:
         """Fine-cell ids of the box, x fastest."""
         return np.add.outer(np.arange(box.j0, box.j1) * self.fine_nx,
                             np.arange(box.i0, box.i1)).ravel()
+
+    def box_edge_weights(self, w: np.ndarray, box: CellBox):
+        """A field over the fine edges (one value per edge id) on the
+        edges with both end nodes in the closed node rectangle of box, as
+        two views of w: the horizontal edges h[j - j0, i - i0] =
+        w[hedge_id(i, j)], (j1 - j0 + 1) by (i1 - i0), and the vertical
+        edges v[j - j0, i - i0] = w[vedge_id(i, j)], (j1 - j0) by
+        (i1 - i0 + 1)."""
+        h = w[:self.n_hedges].reshape(self.fine_ny + 1, self.fine_nx)
+        v = w[self.n_hedges:].reshape(self.fine_ny, self.fine_nx + 1)
+        return h[box.j0:box.j1 + 1, box.i0:box.i1], v[box.j0:box.j1, box.i0:box.i1 + 1]
 
     def box_cell_nodes(self, box: CellBox) -> np.ndarray:
         """(ncells, 4) corners (sw, se, ne, nw) of the box cells, in

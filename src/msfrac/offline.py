@@ -1,15 +1,16 @@
 """Offline stage of the multiscale solver.
 
 Per coarse node i this produces, in order, a partition-of-unity
-function chi_i and the weight kappa_tilde of the spectral mass
-(``compute_pou``), a snapshot space on the neighborhood omega_i
-(``full_snapshots``, ``randomized_snapshots``) and the smallest modes of
-the snapshot pencil, the offline basis of omega_i
-(``offline_eigendecomposition``).  Each neighborhood keeps only chi_i on
-its own fine nodes, all its eigenvalues and one fine-nodal copy of the
-modes its run reads; the snapshots and the pencil are dropped once the
-eigensolve returns.  How many of the kept modes a coarse node uses is
-decided by the online stage (``build_space``).
+function chi_i and the weight kappa_tilde of the spectral mass, one
+value per fine cell and one per fine edge (``compute_pou``), a snapshot
+space on the neighborhood omega_i (``full_snapshots``,
+``randomized_snapshots``) and the smallest modes of the snapshot
+pencil, the offline basis of omega_i (``offline_eigendecomposition``).
+Each neighborhood keeps only chi_i on its own fine nodes, all its
+eigenvalues and one fine-nodal copy of the modes its run reads; the
+snapshots and the pencil are dropped once the eigensolve returns.  How
+many of the kept modes a coarse node uses is decided by the online
+stage (``build_space``).
 
 The POU and both snapshot kinds rest on one local solve,
 ``harmonic_extension``: the Dirichlet problem of a box's own stiffness,
@@ -29,8 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .grids import CellBox, GridHierarchy
-from .assembly import (FineSystem, _point_values, box_edges, node_operator,
-                       q1_shape_tables)
+from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
 
 __all__ = [
     "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace",
@@ -71,14 +71,15 @@ def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
 def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem,
                  pou: PartitionOfUnity | None = None) -> tuple:
     """Everything a local problem on ``box`` reads, as exact bytes: the
-    box shape, each per-cell field on the box cells and, for each
-    edge-weight pair, the box-local end nodes and the weights of its
-    edges in the closed box.  Without pou the problem is the harmonic
-    extension with the stiffness of sys.  It reads only the operator rows
-    at the box's interior nodes, so an edge with both ends on the rim,
-    which touches no such row, is left out.  With pou it is a
-    neighborhood's whole spectral problem, which also reads kappa_tilde
-    and its edge weights.
+    box shape and, for each pair of cell and edge weights, the cell
+    weights on the box cells and the edge weights on the edges of the
+    closed box (``g.box_edge_weights``).  Without pou the problem is the
+    harmonic extension with the stiffness of sys.  It reads only the
+    operator rows at the box's interior nodes, so the edges with both
+    ends on the rim, which touch no such row, are left out: the first
+    and last rows of horizontal edges and the first and last columns of
+    vertical ones.  With pou it is a neighborhood's whole spectral
+    problem, which also reads kappa_tilde and its edge weights.
 
     Two problems with equal keys see byte-identical local data, so they
     run the same computation (on one BLAS thread) and get the same
@@ -87,16 +88,15 @@ def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem,
     edge weights in a fixed order.  The bytes are compared exactly, never
     to a tolerance.
     """
-    cells, rim = g.box_cells(box), g.box_rim(box)
+    cells = g.box_cells(box)
     key = [(box.i1 - box.i0, box.j1 - box.j0)]
     forms = [(sys.perm.kappa_cells, sys.edge_arrays)] + (
         [] if pou is None else [(pou.kappa_tilde, pou.edge_kappa_tilde)])
-    for cell_weights, pair in forms:
-        _, w, a, b = box_edges(g, pair, box)
+    for cell_weights, edge_weights in forms:
+        h, v = g.box_edge_weights(edge_weights, box)
         if pou is None:
-            inner = ~(rim[a] & rim[b])
-            w, a, b = w[inner], a[inner], b[inner]
-        key += [cell_weights[cells].tobytes(), (a.tobytes(), b.tobytes(), w.tobytes())]
+            h, v = h[1:-1], v[:, 1:-1]
+        key += [cell_weights[cells].tobytes(), h.tobytes(), v.tobytes()]
     return tuple(key)
 
 
@@ -116,7 +116,7 @@ class PartitionOfUnity:
     grid: GridHierarchy
     chi: list[np.ndarray]             # chi_i on neighborhoods[i].node_ids
     kappa_tilde: np.ndarray           # per fine cell
-    edge_kappa_tilde: tuple[np.ndarray, np.ndarray]   # sorted ids, weights
+    edge_kappa_tilde: np.ndarray      # per fine edge
 
     def boundary_lift(self, bc) -> np.ndarray:
         """POU interpolant of the boundary data over boundary coarse nodes.
@@ -179,13 +179,17 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     # line, with the fracture conductivity in place of kappa.  The full
     # chi gradient matters here: the harmonic chi flattens tangentially
     # along a conductive fracture, but its normal boundary layer is what
-    # weights the fracture in the spectral mass.
-    eids, coeffs = sys.edge_arrays
-    edge_kt = np.array([c * H2 * float(np.mean(grad2[g.edge_cells(e)]))
-                        for e, c in zip(eids.tolist(), coeffs.tolist())], dtype=float)
+    # weights the fracture in the spectral mass.  An edge takes the mean
+    # of grad2 over the one or two cells beside it; a boundary edge's
+    # one cell is repeated, and (x + x) / 2 is x exactly.
+    G = grad2.reshape(g.fine_ny, g.fine_nx)
+    P, Q = np.pad(G, ((1, 1), (0, 0)), "edge"), np.pad(G, ((0, 0), (1, 1)), "edge")
+    mean = np.empty(g.n_edges)
+    h, v = g.box_edge_weights(mean, CellBox(0, 0, g.fine_nx, g.fine_ny))
+    h[:], v[:] = (P[:-1] + P[1:]) / 2, (Q[:, :-1] + Q[:, 1:]) / 2
 
     return PartitionOfUnity(grid=g, chi=chi, kappa_tilde=kappa_tilde,
-                            edge_kappa_tilde=(eids, edge_kt))
+                            edge_kappa_tilde=sys.edge_arrays * H2 * mean)
 
 
 @dataclass

@@ -48,16 +48,16 @@ def hand_q1_mass(hx, hy):
 
 def dense_assemble(g, kappa, edge_w=None):
     """Brute-force dense assembly (independent scatter loop); edge_w is
-    an edge-weight pair (ids, weights)."""
+    a field over the fine edges, one weight per edge id."""
     A = np.zeros((g.n_nodes, g.n_nodes))
     Ke = hand_q1_stiffness(g.hx, g.hy)
     for c in range(g.n_cells):
         nodes = g.cell_nodes(c)
         A[np.ix_(nodes, nodes)] += kappa[c] * Ke
-    for eid, w in zip(*(edge_w or ((), ()))):
+    for eid in [] if edge_w is None else np.flatnonzero(edge_w).tolist():
         a, b = g.edge_nodes(eid)
         h = g.hx if eid < g.n_hedges else g.hy
-        A[np.ix_([a, b], [a, b])] += w / h * np.array([[1, -1], [-1, 1]])
+        A[np.ix_([a, b], [a, b])] += edge_w[eid] / h * np.array([[1, -1], [-1, 1]])
     return A
 
 
@@ -76,7 +76,7 @@ def test_hand_assembly_with_fracture_edge():
     assert tr.effective_coeff == pytest.approx(5.0)
     perm = mf.PermeabilityField.constant(g, 1.0)
     sys = mf.assemble_dfm(g, perm, [tr])
-    want = dense_assemble(g, np.ones(g.n_cells), edge_coefficients([tr]))
+    want = dense_assemble(g, np.ones(g.n_cells), edge_coefficients(g, [tr]))
     np.testing.assert_allclose(sys.A.toarray(), want, rtol=0, atol=1e-13)
     # the fracture edge contributes exactly c/h * [[1,-1],[-1,1]]
     bare = mf.assemble_dfm(g, perm, []).A
@@ -93,15 +93,31 @@ def test_hand_assembly_with_fracture_edge():
 def test_edge_coefficients_sum_shared_edges_in_trace_order(spec):
     # few edge ids, so traces share edges; far-apart weights, so the
     # order of each sum shows in its last bits
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)   # 40 fine edges
     traces = [mf.DfmTrace(k, np.array(ids, dtype=int), c)
               for k, (ids, c) in enumerate(spec)]
     want = {}
     for tr in traces:
         for e in tr.fine_edges.tolist():
             want[e] = want.get(e, 0.0) + tr.effective_coeff
-    eids, w = edge_coefficients(traces)
+    field = edge_coefficients(g, traces)
+    assert field.shape == (g.n_edges,)
+    eids = np.flatnonzero(field)
+    w = field[eids]
     assert eids.tolist() == sorted(want)
     assert w.tobytes() == np.array([want[e] for e in sorted(want)], dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("at", ["below", "above"])
+def test_trace_edges_outside_the_grid_are_named(at):
+    # np.add.at would wrap a negative id onto the last edges silently
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
+    bad = -1 if at == "below" else g.n_edges
+    tr = mf.DfmTrace(0, np.array([0, bad]), 5.0)
+    with pytest.raises(ValueError, match="edges outside the grid"):
+        edge_coefficients(g, [tr])
+    with pytest.raises(ValueError, match="edges outside the grid"):
+        mf.assemble_dfm(g, mf.PermeabilityField.constant(g, 1.0), [tr])
 
 
 @given(st.integers(0, 10 ** 6))
@@ -115,7 +131,8 @@ def test_node_operator_matches_dense_scatter(seed):
     edges = {g.hedge_id(1, 2), g.hedge_id(1, 1), g.hedge_id(0, 1)}
     edges |= set(rng.choice(g.n_edges, rng.integers(0, g.n_edges), replace=False).tolist())
     eids = np.array(sorted(edges), dtype=np.int64)
-    edge_w = (eids, np.array([rng.uniform(0.1, 50.0) for _ in eids]))
+    edge_w = np.zeros(g.n_edges)
+    edge_w[eids] = [rng.uniform(0.1, 50.0) for _ in eids]
     for ew in (None, edge_w):
         A = node_operator(g, kappa, ew)
         np.testing.assert_allclose(A.toarray(), dense_assemble(g, kappa, ew),
@@ -131,7 +148,10 @@ def test_node_operator_matches_dense_scatter(seed):
         outside[g.box_cells(box)] = False
         kb[outside] = 0.0
         inside = [set(g.edge_nodes(e)) <= set(nodes.tolist()) for e in eids.tolist()]
-        kept = None if ew is None else (eids[inside], ew[1][inside])
+        kept = None
+        if ew is not None:
+            kept = np.zeros(g.n_edges)
+            kept[eids[inside]] = ew[eids[inside]]
         Aloc = node_operator(g, kappa, ew, box=box)
         np.testing.assert_allclose(Aloc.toarray(),
                                    dense_assemble(g, kb, kept)[np.ix_(nodes, nodes)],
@@ -156,7 +176,8 @@ def coo_node_operator(g, cell_weights, edge_weights=None, kind="stiffness",
     A.sum_duplicates()
     if edge_weights is None:
         return A
-    eids, w = edge_weights
+    eids = np.flatnonzero(edge_weights)
+    w = edge_weights[eids]
     (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(eids))
     keep = (ai >= box.i0) & (bi <= box.i1) & (aj >= box.j0) & (bj <= box.j1)
     if not keep.any():
@@ -193,9 +214,9 @@ def test_node_operator_bytes_match_coo_assembly(case):
     pou = mf.compute_pou(g, fine)
     # weights over six decades, so a change of summation order shows
     rng = np.random.default_rng(3)
-    eids = fine.edge_arrays[0]
-    spread = (10.0 ** rng.uniform(-3, 3, g.n_cells),
-              (eids, 10.0 ** rng.uniform(-3, 3, len(eids))))
+    eids = np.flatnonzero(fine.edge_arrays)
+    spread = (10.0 ** rng.uniform(-3, 3, g.n_cells), np.zeros(g.n_edges))
+    spread[1][eids] = 10.0 ** rng.uniform(-3, 3, len(eids))
     for cells, edges in ((fine.perm.kappa_cells, fine.edge_arrays),
                          (pou.kappa_tilde, pou.edge_kappa_tilde), spread):
         for kind in ("stiffness", "mass"):
@@ -210,7 +231,8 @@ def test_node_operator_drops_zero_sums_like_a_sparse_sum():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
     w = np.ones(g.n_cells)
     w[[0, 5]] = 0.0
-    edges = (np.array([g.hedge_id(2, 2)]), np.array([3.0]))
+    edges = np.zeros(g.n_edges)
+    edges[g.hedge_id(2, 2)] = 3.0
     for kind in ("stiffness", "mass"):
         for ew in (None, edges):
             got = node_operator(g, w, ew, kind)
@@ -223,7 +245,7 @@ def test_stencil_state_is_built_once_and_read_only():
     args = (fine.perm.kappa_cells, fine.edge_arrays, "stiffness")
     boxes = operator_boxes(g)
     serial = [node_operator(g, *args, box) for box in boxes]
-    for cache in (assembly._stencil, assembly._edge_ends, q1_stiffness, q1_mass):
+    for cache in (assembly._stencil, q1_stiffness, q1_mass):
         cache.cache_clear()
     start = threading.Barrier(4, timeout=30)
 
@@ -242,9 +264,7 @@ def test_stencil_state_is_built_once_and_read_only():
     for ops in built:
         for got, want in zip(ops, serial):
             assert_same_bytes(got, want)
-    shared = assembly._stencil(g.fine_nx, g.fine_ny) + (
-        assembly._edge_ends(g.fine_nx, g.fine_ny, fine.edge_arrays[0].tobytes()),
-        q1_stiffness(g.hx, g.hy))
+    shared = assembly._stencil(g.fine_nx, g.fine_ny) + (q1_stiffness(g.hx, g.hy),)
     assert not any(x.flags.writeable for x in shared)
 
     # the caller owns every array of a returned operator

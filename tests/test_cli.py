@@ -11,6 +11,7 @@ import scipy.io
 import yaml
 
 import msfrac
+from msfrac import driver
 from msfrac.cli import main
 
 BASE = {
@@ -168,6 +169,24 @@ def test_degenerate_fracture_names_its_id(tmp_path, capsys):
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["solve", "-c", str(tmp_path / "nope.yml")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seeds_are_rejected_before_setup(tmp_path, capsys, monkeypatch):
+    # named by their key at parse time, before any setup runs
+    monkeypatch.setattr(driver, "setup", None)
+    for fractures, offline, frag in [
+            ({"field": "isolated_blocks", "seed": -1}, {}, "fractures.seed"),
+            ({}, {"mode": "randomized", "seed": -1}, "offline.seed"),
+            ({}, {"mode": "randomized", "p_bf": -1}, "offline.p_bf")]:
+        cfg, _ = write_cfg(tmp_path, fractures=fractures, offline=offline)
+        assert main(["solve", "-c", str(cfg)]) == 2
+        assert f"error: {frag}: must be non-negative" in capsys.readouterr().err
+    cfg, _ = write_cfg(tmp_path)
+    for seed in ("-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-c", str(cfg), "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
 
 
 def test_seed_and_out_overrides(tmp_path):

@@ -107,6 +107,11 @@ def test_unknown_keys_rejected(data, frag):
     ({"grid": {"domain": [0, 0, np.nan, 1]}}, r"^grid\.domain: must be finite"),
     ({"bc": {"bilinear": [np.nan, 1, 1, 0]}}, r"^bc\.bilinear: must be finite"),
     ({"source": {"constant": -np.inf}}, r"^source\.constant: must be finite"),
+    ({"fractures": {"field": "crossing_channels", "seed": -1}},
+     r"^fractures\.seed: must be non-negative"),
+    ({"offline": {"mode": "randomized", "seed": -1}}, r"^offline\.seed: must be non-negative"),
+    ({"offline": {"mode": "randomized", "p_bf": -1}}, r"^offline\.p_bf: must be non-negative"),
+    ({"grid": {"t": -1}}, r"^grid\.t: must be non-negative"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):

@@ -1,8 +1,10 @@
 """Every output file of the shipped configs, by SHA-256 digest.
 
 A refactor that keeps the numerics must keep every output byte-identical;
-this test recomputes the digests of six CLI runs on ``configs/`` and
-compares them with ``golden_digests.json``.  The manifest echoes the
+this test recomputes the digests of six CLI runs on ``configs/``, and of
+one on ``bench/configs/efm_sweep_r20.yml`` (an embedded-fracture sweep
+at refine 20, read in place), and compares them with
+``golden_digests.json``.  The manifest echoes the
 output directory, so its ``outputs.dir`` line is the one line normalised
 before hashing.
 
@@ -33,12 +35,13 @@ from msfrac.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
 RUNS = {
-    "sweep_channels": ("sweep", "channels_sweep.yml"),
-    "sweep_randomized": ("sweep", "randomized_sweep.yml"),
-    "adapt_channels": ("adapt", "adapt_channels.yml"),
-    "solve_efm": ("solve", "efm_single.yml"),
-    "export_channels": ("export-matrices", "channels_sweep.yml"),
-    "export_efm": ("export-matrices", "efm_single.yml"),
+    "sweep_channels": ("sweep", "configs/channels_sweep.yml"),
+    "sweep_randomized": ("sweep", "configs/randomized_sweep.yml"),
+    "adapt_channels": ("adapt", "configs/adapt_channels.yml"),
+    "solve_efm": ("solve", "configs/efm_single.yml"),
+    "export_channels": ("export-matrices", "configs/channels_sweep.yml"),
+    "export_efm": ("export-matrices", "configs/efm_single.yml"),
+    "sweep_efm_r20": ("sweep", "bench/configs/efm_sweep_r20.yml"),
 }
 
 
@@ -68,7 +71,7 @@ def versions() -> dict:
 def digests(run: str, out: pathlib.Path) -> dict:
     """{file name: SHA-256} of every output file of one run into out."""
     command, config = RUNS[run]
-    assert main([command, "-c", str(ROOT / "configs" / config),
+    assert main([command, "-c", str(ROOT / config),
                  "--out", str(out)]) == 0
     found = {}
     for path in sorted(out.iterdir()):

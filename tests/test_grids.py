@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 
 import msfrac as mf
 
+from conftest import operator_boxes
+
 
 def oracle_neighborhood(coarse_nx, coarse_ny, refine, t, ci, cj):
     """Fine-cell index set of omega_i and omega_i+ from first principles."""
@@ -141,6 +143,33 @@ def test_boundary_interior_split():
                | (coords[:, 1] == 0) | (coords[:, 1] == 1))
     assert on_edge.all()
     assert mask.sum() == 4 * g.fine_nx
+
+
+def test_box_edge_weights_follow_the_edge_ids():
+    # a non-square grid and every box a run assembles on; the field's
+    # value on an edge is its id, so a slice names the edges it holds
+    g = mf.build_hierarchy(mf.Rect(0.0, 0.0, 2.0, 1.0), 4, 3, 3, t=2)
+    assert g.fine_nx != g.fine_ny
+    w = np.arange(g.n_edges, dtype=float)
+    a, b = g.edge_nodes(np.arange(g.n_edges))
+    for box in operator_boxes(g):
+        box = box or mf.CellBox(0, 0, g.fine_nx, g.fine_ny)
+        h, v = g.box_edge_weights(w, box)
+        assert np.shares_memory(h, w) and np.shares_memory(v, w)
+        i, j = np.meshgrid(np.arange(box.i0, box.i1), np.arange(box.j0, box.j1 + 1))
+        assert np.array_equal(h, w[g.hedge_id(i, j)])
+        i, j = np.meshgrid(np.arange(box.i0, box.i1 + 1), np.arange(box.j0, box.j1))
+        assert np.array_equal(v, w[g.vedge_id(i, j)])
+        # exactly the edges with both ends in the closed node rectangle
+        nodes = g.box_nodes(box)
+        inside = np.isin(a, nodes) & np.isin(b, nodes)
+        assert sorted(np.r_[h.ravel(), v.ravel()]) == np.flatnonzero(inside).tolist()
+        # the cut of the extension key keeps exactly those with an end
+        # off the box rim
+        rim = nodes[g.box_rim(box)]
+        off_rim = inside & ~(np.isin(a, rim) & np.isin(b, rim))
+        assert (sorted(np.r_[h[1:-1].ravel(), v[:, 1:-1].ravel()])
+                == np.flatnonzero(off_rim).tolist())
 
 
 def test_rejects_bad_dimensions():

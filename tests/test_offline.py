@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import msfrac as mf
-from msfrac.assembly import node_operator
+from msfrac.assembly import node_operator, q1_shape_tables
 from msfrac.offline import harmonic_extension
 
 from conftest import dense_chi, mode_gram, operator_boxes, operator_case
@@ -94,6 +94,32 @@ def test_kappa_tilde_analytic_2x2():
         # hat gradients cancels the H^2 factor)
         want[c] = acc / 4.0
     np.testing.assert_allclose(pou.kappa_tilde, want, rtol=1e-12)
+
+
+def test_edge_kappa_tilde_matches_per_edge_loop():
+    # oracle: the per-edge loop the vectorized mean replaced.  Every
+    # edge carries a weight, so boundary edges (one cell beside them)
+    # are checked too; the cell field is recomputed from chi as
+    # compute_pou computes it
+    g, fine = operator_case("non_square")
+    w = np.random.default_rng(4).uniform(1.0, 100.0, g.n_edges)
+    pou = mf.compute_pou(g, dataclasses.replace(fine, edge_arrays=w))
+    _, gx, gy, _ = q1_shape_tables(g.hx, g.hy)
+    H2 = g.Hx * g.Hy
+    grad2 = np.zeros(g.n_cells)
+    for nb in g.neighborhoods:
+        ch = pou.chi[nb.index][g.box_cell_nodes(nb.cells)]
+        grad2[g.box_cells(nb.cells)] += np.mean((ch @ gx.T) ** 2 + (ch @ gy.T) ** 2, axis=1)
+    assert (fine.perm.kappa_cells * H2 * grad2).tobytes() == pou.kappa_tilde.tobytes()
+    want = []
+    for e in range(g.n_edges):
+        (ai, aj), (bi, bj) = (g.node_ij(x) for x in g.edge_nodes(e))
+        beside = ([(ai, aj - 1), (ai, aj)] if aj == bj       # horizontal
+                  else [(ai - 1, aj), (ai, aj)])             # vertical
+        cells = [g.cell_id(i, j) for i, j in beside
+                 if 0 <= i < g.fine_nx and 0 <= j < g.fine_ny]
+        want.append(w[e] * H2 * float(np.mean(grad2[cells])))
+    assert pou.edge_kappa_tilde.tobytes() == np.array(want).tobytes()
 
 
 def test_harmonic_extension_interior_residual():

@@ -33,10 +33,11 @@ def test_offline_retains_little_beyond_the_modes(name, tmp_path):
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the stage returns the kept modes, every eigenvalue and the POU;
-        # an array shared by several spaces is counted once
+        # the stage returns the kept modes, every eigenvalue and the POU
+        # with its cell and edge weights; an array shared by several
+        # spaces is counted once
         arrays = [a for sp in spaces for a in (sp.basis_full, sp.eigvals)]
-        arrays += [*pou.chi, pou.kappa_tilde]
+        arrays += [*pou.chi, pou.kappa_tilde, pou.edge_kappa_tilde]
         kept = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
         assert retained <= 1.45 * kept, \
             f"n_modes={n_modes}: {retained / kept:.2f}x what is kept"

@@ -326,7 +326,7 @@ def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
     rs = driver.setup(parse_config({**RIM_FRACTURE,
                                     "outputs": {"dir": str(tmp_path / "out")}}))
     g = rs.grid
-    assert len(rs.sys.edge_arrays[0]) == g.fine_nx
+    assert np.count_nonzero(rs.sys.edge_arrays) == g.fine_nx
     calls = spy_solves(monkeypatch)
     pou = offline.compute_pou(g, rs.sys)
     assert len(calls["extensions"]) == 1
@@ -334,7 +334,7 @@ def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
     ref = offline.compute_pou(g, rs.sys)
     monkeypatch.undo()
     assert pou.kappa_tilde.tobytes() == ref.kappa_tilde.tobytes()
-    assert pou.edge_kappa_tilde[1].tobytes() == ref.edge_kappa_tilde[1].tobytes()
+    assert pou.edge_kappa_tilde.tobytes() == ref.edge_kappa_tilde.tobytes()
     for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
         assert chi.tobytes() == chi_ref.tobytes()
 
