@@ -40,7 +40,7 @@ class AdaptConfig:
 
     theta: float = 0.7
     max_iters: int = 3
-    basis_increment: int = 1
+    basis_increment: int = field(default=1, metadata={"positive": True})
     indicator: str = field(default="residual", metadata={"choices": _INDICATORS})
     manual_box: tuple | None = None      # (ci0, ci1, cj0, cj1), inclusive
     tol: float = 0.0

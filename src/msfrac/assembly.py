@@ -416,11 +416,17 @@ class FineSolveError(RuntimeError):
 def solve_fine(sys: FineSystem) -> FineSolution:
     """Direct sparse solve of K u = f after Dirichlet elimination.
 
-    The reduced operator is symmetric positive definite (bitwise
-    symmetric as assembled), so it is factored by one SuperLU in
-    symmetric mode: minimum degree on A + A^T and diagonal pivots, which
-    needs about half the fill of the default column ordering.  A failed
-    factorization or a non-finite residual raises ``FineSolveError``.
+    The reduced operator is symmetric positive definite, so it is
+    factored by one SuperLU in symmetric mode with diagonal pivots, in
+    the nested-dissection order of the fine lattice
+    (``GridHierarchy.dissection_order``) with the embedded-fracture
+    unknowns last, as the top separator.  On the regular lattice that
+    order needs less fill than minimum degree on A + A^T (3.18 M against
+    3.41 M entries of L + U for 200 x 200 cells and one embedded
+    fracture).  K is bitwise symmetric as assembled, so its rows in that
+    order, restricted to the same columns, are also the permuted
+    operator in compressed-column form.  A failed factorization or a
+    non-finite residual raises ``FineSolveError``.
     """
     if len(sys.dirichlet_nodes) == 0:
         raise ValueError("no Dirichlet data: pure-Neumann systems are not supported")
@@ -429,12 +435,16 @@ def solve_fine(sys: FineSystem) -> FineSolution:
     lift[sys.dirichlet_nodes] = sys.dirichlet_values
     fixed = np.zeros(K.shape[0], dtype=bool)
     fixed[sys.dirichlet_nodes] = True
-    free = ~fixed
+    keep = np.concatenate([sys.grid.dissection_order(),
+                           np.arange(sys.n_nodes, K.shape[0], dtype=np.int32)])
+    keep = keep[~fixed[keep]]
 
-    b = sys.f[free] - K[free][:, fixed] @ lift[fixed]
-    Mff = K[free][:, free].tocsc()
+    rows = K[keep]
+    b = sys.f[keep] - rows @ lift
+    rows = rows[:, keep]              # the row copy is freed before the factor
+    Mff = sparse.csc_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
     try:
-        lu = spla.splu(Mff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(Mff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:       # exactly singular factor
         raise FineSolveError(f"fine reference solve failed: {exc}") from None
@@ -446,7 +456,7 @@ def solve_fine(sys: FineSystem) -> FineSolution:
                              f"{res} (singular fine operator)")
 
     u = lift.copy()
-    u[free] = x
+    u[keep] = x
     off = sys.frac_offsets
     u_frac = [u[a:b] for a, b in zip(off, off[1:])]
     return FineSolution(u=u[:sys.n_nodes], u_frac=u_frac, residual=res)

@@ -49,6 +49,11 @@ class Rect:
 
 UNIT_SQUARE = Rect(0.0, 0.0, 1.0, 1.0)
 
+# Most lattice nodes of a nested-dissection leaf (``dissection_order``);
+# on a 201 x 201 lattice, leaves of 32 nodes or more give more fill than
+# minimum degree.
+DISSECTION_LEAF = 8
+
 
 @dataclass(frozen=True)
 class CellBox:
@@ -151,6 +156,46 @@ class GridHierarchy:
 
     def boundary_nodes(self) -> np.ndarray:
         return np.flatnonzero(self.boundary_node_mask())
+
+    def dissection_order(self) -> np.ndarray:
+        """Every fine-node id once, in geometric nested-dissection order.
+
+        A box of the node lattice with more than ``DISSECTION_LEAF``
+        nodes is cut across its longer side by one node line, and is
+        ordered as its lower (or left) half, its upper (or right) half,
+        then the cut line; a smaller box is a leaf, ordered x fastest.
+        The halves of a box differ in length by at most one node, so a
+        lattice has few distinct box shapes (48 at 201 x 201 nodes): each
+        shape's order is built once, in box-local (x, y) positions, and
+        shifted into its parents.
+        """
+        shapes = {}
+
+        def ar(n):
+            # int32 positions: every shape is held at once, just before
+            # the fine factorization reaches the run's peak memory
+            return np.arange(n, dtype=np.int32)
+
+        def local(w, h):
+            if (w, h) in shapes:
+                return shapes[w, h]
+            if w * h <= DISSECTION_LEAF:
+                x, y = np.tile(ar(w), h), np.repeat(ar(h), w)
+            elif w >= h:                        # cut along column m
+                m = w // 2
+                (x0, y0), (x1, y1) = local(m, h), local(w - m - 1, h)
+                x = np.concatenate([x0, x1 + (m + 1), np.full(h, m, np.int32)])
+                y = np.concatenate([y0, y1, ar(h)])
+            else:                               # cut along row m
+                m = h // 2
+                (x0, y0), (x1, y1) = local(w, m), local(w, h - m - 1)
+                x = np.concatenate([x0, x1, ar(w)])
+                y = np.concatenate([y0, y1 + (m + 1), np.full(w, m, np.int32)])
+            shapes[w, h] = x, y
+            return x, y
+
+        x, y = local(self.fine_nx + 1, self.fine_ny + 1)
+        return y * (self.fine_nx + 1) + x
 
     # -- fine-edge indexing (horizontal block first, then vertical) --------
 

@@ -7,7 +7,6 @@ so identical runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
-import io
 import os
 
 import numpy as np
@@ -53,9 +52,9 @@ def write_trajectory_csv(path: str, history: list) -> None:
 
 def write_solution_csv(path: str, g: GridHierarchy, u: np.ndarray) -> None:
     with open(path, "w") as fh:
-        fh.write("x,y,u\n")
-        for (x, y), v in zip(g.node_coords, u):
-            fh.write(f"{x:.10g},{y:.10g},{v:.12g}\n")
+        fh.write("x,y,u\n" + "".join(
+            f"{x:.10g},{y:.10g},{v:.12g}\n"
+            for (x, y), v in zip(g.node_coords.tolist(), np.asarray(u).tolist())))
 
 
 def write_vtk(path: str, g: GridHierarchy, u: np.ndarray) -> None:
@@ -63,21 +62,18 @@ def write_vtk(path: str, g: GridHierarchy, u: np.ndarray) -> None:
     u = np.asarray(u, dtype=float)
     if u.shape[0] != g.n_nodes:
         raise ValueError("field length does not match the fine grid")
-    buf = io.StringIO()
-    buf.write("# vtk DataFile Version 3.0\n")
-    buf.write("fine-grid nodal field\n")
-    buf.write("ASCII\n")
-    buf.write("DATASET STRUCTURED_POINTS\n")
-    buf.write(f"DIMENSIONS {g.fine_nx + 1} {g.fine_ny + 1} 1\n")
-    buf.write(f"ORIGIN {g.domain.x0:.10g} {g.domain.y0:.10g} 0\n")
-    buf.write(f"SPACING {g.hx:.10g} {g.hy:.10g} 1\n")
-    buf.write(f"POINT_DATA {g.n_nodes}\n")
-    buf.write("SCALARS pressure double\n")
-    buf.write("LOOKUP_TABLE default\n")
-    for v in u:  # node order is already x-fastest, matching VTK
-        buf.write(f"{v:.12g}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    header = ("# vtk DataFile Version 3.0\n"
+              "fine-grid nodal field\n"
+              "ASCII\n"
+              "DATASET STRUCTURED_POINTS\n"
+              f"DIMENSIONS {g.fine_nx + 1} {g.fine_ny + 1} 1\n"
+              f"ORIGIN {g.domain.x0:.10g} {g.domain.y0:.10g} 0\n"
+              f"SPACING {g.hx:.10g} {g.hy:.10g} 1\n"
+              f"POINT_DATA {g.n_nodes}\n"
+              "SCALARS pressure double\n"
+              "LOOKUP_TABLE default\n")
+    with open(path, "w") as fh:  # node order is already x-fastest, matching VTK
+        fh.write(header + "".join(f"{v:.12g}\n" for v in u.tolist()))
 
 
 def write_matrix_market(path: str, A) -> None:
@@ -87,10 +83,10 @@ def write_matrix_market(path: str, A) -> None:
 def write_eigenvalue_csv(path: str, spaces) -> None:
     """Per-neighborhood eigenvalue dump: omega_id,k,lambda."""
     with open(path, "w") as fh:
-        fh.write("omega_id,k,lambda\n")
-        for sp in sorted(spaces, key=lambda s: s.omega_id):
-            for k, lam in enumerate(sp.eigvals):
-                fh.write(f"{sp.omega_id},{k + 1},{lam:.12g}\n")
+        fh.write("omega_id,k,lambda\n" + "".join(
+            f"{sp.omega_id},{k},{lam:.12g}\n"
+            for sp in sorted(spaces, key=lambda s: s.omega_id)
+            for k, lam in enumerate(np.asarray(sp.eigvals).tolist(), 1)))
 
 
 def write_manifest(path: str, cfg_dict: dict, extras: dict | None = None) -> None:

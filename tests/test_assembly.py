@@ -319,8 +319,9 @@ def test_fine_solve_matches_dense_oracle():
 
 
 def reduced_fine_system(sys):
-    """The Dirichlet-reduced operator and load that ``solve_fine`` factors,
-    built here from ``sys.K`` and ``sys.f``."""
+    """The Dirichlet-reduced operator and load that ``solve_fine`` factors
+    (here in the natural order of the unknowns), built from ``sys.K`` and
+    ``sys.f``."""
     K = sys.K
     fixed = np.zeros(K.shape[0], bool)
     fixed[sys.dirichlet_nodes] = True
@@ -353,6 +354,31 @@ def test_fine_residual_no_worse_than_spsolve(model, kappa_f):
     ref = np.linalg.norm(Mff @ x - b) / np.linalg.norm(b)
     assert np.isfinite(sol.residual)
     assert sol.residual <= 10.0 * ref
+
+
+@pytest.mark.parametrize("config", ["efm_sweep_r20.yml", "adapt_channels_10.yml"])
+def test_fine_factor_fills_no_more_than_minimum_degree(config, monkeypatch):
+    # the nested-dissection factor solve_fine makes, against SuperLU's
+    # minimum degree on A + A^T, by entries of L + U (deterministic counts)
+    sys = driver.setup(load_config(ROOT / "bench" / "configs" / config)).sys
+    factors, splu = [], spla.splu
+
+    def spy(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(assembly.spla, "splu", spy)
+    sol = mf.solve_fine(sys)
+    monkeypatch.undo()
+    (lu,) = factors
+    Mff, b = reduced_fine_system(sys)
+    mmd = spla.splu(Mff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+    free = np.ones(sys.K.shape[0], bool)
+    free[sys.dirichlet_nodes] = False
+    np.testing.assert_allclose(sol.block_vector()[free], mmd.solve(b),
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_singular_fine_operator_raises_named_error():

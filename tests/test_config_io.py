@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import types
 
 import numpy as np
 import pytest
@@ -112,6 +113,8 @@ def test_unknown_keys_rejected(data, frag):
     ({"offline": {"mode": "randomized", "seed": -1}}, r"^offline\.seed: must be non-negative"),
     ({"offline": {"mode": "randomized", "p_bf": -1}}, r"^offline\.p_bf: must be non-negative"),
     ({"grid": {"t": -1}}, r"^grid\.t: must be non-negative"),
+    ({"adapt": {"basis_increment": 0}}, r"^adapt\.basis_increment: must be positive"),
+    ({"adapt": {"basis_increment": -2}}, r"^adapt\.basis_increment: must be positive"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
@@ -270,6 +273,32 @@ def test_manifest_echo_reparses(tmp_path):
     io_formats.write_manifest(str(tmp_path / "m2.yml"), config_to_dict(cfg),
                               extras={"command": "solve", "dim": 121})
     assert (tmp_path / "m2.yml").read_bytes() == path.read_bytes()
+
+
+def test_writers_match_per_value_formatting(tmp_path):
+    # the writers format Python floats in one join; the reference formats
+    # each numpy scalar on its own, as the writers once did
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
+    special = [-0.0, 5e-324, 1e-300, 1.0 / 3.0, -2.5e17, 123456789012.345, 0.1]
+    u = np.resize(np.array(special), g.n_nodes) * np.linspace(1.0, 7.0, g.n_nodes)
+    u[:len(special)] = special
+    header = ("# vtk DataFile Version 3.0\nfine-grid nodal field\nASCII\n"
+              "DATASET STRUCTURED_POINTS\nDIMENSIONS 5 5 1\nORIGIN 0 0 0\n"
+              "SPACING 0.25 0.25 1\nPOINT_DATA 25\nSCALARS pressure double\n"
+              "LOOKUP_TABLE default\n")
+    io_formats.write_vtk(str(tmp_path / "u.vtk"), g, u)
+    assert (tmp_path / "u.vtk").read_text() == header + "".join(
+        f"{v:.12g}\n" for v in u)
+    io_formats.write_solution_csv(str(tmp_path / "u.csv"), g, u)
+    assert (tmp_path / "u.csv").read_text() == "x,y,u\n" + "".join(
+        f"{x:.10g},{y:.10g},{v:.12g}\n" for (x, y), v in zip(g.node_coords, u))
+    spaces = [types.SimpleNamespace(omega_id=np.int64(k), eigvals=u[k::5][:3])
+              for k in (3, 0, 1)]
+    io_formats.write_eigenvalue_csv(str(tmp_path / "eig.csv"), spaces)
+    assert (tmp_path / "eig.csv").read_text() == "omega_id,k,lambda\n" + "".join(
+        f"{sp.omega_id},{k + 1},{lam:.12g}\n"
+        for sp in sorted(spaces, key=lambda s: s.omega_id)
+        for k, lam in enumerate(sp.eigvals))
 
 
 def test_solution_csv(tmp_path):

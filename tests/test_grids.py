@@ -6,6 +6,8 @@ dilated by t fine layers and clipped), independent of the CellBox
 arithmetic used by the implementation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -143,6 +145,52 @@ def test_boundary_interior_split():
                | (coords[:, 1] == 0) | (coords[:, 1] == 1))
     assert on_edge.all()
     assert mask.sum() == 4 * g.fine_nx
+
+
+def lattice(nx, ny):
+    """A grid whose fine-node lattice is nx by ny nodes; the dissection
+    order reads the lattice size alone."""
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 2, 2, 2, t=0)
+    return dataclasses.replace(g, fine_nx=nx - 1, fine_ny=ny - 1)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (2, 2), (3, 7), (11, 11),
+                                   (201, 41), (201, 201)])
+def test_dissection_order_is_a_permutation(nx, ny):
+    order = lattice(nx, ny).dissection_order()
+    assert order.shape == (nx * ny,)
+    assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 7), (4, 3), (11, 11), (12, 5), (201, 41)])
+def test_dissection_separator_decouples_the_halves(nx, ny):
+    # the order ends with one full node line across the longer side; the
+    # nodes before it fall into two blocks, and no 9-point stencil (a
+    # node and its 8 neighbours) reaches from the first into the second
+    order = lattice(nx, ny).dissection_order()
+    i, j = order % nx, order // nx
+    along, across, n_line = (i, j, ny) if nx >= ny else (j, i, nx)
+    cut = along[-1]
+    assert np.all(along[-n_line:] == cut)
+    assert np.array_equal(across[-n_line:], np.arange(n_line))
+    n_lo = np.count_nonzero(along < cut)
+    assert n_lo > 0 and np.all(along[:n_lo] < cut)
+    assert np.all(along[n_lo:-n_line] > cut)
+    label = np.empty((ny, nx), dtype=int)
+    label[j, i] = np.repeat([0, 1, 2], [n_lo, len(order) - n_lo - n_line, n_line])
+    pad = np.pad(label, 1, constant_values=2)
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            near = pad[1 + dj:1 + dj + ny, 1 + di:1 + di + nx]
+            assert not np.any((label == 0) & (near == 1))
+
+
+def test_dissection_leaves_are_x_fastest():
+    # a lattice of at most 8 nodes is one leaf: the plain node order
+    for nx, ny in [(1, 1), (2, 4), (8, 1), (1, 8)]:
+        assert np.array_equal(lattice(nx, ny).dissection_order(), np.arange(nx * ny))
+    # 3 x 3 is cut along its middle column
+    assert lattice(3, 3).dissection_order().tolist() == [0, 3, 6, 2, 5, 8, 1, 4, 7]
 
 
 def test_box_edge_weights_follow_the_edge_ids():
