@@ -51,6 +51,9 @@ class AdaptConfig:
             raise ValueError("theta must be in (0, 1]")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        for name in ("basis_increment", "initial_basis"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.indicator not in _INDICATORS:
@@ -127,8 +130,6 @@ def enrich(report: IndicatorReport, ms: MultiscaleSpace,
     """Mode counts of the next space: basis_increment more eigenvectors
     at the marked nodes, capped at l_i."""
     counts = ms.counts.copy()
-    if cfg.basis_increment <= 0:
-        return counts
     for i in np.unique(report.marked):
         sp = ms.spaces[i]
         if counts[i] >= sp.l_i:

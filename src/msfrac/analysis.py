@@ -30,6 +30,18 @@ def _quad(Q, v):
     return float(v @ (Q @ v))
 
 
+def _relative(u_ref, u_off, sys: FineSystem, name: str):
+    """Relative kappa-weighted L2 and energy errors of u_off against
+    u_ref; a reference of zero energy is a ValueError naming it."""
+    A, M = sys.K, sys.mass_matrix
+    en_ref = _quad(A, u_ref)
+    if en_ref <= 0:
+        raise ValueError(f"{name} field has zero energy")
+    e = u_ref - u_off
+    return (np.sqrt(_quad(M, e) / _quad(M, u_ref)),
+            np.sqrt(max(_quad(A, e), 0.0) / en_ref))
+
+
 def errors(u_fine, u_snap, u_off, sys: FineSystem,
            dim_Voff: int = 0) -> ErrorReport:
     """Relative kappa-weighted L2 and energy errors of u_off.
@@ -41,26 +53,10 @@ def errors(u_fine, u_snap, u_off, sys: FineSystem,
     """
     u_fine = np.asarray(u_fine, dtype=float)
     u_off = np.asarray(u_off, dtype=float)
-    A, M = sys.K, sys.mass_matrix
-    if u_fine.shape[0] != A.shape[0] or u_off.shape[0] != A.shape[0]:
+    if {u_fine.shape[0], u_off.shape[0]} != {sys.K.shape[0]}:
         raise ValueError("solution vectors do not match the system size")
-
-    en_ref = _quad(A, u_fine)
-    l2_ref = _quad(M, u_fine)
-    if en_ref <= 0:
-        raise ValueError("reference field has zero energy")
-    e = u_fine - u_off
-    rep = ErrorReport(
-        dim_Voff=dim_Voff,
-        rel_L2_vs_fine=np.sqrt(_quad(M, e) / l2_ref),
-        rel_energy_vs_fine=np.sqrt(max(_quad(A, e), 0.0) / en_ref))
+    rep = ErrorReport(dim_Voff, *_relative(u_fine, u_off, sys, "reference"))
     if u_snap is not None:
-        u_snap = np.asarray(u_snap, dtype=float)
-        en_s = _quad(A, u_snap)
-        l2_s = _quad(M, u_snap)
-        if en_s <= 0:
-            raise ValueError("snapshot reference field has zero energy")
-        es = u_snap - u_off
-        rep.rel_L2_vs_snap = np.sqrt(_quad(M, es) / l2_s)
-        rep.rel_energy_vs_snap = np.sqrt(max(_quad(A, es), 0.0) / en_s)
+        rep.rel_L2_vs_snap, rep.rel_energy_vs_snap = _relative(
+            np.asarray(u_snap, dtype=float), u_off, sys, "snapshot reference")
     return rep

@@ -15,8 +15,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,11 @@ from .grids import Rect, GridHierarchy, build_hierarchy
 from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
 from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
-from .offline import (_groups, _problem_key, compute_pou, full_snapshots,
-                      harmonic_extension, randomized_snapshots,
-                      offline_eigendecomposition)
+from .offline import offline_spaces
 from .coarse import build_space, coarse_system, restrict, solve_coarse
 from .adaptivity import adaptive_loop
 from .analysis import ErrorReport, errors
-from .config import RunConfig, config_to_dict
+from .config import RunConfig, config_to_dict, parse_config
 from .fields import FIELD_GENERATORS
 from . import io_formats
 
@@ -63,6 +60,10 @@ def _build_network(cfg: RunConfig, g: GridHierarchy) -> FractureNetwork:
 
 
 def setup(cfg: RunConfig) -> RunSetup:
+    """Config, output directory, grid, traces and fine system of a run;
+    cfg is echoed and parsed again, so one built in code is checked too."""
+    cfg = parse_config(config_to_dict(cfg))
+    os.makedirs(cfg.outputs.dir, exist_ok=True)
     g = build_hierarchy(Rect(*cfg.grid.domain), cfg.grid.coarse_nx,
                         cfg.grid.coarse_ny, cfg.grid.refine, cfg.grid.t)
     network = _build_network(cfg, g)
@@ -126,8 +127,8 @@ def _one_blas_thread():
     Every command runs under it (it decorates the ``run_*`` functions):
     an idle OpenBLAS helper thread spins after each multithreaded call
     and takes a core from the serial stages, while the sparse fine LU
-    takes as long on one thread as on two.  The offline pool enters it
-    again to learn whether a cap holds; nested, it sets 1 and restores 1.
+    takes as long on one thread as on two.  ``_offline`` enters it again
+    to learn whether a cap holds; nested, it sets 1 and restores 1.
     """
     restore = []
     try:
@@ -140,58 +141,19 @@ def _one_blas_thread():
             set_(n)
 
 
-def _group_offline(rs: RunSetup, pou, n_modes, group: list[int]):
-    """Spectral spaces, with their first ``n_modes`` modes, of a group of
-    neighborhoods with equal ``_problem_key``.  A full-snapshot group is
-    solved once, and each neighborhood gets its own space on the same
-    read-only arrays.  A randomized group factors its oversampled box
-    once, and each neighborhood solves its own draws on that factor and
-    then its own spectra, one at a time."""
-    g, sys, off = rs.grid, rs.sys, rs.cfg.offline
-    if off.mode == "randomized":
-        extend = harmonic_extension(g, sys, g.neighborhoods[group[0]].cells_plus)
-        return [offline_eigendecomposition(randomized_snapshots(
-                    g, sys, i, off.k_nb, off.p_bf, off.seed, extend),
-                    sys, pou, n_modes) for i in group]
-    space = offline_eigendecomposition(full_snapshots(g, sys, group[0]),
-                                       sys, pou, n_modes)
-    return [replace(space, omega_id=i, node_ids=g.neighborhoods[i].node_ids)
-            for i in group]
-
-
 def _offline(rs: RunSetup, n_modes: int | None):
-    """Output directory, POU and local spectral spaces of a run.  Every
-    space keeps all its eigenvalues and its first ``n_modes`` modes (all
-    of them when None), the most any coarse node of the run reads.
-
-    The neighborhoods are grouped by the exact bytes of what they read
-    (``_problem_key``), and each group is one unit of work
-    (``_group_offline``): a full-snapshot neighborhood by its whole
-    spectral problem, a randomized one by the extension on its
-    oversampled box, since its draws are its own.
-
-    The groups are mapped over one worker thread per usable CPU.  Their
-    sparse LU factorizations and NumPy eigensolves release the
-    interpreter lock, but their ``solve_triangular`` calls and the SciPy
-    sparse indexing and construction around each box operator hold it,
-    so two workers overlap only in part.  Each runs on one BLAS thread,
-    so its result depends neither on the worker count nor on which
-    neighborhood leads its group.  Without a BLAS that can be capped the
-    map runs on a single worker.
-    """
-    os.makedirs(rs.cfg.outputs.dir, exist_ok=True)
-    g, sys = rs.grid, rs.sys
-    pou = compute_pou(g, sys)
-    randomized = rs.cfg.offline.mode == "randomized"
-    keys = (_problem_key(g, nb.cells_plus, sys) if randomized
-            else _problem_key(g, nb.cells, sys, pou) for nb in g.neighborhoods)
+    """``offline_spaces`` of a run, keeping ``n_modes`` modes, the most
+    any coarse node reads, on one worker thread per usable CPU, each on
+    one BLAS thread; without a BLAS that can be capped, in this thread.
+    The workers overlap only in part: ``solve_triangular`` and the SciPy
+    sparse construction around each box operator hold the interpreter
+    lock."""
+    args = rs.grid, rs.sys, rs.cfg.offline, n_modes
     with _one_blas_thread() as capped:
-        workers = len(os.sched_getaffinity(0)) if capped else 1
-        with ThreadPoolExecutor(workers) as pool:
-            solved = pool.map(partial(_group_offline, rs, pou, n_modes), _groups(keys))
-            spaces = sorted((sp for group in solved for sp in group),
-                            key=lambda sp: sp.omega_id)
-    return pou, spaces
+        if not capped:
+            return offline_spaces(*args)
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            return offline_spaces(*args, map=pool.map)
 
 
 def _counts_at(rs, m):
@@ -280,6 +242,7 @@ def _write(rs, sol, spaces, run):
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
     rs = setup(cfg)
+    cfg = rs.cfg
     pou, spaces = _offline(rs, cfg.offline.M_off)
     fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
@@ -298,6 +261,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     """Convergence table over the offline-dimension schedule; the
     snapshot-error columns are relative to the largest space's solution."""
     rs = setup(cfg)
+    cfg = rs.cfg
     pou, spaces = _offline(rs, max(cfg.sweep))
     fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
@@ -324,6 +288,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
 def run_adapt(cfg: RunConfig):
     """Adaptive enrichment driven by the residual (or manual) indicator."""
     rs = setup(cfg)
+    cfg = rs.cfg
     # every mode: the indicators read the ones a node does not use yet
     pou, spaces = _offline(rs, None)
     fine = solve_fine(rs.sys)
@@ -342,6 +307,7 @@ def run_adapt(cfg: RunConfig):
 def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)
+    cfg = rs.cfg
     pou, spaces = _offline(rs, cfg.offline.M_off)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]

@@ -17,13 +17,13 @@ The POU and both snapshot kinds rest on one local solve,
 which carries the conforming-fracture edge terms, factored once.  Boxes
 whose local problems read byte-identical data (``_problem_key``) form
 one group (``_groups``) on one factor: a coarse cell's group solves the
-four corner fields once, a full-snapshot neighborhood's group its
-snapshots and spectra, and each randomized neighborhood its own draws.
+four corner fields once, and the neighborhoods' groups are the units
+of work of ``offline_spaces``, which runs the whole stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -35,7 +35,7 @@ from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
 __all__ = [
     "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace",
     "compute_pou", "full_snapshots", "randomized_snapshots",
-    "offline_eigendecomposition", "harmonic_extension",
+    "offline_eigendecomposition", "harmonic_extension", "offline_spaces",
 ]
 
 
@@ -345,3 +345,36 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
     return NeighborhoodSpace(omega_id=snap.omega_id, node_ids=snap.node_ids,
                              eigvals=w, basis_full=V @ Psi,
                              regularized=regularized)
+
+
+def _group_spaces(g, sys, off, pou, n_modes, group: list[int]):
+    """Spectral spaces of one group of neighborhoods (``offline_spaces``)."""
+    if off.mode == "randomized":
+        extend = harmonic_extension(g, sys, g.neighborhoods[group[0]].cells_plus)
+        return [offline_eigendecomposition(randomized_snapshots(
+                    g, sys, i, off.k_nb, off.p_bf, off.seed, extend),
+                    sys, pou, n_modes) for i in group]
+    space = offline_eigendecomposition(full_snapshots(g, sys, group[0]),
+                                       sys, pou, n_modes)
+    return [replace(space, omega_id=i, node_ids=g.neighborhoods[i].node_ids)
+            for i in group]
+
+
+def offline_spaces(g: GridHierarchy, sys: FineSystem, off,
+                   n_modes: int | None = None, map=map):
+    """POU and local spectral spaces, in neighborhood order, of the
+    offline settings ``off``; each space keeps all its eigenvalues and
+    its first ``n_modes`` modes (all when None).  A full-snapshot group
+    (equal ``cells`` keys with the POU) is solved once, its members
+    sharing read-only arrays; a randomized group (equal ``cells_plus``
+    keys) shares one factor, and each member solves its own draws and
+    spectra.  ``map`` runs the groups; on one BLAS thread no result
+    depends on their order or on which member leads a group."""
+    pou = compute_pou(g, sys)
+    randomized = off.mode == "randomized"
+    keys = (_problem_key(g, nb.cells_plus, sys) if randomized
+            else _problem_key(g, nb.cells, sys, pou) for nb in g.neighborhoods)
+    solved = map(lambda group: _group_spaces(g, sys, off, pou, n_modes, group),
+                 _groups(keys))
+    return pou, sorted((sp for group in solved for sp in group),
+                       key=lambda sp: sp.omega_id)

@@ -154,10 +154,18 @@ def test_enrich_caps_and_warns_when_exhausted():
     trimmed = mf.build_space(pou, spaces, np.ones(len(spaces), dtype=int))
     rep2 = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),
                               marked=np.arange(g.n_coarse_nodes))
-    same = enrich(rep2, trimmed, AdaptConfig(basis_increment=0))
-    np.testing.assert_array_equal(same, trimmed.counts)
+    with pytest.raises(ValueError, match="basis_increment"):
+        AdaptConfig(basis_increment=0)
     grown = enrich(rep2, trimmed, AdaptConfig(basis_increment=2))
     assert all(grown == 3)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["basis_increment", "initial_basis"])
+def test_settings_built_in_code_need_a_step_of_at_least_one(name, value):
+    # a step of 0 would make the loop repeat one space
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        AdaptConfig(**{name: value})
 
 
 def test_loop_stops_at_loose_tolerance():

@@ -1,7 +1,9 @@
 """End-to-end CLI runs on small grids: exit codes, outputs, determinism."""
 
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 import warnings
 
@@ -13,6 +15,8 @@ import yaml
 import msfrac
 from msfrac import driver
 from msfrac.cli import main
+from msfrac.config import (ConfigError, GridConfig, OfflineConfig,
+                           OutputsConfig, RunConfig, parse_config)
 
 BASE = {
     "grid": {"coarse": [4, 4], "refine": 3},
@@ -138,6 +142,31 @@ def test_randomized_sweep_records_snapshot_ratio(tmp_path):
             full += 2 * (w + h)
     run = yaml.safe_load((out / "manifest.yml").read_text())["run"]
     assert run["snapshot_ratio_pct"] == round(100.0 * drawn / full, 4)
+
+
+def code_config(mode, out):
+    return RunConfig(grid=GridConfig(coarse_nx=3, coarse_ny=3, refine=3, t=1),
+                     offline=OfflineConfig(mode=mode, M_off=2, k_nb=2, p_bf=1),
+                     sweep=[1, 2], outputs=OutputsConfig(dir=str(out)))
+
+
+@pytest.mark.parametrize("run", ["run_solve", "run_sweep"])
+def test_configs_built_in_code_get_the_parsers_checks(run, tmp_path):
+    with pytest.raises(ConfigError,
+                       match=r"^offline\.mode: expected one of .*, got 'bogus'$"):
+        getattr(driver, run)(code_config("bogus", tmp_path / "bogus"))
+    # a choice matches case-insensitively, as in a YAML file
+    getattr(driver, run)(code_config("Randomized", tmp_path / "code"))
+    data = {"grid": {"coarse": 3, "refine": 3, "t": 1},
+            "offline": {"mode": "randomized", "M_off": 2, "k_nb": 2, "p_bf": 1},
+            "sweep": [1, 2], "outputs": {"dir": str(tmp_path / "yaml")}}
+    getattr(driver, run)(parse_config(data))
+    for name in ("errors.csv", "manifest.yml"):
+        code = (tmp_path / "code" / name).read_text()
+        assert code == (tmp_path / "yaml" / name).read_text().replace(
+            str(tmp_path / "yaml"), str(tmp_path / "code"))
+    run_record = yaml.safe_load((tmp_path / "code" / "manifest.yml").read_text())["run"]
+    assert run_record["offline_mode"] == "randomized"
 
 
 def test_malformed_fracture_polyline_exits_nonzero(tmp_path, capsys):
@@ -361,3 +390,19 @@ def test_experiment_scripts_run(script, opts, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert "dim" in capsys.readouterr().out
     assert list(tmp_path.rglob("manifest.yml"))
+
+
+@pytest.mark.parametrize("script", ["convergence_study.py",
+                                    "adaptivity_trajectory.py",
+                                    "randomized_comparison.py"])
+def test_experiment_scripts_exit_zero_at_their_defaults(script, tmp_path):
+    # each script as its own process, with every option but the grid's
+    # and the output directory at its default
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script
+    src = str(pathlib.Path(msfrac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    proc = subprocess.run([sys.executable, str(path), "--coarse", "3",
+                           "--refine", "4", "--t", "1", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 
 import msfrac as mf
 from msfrac import driver
-from msfrac.adaptivity import AdaptConfig, enrich
+from msfrac.adaptivity import AdaptConfig
 from msfrac.coarse import coarse_system
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
@@ -144,11 +144,9 @@ def test_enrichment_is_nested_and_monotone():
     big = mf.build_space(pou, spaces, np.full(len(spaces), max(l_i) + 5))
     np.testing.assert_array_equal(big.counts, l_i)
     assert big.N_c == sum(l_i)
-    # enriching every node by zero modes keeps every count
-    rep = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),
-                             marked=np.arange(g.n_coarse_nodes))
-    np.testing.assert_array_equal(
-        enrich(rep, ms, AdaptConfig(basis_increment=0)), ms.counts)
+    # enriching by zero modes is refused when the settings are built
+    with pytest.raises(ValueError, match="basis_increment"):
+        AdaptConfig(basis_increment=0)
 
 
 def test_galerkin_orthogonality():

@@ -76,7 +76,7 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
         inside.append(blas_threads())
         return offline_eigendecomposition(*args, **kwargs)
 
-    monkeypatch.setattr(driver, "offline_eigendecomposition", spy)
+    monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
     try:
         for _, set_ in controls:       # a count other than the cap's
             set_(2)
@@ -98,7 +98,7 @@ COMMANDS = {
                                 "adapt": {"theta": 0.7, "max_iters": 2}}),
 }
 # the stages outside the offline pool, by the modules that call them
-STAGES = {"compute_pou": (driver,), "solve_fine": (driver,),
+STAGES = {"compute_pou": (offline,), "solve_fine": (driver,),
           "coarse_system": (driver, coarse), "errors": (driver, adaptivity),
           "solve_coarse": (driver, adaptivity)}
 
@@ -153,7 +153,7 @@ def test_neighborhood_error_propagates(tmp_path, monkeypatch):
             raise err
         return full_snapshots(g, sys_, omega_id)
 
-    monkeypatch.setattr(driver, "full_snapshots", failing)
+    monkeypatch.setattr(offline, "full_snapshots", failing)
     with pytest.raises(RuntimeError) as exc:
         driver.run_sweep(rs.cfg)
     assert exc.value is err
@@ -168,7 +168,7 @@ def spy_solves(monkeypatch):
     """Neighborhoods whose spectra are solved, and the boxes whose
     harmonic extensions are factored."""
     calls = {"spectra": [], "extensions": []}
-    eig, ext = driver.offline_eigendecomposition, offline.harmonic_extension
+    eig, ext = offline.offline_eigendecomposition, offline.harmonic_extension
 
     def spectra(snap, *args, **kwargs):
         calls["spectra"].append(snap.omega_id)
@@ -178,9 +178,8 @@ def spy_solves(monkeypatch):
         calls["extensions"].append(box)
         return ext(g, sys_, box)
 
-    monkeypatch.setattr(driver, "offline_eigendecomposition", spectra)
-    for module in (offline, driver):
-        monkeypatch.setattr(module, "harmonic_extension", extension)
+    monkeypatch.setattr(offline, "offline_eigendecomposition", spectra)
+    monkeypatch.setattr(offline, "harmonic_extension", extension)
     return calls
 
 
