@@ -81,8 +81,8 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
 
     eta_i^2 = sum_{k > m_i} |R(chi_i psi_k^off)|^2 / lambda_{m_i+1}, with
     m_i = ms.counts[i] the modes node i uses and R the residual f - K u
-    of the solved fine system K u = f at the coarse solution's block
-    vector, on the matrix-node rows (F - A u_ms on a conforming system);
+    of the fine system K u = f at the coarse solution ``u_ms_fine``, on
+    the matrix-node rows (F - A u_ms on a conforming system);
     directions already in the space contribute nothing by Galerkin
     orthogonality.
     """
@@ -96,7 +96,7 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
                 eta[nb.index] = 1.0
         return IndicatorReport(eta=eta, marked=np.empty(0, dtype=int), dim=ms.N_c)
 
-    r = (sys.f - sys.K @ sol.block_vector())[:sys.n_nodes]
+    r = (sys.f - sys.K @ sol.u_ms_fine)[:sys.n_nodes]
     r[sys.dirichlet_nodes] = 0.0
     for sp, m in zip(ms.spaces, ms.counts):
         if m >= sp.l_i:
@@ -150,10 +150,9 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
     indicator norm sqrt(sum_i eta_i^2) is at most cfg.tol, an absolute
     bound in the residual's units.  Returns the last coarse solution
     and the per-iteration report history; when the fine solution is
-    supplied (as a block vector, ``FineSolution.block_vector()``) the
-    history also records relative errors.  The marking
-    fraction is effectively 1 in manual mode (the rectangle is the
-    marked set).
+    supplied (``FineSolution.u``, on all of K's unknowns) the history
+    also records relative errors.  The marking fraction is effectively
+    1 in manual mode (the rectangle is the marked set).
     """
     counts = np.full(len(spaces), cfg.initial_basis)
     history: list[IndicatorReport] = []
@@ -165,7 +164,7 @@ def adaptive_loop(sys: FineSystem, pou: PartitionOfUnity,
         report.iteration = it
         report.coarse_info = sol.info
         if u_fine is not None:
-            rep = errors(u_fine, None, sol.block_vector(), sys, dim_Voff=ms.N_c)
+            rep = errors(u_fine, None, sol.u_ms_fine, sys, dim_Voff=ms.N_c)
             report.energy_error = rep.rel_energy_vs_fine
             report.l2_error = rep.rel_L2_vs_fine
         total = float(np.sum(report.eta ** 2))

@@ -47,9 +47,8 @@ def errors(u_fine, u_snap, u_off, sys: FineSystem,
     """Relative kappa-weighted L2 and energy errors of u_off.
 
     Always against the fine solution; also against the snapshot
-    (reference coarse) solution when one is given.  All fields must live
-    on the same DOF set — plain nodal vectors in monolithic mode, block
-    vectors (matrix then per-fracture unknowns) in embedded mode.
+    (reference coarse) solution when one is given.  Every field lives on
+    the unknowns of K: the matrix nodes, then each embedded fracture's.
     """
     u_fine = np.asarray(u_fine, dtype=float)
     u_off = np.asarray(u_off, dtype=float)

@@ -310,12 +310,8 @@ class FineSystem:
 
 @dataclass
 class FineSolution:
-    u: np.ndarray                 # matrix-node field
-    u_frac: list[np.ndarray]      # per-embedded-fracture 1D fields
+    u: np.ndarray                 # K's unknowns: matrix nodes, then fractures
     residual: float
-
-    def block_vector(self) -> np.ndarray:
-        return np.concatenate([self.u] + list(self.u_frac))
 
 
 def _dirichlet_data(g: GridHierarchy, bc):
@@ -455,8 +451,5 @@ def solve_fine(sys: FineSystem) -> FineSolution:
         raise FineSolveError("fine reference solve failed: the residual is "
                              f"{res} (singular fine operator)")
 
-    u = lift.copy()
-    u[keep] = x
-    off = sys.frac_offsets
-    u_frac = [u[a:b] for a, b in zip(off, off[1:])]
-    return FineSolution(u=u[:sys.n_nodes], u_frac=u_frac, residual=res)
+    lift[keep] = x                    # the whole solution from here on
+    return FineSolution(u=lift, residual=res)

@@ -51,13 +51,8 @@ class MultiscaleSpace:
 @dataclass
 class CoarseSolution:
     U0: np.ndarray
-    u_ms_fine: np.ndarray
-    efm_fracture_dofs: list[np.ndarray] = field(default_factory=list)
+    u_ms_fine: np.ndarray           # on K's unknowns, as ``FineSolution.u``
     info: dict = field(default_factory=dict)
-
-    def block_vector(self) -> np.ndarray:
-        """Matrix field then the per-fracture unknowns, as ``FineSolution``'s."""
-        return np.concatenate([self.u_ms_fine] + list(self.efm_fracture_dofs))
 
 
 def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
@@ -191,11 +186,9 @@ def solve_coarse(ms: MultiscaleSpace, sys: FineSystem,
     is ms's ``coarse_system`` (projected here when None)."""
     K0, F0, lift = coarse_system(ms, sys) if system is None else system
     x, info = _solve_spd_or_lstsq(K0, F0, ms)
-    off = np.subtract(sys.frac_offsets, sys.n_nodes) + ms.N_c
-    u_frac = [x[a:b] for a, b in zip(off, off[1:])]
     U0 = x[:ms.N_c]
-    return CoarseSolution(U0=U0, u_ms_fine=prolong(ms, U0, lift),
-                          efm_fracture_dofs=u_frac, info=info)
+    u = np.r_[prolong(ms, U0, lift), x[ms.N_c:]]   # then the fracture unknowns
+    return CoarseSolution(U0=U0, u_ms_fine=u, info=info)
 
 
 # Old names of the one solve, kept only because bench/child.py's LAYERS

@@ -61,8 +61,9 @@ def _build_network(cfg: RunConfig, g: GridHierarchy) -> FractureNetwork:
 
 def setup(cfg: RunConfig) -> RunSetup:
     """Config, output directory, grid, traces and fine system of a run;
-    cfg is echoed and parsed again, so one built in code is checked too."""
-    cfg = parse_config(config_to_dict(cfg))
+    cfg is echoed and parsed again, so one built in code is checked too
+    (with its sweep as given: the echo leaves out an empty one)."""
+    cfg = parse_config({**config_to_dict(cfg), "sweep": cfg.sweep})
     os.makedirs(cfg.outputs.dir, exist_ok=True)
     g = build_hierarchy(Rect(*cfg.grid.domain), cfg.grid.coarse_nx,
                         cfg.grid.coarse_ny, cfg.grid.refine, cfg.grid.t)
@@ -168,9 +169,9 @@ def _space_at(rs, pou, spaces, m):
 
 
 def _error_table(rs, pou, spaces, schedule, u_fine, snapshot_reference):
-    """Error report against the fine solution ``u_fine`` (a block vector)
-    and coarse-solve info per mode count of the schedule, and the coarse
-    solution of the last count.
+    """Error report against the fine solution ``u_fine`` and coarse-solve
+    info per mode count of the schedule, and the coarse solution of the
+    last count.
 
     The space of the largest count is built and projected once; the
     space of each row is its column restriction to the row's first
@@ -192,11 +193,11 @@ def _error_table(rs, pou, spaces, schedule, u_fine, snapshot_reference):
     solved, u_snap = {}, None
     if snapshot_reference:
         solved[m_ref] = solve_at(m_ref)
-        u_snap = solved[m_ref][1].block_vector()
+        u_snap = solved[m_ref][1].u_ms_fine
     reports, infos = [], []
     for m in schedule:
         dim, sol = solved.get(m) or solve_at(m)
-        reports.append(errors(u_fine, u_snap, sol.block_vector(), rs.sys,
+        reports.append(errors(u_fine, u_snap, sol.u_ms_fine, rs.sys,
                               dim_Voff=dim))
         infos.append(sol.info)
     return reports, infos, sol
@@ -224,12 +225,12 @@ def _write(rs, sol, spaces, run):
     """Solution files, eigenvalues and the manifest of a solving command;
     ``run`` is the manifest's run record, completed here by the seeds."""
     cfg = rs.cfg
+    u = sol.u_ms_fine[:rs.grid.n_nodes]       # the matrix field
     if cfg.outputs.solution_csv:
         io_formats.write_solution_csv(_outpath(cfg, cfg.outputs.solution_csv),
-                                      rs.grid, sol.u_ms_fine)
+                                      rs.grid, u)
     if cfg.outputs.vtk:
-        io_formats.write_vtk(_outpath(cfg, cfg.outputs.vtk), rs.grid,
-                             sol.u_ms_fine)
+        io_formats.write_vtk(_outpath(cfg, cfg.outputs.vtk), rs.grid, u)
     if cfg.outputs.eigenvalues:
         io_formats.write_eigenvalue_csv(_outpath(cfg, cfg.outputs.eigenvalues),
                                         spaces)
@@ -246,8 +247,7 @@ def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     pou, spaces = _offline(rs, cfg.offline.M_off)
     fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
-                                       fine.block_vector(),
-                                       snapshot_reference=False)
+                                       fine.u, snapshot_reference=False)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
     _write(rs, sol, spaces, {"command": "solve", "dim": reports[0].dim_Voff,
                              "offline_mode": cfg.offline.mode,
@@ -265,8 +265,7 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     pou, spaces = _offline(rs, max(cfg.sweep))
     fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
-                                       fine.block_vector(),
-                                       snapshot_reference=True)
+                                       fine.u, snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
     run = {"command": "sweep", "schedule": list(cfg.sweep),
            "offline_mode": cfg.offline.mode,
@@ -293,7 +292,7 @@ def run_adapt(cfg: RunConfig):
     pou, spaces = _offline(rs, None)
     fine = solve_fine(rs.sys)
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
-                                 u_fine=fine.block_vector())
+                                 u_fine=fine.u)
     io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
     _write(rs, sol, spaces, {"command": "adapt", "theta": cfg.adapt.theta,
                              "indicator": cfg.adapt.indicator,

@@ -125,7 +125,7 @@ def test_efm_norms_use_block_operators():
     sol = mf.solve_fine(sys)
     n_total = sys.K.shape[0]
     assert n_total == g.n_nodes + sys.efm_traces[0].n_nodes
-    ub = sol.block_vector()
+    ub = sol.u
     assert ub.shape[0] == n_total
     rep = errors(ub, None, np.zeros(n_total), sys)
     assert rep.rel_L2_vs_fine == pytest.approx(1.0, rel=1e-14)

@@ -357,10 +357,12 @@ def test_fine_residual_no_worse_than_spsolve(model, kappa_f):
 
 
 @pytest.mark.parametrize("config", ["efm_sweep_r20.yml", "adapt_channels_10.yml"])
-def test_fine_factor_fills_no_more_than_minimum_degree(config, monkeypatch):
+def test_fine_factor_fills_no_more_than_minimum_degree(config, monkeypatch, tmp_path):
     # the nested-dissection factor solve_fine makes, against SuperLU's
     # minimum degree on A + A^T, by entries of L + U (deterministic counts)
-    sys = driver.setup(load_config(ROOT / "bench" / "configs" / config)).sys
+    cfg = load_config(ROOT / "bench" / "configs" / config)
+    cfg.outputs.dir = str(tmp_path)
+    sys = driver.setup(cfg).sys
     factors, splu = [], spla.splu
 
     def spy(*args, **kwargs):
@@ -377,7 +379,7 @@ def test_fine_factor_fills_no_more_than_minimum_degree(config, monkeypatch):
     assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
     free = np.ones(sys.K.shape[0], bool)
     free[sys.dirichlet_nodes] = False
-    np.testing.assert_allclose(sol.block_vector()[free], mmd.solve(b),
+    np.testing.assert_allclose(sol.u[free], mmd.solve(b),
                                rtol=1e-10, atol=1e-12)
 
 
@@ -467,12 +469,14 @@ def efm_system(g, poly, cond, coupling_scale=1.0, bc=None, f=None, kappa=1.0):
                            coupling_scale=coupling_scale)
 
 
-def test_efm_block_symmetry():
+def test_efm_block_symmetry(tmp_path):
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
     bc = mf.bilinear_bc(0, 1, 1, 0)
+    cfg = load_config(ROOT / "configs" / "efm_single.yml")
+    cfg.outputs.dir = str(tmp_path)
     systems = [
         efm_system(g, [[0.15, 0.3], [0.85, 0.62]], 10.0, bc=bc),
-        driver.setup(load_config(ROOT / "configs" / "efm_single.yml")).sys,
+        driver.setup(cfg).sys,
         two_embedded_system(g, mf.PermeabilityField.constant(g, 1.0), bc=bc),
     ]
     for sys in systems:
@@ -485,7 +489,7 @@ def test_efm_reflection_symmetry():
     sys = efm_system(g, [[0.5, 0.3], [0.5, 0.7]], 100.0,
                      bc=lambda x, y: (x - 0.5) ** 2 + y)
     sol = mf.solve_fine(sys)
-    U = sol.u.reshape(g.fine_ny + 1, g.fine_nx + 1)
+    U = sol.u[:g.n_nodes].reshape(g.fine_ny + 1, g.fine_nx + 1)
     assert np.abs(U - U[:, ::-1]).max() < 1e-10
 
 
@@ -498,7 +502,7 @@ def test_efm_matches_dfm_under_strong_coupling():
     sys_d = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(fr, g)], bc=bc)
     ud = mf.solve_fine(sys_d).u
     sys_e = efm_system(g, poly, 10.0, coupling_scale=64.0, bc=bc)
-    ue = mf.solve_fine(sys_e).u
+    ue = mf.solve_fine(sys_e).u[:g.n_nodes]
     A = node_operator(g, np.ones(g.n_cells))  # matrix-part energy
     e = ue - ud
     rel = np.sqrt(float(e @ (A @ e)) / float(ud @ (A @ ud)))

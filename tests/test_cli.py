@@ -169,6 +169,14 @@ def test_configs_built_in_code_get_the_parsers_checks(run, tmp_path):
     assert run_record["offline_mode"] == "randomized"
 
 
+def test_empty_sweep_built_in_code_is_rejected(tmp_path):
+    cfg = code_config("full", tmp_path / "out")
+    cfg.sweep = []
+    with pytest.raises(ConfigError,
+                       match=r"^sweep: expected a non-empty list of positive counts$"):
+        driver.setup(cfg)
+
+
 def test_malformed_fracture_polyline_exits_nonzero(tmp_path, capsys):
     for fractures, frag in [
             ({"list": [{"polyline": [[0.5, 0.5]],

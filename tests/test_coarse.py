@@ -366,7 +366,7 @@ def test_sweep_rows_are_cut_from_one_projection(case, tmp_path, monkeypatch):
         assert lift.tobytes() == lift_ref.tobytes()
         sol_ref = solve(ref, sys)
         assert sol.info == sol_ref.info
-        assert sol.block_vector().tobytes() == sol_ref.block_vector().tobytes()
+        assert sol.u_ms_fine.tobytes() == sol_ref.u_ms_fine.tobytes()
 
 
 def efm_setup(coarse=4, refine=5, two=False):
@@ -407,5 +407,5 @@ def test_efm_block_solve_matches_dense_oracle():
                            + [sys.f[off[k]:off[k + 1]] - C[k].T @ lift
                               for k in range(nf)])
         x = np.linalg.solve(M, b)
-        got = np.concatenate([sol.U0] + sol.efm_fracture_dofs)
+        got = np.r_[sol.U0, sol.u_ms_fine[g.n_nodes:]]
         np.testing.assert_allclose(got, x, atol=1e-11 * max(1, np.abs(x).max()))

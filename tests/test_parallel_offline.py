@@ -5,6 +5,7 @@ one factor per distinct local problem."""
 import os
 import pathlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,28 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
         for (_, set_), n in zip(controls, before):
             set_(n)
     assert inside and all(counts == [1] * len(controls) for counts in inside)
+
+
+def test_offline_runs_in_the_calling_thread_without_a_blas_cap(tmp_path, monkeypatch):
+    rs = run_setup("full_dfm", tmp_path)
+    _, pooled = driver._offline(rs, None)
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return offline_eigendecomposition(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made with no BLAS capped")
+
+    monkeypatch.setattr(driver, "_openblas_thread_controls", lambda: [])
+    monkeypatch.setattr(driver, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
+    _, spaces = driver._offline(rs, None)
+    assert threads and set(threads) == {threading.get_ident()}
+    assert [sp.omega_id for sp in spaces] == [nb.index for nb in rs.grid.neighborhoods]
+    for sp, ref in zip(spaces, pooled, strict=True):
+        assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
 
 
 COMMANDS = {
@@ -384,8 +407,10 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.yml")))
-def test_equal_keys_read_equal_operators_on_shipped_configs(config):
-    rs = driver.setup(load_config(CONFIG_DIR / config))
+def test_equal_keys_read_equal_operators_on_shipped_configs(config, tmp_path):
+    cfg = load_config(CONFIG_DIR / config)
+    cfg.outputs.dir = str(tmp_path)
+    rs = driver.setup(cfg)
     assert_groups_read_equal_operators(rs, offline.compute_pou(rs.grid, rs.sys))
 
 
