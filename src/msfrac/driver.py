@@ -146,9 +146,9 @@ def _offline(rs: RunSetup, n_modes: int | None):
     """``offline_spaces`` of a run, keeping ``n_modes`` modes, the most
     any coarse node reads, on one worker thread per usable CPU, each on
     one BLAS thread; without a BLAS that can be capped, in this thread.
-    The workers overlap only in part: ``solve_triangular`` and the SciPy
-    sparse construction around each box operator hold the interpreter
-    lock."""
+    The workers overlap only in part: the band Cholesky, ``solve_triangular``
+    and the SciPy sparse construction around each box operator hold the
+    interpreter lock."""
     args = rs.grid, rs.sys, rs.cfg.offline, n_modes
     with _one_blas_thread() as capped:
         if not capped:

@@ -14,11 +14,12 @@ stage (``build_space``).
 
 The POU and both snapshot kinds rest on one local solve,
 ``harmonic_extension``: the Dirichlet problem of a box's own stiffness,
-which carries the conforming-fracture edge terms, factored once.  Boxes
-whose local problems read byte-identical data (``_problem_key``) form
-one group (``_groups``) on one factor: a coarse cell's group solves the
-four corner fields once, and the neighborhoods' groups are the units
-of work of ``offline_spaces``, which runs the whole stage.
+which carries the conforming-fracture edge terms, on one banded Cholesky
+factor; a full-snapshot pencil reads that stiffness again.  Boxes whose
+local problems read byte-identical data (``_problem_key``) form one
+group (``_groups``) on one factor: a coarse cell's group solves the four
+corner fields once, and the neighborhoods' groups are the units of work
+of ``offline_spaces``, which runs the whole stage.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 
 from .grids import CellBox, GridHierarchy
 from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
@@ -44,27 +44,35 @@ def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
     once, and return the function that solves it for given rim values.
 
     The operator is the one ``node_operator`` assembles on box, numbered
-    like ``g.box_nodes(box)``.  Only its rows at the interior nodes are
-    read, and those equal the whole-grid operator's rows there bit for
-    bit: they sum the same cell and edge terms in the same order.  Their
-    stored zeros are dropped before the one sparse LU, so the factor
-    depends on the values of those rows alone.  The returned function
-    takes the values on the box rim (``g.box_rim(box)``), one column per
-    extension, and returns each extension on ``g.box_nodes(box)``: those
-    values on the rim and, at the interior nodes, the solution of the
-    operator's rows there, from one solve on the factor.
+    like ``g.box_nodes(box)``, and the function keeps it as ``stiffness``.
+    Its rows at the interior nodes equal the whole-grid operator's rows
+    there bit for bit.  Their block on the interior columns is SPD and
+    banded in box order: its upper band, as wide as its stored entries
+    reach, is Cholesky-factored once (LAPACK ``pbtrf``), and a block that
+    is not positive definite raises ``LinAlgError`` naming the box.  The
+    function takes values on the box rim (``g.box_rim(box)``), one column
+    per extension, and returns each extension on ``g.box_nodes(box)``.
     """
     rim = g.box_rim(box)
-    Ai = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)[~rim]
-    Ai.eliminate_zeros()
-    lu, Ar = spla.splu(Ai[:, ~rim].tocsc()), Ai[:, rim]
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
+    Ai = A[~rim]
+    U, Ar = Ai[:, ~rim].tocoo(), Ai[:, rim]
+    d = U.col - U.row
+    band = np.zeros((d.max() + 1, U.shape[0]))
+    band[d.max() - d[d >= 0], U.col[d >= 0]] = U.data[d >= 0]
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True), False
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(
+            f"box {box}: interior stiffness is not positive definite") from None
 
     def extend(gb) -> np.ndarray:
         gb = np.reshape(gb, (Ar.shape[1], -1))
         u = np.empty((len(rim), gb.shape[1]))
         u[rim] = gb
-        u[~rim] = lu.solve(-np.asarray(Ar @ gb))
+        u[~rim] = cho_solve_banded(factor, -np.asarray(Ar @ gb), overwrite_b=True)
         return u
+    extend.stiffness = A
     return extend
 
 
@@ -197,12 +205,14 @@ class SnapshotSpace:
     """Local solution samples on one neighborhood.
 
     ``vectors`` is (patch nodes x l_i) dense in the sorted node order of
-    ``node_ids``.
+    ``node_ids``.  Full snapshots keep the box stiffness they extend
+    with, which the spectral pencil reads again.
     """
 
     omega_id: int
     vectors: np.ndarray
     node_ids: np.ndarray
+    stiffness: object = None
 
     @property
     def l_i(self) -> int:
@@ -212,10 +222,9 @@ class SnapshotSpace:
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> SnapshotSpace:
     """One harmonic extension per fine boundary node of the neighborhood."""
     nb = g.neighborhoods[omega_id]
-    n_rim = int(np.count_nonzero(g.box_rim(nb.cells)))
-    return SnapshotSpace(omega_id=omega_id,
-                         vectors=harmonic_extension(g, sys, nb.cells)(np.eye(n_rim)),
-                         node_ids=nb.node_ids)
+    extend = harmonic_extension(g, sys, nb.cells)
+    n_rim = np.count_nonzero(g.box_rim(nb.cells))
+    return SnapshotSpace(omega_id, extend(np.eye(n_rim)), nb.node_ids, extend.stiffness)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
@@ -313,8 +322,8 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
         raise ValueError("n_modes must be >= 1")
     g = sys.grid
     nb = g.neighborhoods[snap.omega_id]
-    A_loc = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays,
-                          kind="stiffness", box=nb.cells)
+    A_loc = snap.stiffness if snap.stiffness is not None else node_operator(
+        g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
     S_loc = node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
                           kind="mass", box=nb.cells)
     V = snap.vectors

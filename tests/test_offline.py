@@ -6,10 +6,12 @@ check is independent of the harmonic-extension code path.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import msfrac as mf
 from msfrac.assembly import node_operator, q1_shape_tables
@@ -164,14 +166,21 @@ def test_extension_keeps_the_box_perimeter(where, dilated):
 def global_slice_extension(g, A, box, gb):
     """``harmonic_extension`` on the whole-grid operator A (oracle: the
     version that sliced the box's interior rows out of the global
-    operator)."""
+    operator).  The interior block is factored by LAPACK's band
+    Cholesky, its upper band cut diagonal by diagonal from the dense
+    block, as wide as the block's stored entries reach."""
     nodes, rim = g.box_nodes(box), g.box_rim(box)
     gb = np.asarray(gb, dtype=float).reshape(np.count_nonzero(rim), -1)
     Ai = A[nodes[~rim]]
+    block = Ai[:, nodes[~rim]].tocoo()
+    dense = block.toarray()
+    width = int(np.max(block.col - block.row))
+    band = np.array([np.pad(np.diagonal(dense, d), (d, 0))
+                     for d in range(width, -1, -1)])
     u = np.empty((len(nodes), gb.shape[1]))
     u[rim] = gb
-    u[~rim] = spla.splu(Ai[:, nodes[~rim]].tocsc()).solve(
-        -np.asarray(Ai[:, nodes[rim]] @ gb))
+    u[~rim] = cho_solve_banded((cholesky_banded(band), False),
+                               -np.asarray(Ai[:, nodes[rim]] @ gb))
     return u
 
 
@@ -183,6 +192,39 @@ def test_box_extension_matches_global_slice(case):
         gb = rng.uniform(-1.0, 1.0, (np.count_nonzero(g.box_rim(box)), 3))
         assert harmonic_extension(g, fine, box)(gb).tobytes() \
             == global_slice_extension(g, fine.A, box, gb).tobytes()
+
+
+@pytest.mark.parametrize("case", ["channels", "efm", "plain", "non_square"])
+def test_banded_extension_matches_sparse_lu(case):
+    # oracle: SuperLU on the same interior rows of the box stiffness
+    g, fine = operator_case(case)
+    rng = np.random.default_rng(5)
+    for box in operator_boxes(g)[1:]:
+        rim = g.box_rim(box)
+        gb = rng.uniform(-1.0, 1.0, (np.count_nonzero(rim), 3))
+        Ai = node_operator(g, fine.perm.kappa_cells, fine.edge_arrays, box=box)[~rim]
+        want = np.empty((len(rim), 3))
+        want[rim] = gb
+        want[~rim] = spla.splu(Ai[:, ~rim].tocsc()).solve(-(Ai[:, rim] @ gb))
+        got = harmonic_extension(g, fine, box)(gb)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_indefinite_interior_block_names_its_box():
+    # one strongly negative edge weight between two interior nodes makes
+    # the interior block indefinite; the factor must refuse it by name
+    g, fine = operator_case("channels")
+    box = g.neighborhoods[6].cells
+    w = fine.edge_arrays.copy()
+    h, _ = g.box_edge_weights(w, box)
+    h[1, 1] = -1e6
+    bad = dataclasses.replace(fine, edge_arrays=w)
+    rim = g.box_rim(box)
+    Aii = node_operator(g, fine.perm.kappa_cells, w, box=box)[~rim][:, ~rim]
+    assert np.linalg.eigvalsh(Aii.toarray())[0] < 0
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"box {re.escape(repr(box))}: .*not positive definite"):
+        harmonic_extension(g, bad, box)
 
 
 # ------------------------------------------------------- snapshots

@@ -230,6 +230,28 @@ def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
         assert sp.omega_id == nb.index and sp.node_ids is nb.node_ids
 
 
+def test_full_snapshot_group_builds_one_stiffness_and_one_mass(tmp_path, monkeypatch):
+    # the extension and the spectral pencil read one box stiffness
+    rs = run_setup("full_dfm", tmp_path)
+    built, per_group = [], []
+
+    def spy(g, cell_weights, edge_weights=None, kind="stiffness", box=None):
+        built.append(kind)
+        return node_operator(g, cell_weights, edge_weights, kind, box)
+
+    def serial(solve, groups):
+        solved = []
+        for group in groups:
+            built.clear()
+            solved.append(solve(group))
+            per_group.append(sorted(built))
+        return solved
+
+    monkeypatch.setattr(offline, "node_operator", spy)
+    offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, map=serial)
+    assert per_group and all(kinds == ["mass", "stiffness"] for kinds in per_group)
+
+
 def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch):
     # same homogeneous data on every box: one factor per distinct POU cell
     # and per distinct oversampled box, but each neighborhood draws its
