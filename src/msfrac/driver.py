@@ -148,10 +148,11 @@ def _offline(rs: RunSetup, n_modes: int | None):
     one BLAS thread; without a BLAS that can be capped, in this thread.
     The workers overlap only in part: the band Cholesky, ``solve_triangular``
     and the SciPy sparse construction around each box operator hold the
-    interpreter lock."""
+    interpreter lock.  Randomized snapshots run in this thread too: with
+    pencils k_nb + p_bf + 1 wide, nearly all their work holds the lock."""
     args = rs.grid, rs.sys, rs.cfg.offline, n_modes
     with _one_blas_thread() as capped:
-        if not capped:
+        if not capped or rs.cfg.offline.mode == "randomized":
             return offline_spaces(*args)
         with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
             return offline_spaces(*args, map=pool.map)

@@ -15,11 +15,12 @@ stage (``build_space``).
 The POU and both snapshot kinds rest on one local solve,
 ``harmonic_extension``: the Dirichlet problem of a box's own stiffness,
 which carries the conforming-fracture edge terms, on one banded Cholesky
-factor; a full-snapshot pencil reads that stiffness again.  Boxes whose
-local problems read byte-identical data (``_problem_key``) form one
-group (``_groups``) on one factor: a coarse cell's group solves the four
-corner fields once, and the neighborhoods' groups are the units of work
-of ``offline_spaces``, which runs the whole stage.
+factor; a snapshot space carries its neighborhood's box stiffness to
+the pencil.  Boxes whose local problems read byte-identical data
+(``_problem_key``) form one group (``_groups``) on one factor: a coarse
+cell's group solves the four corner fields once, and the neighborhoods'
+groups are the units of work of ``offline_spaces``, which runs the
+whole stage.
 """
 
 from __future__ import annotations
@@ -205,14 +206,14 @@ class SnapshotSpace:
     """Local solution samples on one neighborhood.
 
     ``vectors`` is (patch nodes x l_i) dense in the sorted node order of
-    ``node_ids``.  Full snapshots keep the box stiffness they extend
-    with, which the spectral pencil reads again.
+    ``node_ids``; ``stiffness`` is the box stiffness on the neighborhood
+    (``node_operator`` on ``cells``), which the spectral pencil reads.
     """
 
     omega_id: int
     vectors: np.ndarray
     node_ids: np.ndarray
-    stiffness: object = None
+    stiffness: object
 
     @property
     def l_i(self) -> int:
@@ -251,7 +252,8 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids)]
     # the harmonic extension of 1 is 1
     vectors = np.column_stack([X, np.ones(len(X))])
-    return SnapshotSpace(omega_id=omega_id, vectors=vectors, node_ids=nb.node_ids)
+    return SnapshotSpace(omega_id, vectors, nb.node_ids, node_operator(
+        g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells))
 
 
 @dataclass
@@ -322,12 +324,10 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
         raise ValueError("n_modes must be >= 1")
     g = sys.grid
     nb = g.neighborhoods[snap.omega_id]
-    A_loc = snap.stiffness if snap.stiffness is not None else node_operator(
-        g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
     S_loc = node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
                           kind="mass", box=nb.cells)
     V = snap.vectors
-    A_off = V.T @ (A_loc @ V)
+    A_off = V.T @ (snap.stiffness @ V)
     S_off = V.T @ (S_loc @ V)
     A_off = 0.5 * (A_off + A_off.T)
     S_off = 0.5 * (S_off + S_off.T)

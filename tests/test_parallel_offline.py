@@ -111,6 +111,29 @@ def test_offline_runs_in_the_calling_thread_without_a_blas_cap(tmp_path, monkeyp
         assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
 
 
+def test_randomized_offline_runs_in_the_calling_thread(tmp_path, monkeypatch):
+    # its work holds the interpreter lock, so a pool would only contend
+    rs = run_setup("randomized", tmp_path)
+    assert driver._openblas_thread_controls(), "no OpenBLAS found in the process"
+    with driver._one_blas_thread():
+        _, serial = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline)
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return offline_eigendecomposition(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made for randomized snapshots")
+
+    monkeypatch.setattr(driver, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
+    _, spaces = driver._offline(rs, None)
+    assert threads and set(threads) == {threading.get_ident()}
+    for sp, ref in zip(spaces, serial, strict=True):
+        assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
+
+
 COMMANDS = {
     "sweep_dfm": ("run_sweep", {**CONFIGS["full_dfm"], "sweep": [1, 2]}),
     "sweep_efm": ("run_sweep", {**CONFIGS["efm"], "sweep": [1, 2]}),
@@ -447,8 +470,9 @@ def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
     # a subnormal permeability makes the cell terms of its fine cell zero.
     # node_operator drops zero sums only on a box with edges, so a coarse
     # cell with conforming edges along its rim stores fewer entries than
-    # one without, under the same extension key; the rows a harmonic
-    # extension factors drop them on every box
+    # one without, under the same extension key.  The band copy of a
+    # harmonic extension writes stored zeros as zeros, so its factor
+    # reads only the nonzero values, which the key fixes
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
     r = g.refine
     kappa = np.ones(g.n_cells)
