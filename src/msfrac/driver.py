@@ -147,8 +147,8 @@ def _offline(rs: RunSetup, n_modes: int | None):
     any coarse node reads, on one worker thread per usable CPU, each on
     one BLAS thread; without a BLAS that can be capped, in this thread.
     The workers overlap only in part: the band Cholesky, ``solve_triangular``
-    and the SciPy sparse construction around each box operator hold the
-    interpreter lock.  Randomized snapshots run in this thread too: with
+    and the NumPy index work that assembles and splits each box operator
+    hold the interpreter lock.  Randomized snapshots run in this thread too: with
     pencils k_nb + p_bf + 1 wide, nearly all their work holds the lock."""
     args = rs.grid, rs.sys, rs.cfg.offline, n_modes
     with _one_blas_thread() as capped:

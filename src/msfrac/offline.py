@@ -18,9 +18,9 @@ which carries the conforming-fracture edge terms, on one banded Cholesky
 factor; a snapshot space carries its neighborhood's box stiffness to
 the pencil.  Boxes whose local problems read byte-identical data
 (``_problem_key``) form one group (``_groups``) on one factor: a coarse
-cell's group solves the four corner fields once, and the neighborhoods'
-groups are the units of work of ``offline_spaces``, which runs the
-whole stage.
+cell's group solves the four corner fields and sums their gradient
+energy once, and the neighborhoods' groups are the units of work of
+``offline_spaces``, which runs the whole stage.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 
 from .grids import CellBox, GridHierarchy
@@ -50,17 +51,23 @@ def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
     there bit for bit.  Their block on the interior columns is SPD and
     banded in box order: its upper band, as wide as its stored entries
     reach, is Cholesky-factored once (LAPACK ``pbtrf``), and a block that
-    is not positive definite raises ``LinAlgError`` naming the box.  The
-    function takes values on the box rim (``g.box_rim(box)``), one column
-    per extension, and returns each extension on ``g.box_nodes(box)``.
+    is not positive definite raises ``LinAlgError`` naming the box; the
+    band and the block A_ir on the rim columns are copied straight from
+    the stored entries.  The function takes values g on the box rim
+    (``g.box_rim(box)``), one column per extension, and returns each
+    extension, its interior solved for -A_ir g, on ``g.box_nodes(box)``.
     """
     rim = g.box_rim(box)
     A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
-    Ai = A[~rim]
-    U, Ar = Ai[:, ~rim].tocoo(), Ai[:, rim]
-    d = U.col - U.row
-    band = np.zeros((d.max() + 1, U.shape[0]))
-    band[d.max() - d[d >= 0], U.col[d >= 0]] = U.data[d >= 0]
+    n, pos = np.count_nonzero(~rim), np.where(rim, np.cumsum(rim), np.cumsum(~rim)) - 1
+    inner = np.repeat(~rim, np.diff(A.indptr))
+    i = np.repeat(np.arange(n), np.diff(A.indptr)[~rim])
+    j, a, to_rim = pos[A.indices[inner]], A.data[inner], rim[A.indices[inner]]
+    d = np.where(to_rim, -1, j - i)          # the diagonal in the band, or -1
+    band = np.zeros((d.max() + 1, n))
+    band[d.max() - d[d >= 0], j[d >= 0]] = a[d >= 0]
+    Ar = sparse.csr_matrix((a[to_rim], j[to_rim], np.searchsorted(
+        i[to_rim], np.arange(n + 1))), shape=(n, len(rim) - n))
     try:
         factor = cholesky_banded(band, overwrite_ab=True), False
     except np.linalg.LinAlgError:
@@ -148,8 +155,8 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     On each coarse cell the four corner functions extend boundary data
     that is linear along the cell edges (1 at the corner, 0 at the
     others), solved with the fracture-aware operator; their sum extends
-    the constant 1 and is therefore exactly 1.  They are solved once per
-    group of cells with equal ``_problem_key``.
+    the constant 1 and is therefore exactly 1.  They and their gradient
+    energy are computed once per group of cells with equal ``_problem_key``.
     """
     r, row = g.refine, g.coarse_nx + 1
     # the corner data on the rim of every cell, in cell-local coordinates
@@ -157,41 +164,34 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     xi, eta = il / r, jl / r
     gb = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
                           xi * eta, (1 - xi) * eta])
+    corners = g.box_cell_nodes(CellBox(0, 0, r, r))
+    _, gx, gy, _ = q1_shape_tables(g.hx, g.hy)
     chi = [np.zeros(len(nb.node_ids)) for nb in g.neighborhoods]
+    grad2 = np.empty((g.coarse_ny, r, g.coarse_nx, r))     # [J, j, I, i]
     boxes = [CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
              for J in range(g.coarse_ny) for I in range(g.coarse_nx)]
     for group in _groups(_problem_key(g, box, sys) for box in boxes):
-        X = harmonic_extension(g, sys, boxes[group[0]])(gb)
+        X = harmonic_extension(g, sys, boxes[group[0]])(gb).T.reshape(4, r + 1, r + 1)
+        # kappa_tilde / (kappa H^2) on each fine cell: |grad chi_c|^2 averaged
+        # over its 2x2 Gauss points, summed over c in node order sw, se, nw, ne
+        energy = sum(np.mean((Xc @ gx.T) ** 2 + (Xc @ gy.T) ** 2, axis=1)
+                     for Xc in (X[k].flat[corners] for k in (0, 1, 3, 2))).reshape(r, r)
         for cell in group:
             J, I = divmod(cell, g.coarse_nx)
-            j, i = np.divmod(g.box_nodes(boxes[cell]), g.fine_nx + 1)
-            sw = J * row + I
-            for k, c in enumerate((sw, sw + 1, sw + row + 1, sw + row)):
-                # chi_c is numbered on the nodes of its neighborhood box
-                b = g.neighborhoods[c].cells
-                chi[c][(j - b.j0) * (b.i1 - b.i0 + 1) + (i - b.i0)] = X[:, k]
+            grad2[J, :, I] = energy
+            for c, Xc in zip(J * row + I + np.array([0, 1, row + 1, row]), X):
+                b = g.neighborhoods[c].cells      # chi_c is on its box's nodes
+                j, i = J * r - b.j0, I * r - b.i0
+                chi[c].reshape(b.j1 - b.j0 + 1, -1)[j:j + r + 1, i:i + r + 1] = Xc
+    H2, G = g.Hx * g.Hy, grad2.reshape(g.fine_ny, g.fine_nx)
+    kappa_tilde = sys.perm.kappa_cells * H2 * G.ravel()
 
-    # cell-wise kappa_tilde: kappa * sum_i H^2 |grad chi_i|^2, averaged
-    # over the 2x2 Gauss points of each cell
-    _, gx, gy, _ = q1_shape_tables(g.hx, g.hy)
-    H2 = g.Hx * g.Hy
-    grad2 = np.zeros(g.n_cells)
-    for nb in g.neighborhoods:
-        cells = g.box_cells(nb.cells)
-        ch = chi[nb.index][g.box_cell_nodes(nb.cells)]
-        gxv = ch @ gx.T                               # (m, 4 gauss pts)
-        gyv = ch @ gy.T
-        grad2[cells] += np.mean(gxv ** 2 + gyv ** 2, axis=1)
-    kappa_tilde = sys.perm.kappa_cells * H2 * grad2
-
-    # fracture edges carry the pointwise-energy field restricted to the
-    # line, with the fracture conductivity in place of kappa.  The full
-    # chi gradient matters here: the harmonic chi flattens tangentially
-    # along a conductive fracture, but its normal boundary layer is what
-    # weights the fracture in the spectral mass.  An edge takes the mean
-    # of grad2 over the one or two cells beside it; a boundary edge's
-    # one cell is repeated, and (x + x) / 2 is x exactly.
-    G = grad2.reshape(g.fine_ny, g.fine_nx)
+    # fracture edges carry the pointwise energy grad2 restricted to the line,
+    # with the fracture conductivity in place of kappa; the full chi gradient
+    # matters, for the harmonic chi flattens tangentially along a conductive
+    # fracture, but its normal boundary layer weights it in the spectral
+    # mass.  An edge takes the mean of grad2 over the one or two cells beside
+    # it; a boundary edge's one cell is repeated, and (x + x) / 2 is x exactly.
     P, Q = np.pad(G, ((1, 1), (0, 0)), "edge"), np.pad(G, ((0, 0), (1, 1)), "edge")
     mean = np.empty(g.n_edges)
     h, v = g.box_edge_weights(mean, CellBox(0, 0, g.fine_nx, g.fine_ny))

@@ -347,6 +347,7 @@ def test_one_ulp_apart_is_never_shared(mode, tmp_path, monkeypatch):
     ref = offline.compute_pou(g, rs.sys)
     monkeypatch.undo()
     assert pou.kappa_tilde.tobytes() == ref.kappa_tilde.tobytes()
+    assert pou.edge_kappa_tilde.tobytes() == ref.edge_kappa_tilde.tobytes()
     for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
         assert chi.tobytes() == chi_ref.tobytes()
 
@@ -427,12 +428,23 @@ def interior_rows(sys, box, drop_zeros=False):
     return csr_bytes(A)
 
 
-def assert_groups_read_equal_operators(rs, pou):
+def pou_bytes(pou):
+    return (pou.kappa_tilde.tobytes(), pou.edge_kappa_tilde.tobytes(),
+            *(chi.tobytes() for chi in pou.chi))
+
+
+def assert_groups_read_equal_operators(rs, monkeypatch):
     """Every member of every group a run can form reads its leader's
     operator bytes: the interior rows of a POU cell's or an oversampled
     box's stiffness, and the whole stiffness and mass of a full-snapshot
-    neighborhood."""
+    neighborhood.  And the grouped POU, whose members share their
+    leader's corner fields and gradient energy, is bytewise the POU of
+    every coarse cell solved on its own factor."""
     g, sys = rs.grid, rs.sys
+    pou = offline.compute_pou(g, sys)
+    with monkeypatch.context() as own_factors:
+        own_factors.setattr(offline, "_problem_key", lambda *args, **kw: object())
+        assert pou_bytes(offline.compute_pou(g, sys)) == pou_bytes(pou)
     plus = [nb.cells_plus for nb in g.neighborhoods]
     for boxes in (cell_boxes(g), plus):
         for group in offline._groups(offline._problem_key(g, b, sys) for b in boxes):
@@ -452,18 +464,18 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.yml")))
-def test_equal_keys_read_equal_operators_on_shipped_configs(config, tmp_path):
+def test_equal_keys_read_equal_operators_on_shipped_configs(config, tmp_path, monkeypatch):
     cfg = load_config(CONFIG_DIR / config)
     cfg.outputs.dir = str(tmp_path)
     rs = driver.setup(cfg)
-    assert_groups_read_equal_operators(rs, offline.compute_pou(rs.grid, rs.sys))
+    assert_groups_read_equal_operators(rs, monkeypatch)
 
 
-def test_equal_keys_read_equal_operators_with_rim_edges(tmp_path):
+def test_equal_keys_read_equal_operators_with_rim_edges(tmp_path, monkeypatch):
     # the rim-fracture grid of test_pou_key_leaves_out_edges_along_the_cell_rim
     rs = driver.setup(parse_config({**RIM_FRACTURE,
                                     "outputs": {"dir": str(tmp_path / "out")}}))
-    assert_groups_read_equal_operators(rs, offline.compute_pou(rs.grid, rs.sys))
+    assert_groups_read_equal_operators(rs, monkeypatch)
 
 
 def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
