@@ -148,8 +148,8 @@ def _offline(rs: RunSetup, n_modes: int | None):
     one BLAS thread; without a BLAS that can be capped, in this thread.
     The workers overlap only in part: the band Cholesky, ``solve_triangular``
     and the NumPy index work that assembles and splits each box operator
-    hold the interpreter lock.  Randomized snapshots run in this thread too: with
-    pencils k_nb + p_bf + 1 wide, nearly all their work holds the lock."""
+    hold the interpreter lock.  Randomized groups run in this thread too: nearly
+    all their work holds the lock (pencils k_nb + p_bf + 1 wide); a pool was slower."""
     args = rs.grid, rs.sys, rs.cfg.offline, n_modes
     with _one_blas_thread() as capped:
         if not capped or rs.cfg.offline.mode == "randomized":
@@ -273,9 +273,10 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
            "fine_residual": _2g(fine.residual),
            "dims": [r.dim_Voff for r in reports], **_coarse_paths(infos)}
     if cfg.offline.mode == "randomized":
-        # random draws (the constant snapshot is free) over the extensions
-        # full snapshots of the oversampled boxes would take, one per rim
-        # node; boundary patches keep a single mode and are left out
+        # random draws per neighborhood (a group draws once and its members
+        # share it; the constant snapshot is free) over the extensions full
+        # snapshots of the oversampled boxes would take, one per rim node;
+        # boundary patches keep a single mode and are left out
         rims = [int(np.count_nonzero(rs.grid.box_rim(nb.cells_plus)))
                 for nb in rs.grid.neighborhoods if nb.is_interior]
         drawn = (cfg.offline.k_nb + cfg.offline.p_bf) * len(rims)

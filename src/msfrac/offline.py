@@ -17,10 +17,10 @@ The POU and both snapshot kinds rest on one local solve,
 which carries the conforming-fracture edge terms, on one banded Cholesky
 factor; a snapshot space carries its neighborhood's box stiffness to
 the pencil.  Boxes whose local problems read byte-identical data
-(``_problem_key``) form one group (``_groups``) on one factor: a coarse
+(``_problem_key``) form one group (``_groups``), solved once: a coarse
 cell's group solves the four corner fields and sums their gradient
-energy once, and the neighborhoods' groups are the units of work of
-``offline_spaces``, which runs the whole stage.
+energy, and a neighborhood's group, a unit of work of ``offline_spaces``
+(the whole stage), makes one snapshot space of either kind and one pencil.
 """
 
 from __future__ import annotations
@@ -229,15 +229,11 @@ def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> Snapshot
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
-                         k_nb: int, p_bf: int = 4, seed: int = 0,
-                         extend=None) -> SnapshotSpace:
-    """k_nb + p_bf harmonic extensions of random boundary data, plus one
-    constant snapshot, generated on the oversampled region and restricted
-    to the neighborhood.  ``extend`` solves them (``harmonic_extension``
-    on the oversampled box; a factor of its own box stiffness when None).
-
-    Boundary values are i.i.d. uniform(-1, 1); the stream is seeded per
-    neighborhood so results do not depend on evaluation order.
+                         k_nb: int, p_bf: int = 4, seed: int = 0) -> SnapshotSpace:
+    """k_nb + p_bf harmonic extensions of random boundary data, i.i.d.
+    uniform(-1, 1) seeded by ``[seed, omega_id]``, plus one constant
+    snapshot, generated on the oversampled region and restricted to the
+    neighborhood; ``offline_spaces`` draws once per group, for its leader.
     """
     if k_nb < 1:
         raise ValueError("k_nb must be >= 1")
@@ -245,7 +241,7 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
         raise ValueError("p_bf must be >= 0")
     nb = g.neighborhoods[omega_id]
     box = nb.cells_plus
-    extend = extend or harmonic_extension(g, sys, box)
+    extend = harmonic_extension(g, sys, box)
     n_rim = int(np.count_nonzero(g.box_rim(box)))
     rng = np.random.default_rng([seed, omega_id])
     G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
@@ -357,14 +353,11 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
 
 
 def _group_spaces(g, sys, off, pou, n_modes, group: list[int]):
-    """Spectral spaces of one group of neighborhoods (``offline_spaces``)."""
-    if off.mode == "randomized":
-        extend = harmonic_extension(g, sys, g.neighborhoods[group[0]].cells_plus)
-        return [offline_eigendecomposition(randomized_snapshots(
-                    g, sys, i, off.k_nb, off.p_bf, off.seed, extend),
-                    sys, pou, n_modes) for i in group]
-    space = offline_eigendecomposition(full_snapshots(g, sys, group[0]),
-                                       sys, pou, n_modes)
+    """Spectral spaces of one group of neighborhoods (``offline_spaces``):
+    its leader's snapshots and spectra, shared by every member."""
+    snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed)
+            if off.mode == "randomized" else full_snapshots(g, sys, group[0]))
+    space = offline_eigendecomposition(snap, sys, pou, n_modes)
     return [replace(space, omega_id=i, node_ids=g.neighborhoods[i].node_ids)
             for i in group]
 
@@ -373,17 +366,21 @@ def offline_spaces(g: GridHierarchy, sys: FineSystem, off,
                    n_modes: int | None = None, map=map):
     """POU and local spectral spaces, in neighborhood order, of the
     offline settings ``off``; each space keeps all its eigenvalues and
-    its first ``n_modes`` modes (all when None).  A full-snapshot group
-    (equal ``cells`` keys with the POU) is solved once, its members
-    sharing read-only arrays; a randomized group (equal ``cells_plus``
-    keys) shares one factor, and each member solves its own draws and
-    spectra.  ``map`` runs the groups; on one BLAS thread no result
-    depends on their order or on which member leads a group."""
+    its first ``n_modes`` modes (all when None).  A group of equal keys
+    is solved once, for its leader (its lowest omega_id), and its members
+    share the read-only arrays.  The key is the ``cells`` key with the
+    POU; a randomized one adds the offset of ``cells`` in ``cells_plus``
+    and the ``cells_plus`` key, so each member's space is what the
+    leader's draw gives on its own box.  ``map`` runs the groups; on one
+    BLAS thread no result depends on their order."""
     pou = compute_pou(g, sys)
-    randomized = off.mode == "randomized"
-    keys = (_problem_key(g, nb.cells_plus, sys) if randomized
-            else _problem_key(g, nb.cells, sys, pou) for nb in g.neighborhoods)
+
+    def key(nb):
+        c, p = nb.cells, nb.cells_plus
+        spectral = _problem_key(g, c, sys, pou)
+        return spectral if off.mode != "randomized" else (
+            spectral, (c.i0 - p.i0, c.j0 - p.j0), _problem_key(g, p, sys))
     solved = map(lambda group: _group_spaces(g, sys, off, pou, n_modes, group),
-                 _groups(keys))
+                 _groups(key(nb) for nb in g.neighborhoods))
     return pou, sorted((sp for group in solved for sp in group),
                        key=lambda sp: sp.omega_id)

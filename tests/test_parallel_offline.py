@@ -275,35 +275,64 @@ def test_full_snapshot_group_builds_one_stiffness_and_one_mass(tmp_path, monkeyp
     assert per_group and all(kinds == ["mass", "stiffness"] for kinds in per_group)
 
 
+def offset(nb):
+    """The place of a neighborhood's cells inside its oversampled box."""
+    return nb.cells.i0 - nb.cells_plus.i0, nb.cells.j0 - nb.cells_plus.j0
+
+
 def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch):
-    # same homogeneous data on every box: one factor per distinct POU cell
-    # and per distinct oversampled box, but each neighborhood draws its
-    # own boundary data and solves its own spectra
+    # homogeneous data on 6 x 6 coarse cells: a randomized key is the two
+    # box shapes and the offset of cells in cells_plus, and interior
+    # neighborhoods share it.  A group extends one oversampled box, draws
+    # once for its leader, its lowest omega_id, and solves one pencil
     rs = driver.setup(parse_config({
-        "grid": GRID, "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2},
+        "grid": {"coarse": [6, 6], "refine": 4, "t": 1},
+        "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2, "seed": 3},
         "outputs": {"dir": str(tmp_path / "out")}}))
-    g, off = rs.grid, rs.cfg.offline
+    g, off, nx = rs.grid, rs.cfg.offline, rs.grid.coarse_nx
     calls = spy_solves(monkeypatch)
     pou, spaces = driver._offline(rs, None)
     pou_keys = {offline._problem_key(g, box, rs.sys) for box in cell_boxes(g)}
-    plus_keys = {offline._problem_key(g, nb.cells_plus, rs.sys)
-                 for nb in g.neighborhoods}
-    # on homogeneous data a key is the box shape
+    groups = offline._groups((box_shape(nb.cells), box_shape(nb.cells_plus), offset(nb))
+                             for nb in g.neighborhoods)
     assert len(pou_keys) == 1
-    assert len(plus_keys) == len({box_shape(nb.cells_plus) for nb in g.neighborhoods})
-    assert 1 < len(plus_keys) < len(g.neighborhoods)
-    assert len(calls["extensions"]) == len(pou_keys) + len(plus_keys)
-    assert sorted(calls["spectra"]) == [nb.index for nb in g.neighborhoods]
-    assert len({id(sp.basis_full) for sp in spaces}) == len(spaces)
+    assert len(groups) == 25 and max(len(group) for group in groups) == 9
+    assert len(calls["extensions"]) == len(pou_keys) + len(groups)
+    assert sorted(calls["spectra"]) == sorted(group[0] for group in groups)
+    for group in groups:
+        assert len({id(spaces[i].basis_full) for i in group}) == 1
+        assert len({id(spaces[i].eigvals) for i in group}) == 1
+    assert len({id(sp.basis_full) for sp in spaces}) == len(groups)
+    # corner node (0, 0) and node (nx, 0) have boxes of equal shapes, but
+    # cells sits at another place in cells_plus
+    corner, edge = g.neighborhoods[0], g.neighborhoods[nx]
+    assert box_shape(corner.cells) == box_shape(edge.cells)
+    assert box_shape(corner.cells_plus) == box_shape(edge.cells_plus)
+    assert offset(corner) != offset(edge)
+    assert spaces[0].basis_full is not spaces[nx].basis_full
+    monkeypatch.undo()
     with driver._one_blas_thread():
-        for nb, space in zip(g.neighborhoods, spaces, strict=True):
-            # the reference factors the neighborhood's own oversampled box
+        for group in groups:
+            leader = group[0]
             ref = offline_eigendecomposition(randomized_snapshots(
-                rs.grid, rs.sys, nb.index, k_nb=off.k_nb, p_bf=off.p_bf,
-                seed=off.seed), rs.sys, pou)
-            assert space.omega_id == nb.index and space.node_ids is nb.node_ids
-            assert space.eigvals.tobytes() == ref.eigvals.tobytes()
-            assert space.basis_full.tobytes() == ref.basis_full.tobytes()
+                g, rs.sys, leader, k_nb=off.k_nb, p_bf=off.p_bf, seed=off.seed),
+                rs.sys, pou)
+            assert spaces[leader].eigvals.tobytes() == ref.eigvals.tobytes()
+            assert spaces[leader].basis_full.tobytes() == ref.basis_full.tobytes()
+            for i in group:
+                nb = g.neighborhoods[i]
+                assert spaces[i].omega_id == i and spaces[i].node_ids is nb.node_ids
+                # the leader's draw on the member's own oversampled box
+                # gives the space the member shares
+                with monkeypatch.context() as draw:
+                    rng = np.random.default_rng
+                    draw.setattr(np.random, "default_rng",
+                                 lambda _: rng([off.seed, leader]))
+                    own = offline_eigendecomposition(randomized_snapshots(
+                        g, rs.sys, i, k_nb=off.k_nb, p_bf=off.p_bf,
+                        seed=off.seed), rs.sys, pou)
+                assert own.eigvals.tobytes() == ref.eigvals.tobytes()
+                assert own.basis_full.tobytes() == ref.basis_full.tobytes()
 
 
 def test_shared_arrays_are_read_only(tmp_path):
@@ -358,22 +387,32 @@ def test_one_ulp_apart_is_never_shared(mode, tmp_path, monkeypatch):
         assert set(holds) <= set(calls["spectra"])
         assert len(calls["spectra"]) == len(shapes) + len(holds)
     else:
-        # one factor per oversampled box shape and place of the moved
-        # cell in it (none when the box does not hold it), after the POU's 2
+        # a key is the box shapes, the offset and the place of the moved
+        # cell in each box (None when the box does not hold it): the POU
+        # moves on all of coarse cell (1, 1), which a neighborhood's cells
+        # hold when they hold the moved cell
         i, j = ULP_CELL % 16, ULP_CELL // 16
-        places = {(box_shape(b), (i - b.i0, j - b.j0)
-                   if ULP_CELL in g.box_cells(b) else None)
-                  for b in (nb.cells_plus for nb in g.neighborhoods)}
-        assert any(place is not None for _, place in places)
-        assert len(calls["extensions"]) == 2 + len(places)
-        assert sorted(calls["spectra"]) == [nb.index for nb in g.neighborhoods]
+
+        def place(b):
+            return box_shape(b), ((i - b.i0, j - b.j0)
+                                  if ULP_CELL in g.box_cells(b) else None)
+        keys = [(place(nb.cells), offset(nb), place(nb.cells_plus))
+                for nb in g.neighborhoods]
+        assert any(plus is not None for _, _, (_, plus) in keys)
+        groups = offline._groups(keys)
+        assert set(holds) <= set(calls["spectra"])
+        assert sorted(calls["spectra"]) == sorted(group[0] for group in groups)
+        # one extension per group, after the POU's 2
+        assert len(calls["extensions"]) == 2 + len(groups)
+        leaders = {i: group[0] for group in groups for i in group}
     with driver._one_blas_thread():
         for nb, space in zip(g.neighborhoods, spaces, strict=True):
             if mode == "full":
                 snap = full_snapshots(g, rs.sys, nb.index)
             else:
-                snap = randomized_snapshots(g, rs.sys, nb.index, k_nb=off.k_nb,
-                                            p_bf=off.p_bf, seed=off.seed)
+                snap = randomized_snapshots(g, rs.sys, leaders[nb.index],
+                                            k_nb=off.k_nb, p_bf=off.p_bf,
+                                            seed=off.seed)
             ref = offline_eigendecomposition(snap, rs.sys, pou)
             assert space.eigvals.tobytes() == ref.eigvals.tobytes()
             assert space.basis_full.tobytes() == ref.basis_full.tobytes()
