@@ -32,14 +32,17 @@ def _quad(Q, v):
 
 def _relative(u_ref, u_off, sys: FineSystem, name: str):
     """Relative kappa-weighted L2 and energy errors of u_off against
-    u_ref; a reference of zero energy is a ValueError naming it."""
+    u_ref; a reference of zero energy is a ValueError naming it.  Its
+    squared norms are kept on ``sys`` per name while its values hold."""
     A, M = sys.K, sys.mass_matrix
-    en_ref = _quad(A, u_ref)
-    if en_ref <= 0:
+    ref = vars(sys).setdefault("_reference_norms", {}).get(name)
+    if ref is None or not np.array_equal(ref[0], u_ref):
+        ref = sys._reference_norms[name] = u_ref.copy(), _quad(A, u_ref), _quad(M, u_ref)
+    if ref[1] <= 0:
         raise ValueError(f"{name} field has zero energy")
     e = u_ref - u_off
-    return (np.sqrt(_quad(M, e) / _quad(M, u_ref)),
-            np.sqrt(max(_quad(A, e), 0.0) / en_ref))
+    return (np.sqrt(_quad(M, e) / ref[2]),
+            np.sqrt(max(_quad(A, e), 0.0) / ref[1]))
 
 
 def errors(u_fine, u_snap, u_off, sys: FineSystem,

@@ -172,16 +172,10 @@ def _space_at(rs, pou, spaces, m):
 def _error_table(rs, pou, spaces, schedule, u_fine, snapshot_reference):
     """Error report against the fine solution ``u_fine`` and coarse-solve
     info per mode count of the schedule, and the coarse solution of the
-    last count.
-
-    The space of the largest count is built and projected once; the
-    space of each row is its column restriction to the row's first
-    min(m, l_i) modes per node, solved on the matching principal
-    submatrix of the one coarse system (``restrict``), which is that
-    space's own projection bit for bit.  With ``snapshot_reference`` the
-    coarse solution of the largest count is also the reference of the
-    snapshot-error columns, so that row's snapshot errors vanish by
-    construction; it is solved once.
+    last count.  The largest count's space is built and projected once,
+    and each row's system is cut from it (``restrict``).  With
+    ``snapshot_reference`` the largest count's solution, solved once, is
+    also the reference of the snapshot-error columns.
     """
     m_ref = max(schedule)
     ms = _space_at(rs, pou, spaces, m_ref)

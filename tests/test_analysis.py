@@ -54,6 +54,29 @@ def test_zero_reference_rejected():
         errors(np.ones(3), None, np.ones(3), sys)
 
 
+def test_reference_norms_are_computed_once_per_reference(monkeypatch):
+    # a run's rows share their references: each reference's two norms are
+    # computed once, and again only once its values change
+    from msfrac import analysis
+    g, sys = small_system(bc=mf.bilinear_bc(0.3, 1.0, 0.2, -0.7))
+    u = mf.solve_fine(sys).u
+    snap, off = 1.01 * u, 0.9 * u
+    quads = []
+    quad = analysis._quad
+    monkeypatch.setattr(analysis, "_quad",
+                        lambda Q, v: quads.append(1) or quad(Q, v))
+    first = errors(u, snap, off, sys)
+    assert len(quads) == 8
+    assert errors(u, snap, off, sys) == first and len(quads) == 12
+    u *= 2.0
+    rep = errors(u, snap, off, sys)
+    assert len(quads) == 18
+    e = u - off
+    assert rep.rel_energy_vs_fine == np.sqrt(quad(sys.K, e) / quad(sys.K, u))
+    assert rep.rel_L2_vs_fine == np.sqrt(
+        quad(sys.mass_matrix, e) / quad(sys.mass_matrix, u))
+
+
 def test_weighted_l2_matches_dense_quadrature():
     # the kappa-weighted mass applied to a bilinear-per-cell field,
     # recomputed by 2x2 Gauss quadrature cell by cell plus exact

@@ -2,14 +2,18 @@
 
 import dataclasses
 import itertools
+import pathlib
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import yaml
 
 import msfrac as mf
-from msfrac import driver
+from msfrac import coarse, driver
 from msfrac.adaptivity import AdaptConfig
+from msfrac.cli import main
 from msfrac.coarse import coarse_system
 from msfrac.config import parse_config
 from msfrac.driver import m_off_schedule
@@ -236,10 +240,10 @@ def test_offline_keeps_the_modes_the_run_reads(n_modes, tmp_path):
             mf.build_space(pou, spaces, np.full(len(spaces), n_modes + 1))
 
 
-def coo_prolongation(pou, spaces, counts):
+def coo_prolongation(pou, spaces, counts, drop_zeros=True):
     """R0T from (row, column, value) triplets, node by node with each
-    node's modes fastest (oracle: the triplet build the column-wise
-    build replaced)."""
+    node's modes fastest, its stored zeros dropped unless asked to keep
+    them (oracle: the triplet build the column-wise build replaced)."""
     g = pou.grid
     bmask = g.boundary_node_mask()
     counts = np.minimum(counts, [sp.l_i for sp in spaces])
@@ -251,9 +255,12 @@ def coo_prolongation(pou, spaces, counts):
         cols.append(np.tile(c0 + np.arange(m), len(sp.node_ids)))
         vals.append(B.ravel())
         c0 += m
-    return sparse.coo_matrix(
+    R0T = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(g.n_nodes, c0)).tocsr()
+    if drop_zeros:
+        R0T.eliminate_zeros()
+    return R0T
 
 
 PROLONGATION_CASES = {
@@ -280,6 +287,86 @@ def test_prolongation_matches_triplet_build(case, tmp_path):
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(PROLONGATION_CASES))
+def test_stored_zeros_change_no_coarse_bit(case, tmp_path):
+    # chi_i vanishes on the rim of omega_i's box and boundary rows are
+    # zeroed: R0T stores none of those zeros, and the projection, the
+    # solve and the prolonged field of a zero-carrying R0T are the same
+    # bits
+    rs = driver.setup(parse_config({
+        "grid": {"coarse": [4, 3], "refine": 4, "t": 1},
+        **PROLONGATION_CASES[case], "outputs": {"dir": str(tmp_path)}}))
+    pou, spaces = driver._offline(rs, 3)
+    counts = m_off_schedule(rs.grid, 3)
+    ms = mf.build_space(pou, spaces, counts)
+    zeros = dataclasses.replace(ms, R0T=coo_prolongation(pou, spaces, counts,
+                                                         drop_zeros=False))
+    assert np.count_nonzero(ms.R0T.data == 0) == 0
+    assert np.count_nonzero(zeros.R0T.data == 0) > 0
+    assert sparse_bytes(ms.R0) == sparse_bytes(ms.R0T.T)
+    K0, F0, lift = coarse_system(ms, rs.sys)
+    K0_z, F0_z, lift_z = coarse_system(zeros, rs.sys)
+    assert sparse_bytes(K0) == sparse_bytes(K0_z)
+    assert F0.tobytes() == F0_z.tobytes() and lift.tobytes() == lift_z.tobytes()
+    sol, sol_z = mf.solve_coarse(ms, rs.sys), mf.solve_coarse(zeros, rs.sys)
+    assert sol.info == sol_z.info
+    assert sol.u_ms_fine.tobytes() == sol_z.u_ms_fine.tobytes()
+
+
+SHIPPED = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED_RUNS = [("sweep", "configs/channels_sweep.yml"),
+                ("sweep", "configs/randomized_sweep.yml"),
+                ("adapt", "configs/adapt_channels.yml"),
+                ("solve", "configs/efm_single.yml"),
+                ("sweep", "bench/configs/efm_sweep_r20.yml"),
+                ("adapt", "bench/configs/adapt_channels_10.yml")]
+
+
+@pytest.mark.parametrize("command, config", SHIPPED_RUNS)
+def test_shipped_coarse_solves_factor_in_symmetric_mode(command, config,
+                                                        tmp_path, monkeypatch):
+    # every coarse factorization of the shipped configs and the gated
+    # bench workloads is SuperLU's symmetric mode, and its solution stands;
+    # each K0 is also within the dense rescue's budget
+    calls, real = [], coarse.spla.splu
+
+    def splu(A, **kwargs):
+        calls.append(kwargs)
+        assert 8 * A.shape[0] ** 2 <= coarse.DENSE_RESCUE_BYTES
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(coarse, "spla", types.SimpleNamespace(
+        **{**vars(coarse.spla), "splu": splu}))
+    assert main([command, "-c", str(SHIPPED / config),
+                 "--out", str(tmp_path)]) == 0
+    run = yaml.safe_load((tmp_path / "manifest.yml").read_text())["run"]
+    solvers = run["coarse_solver"]
+    solvers = [solvers] if isinstance(solvers, str) else solvers
+    assert solvers == ["direct"] * len(solvers) and len(calls) == len(solvers)
+    assert all(kw == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                      "options": {"SymmetricMode": True}} for kw in calls)
+
+
+def test_dense_rescue_over_its_budget_is_a_named_error(tmp_path, monkeypatch):
+    # an exactly repeated column makes K0 singular, so the LU gives way to
+    # the dense rescue; over the byte budget that is a named error
+    ms, sys = randomized_3x3_space(tmp_path)
+    dup = dataclasses.replace(
+        ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+        col_node=np.append(ms.col_node, ms.col_node[0]))
+    need = 8 * dup.N_c ** 2
+    monkeypatch.setattr(coarse, "DENSE_RESCUE_BYTES", need)
+    assert mf.solve_coarse(dup, sys).info["solver"] == "lstsq"
+    monkeypatch.setattr(coarse, "DENSE_RESCUE_BYTES", need - 1)
+    with pytest.raises(coarse.CoarseRescueTooLarge,
+                       match=f"N_c = {dup.N_c} needs {need} bytes"):
+        mf.solve_coarse(dup, sys)
+    assert issubclass(coarse.CoarseRescueTooLarge, RuntimeError)
+    # the repeated column's node is the one locally dependent block
+    assert coarse._rank_report(dup) == [dup.col_node[0]]
+    assert coarse._rank_report(ms) == []
 
 
 @pytest.mark.parametrize("case", ["randomized_3x3", "full_dfm"])
@@ -358,7 +445,7 @@ def test_sweep_rows_are_cut_from_one_projection(case, tmp_path, monkeypatch):
         ref = mf.build_space(ms.pou, ms.spaces, m_off_schedule(sys.grid, m))
         assert ms.counts.tobytes() == ref.counts.tobytes()
         assert ms.col_node.tobytes() == ref.col_node.tobytes()
-        assert sparse_bytes(ms.R0T) == sparse_bytes(ref.R0T)
+        assert sparse_bytes(ms.R0T[:, ms.cols]) == sparse_bytes(ref.R0T)
         K0, F0, lift = system
         K0_ref, F0_ref, lift_ref = coarse_system(ref, sys)
         assert sparse_bytes(K0) == sparse_bytes(K0_ref)
