@@ -18,7 +18,7 @@ from .offline import (PartitionOfUnity, SnapshotSpace, NeighborhoodSpace,
                       compute_pou, full_snapshots, randomized_snapshots,
                       offline_eigendecomposition)
 from .coarse import (MultiscaleSpace, CoarseSolution, build_space,
-                     solve_coarse, prolong)
+                     boundary_lift, solve_coarse, prolong)
 from .adaptivity import (AdaptConfig, IndicatorReport, compute_indicators,
                          mark_dorfler, enrich, adaptive_loop)
 from .analysis import ErrorReport, errors

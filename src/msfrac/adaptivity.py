@@ -101,7 +101,7 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
     for sp, m in zip(ms.spaces, ms.counts):
         if m >= sp.l_i:
             continue
-        chi_r = ms.pou.chi[sp.omega_id] * r[sp.node_ids]
+        chi_r = ms.pou.chi[sp.omega_id] * r[g.neighborhoods[sp.omega_id].node_ids]
         c = sp.basis_full[:, m:].T @ chi_r  # unused eigen-directions
         lam = max(sp.eigvals[m], 1e-30)
         eta[sp.omega_id] = np.sqrt(np.sum(c ** 2) / lam)

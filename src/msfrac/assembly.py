@@ -258,20 +258,18 @@ class FineSystem:
 
     ``K`` u = ``f`` is the fine problem.  Its unknowns are the matrix
     nodes, then the nodes of each embedded fracture, ``efm_traces[k]``
-    from ``frac_offsets[k]``.  ``A`` is its nodal operator without the
-    embedded fractures, which the offline stage works with, and
-    ``f[:n_nodes]`` is the nodal load; a conforming system has K = A.
+    from ``frac_offsets[k]``; ``f[:n_nodes]`` is the nodal load.  The
+    offline stage assembles its box operators from ``perm`` and
+    ``edge_arrays`` (``node_operator``), never from K.
     """
 
     grid: GridHierarchy
     perm: PermeabilityField
-    A: sparse.csr_matrix
     K: sparse.csr_matrix
     f: np.ndarray
     edge_arrays: np.ndarray           # conforming weight per fine edge
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
-    bc: object = None
     efm_traces: list[EfmTrace] = field(default_factory=list)
 
     @property
@@ -336,16 +334,18 @@ def assemble_dfm(g: GridHierarchy, perm: PermeabilityField,
     edges = edge_coefficients(g, traces)
     A = node_operator(g, perm.kappa_cells, edges, kind="stiffness")
     nodes, vals = _dirichlet_data(g, bc)
-    return FineSystem(grid=g, perm=perm, A=A, K=A,
+    return FineSystem(grid=g, perm=perm, K=A,
                       f=_finite("the load f", load_vector(g, f)),
                       edge_arrays=edges, dirichlet_nodes=nodes,
-                      dirichlet_values=_finite("the Dirichlet values", vals), bc=bc)
+                      dirichlet_values=_finite("the Dirichlet values", vals))
 
 
 def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
                  dfm_traces: list[DfmTrace], efm_traces: list[EfmTrace],
                  f=None, bc=None, coupling_scale: float = 1.0) -> FineSystem:
-    """Fine system K u = f with independent fracture meshes.
+    """Fine system K u = f with independent fracture meshes: the
+    conforming system's K plus the 1D fracture stiffness and the
+    transfer terms.
 
     The transfer coefficient per fracture/cell intersection of length
     |S| is CI = kappa_m * |S| / <d> with the mean matrix-fracture
@@ -397,7 +397,7 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     T = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(off[-1], off[-1])).tocsr()
-    K = base.A.copy()
+    K = base.K                        # the conforming K, extended in place
     K.resize(off[-1], off[-1])
     # T is summed before it is transposed, so K is bitwise symmetric
     base.K = (K + 0.5 * (T + T.T)).tocsr()

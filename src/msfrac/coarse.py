@@ -7,17 +7,14 @@ rows at boundary fine nodes are zeroed, so the coarse space is
 conforming with the homogeneous problem.
 
 Every fracture model has one coarse problem, the Galerkin projection
-P^T K P of the fine operator K, with P = diag(R0T, I):
-the 1D embedded-fracture unknowns stay at fine scale.  One
-``solve_coarse`` solves it for conforming, embedded and mixed fracture
-inputs alike, by one sparse LU in symmetric mode at every size; a
-sweep cuts each row's system from one projection (``restrict``).
+P^T K P of the fine operator K, with P = diag(R0T, I): the 1D
+embedded-fracture unknowns stay at fine scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sparse
@@ -26,8 +23,8 @@ import scipy.sparse.linalg as spla
 from .assembly import FineSystem
 from .offline import NeighborhoodSpace, PartitionOfUnity
 
-__all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "coarse_system",
-           "restrict", "solve_coarse", "prolong", "CoarseRescueTooLarge"]
+__all__ = ["MultiscaleSpace", "CoarseSolution", "build_space", "boundary_lift",
+           "coarse_system", "restrict", "solve_coarse", "prolong", "CoarseRescueTooLarge"]
 
 DENSE_RESCUE_BYTES = 256 * 2**20   # lstsq's dense K0, to order 5,792 (gelsd: ~3 copies)
 
@@ -42,14 +39,13 @@ class MultiscaleSpace:
     spaces: list[NeighborhoodSpace]
     counts: np.ndarray              # modes used per coarse node
     R0T: sparse.csr_matrix          # (n_fine_nodes, n), basis as columns
+    R0: sparse.csr_matrix           # R0T^T
     col_node: np.ndarray            # coarse-node index of every column
     cols: np.ndarray | None = None  # the space's columns of R0T (None: all)
 
     @property
     def N_c(self) -> int:
         return len(self.col_node)
-
-    R0 = cached_property(lambda self: self.R0T.T.tocsr())  # R0T^T; build_space sets it
 
 
 @dataclass
@@ -66,35 +62,50 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
     ``spaces`` holds one offline space per coarse node, in node order,
     and node i contributes its first ``counts[i]`` modes (at most l_i),
     so a space with larger counts extends a smaller one by new columns
-    without perturbing the old ones.  A clamped count beyond the modes
-    a space kept raises ValueError.  Only nonzeros are stored: chi_i
-    vanishes on the rim of omega_i's box, and the lift, not the space,
-    carries the boundary values, so rows at boundary fine nodes are zero.
+    without perturbing the old ones.  A space whose rows are not chi_i's
+    support (the grid neighborhood's ``node_ids``), or a clamped count
+    beyond the modes it kept, raises ValueError.  Only nonzeros are
+    stored: chi_i vanishes on the rim of omega_i's box, and the lift, not
+    the space, carries the boundary values, so rows at boundary fine
+    nodes are zero.
     """
     g = pou.grid
     bmask = g.boundary_node_mask()
     counts = np.minimum(counts, [sp.l_i for sp in spaces])
     indices, vals = [], []
     for sp, m in zip(spaces, counts):
-        if len(sp.node_ids) != len(pou.chi[sp.omega_id]):
-            raise ValueError("offline vectors do not match the chi support")
+        chi, nodes = pou.chi[sp.omega_id], g.neighborhoods[sp.omega_id].node_ids
+        if len(sp.basis_full) != len(chi):
+            raise ValueError(f"neighborhood {sp.omega_id}: offline vectors do "
+                             "not match the chi support")
         if m > sp.basis_full.shape[1]:
             raise ValueError(f"neighborhood {sp.omega_id}: {m} modes asked, "
                              f"{sp.basis_full.shape[1]} kept offline")
-        B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
-        B[bmask[sp.node_ids]] = 0.0
-        indices.append(np.tile(sp.node_ids.astype(np.int32), m))
+        B = sp.basis_full[:, :m] * chi[:, None]
+        B[bmask[nodes]] = 0.0
+        indices.append(np.tile(nodes.astype(np.int32), m))
         vals.append(B.T.ravel())
     # built column by column: each of node i's columns holds its node ids
-    col_nnz = np.repeat([len(sp.node_ids) for sp in spaces], counts)
+    col_nnz = np.repeat([len(sp.basis_full) for sp in spaces], counts)
     R0T = sparse.csc_matrix(
         (np.concatenate(vals), np.concatenate(indices), np.r_[0, np.cumsum(col_nnz)]),
         shape=(g.n_nodes, len(col_nnz)))
     R0T.eliminate_zeros()
-    ms = MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T.tocsr(),
-                         col_node=np.repeat([sp.omega_id for sp in spaces], counts))
-    ms.R0 = R0T.T                     # the same arrays, read as CSR
-    return ms
+    return MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T.tocsr(),
+                           R0=R0T.T,  # the same arrays, read as CSR
+                           col_node=np.repeat([sp.omega_id for sp in spaces], counts))
+
+
+def boundary_lift(pou: PartitionOfUnity, sys: FineSystem) -> np.ndarray:
+    """POU interpolant sum_i g(x_i) chi_i of the Dirichlet values g of sys
+    over the boundary coarse nodes x_i: linear along every boundary edge,
+    hence exact for bilinear data."""
+    g = pou.grid
+    values, lift = np.zeros(g.n_nodes), np.zeros(g.n_nodes)
+    values[sys.dirichlet_nodes] = sys.dirichlet_values
+    for nb in (nb for nb in g.neighborhoods if not nb.is_interior):
+        lift[nb.node_ids] += values[g.coarse_nodes[nb.index]] * pou.chi[nb.index]
+    return lift
 
 
 def _rank_report(ms: MultiscaleSpace) -> list[int]:
@@ -153,7 +164,8 @@ def _solve_spd_or_lstsq(K0, F0, ms):
 def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
     """Galerkin projection K0 = P^T K P, F0 = P^T (f - K lift) of the fine
     problem K u = f, with P = diag(R0T, I) and the partition-of-unity
-    lift of the boundary data.  Returns K0, F0 and the lift."""
+    lift of the boundary data; a space cut by ``restrict`` projects its
+    own columns only.  Returns K0, F0 and the lift."""
     K = sys.K
     n_frac = K.shape[0] - sys.n_nodes
     def with_identity(R):             # diag(R, I) as CSR, from R's CSR arrays
@@ -161,8 +173,9 @@ def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
         return sparse.csr_matrix(
             (np.r_[R.data, np.ones(n_frac)], np.r_[R.indices, R.shape[1] + t[:-1]],
              np.r_[R.indptr, R.nnz + t[1:]]), shape=np.add(R.shape, n_frac))
-    P, Pt = with_identity(ms.R0T), with_identity(ms.R0)
-    lift = ms.pou.boundary_lift(sys.bc)
+    R0T, R0 = (ms.R0T, ms.R0) if ms.cols is None else (ms.R0T[:, ms.cols], ms.R0[ms.cols])
+    P, Pt = with_identity(R0T), with_identity(R0)
+    lift = boundary_lift(ms.pou, sys)
     K0 = Pt @ (K @ P)
     K0.sort_indices()
     F0 = Pt @ (sys.f - K @ np.r_[lift, np.zeros(n_frac)])
@@ -186,7 +199,7 @@ def restrict(ms: MultiscaleSpace, system, counts):
     cols = np.flatnonzero(mode < np.repeat(counts, ms.counts))
     keep = np.r_[cols, np.arange(ms.N_c, K0.shape[0])]
     sub = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces, counts=counts,
-                          R0T=ms.R0T, col_node=ms.col_node[cols], cols=cols)
+                          R0T=ms.R0T, R0=ms.R0, col_node=ms.col_node[cols], cols=cols)
     return sub, (K0[keep][:, keep], F0[keep], lift)
 
 

@@ -158,6 +158,14 @@ def _offline(rs: RunSetup, n_modes: int | None):
             return offline_spaces(*args, map=pool.map)
 
 
+def _solving_stages(cfg: RunConfig, n_modes):
+    """The stages every solving command runs first: ``setup``, ``_offline``
+    keeping ``n_modes(rs.cfg)`` modes, and the fine reference solve."""
+    rs = setup(cfg)
+    pou, spaces = _offline(rs, n_modes(rs.cfg))
+    return rs, pou, spaces, solve_fine(rs.sys)
+
+
 def _counts_at(rs, m):
     """Per-coarse-node mode counts of the row with m modes per interior
     coarse node."""
@@ -237,10 +245,8 @@ def _write(rs, sol, spaces, run):
 @_one_blas_thread()
 def run_solve(cfg: RunConfig) -> list[ErrorReport]:
     """Single coarse solve at the configured mode count."""
-    rs = setup(cfg)
+    rs, pou, spaces, fine = _solving_stages(cfg, lambda c: c.offline.M_off)
     cfg = rs.cfg
-    pou, spaces = _offline(rs, cfg.offline.M_off)
-    fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, [cfg.offline.M_off],
                                        fine.u, snapshot_reference=False)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
@@ -255,10 +261,8 @@ def run_solve(cfg: RunConfig) -> list[ErrorReport]:
 def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     """Convergence table over the offline-dimension schedule; the
     snapshot-error columns are relative to the largest space's solution."""
-    rs = setup(cfg)
+    rs, pou, spaces, fine = _solving_stages(cfg, lambda c: max(c.sweep))
     cfg = rs.cfg
-    pou, spaces = _offline(rs, max(cfg.sweep))
-    fine = solve_fine(rs.sys)
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
                                        fine.u, snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
@@ -282,11 +286,9 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
 @_one_blas_thread()
 def run_adapt(cfg: RunConfig):
     """Adaptive enrichment driven by the residual (or manual) indicator."""
-    rs = setup(cfg)
-    cfg = rs.cfg
     # every mode: the indicators read the ones a node does not use yet
-    pou, spaces = _offline(rs, None)
-    fine = solve_fine(rs.sys)
+    rs, pou, spaces, fine = _solving_stages(cfg, lambda c: None)
+    cfg = rs.cfg
     sol, history = adaptive_loop(rs.sys, pou, spaces, cfg.adapt,
                                  u_fine=fine.u)
     io_formats.write_trajectory_csv(_outpath(cfg, cfg.outputs.csv), history)
@@ -307,7 +309,8 @@ def run_export_matrices(cfg: RunConfig) -> list[str]:
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]
     S = node_operator(rs.grid, pou.kappa_tilde, pou.edge_kappa_tilde, kind="mass")
-    mats = {"A.mtx": rs.sys.A, "S.mtx": S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
+    A = node_operator(rs.grid, rs.sys.perm.kappa_cells, rs.sys.edge_arrays)
+    mats = {"A.mtx": A, "S.mtx": S, "A0.mtx": A0, "R0T.mtx": ms.R0T}
     if rs.sys.efm_traces:
         mats["A_m.mtx"] = rs.sys.block(0, 0)
         for i in range(len(rs.sys.efm_traces)):

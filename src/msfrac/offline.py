@@ -12,15 +12,8 @@ snapshots and the pencil are dropped once the eigensolve returns.  How
 many of the kept modes a coarse node uses is decided by the online
 stage (``build_space``).
 
-The POU and both snapshot kinds rest on one local solve,
-``harmonic_extension``: the Dirichlet problem of a box's own stiffness,
-which carries the conforming-fracture edge terms, on one banded Cholesky
-factor; a snapshot space carries its neighborhood's box stiffness to
-the pencil.  Boxes whose local problems read byte-identical data
-(``_problem_key``) form one group (``_groups``), solved once: a coarse
-cell's group solves the four corner fields and sums their gradient
-energy, and a neighborhood's group, a unit of work of ``offline_spaces``
-(the whole stage), makes one snapshot space of either kind and one pencil.
+All of it rests on one local solve, ``harmonic_extension``, run once
+per group of boxes with equal ``_problem_key``.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ import scipy.sparse as sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 
 from .grids import CellBox, GridHierarchy
-from .assembly import FineSystem, _point_values, node_operator, q1_shape_tables
+from .assembly import FineSystem, node_operator, q1_shape_tables
 
 __all__ = [
     "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace",
@@ -134,20 +127,6 @@ class PartitionOfUnity:
     kappa_tilde: np.ndarray           # per fine cell
     edge_kappa_tilde: np.ndarray      # per fine edge
 
-    def boundary_lift(self, bc) -> np.ndarray:
-        """POU interpolant of the boundary data over boundary coarse nodes.
-
-        The lift l = sum_i g(x_i) chi_i (i on the domain boundary) is
-        linear along every boundary edge, hence exact for bilinear data.
-        """
-        g = self.grid
-        lift = np.zeros(g.n_nodes)
-        bnd = [nb for nb in g.neighborhoods if not nb.is_interior]
-        x, y = g.node_coords[g.coarse_nodes[[nb.index for nb in bnd]]].T
-        for nb, v in zip(bnd, _point_values(bc, x, y)):
-            lift[nb.node_ids] += v * self.chi[nb.index]
-        return lift
-
 
 def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     """Partition of unity by per-coarse-cell harmonic extension.
@@ -205,14 +184,13 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
 class SnapshotSpace:
     """Local solution samples on one neighborhood.
 
-    ``vectors`` is (patch nodes x l_i) dense in the sorted node order of
-    ``node_ids``; ``stiffness`` is the box stiffness on the neighborhood
-    (``node_operator`` on ``cells``), which the spectral pencil reads.
+    ``vectors`` is (patch nodes x l_i) dense in the sorted order of the
+    grid neighborhood's ``node_ids``; ``stiffness`` is the box stiffness on
+    it (``node_operator`` on ``cells``), which the spectral pencil reads.
     """
 
     omega_id: int
     vectors: np.ndarray
-    node_ids: np.ndarray
     stiffness: object
 
     @property
@@ -225,7 +203,7 @@ def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> Snapshot
     nb = g.neighborhoods[omega_id]
     extend = harmonic_extension(g, sys, nb.cells)
     n_rim = np.count_nonzero(g.box_rim(nb.cells))
-    return SnapshotSpace(omega_id, extend(np.eye(n_rim)), nb.node_ids, extend.stiffness)
+    return SnapshotSpace(omega_id, extend(np.eye(n_rim)), extend.stiffness)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
@@ -248,7 +226,7 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids)]
     # the harmonic extension of 1 is 1
     vectors = np.column_stack([X, np.ones(len(X))])
-    return SnapshotSpace(omega_id, vectors, nb.node_ids, node_operator(
+    return SnapshotSpace(omega_id, vectors, node_operator(
         g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells))
 
 
@@ -261,7 +239,6 @@ class NeighborhoodSpace:
     """
 
     omega_id: int
-    node_ids: np.ndarray
     eigvals: np.ndarray           # all l_i eigenvalues, ascending
     basis_full: np.ndarray        # the first modes the run reads, fine-nodal
     regularized: bool = False
@@ -347,8 +324,7 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
         if np.max(np.abs(alpha * psi1 - 1.0)) <= 1e-6:
             Psi[:, 0] *= alpha
 
-    return NeighborhoodSpace(omega_id=snap.omega_id, node_ids=snap.node_ids,
-                             eigvals=w, basis_full=V @ Psi,
+    return NeighborhoodSpace(omega_id=snap.omega_id, eigvals=w, basis_full=V @ Psi,
                              regularized=regularized)
 
 
@@ -358,8 +334,7 @@ def _group_spaces(g, sys, off, pou, n_modes, group: list[int]):
     snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed)
             if off.mode == "randomized" else full_snapshots(g, sys, group[0]))
     space = offline_eigendecomposition(snap, sys, pou, n_modes)
-    return [replace(space, omega_id=i, node_ids=g.neighborhoods[i].node_ids)
-            for i in group]
+    return [replace(space, omega_id=i) for i in group]
 
 
 def offline_spaces(g: GridHierarchy, sys: FineSystem, off,

@@ -44,7 +44,7 @@ def solve_at(g, sys, pou, spaces, M):
 
 def h1_rel(sys, u_ref, u):
     e = u_ref - u
-    return float(np.sqrt((e @ (sys.A @ e)) / (u_ref @ (sys.A @ u_ref))))
+    return float(np.sqrt((e @ (sys.K @ e)) / (u_ref @ (sys.K @ u_ref))))
 
 
 @pytest.fixture(scope="module")
@@ -82,21 +82,21 @@ def test_full_snapshot_space_recovers_snapshot_solution():
     cols = []
     for nb in g.neighborhoods:
         snap = mf.full_snapshots(g, sys, nb.index)
-        B = chi[nb.index][snap.node_ids][:, None] * snap.vectors
-        B[bmask[snap.node_ids]] = 0.0
+        B = chi[nb.index][nb.node_ids][:, None] * snap.vectors
+        B[bmask[nb.node_ids]] = 0.0
         full = np.zeros((g.n_nodes, B.shape[1]))
-        full[snap.node_ids] = B
+        full[nb.node_ids] = B
         cols.append(sparse.csr_matrix(full))
     R = sparse.hstack(cols).tocsr()
     assert R.shape[1] == ms.N_c
-    lift = pou.boundary_lift(sys.bc)
-    A0 = (R.T @ (sys.A @ R)).toarray()
-    b0 = R.T @ (sys.f - sys.A @ lift)
+    lift = mf.boundary_lift(pou, sys)
+    A0 = (R.T @ (sys.K @ R)).toarray()
+    b0 = R.T @ (sys.f - sys.K @ lift)
     U, *_ = np.linalg.lstsq(A0, b0, rcond=1e-12)
     u_snap = lift + R @ U
 
-    assert np.sqrt(((u_snap - sol.u_ms_fine) @ (sys.A @ (u_snap - sol.u_ms_fine)))
-                   / (u_fine @ (sys.A @ u_fine))) <= 1e-9
+    assert np.sqrt(((u_snap - sol.u_ms_fine) @ (sys.K @ (u_snap - sol.u_ms_fine)))
+                   / (u_fine @ (sys.K @ u_fine))) <= 1e-9
     err_off = h1_rel(sys, u_fine, sol.u_ms_fine)
     err_snap = h1_rel(sys, u_fine, u_snap)
     assert abs(err_off - err_snap) <= 1e-9
@@ -264,17 +264,17 @@ def test_invariant_suite():
     ms = mf.build_space(pou, spaces, np.full(len(spaces), 2))
     sol = mf.solve_coarse(ms, sys)
     u_fine = mf.solve_fine(sys).u
-    resid = ms.R0T.T @ (sys.A @ (u_fine - sol.u_ms_fine))
-    scale = float(np.abs(sys.A @ u_fine).max())
+    resid = ms.R0T.T @ (sys.K @ (u_fine - sol.u_ms_fine))
+    scale = float(np.abs(sys.K @ u_fine).max())
     assert np.abs(resid).max() <= 1e-9 * scale
 
     # dense-oracle equivalence of the coarse operator and solve
-    A0 = (ms.R0T.T @ (sys.A @ ms.R0T)).toarray()
+    A0 = (ms.R0T.T @ (sys.K @ ms.R0T)).toarray()
     np.testing.assert_allclose(
-        A0, ms.R0T.toarray().T @ sys.A.toarray() @ ms.R0T.toarray(),
+        A0, ms.R0T.toarray().T @ sys.K.toarray() @ ms.R0T.toarray(),
         atol=1e-11 * np.abs(A0).max())
-    lift = pou.boundary_lift(sys.bc)
-    U = np.linalg.solve(A0, ms.R0T.T @ (sys.f - sys.A @ lift))
+    lift = mf.boundary_lift(pou, sys)
+    U = np.linalg.solve(A0, ms.R0T.T @ (sys.f - sys.K @ lift))
     np.testing.assert_allclose(lift + ms.R0T @ U, sol.u_ms_fine,
                                atol=1e-11 * np.abs(sol.u_ms_fine).max())
 

@@ -93,7 +93,8 @@ def test_indicator_matches_global_residual_oracle():
             acc = 0.0
             for k in range(m, sp.l_i):
                 w = np.zeros(sys.K.shape[0])
-                w[sp.node_ids] = chi[sp.omega_id, sp.node_ids] * sp.basis_full[:, k]
+                ids = g.neighborhoods[sp.omega_id].node_ids
+                w[ids] = chi[sp.omega_id, ids] * sp.basis_full[:, k]
                 acc += float(w @ r) ** 2
             eta = np.sqrt(acc / sp.eigvals[m])
             assert rep.eta[sp.omega_id] == pytest.approx(eta, rel=1e-10, abs=1e-14)

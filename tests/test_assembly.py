@@ -77,10 +77,10 @@ def test_hand_assembly_with_fracture_edge():
     perm = mf.PermeabilityField.constant(g, 1.0)
     sys = mf.assemble_dfm(g, perm, [tr])
     want = dense_assemble(g, np.ones(g.n_cells), edge_coefficients(g, [tr]))
-    np.testing.assert_allclose(sys.A.toarray(), want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(sys.K.toarray(), want, rtol=0, atol=1e-13)
     # the fracture edge contributes exactly c/h * [[1,-1],[-1,1]]
-    bare = mf.assemble_dfm(g, perm, []).A
-    diff = (sys.A - bare).toarray()
+    bare = mf.assemble_dfm(g, perm, []).K
+    diff = (sys.K - bare).toarray()
     a, b = g.node_id(2, 1), g.node_id(2, 2)
     block = 5.0 / g.hy * np.array([[1, -1], [-1, 1]])
     np.testing.assert_allclose(diff[np.ix_([a, b], [a, b])], block,
@@ -284,7 +284,7 @@ def test_symmetry_exact():
     perm = mf.PermeabilityField.constant(g, 1.0)
     traces = [mf.rasterize_dfm(f, g) for f in net.dfm]
     sys = mf.assemble_dfm(g, perm, traces)
-    d = (sys.A - sys.A.T).toarray()
+    d = (sys.K - sys.K.T).toarray()
     assert np.abs(d).max() == 0.0
 
 
@@ -306,7 +306,7 @@ def test_fine_solve_matches_dense_oracle():
     sys = mf.assemble_dfm(g, perm, [], f=1.5, bc=mf.bilinear_bc(0.2, 1.0, -0.5, 0.3))
     sol = mf.solve_fine(sys)
 
-    A = sys.A.toarray()
+    A = sys.K.toarray()
     fixed = np.zeros(g.n_nodes, bool)
     fixed[sys.dirichlet_nodes] = True
     lift = np.zeros(g.n_nodes)
@@ -413,7 +413,7 @@ def test_galerkin_identity_zero_bc():
     perm = mf.PermeabilityField.constant(g, 2.0)
     sys = mf.assemble_dfm(g, perm, [], f=1.0, bc=0.0)
     sol = mf.solve_fine(sys)
-    energy = float(sol.u @ (sys.A @ sol.u))
+    energy = float(sol.u @ (sys.K @ sol.u))
     work = float(sys.f @ sol.u)
     assert energy == pytest.approx(work, rel=1e-12)
 
@@ -437,7 +437,7 @@ def test_flux_monotone_in_fracture_conductivity():
         perm = mf.PermeabilityField.constant(g, 1.0)
         sys = mf.assemble_dfm(g, perm, [tr], bc=drive)
         u = mf.solve_fine(sys).u
-        energies.append(float(u @ (sys.A @ u)))
+        energies.append(float(u @ (sys.K @ u)))
     assert energies[0] <= energies[1] <= energies[2]
 
 

@@ -14,6 +14,7 @@ import yaml
 
 import msfrac
 from msfrac import driver
+from msfrac.assembly import node_operator
 from msfrac.cli import main
 from msfrac.config import (ConfigError, GridConfig, OfflineConfig,
                            OutputsConfig, RunConfig, parse_config)
@@ -368,6 +369,25 @@ def test_export_matrices_files_load(tmp_path, capsys):
                     for name in ("B", "B_mf"))
             assert B.shape == (C.shape[1], C.shape[1])
             assert C.shape[0] == A_m.shape[0] and C.nnz > 0
+
+
+def test_exported_A_is_the_nodal_operator_without_transfer_terms(tmp_path):
+    # A.mtx is the nodal operator of the matrix and the conforming
+    # fractures; A_m.mtx, K's matrix block, adds the transfer terms
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "efm_single.yml"
+    assert main(["export-matrices", "-c", str(config), "--out", str(tmp_path)]) == 0
+    data = yaml.safe_load(config.read_text())
+    rs = driver.setup(parse_config({**data, "outputs": {"dir": str(tmp_path)}}))
+    want = node_operator(rs.grid, rs.sys.perm.kappa_cells, rs.sys.edge_arrays)
+    A, A_m = (scipy.io.mmread(str(tmp_path / name)).tocsr()
+              for name in ("A.mtx", "A_m.mtx"))
+    for M in (A, want):
+        M.sort_indices()
+    assert A.shape == want.shape
+    assert A.indptr.tobytes() == want.indptr.tobytes()
+    assert A.indices.tobytes() == want.indices.tobytes()
+    assert A.data.tobytes() == want.data.tobytes()
+    assert (A != A_m).nnz > 0
 
 
 def test_raster_field_through_cli(tmp_path):

@@ -48,8 +48,13 @@ def space_at(g, pou, spaces, M=None, full=False):
     return mf.build_space(pou, spaces, counts)
 
 
+def with_prolongation(ms, R0T, **changes):
+    """ms with its prolongation R0T, and so R0 = R0T^T, replaced."""
+    return dataclasses.replace(ms, R0T=R0T, R0=R0T.T.tocsr(), **changes)
+
+
 def energy(sys, e):
-    return float(np.sqrt(e @ (sys.A @ e)))
+    return float(np.sqrt(e @ (sys.K @ e)))
 
 
 def test_constant_kappa_single_mode_is_coarse_fem():
@@ -105,9 +110,9 @@ def test_coarse_matrix_matches_dense_product():
     sys = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(f, g)], bc=BC)
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, full=True)
-    A0 = (ms.R0T.T @ (sys.A @ ms.R0T)).toarray()
+    A0 = (ms.R0T.T @ (sys.K @ ms.R0T)).toarray()
     R = ms.R0T.toarray()
-    want = R.T @ sys.A.toarray() @ R
+    want = R.T @ sys.K.toarray() @ R
     scale = np.abs(want).max()
     np.testing.assert_allclose(A0, want, atol=1e-12 * scale)
 
@@ -158,7 +163,7 @@ def test_galerkin_orthogonality():
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=2)
     sol = mf.solve_coarse(ms, sys)
-    r = ms.R0T.T @ (sys.f - sys.A @ sol.u_ms_fine)
+    r = ms.R0T.T @ (sys.f - sys.K @ sol.u_ms_fine)
     scale = max(1.0, float(np.abs(ms.R0T.T @ sys.f).max()))
     assert np.abs(r).max() <= 1e-9 * scale
 
@@ -167,7 +172,7 @@ def test_prolong_identities():
     g, sys = dfm_setup()
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=2)
-    lift = pou.boundary_lift(sys.bc)
+    lift = mf.boundary_lift(pou, sys)
     np.testing.assert_array_equal(mf.prolong(ms, np.zeros(ms.N_c), lift), lift)
     k = ms.N_c // 2
     ek = np.zeros(ms.N_c)
@@ -192,8 +197,8 @@ def test_duplicate_column_flags_rank_deficiency():
         pou, spaces = offline_spaces(g, sys)
         ms = space_at(g, pou, spaces, M=M)
         sol = mf.solve_coarse(ms, sys)
-        dup = dataclasses.replace(
-            ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+        dup = with_prolongation(
+            ms, sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
             col_node=np.append(ms.col_node, ms.col_node[0]))
         sol2 = mf.solve_coarse(dup, sys)
         assert sol.info["solver"] == "direct"
@@ -232,7 +237,8 @@ def test_offline_keeps_the_modes_the_run_reads(n_modes, tmp_path):
     pou, spaces = driver._offline(rs, n_modes)
     for sp, ref in zip(spaces, every, strict=True):
         assert sp.eigvals.tobytes() == ref.eigvals.tobytes()
-        assert sp.basis_full.shape == (len(sp.node_ids), min(n_modes, ref.l_i))
+        assert sp.basis_full.shape == (len(rs.grid.neighborhoods[sp.omega_id].node_ids),
+                                       min(n_modes, ref.l_i))
     ms = mf.build_space(pou, spaces, np.full(len(spaces), n_modes))
     np.testing.assert_array_equal(ms.counts, [min(n_modes, 6)] * len(spaces))
     if n_modes < 6:
@@ -249,10 +255,11 @@ def coo_prolongation(pou, spaces, counts, drop_zeros=True):
     counts = np.minimum(counts, [sp.l_i for sp in spaces])
     rows, cols, vals, c0 = [], [], [], 0
     for sp, m in zip(spaces, counts):
+        nodes = g.neighborhoods[sp.omega_id].node_ids
         B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
-        B[bmask[sp.node_ids]] = 0.0
-        rows.append(np.repeat(sp.node_ids, m))
-        cols.append(np.tile(c0 + np.arange(m), len(sp.node_ids)))
+        B[bmask[nodes]] = 0.0
+        rows.append(np.repeat(nodes, m))
+        cols.append(np.tile(c0 + np.arange(m), len(nodes)))
         vals.append(B.ravel())
         c0 += m
     R0T = sparse.coo_matrix(
@@ -301,8 +308,8 @@ def test_stored_zeros_change_no_coarse_bit(case, tmp_path):
     pou, spaces = driver._offline(rs, 3)
     counts = m_off_schedule(rs.grid, 3)
     ms = mf.build_space(pou, spaces, counts)
-    zeros = dataclasses.replace(ms, R0T=coo_prolongation(pou, spaces, counts,
-                                                         drop_zeros=False))
+    zeros = with_prolongation(ms, coo_prolongation(pou, spaces, counts,
+                                                   drop_zeros=False))
     assert np.count_nonzero(ms.R0T.data == 0) == 0
     assert np.count_nonzero(zeros.R0T.data == 0) > 0
     assert sparse_bytes(ms.R0) == sparse_bytes(ms.R0T.T)
@@ -353,8 +360,8 @@ def test_dense_rescue_over_its_budget_is_a_named_error(tmp_path, monkeypatch):
     # an exactly repeated column makes K0 singular, so the LU gives way to
     # the dense rescue; over the byte budget that is a named error
     ms, sys = randomized_3x3_space(tmp_path)
-    dup = dataclasses.replace(
-        ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+    dup = with_prolongation(
+        ms, sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
         col_node=np.append(ms.col_node, ms.col_node[0]))
     need = 8 * dup.N_c ** 2
     monkeypatch.setattr(coarse, "DENSE_RESCUE_BYTES", need)
@@ -410,6 +417,35 @@ SWEEP_CASES = {
 def sparse_bytes(M):
     M = M.tocsr()
     return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+@pytest.mark.parametrize("case", ["dfm", "efm"])
+def test_restricted_space_projects_its_own_columns(case, tmp_path):
+    # a space cut by restrict, projected and solved without its cut
+    # system, gets the cut bit for bit
+    rs = driver.setup(parse_config({**SWEEP_CASES[case],
+                                    "outputs": {"dir": str(tmp_path)}}))
+    pou, spaces = driver._offline(rs, 3)
+    ms = driver._space_at(rs, pou, spaces, 3)
+    sub, cut = coarse.restrict(ms, coarse_system(ms, rs.sys), driver._counts_at(rs, 1))
+    assert sub.N_c < ms.N_c
+    K0, F0, lift = coarse_system(sub, rs.sys)
+    n_frac = rs.sys.K.shape[0] - rs.grid.n_nodes
+    assert K0.shape == (sub.N_c + n_frac,) * 2
+    assert sparse_bytes(K0) == sparse_bytes(cut[0])
+    assert F0.tobytes() == cut[1].tobytes() and lift.tobytes() == cut[2].tobytes()
+    sol = mf.solve_coarse(sub, rs.sys)
+    assert sol.u_ms_fine.shape == (rs.sys.K.shape[0],)
+    assert sol.u_ms_fine.tobytes() == mf.solve_coarse(sub, rs.sys, cut).u_ms_fine.tobytes()
+
+
+def test_space_off_the_chi_support_is_refused():
+    g, sys = dfm_setup()
+    pou, spaces = offline_spaces(g, sys)
+    short = dataclasses.replace(spaces[4], basis_full=spaces[4].basis_full[1:])
+    with pytest.raises(ValueError, match="neighborhood 4: offline vectors do not "
+                                         "match the chi support"):
+        mf.build_space(pou, spaces[:4] + [short] + spaces[5:], np.ones(len(spaces), dtype=int))
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -479,7 +515,7 @@ def test_efm_block_solve_matches_dense_oracle():
         off = g.n_nodes + np.cumsum([0] + [tr.n_nodes for tr in sys.efm_traces])
         K = sys.K.toarray()
         R = ms.R0T.toarray()
-        lift = pou.boundary_lift(sys.bc)
+        lift = mf.boundary_lift(pou, sys)
         edges = np.r_[0, off]
         for i, j in itertools.product(range(nf + 1), repeat=2):
             np.testing.assert_array_equal(

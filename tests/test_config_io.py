@@ -241,9 +241,9 @@ def test_matrix_market_roundtrip(tmp_path):
     perm = mf.PermeabilityField.constant(g, 3.0)
     sys = mf.assemble_dfm(g, perm, [])
     path = tmp_path / "A.mtx"
-    io_formats.write_matrix_market(str(path), sys.A)
+    io_formats.write_matrix_market(str(path), sys.K)
     back = scipy.io.mmread(str(path)).tocsr()
-    assert np.abs(back - sys.A).max() < 1e-12
+    assert np.abs(back - sys.K).max() < 1e-12
 
 
 def test_eigenvalue_csv_rows(tmp_path):

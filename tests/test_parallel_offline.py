@@ -250,7 +250,7 @@ def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
             for i in calls["spectra"]} == shapes
     assert len({id(sp.basis_full) for sp in spaces}) == len(shapes)
     for nb, sp in zip(rs.grid.neighborhoods, spaces, strict=True):
-        assert sp.omega_id == nb.index and sp.node_ids is nb.node_ids
+        assert sp.omega_id == nb.index and len(sp.basis_full) == len(nb.node_ids)
 
 
 def test_full_snapshot_group_builds_one_stiffness_and_one_mass(tmp_path, monkeypatch):
@@ -321,7 +321,8 @@ def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch
             assert spaces[leader].basis_full.tobytes() == ref.basis_full.tobytes()
             for i in group:
                 nb = g.neighborhoods[i]
-                assert spaces[i].omega_id == i and spaces[i].node_ids is nb.node_ids
+                assert spaces[i].omega_id == i
+                assert len(spaces[i].basis_full) == len(nb.node_ids)
                 # the leader's draw on the member's own oversampled box
                 # gives the space the member shares
                 with monkeypatch.context() as draw:
