@@ -137,10 +137,17 @@ def _stencil(nx: int, ny: int):
     return indptr, indices, stored
 
 
+# the 1D element of an edge of weight w and length h, as its (diagonal,
+# off-diagonal) entries, per operator kind
+EDGE_ELEMENTS = {"stiffness": lambda w, h: (w / h, -(w / h)),
+                 "mass": lambda w, h: (w * h / 6.0 * 2.0, w * h / 6.0)}
+
+
 def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
                   edge_weights: np.ndarray | None = None,
                   kind: str = "stiffness",
-                  box: CellBox | None = None) -> sparse.csr_matrix:
+                  box: CellBox | None = None,
+                  rim_edges: bool = True) -> sparse.csr_matrix:
     """Assemble a symmetric node-space operator from cell and edge weights.
 
     kind='stiffness' gives the weighted grad-grad form; an edge with
@@ -149,7 +156,9 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     w*h/6*[[2,1],[1,2]].
 
     Integration covers the cells of ``box`` (the whole grid when None)
-    and the edges with both end nodes in its closed node rectangle.
+    and the edges with both end nodes in its closed node rectangle,
+    without the edges along its four rim lines when ``rim_edges`` is
+    False.
     Node (i, j) of that rectangle is numbered
     (j - j0) * (i1 - i0 + 1) + (i - i0): x-fastest, so the whole-grid box
     gives the global numbering and any box follows ``g.box_nodes(box)``.
@@ -164,14 +173,10 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
     ascending edge id.  An operator with a nonzero edge weight in the
     box drops the entries that sum to zero.
     """
-    if kind == "stiffness":
-        ke2d = q1_stiffness(g.hx, g.hy)
-        edge_elem = lambda w, h: (w / h, -(w / h))
-    elif kind == "mass":
-        ke2d = q1_mass(g.hx, g.hy)
-        edge_elem = lambda w, h: (w * h / 6.0 * 2.0, w * h / 6.0)
-    else:
+    if kind not in EDGE_ELEMENTS:
         raise ValueError(f"unknown operator kind {kind!r}")
+    ke2d = (q1_stiffness if kind == "stiffness" else q1_mass)(g.hx, g.hy)
+    edge_elem = EDGE_ELEMENTS[kind]
 
     box = box or CellBox(0, 0, g.fine_nx, g.fine_ny)
     nx, ny = box.i1 - box.i0, box.j1 - box.j0
@@ -192,6 +197,9 @@ def node_operator(g: GridHierarchy, cell_weights: np.ndarray,
         V[1 - cy:3 - cy, 1 - cx:3 - cx, cy:cy + ny, cx:cx + nx] += blocks[c] * w
 
     h, v = (None, None) if edge_weights is None else g.box_edge_weights(edge_weights, box)
+    if h is not None and not rim_edges:
+        h, v = h.copy(), v.copy()
+        h[[0, -1]] = v[:, [0, -1]] = 0.0
     edges = h is not None and (h.any() or v.any())
     if edges:
         # the edge terms of an entry, summed from 0.0 in ascending edge

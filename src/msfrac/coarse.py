@@ -39,13 +39,22 @@ class MultiscaleSpace:
     spaces: list[NeighborhoodSpace]
     counts: np.ndarray              # modes used per coarse node
     R0T: sparse.csr_matrix          # (n_fine_nodes, n), basis as columns
-    R0: sparse.csr_matrix           # R0T^T
     col_node: np.ndarray            # coarse-node index of every column
     cols: np.ndarray | None = None  # the space's columns of R0T (None: all)
+    _R0: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def N_c(self) -> int:
         return len(self.col_node)
+
+    @property
+    def R0(self) -> sparse.csr_matrix:
+        """R0T^T in CSR form, made for this R0T object: ``build_space``
+        gives it with R0T, ``restrict`` passes it on, and any other R0T
+        (one set by ``dataclasses.replace``, say) derives its own here."""
+        if self._R0[0] is not self.R0T:
+            self._R0 = self.R0T, self.R0T.T.tocsr()
+        return self._R0[1]
 
 
 @dataclass
@@ -91,9 +100,10 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
         (np.concatenate(vals), np.concatenate(indices), np.r_[0, np.cumsum(col_nnz)]),
         shape=(g.n_nodes, len(col_nnz)))
     R0T.eliminate_zeros()
-    return MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T.tocsr(),
-                           R0=R0T.T,  # the same arrays, read as CSR
-                           col_node=np.repeat([sp.omega_id for sp in spaces], counts))
+    ms = MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T.tocsr(),
+                         col_node=np.repeat([sp.omega_id for sp in spaces], counts))
+    ms._R0 = ms.R0T, R0T.T            # the same arrays, read as CSR
+    return ms
 
 
 def boundary_lift(pou: PartitionOfUnity, sys: FineSystem) -> np.ndarray:
@@ -121,14 +131,20 @@ def _solve_spd_or_lstsq(K0, F0, ms):
 
     K0 is SPD unless the space has dependent columns, so SuperLU runs in
     symmetric mode (minimum degree on K0 + K0^T, diagonal pivots).  The
-    solution stands when its residual is small and rcond =
-    1/(|K0|_1 |K0^-1|_1) >= eps, LAPACK's test before it warns of an
-    ill-conditioned solve; |K0^-1|_1 is Higham's one-probe estimate,
-    which draws no random numbers.  Full snapshot spaces can exceed the
-    fine dimension, making K0 consistent but singular; the dense
-    least-squares pseudo-solution, up to ``DENSE_RESCUE_BYTES``, then
-    still gives the unique Galerkin solution in the fine space.  ``info``
-    records the path, rcond (None where the LU failed) and lstsq's rank.
+    solution stands when its residual is small and rcond >= eps, LAPACK's
+    test before it warns of an ill-conditioned solve.  rcond is the
+    smaller of 1/(|K0|_1 |K0^-1|_1), with Higham's one-probe estimate of
+    |K0^-1|_1, which draws no random numbers, and the ratio of the
+    smallest to the largest pivot magnitude.  Both can only overstate
+    the reciprocal condition number (the pivots of an SPD matrix lie
+    between its extreme eigenvalues), and the one probe can miss a
+    near-null direction: K0 with one column repeated factors with a
+    pivot of one ulp, which the estimate alone read as rcond 0.12.
+    Full snapshot spaces can exceed the fine dimension, making K0
+    consistent but singular; the dense least-squares pseudo-solution, up
+    to ``DENSE_RESCUE_BYTES``, then still gives the unique Galerkin
+    solution in the fine space.  ``info`` records the path, rcond (None
+    where the LU failed) and lstsq's rank.
     """
     n = K0.shape[0]
     K0 = K0.tocsc()
@@ -143,7 +159,9 @@ def _solve_spd_or_lstsq(K0, F0, ms):
         U = lu.solve(F0)
         inv = spla.LinearOperator((n, n), lu.solve, dtype=float,
                                   rmatvec=partial(lu.solve, trans="T"))
-        rcond = 1.0 / (spla.norm(K0, 1) * spla.onenormest(inv, t=1))
+        pivots = np.abs(lu.U.diagonal())
+        rcond = min(1.0 / (spla.norm(K0, 1) * spla.onenormest(inv, t=1)),
+                    pivots.min() / pivots.max())
         info["rcond"] = float(rcond)
         res = np.linalg.norm(K0 @ U - F0) / normF
         if np.isfinite(res) and res <= 1e-8 and rcond >= np.finfo(float).eps:
@@ -199,7 +217,8 @@ def restrict(ms: MultiscaleSpace, system, counts):
     cols = np.flatnonzero(mode < np.repeat(counts, ms.counts))
     keep = np.r_[cols, np.arange(ms.N_c, K0.shape[0])]
     sub = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces, counts=counts,
-                          R0T=ms.R0T, R0=ms.R0, col_node=ms.col_node[cols], cols=cols)
+                          R0T=ms.R0T, col_node=ms.col_node[cols], cols=cols)
+    sub._R0 = ms.R0T, ms.R0
     return sub, (K0[keep][:, keep], F0[keep], lift)
 
 

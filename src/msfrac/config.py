@@ -300,10 +300,15 @@ def parse_config(data: dict) -> RunConfig:
     return _parse_block(RunConfig, {} if data is None else data, "")
 
 
+# libyaml's safe loader where PyYAML was built with it: the same documents,
+# parsed several times faster
+_SAFE_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_SAFE_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data)

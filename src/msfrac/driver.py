@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -128,8 +127,7 @@ def _one_blas_thread():
     Every command runs under it (it decorates the ``run_*`` functions):
     an idle OpenBLAS helper thread spins after each multithreaded call
     and takes a core from the serial stages, while the sparse fine LU
-    takes as long on one thread as on two.  ``_offline`` enters it again
-    to learn whether a cap holds; nested, it sets 1 and restores 1.
+    takes as long on one thread as on two.
     """
     restore = []
     try:
@@ -144,18 +142,8 @@ def _one_blas_thread():
 
 def _offline(rs: RunSetup, n_modes: int | None):
     """``offline_spaces`` of a run, keeping ``n_modes`` modes, the most
-    any coarse node reads, on one worker thread per usable CPU, each on
-    one BLAS thread; without a BLAS that can be capped, in this thread.
-    The workers overlap only in part: the band Cholesky, ``solve_triangular``
-    and the NumPy index work that assembles and splits each box operator
-    hold the interpreter lock.  Randomized groups run in this thread too: nearly
-    all their work holds the lock (pencils k_nb + p_bf + 1 wide); a pool was slower."""
-    args = rs.grid, rs.sys, rs.cfg.offline, n_modes
-    with _one_blas_thread() as capped:
-        if not capped or rs.cfg.offline.mode == "randomized":
-            return offline_spaces(*args)
-        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-            return offline_spaces(*args, map=pool.map)
+    any coarse node reads."""
+    return offline_spaces(rs.grid, rs.sys, rs.cfg.offline, n_modes)
 
 
 def _solving_stages(cfg: RunConfig, n_modes):

@@ -21,6 +21,10 @@ __all__ = ["write_error_csv", "write_trajectory_csv", "write_solution_csv",
            "write_vtk", "write_matrix_market", "write_eigenvalue_csv",
            "write_manifest", "read_kappa_raster"]
 
+# libyaml's safe dumper where PyYAML was built with it; it writes the same
+# bytes, several times faster
+_SAFE_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+
 CSV_HEADER = "dim,l2_fine_pct,h1_fine_pct,l2_snap_pct,h1_snap_pct"
 TRAJECTORY_HEADER = "iteration,dim,l2_fine_pct,h1_fine_pct,marked"
 
@@ -103,7 +107,8 @@ def write_manifest(path: str, cfg_dict: dict, extras: dict | None = None) -> Non
     if extras:
         doc["run"] = extras
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=False)
+        yaml.dump(doc, fh, Dumper=_SAFE_DUMPER, sort_keys=True,
+                  default_flow_style=False)
 
 
 def read_kappa_raster(path: str, g: GridHierarchy) -> np.ndarray:

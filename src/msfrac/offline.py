@@ -12,24 +12,33 @@ snapshots and the pencil are dropped once the eigensolve returns.  How
 many of the kept modes a coarse node uses is decided by the online
 stage (``build_space``).
 
-All of it rests on one local solve, ``harmonic_extension``, run once
-per group of boxes with equal ``_problem_key``.
+A snapshot is harmonic inside each coarse cell of omega_i, so its values
+on the coarse skeleton of omega_i, the rim of its box and the coarse
+lines inside it, fix it (static condensation; Toselli & Widlund, Domain
+Decomposition Methods, Springer 2005, ch. 4).  Each distinct coarse cell
+is factored once (``CellBlocks``), and its extension of rim values and
+its stiffness and kappa_tilde mass condensed onto its rim serve the POU
+and every neighborhood: a neighborhood's pencil is assembled and solved
+on its skeleton (``Skeleton``), and the cells' extensions take its modes
+to the fine nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
 
 from .grids import CellBox, GridHierarchy
-from .assembly import FineSystem, node_operator, q1_shape_tables
+from .assembly import EDGE_ELEMENTS, FineSystem, node_operator, q1_shape_tables
 
 __all__ = [
-    "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace",
-    "compute_pou", "full_snapshots", "randomized_snapshots",
+    "PartitionOfUnity", "SnapshotSpace", "NeighborhoodSpace", "CellBlocks",
+    "Skeleton", "compute_pou", "full_snapshots", "randomized_snapshots",
     "offline_eigendecomposition", "harmonic_extension", "offline_spaces",
 ]
 
@@ -38,20 +47,23 @@ def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
     """Factor the Dirichlet problem of the box stiffness of sys on box
     once, and return the function that solves it for given rim values.
 
-    The operator is the one ``node_operator`` assembles on box, numbered
-    like ``g.box_nodes(box)``, and the function keeps it as ``stiffness``.
-    Its rows at the interior nodes equal the whole-grid operator's rows
-    there bit for bit.  Their block on the interior columns is SPD and
-    banded in box order: its upper band, as wide as its stored entries
-    reach, is Cholesky-factored once (LAPACK ``pbtrf``), and a block that
-    is not positive definite raises ``LinAlgError`` naming the box; the
-    band and the block A_ir on the rim columns are copied straight from
-    the stored entries.  The function takes values g on the box rim
-    (``g.box_rim(box)``), one column per extension, and returns each
-    extension, its interior solved for -A_ir g, on ``g.box_nodes(box)``.
+    The operator is the one ``node_operator`` assembles on box without
+    the edges along the box's rim lines, which touch no interior row,
+    numbered like ``g.box_nodes(box)``; the function keeps it as
+    ``stiffness``.  Its rows at the interior nodes equal the whole-grid
+    operator's rows there bit for bit.  Their block on the interior
+    columns is SPD and banded in box order: its upper band, as wide as
+    its stored entries reach, is Cholesky-factored once (LAPACK
+    ``pbtrf``), and a block that is not positive definite raises
+    ``LinAlgError`` naming the box; the band and the block A_ir on the
+    rim columns are copied straight from the stored entries.  The
+    function takes values g on the box rim (``g.box_rim(box)``), one
+    column per extension, and returns each extension, its interior
+    solved for -A_ir g, on ``g.box_nodes(box)``.
     """
     rim = g.box_rim(box)
-    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box)
+    A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box,
+                      rim_edges=False)
     n, pos = np.count_nonzero(~rim), np.where(rim, np.cumsum(rim), np.cumsum(~rim)) - 1
     inner = np.repeat(~rim, np.diff(A.indptr))
     i = np.repeat(np.arange(n), np.diff(A.indptr)[~rim])
@@ -83,19 +95,19 @@ def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem,
     box shape and, for each pair of cell and edge weights, the cell
     weights on the box cells and the edge weights on the edges of the
     closed box (``g.box_edge_weights``).  Without pou the problem is the
-    harmonic extension with the stiffness of sys.  It reads only the
-    operator rows at the box's interior nodes, so the edges with both
-    ends on the rim, which touch no such row, are left out: the first
-    and last rows of horizontal edges and the first and last columns of
-    vertical ones.  With pou it is a neighborhood's whole spectral
-    problem, which also reads kappa_tilde and its edge weights.
+    harmonic extension with the stiffness of sys, and a coarse cell's
+    condensed blocks (``CellBlocks``).  These leave out the edges with
+    both ends on the rim: the first and last rows of horizontal edges
+    and the first and last columns of vertical ones.  With pou it is a
+    neighborhood's whole spectral problem, which also reads kappa_tilde
+    and its edge weights.
 
     Two problems with equal keys see byte-identical local data, so they
-    run the same computation (on one BLAS thread) and get the same
-    result, which is why one factor may serve both (``_groups``).  The
-    box operators (``node_operator``) are summed from these same cell and
-    edge weights in a fixed order.  The bytes are compared exactly, never
-    to a tolerance.
+    run the same computation and get the same result, which is why one
+    factor may serve both (``_groups``).  The box operators
+    (``node_operator``) are summed from these same cell and edge weights
+    in a fixed order.  The bytes are compared exactly, never to a
+    tolerance.
     """
     cells = g.box_cells(box)
     key = [(box.i1 - box.i0, box.j1 - box.j0)]
@@ -118,6 +130,17 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
+def _cell_box(g: GridHierarchy, cell: int) -> CellBox:
+    """The fine cells of coarse cell ``cell`` (numbered row by row)."""
+    J, I = divmod(cell, g.coarse_nx)
+    r = g.refine
+    return CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
+
+
+def _symmetric(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X + X.T)
+
+
 @dataclass
 class PartitionOfUnity:
     """Multiscale hat functions chi_i and the energy weight they induce."""
@@ -128,15 +151,165 @@ class PartitionOfUnity:
     edge_kappa_tilde: np.ndarray      # per fine edge
 
 
-def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
+class CellBlocks:
+    """Coarse cells condensed onto their rims, once per group of cells
+    with equal ``_problem_key``.
+
+    ``ids`` are the cells (coarse-cell numbers, row by row; every cell
+    when None); ``groups`` lists them per group and ``group[c]`` is cell
+    c's.  Per group, from its first cell's ``harmonic_extension``:
+    ``extension`` is [I; E_c] on the cell's nodes (``g.box_nodes`` order
+    of the cell), one column per rim node (``g.box_rim`` order), the unit
+    value there extended harmonically inside; ``stiffness`` is the Schur
+    complement A_rr + A_ri E_c of the cell stiffness A_c on the rim.  The
+    cell operators leave out the edges along the cell's rim lines, which
+    lie on the coarse skeleton and are added there once (``Skeleton``);
+    so do the condensed masses (``mass``).
+    """
+
+    def __init__(self, g: GridHierarchy, sys: FineSystem, ids=None):
+        ids = list(range(g.coarse_nx * g.coarse_ny) if ids is None else ids)
+        rim = g.box_rim(CellBox(0, 0, g.refine, g.refine))
+        self.grid, self._mass = g, (None, None)
+        self.groups = [[ids[k] for k in group] for group in
+                       _groups(_problem_key(g, _cell_box(g, c), sys) for c in ids)]
+        self.group = {c: k for k, group in enumerate(self.groups) for c in group}
+        self.extension, self.stiffness = [], []
+        for group in self.groups:
+            extend = harmonic_extension(g, sys, _cell_box(g, group[0]))
+            V = extend(np.eye(np.count_nonzero(rim)))
+            self.extension.append(V)
+            self.stiffness.append(_symmetric((extend.stiffness @ V)[rim]))
+
+    def mass(self, pou: PartitionOfUnity) -> list[np.ndarray]:
+        """Per group, the kappa_tilde mass M_c of pou on its cell condensed
+        onto the rim, [I; E_c]^T M_c [I; E_c]; computed once per pou."""
+        if self._mass[0] is not pou:
+            g = self.grid
+            self._mass = pou, [_symmetric(V.T @ (node_operator(
+                g, pou.kappa_tilde, pou.edge_kappa_tilde, "mass",
+                _cell_box(g, group[0]), rim_edges=False) @ V))
+                for group, V in zip(self.groups, self.extension)]
+        return self._mass[1]
+
+
+class _Layout(NamedTuple):
+    n_box: int                 # nodes of the box
+    n_rim: int                 # nodes on its rim
+    nodes: np.ndarray          # box positions of the skeleton nodes, rim first
+    cells: list                # per cell: skeleton positions of its rim and
+                               # box positions of its nodes
+    flat: np.ndarray           # flat positions of the cells' rim blocks in a
+                               # skeleton matrix, cell after cell
+    h: tuple                   # (rows, columns) of the horizontal skeleton
+                               # edges in the box's view h of edge weights
+    v: tuple                   # the same of the vertical edges, in view v
+    ends: np.ndarray           # skeleton positions of each edge's two ends,
+                               # horizontal edges first
+
+
+@lru_cache(maxsize=16)
+def _layout(ncx: int, ncy: int, r: int) -> _Layout:
+    """The skeleton of a box of ncx by ncy coarse cells of r by r fine
+    cells.  Its nodes are the box rim, then the coarse lines inside, each
+    in box order; its cells run row by row, each with the skeleton
+    positions of its rim (``box_rim`` order) and the box positions of its
+    nodes (``box_nodes`` order); its edges are the fine edges on the
+    coarse lines, indexed into the two edge views of
+    ``g.box_edge_weights``, horizontal ones first.  Read-only, shared by
+    every box of this shape."""
+    nx, ny = ncx * r, ncy * r
+    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    rim = (i == 0) | (i == nx) | (j == 0) | (j == ny)
+    nodes = np.r_[np.flatnonzero(rim), np.flatnonzero(~rim & ((i % r == 0) | (j % r == 0)))]
+    at = np.full(len(i), -1)
+    at[nodes] = np.arange(len(nodes))
+    cell_rim = np.ones((r + 1, r + 1), dtype=bool)
+    cell_rim[1:-1, 1:-1] = False
+    cells = []
+    for J in range(ncy):
+        for I in range(ncx):
+            pos = np.add.outer(np.arange(J * r, (J + 1) * r + 1) * (nx + 1),
+                               np.arange(I * r, (I + 1) * r + 1)).ravel()
+            cells.append((at[pos[cell_rim.ravel()]], pos))
+    h = np.nonzero(np.repeat((np.arange(ny + 1) % r == 0)[:, None], nx, axis=1))
+    v = np.nonzero(np.repeat((np.arange(nx + 1) % r == 0)[None, :], ny, axis=0))
+    a = np.r_[h[0] * (nx + 1) + h[1], v[0] * (nx + 1) + v[1]]
+    b = a + np.r_[np.ones(len(h[0]), int), np.full(len(v[0]), nx + 1)]
+    ends = np.column_stack([at[a], at[b]])
+    flat = np.concatenate([np.add.outer(ring * len(nodes), ring).ravel()
+                           for ring, _ in cells])
+    for x in (nodes, flat, ends, *h, *v, *(x for cell in cells for x in cell)):
+        x.flags.writeable = False
+    return _Layout(len(i), np.count_nonzero(rim), nodes, cells, flat, h, v, ends)
+
+
+class Skeleton:
+    """The coarse skeleton of a neighborhood box: its rim and the coarse
+    lines inside it, with the stiffness of sys condensed onto it.
+
+    A field harmonic inside every coarse cell of the box is held by its
+    skeleton values.  On such fields the box stiffness is ``stiffness``,
+    the sum of the cells' Schur blocks and of the 1D terms of the
+    fracture edges on the skeleton, each edge once, and the kappa_tilde
+    mass is ``mass``, summed the same way.  ``cells`` holds the condensed
+    blocks of the box's coarse cells (``CellBlocks``; built for them when
+    None).
+    """
+
+    def __init__(self, g: GridHierarchy, sys: FineSystem, box: CellBox,
+                 cells: CellBlocks | None = None):
+        r = g.refine
+        ncx, ncy = (box.i1 - box.i0) // r, (box.j1 - box.j0) // r
+        ids = [(box.j0 // r + J) * g.coarse_nx + box.i0 // r + I
+               for J in range(ncy) for I in range(ncx)]
+        self.grid, self.box, self.layout = g, box, _layout(ncx, ncy, r)
+        self.cells = CellBlocks(g, sys, ids) if cells is None else cells
+        self.groups = [self.cells.group[c] for c in ids]
+        self.stiffness = self._assemble(self.cells.stiffness, sys.edge_arrays,
+                                        "stiffness")
+
+    def _assemble(self, blocks, edge_weights, kind) -> np.ndarray:
+        """The skeleton operator summed from the cells' condensed blocks
+        and the 1D ``kind`` terms of ``edge_weights`` on its edges."""
+        lay, g = self.layout, self.grid
+        n = len(lay.nodes)
+        h, v = g.box_edge_weights(edge_weights, self.box)
+        w = np.r_[h[lay.h], v[lay.v]]
+        on = np.flatnonzero(w)
+        d, o = EDGE_ELEMENTS[kind](w[on], np.where(on < len(lay.h[0]), g.hx, g.hy))
+        a, b = lay.ends[on].T
+        # every entry summed in order: the cells' terms, then the edges'
+        return np.bincount(
+            np.concatenate([lay.flat, a * (n + 1), b * (n + 1), a * n + b, b * n + a]),
+            np.concatenate([blocks[k].ravel() for k in self.groups] + [d, d, o, o]),
+            n * n).reshape(n, n)
+
+    def mass(self, pou: PartitionOfUnity) -> np.ndarray:
+        """The kappa_tilde mass of pou condensed onto the skeleton."""
+        return self._assemble(self.cells.mass(pou), pou.edge_kappa_tilde, "mass")
+
+    def lift(self, Y: np.ndarray) -> np.ndarray:
+        """The fields with skeleton values Y (one column each) on the box
+        nodes, harmonic inside every coarse cell."""
+        X = np.empty((self.layout.n_box, Y.shape[1]))
+        for k, (at, pos) in zip(self.groups, self.layout.cells):
+            X[pos] = self.cells.extension[k] @ Y[at]
+        return X
+
+
+def compute_pou(g: GridHierarchy, sys: FineSystem,
+                cells: CellBlocks | None = None) -> PartitionOfUnity:
     """Partition of unity by per-coarse-cell harmonic extension.
 
     On each coarse cell the four corner functions extend boundary data
     that is linear along the cell edges (1 at the corner, 0 at the
     others), solved with the fracture-aware operator; their sum extends
     the constant 1 and is therefore exactly 1.  They and their gradient
-    energy are computed once per group of cells with equal ``_problem_key``.
+    energy are computed once per group of ``cells``, every coarse cell's
+    ``CellBlocks`` (built here when None), from its extension.
     """
+    cells = CellBlocks(g, sys) if cells is None else cells
     r, row = g.refine, g.coarse_nx + 1
     # the corner data on the rim of every cell, in cell-local coordinates
     jl, il = np.divmod(np.flatnonzero(g.box_rim(CellBox(0, 0, r, r))), r + 1)
@@ -147,10 +320,8 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
     _, gx, gy, _ = q1_shape_tables(g.hx, g.hy)
     chi = [np.zeros(len(nb.node_ids)) for nb in g.neighborhoods]
     grad2 = np.empty((g.coarse_ny, r, g.coarse_nx, r))     # [J, j, I, i]
-    boxes = [CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
-             for J in range(g.coarse_ny) for I in range(g.coarse_nx)]
-    for group in _groups(_problem_key(g, box, sys) for box in boxes):
-        X = harmonic_extension(g, sys, boxes[group[0]])(gb).T.reshape(4, r + 1, r + 1)
+    for group, V in zip(cells.groups, cells.extension):
+        X = (V @ gb).T.reshape(4, r + 1, r + 1)
         # kappa_tilde / (kappa H^2) on each fine cell: |grad chi_c|^2 averaged
         # over its 2x2 Gauss points, summed over c in node order sw, se, nw, ne
         energy = sum(np.mean((Xc @ gx.T) ** 2 + (Xc @ gy.T) ** 2, axis=1)
@@ -182,36 +353,61 @@ def compute_pou(g: GridHierarchy, sys: FineSystem) -> PartitionOfUnity:
 
 @dataclass
 class SnapshotSpace:
-    """Local solution samples on one neighborhood.
+    """Local solution samples on one neighborhood, each harmonic inside
+    every coarse cell of it, held by their values on its coarse skeleton.
 
-    ``vectors`` is (patch nodes x l_i) dense in the sorted order of the
-    grid neighborhood's ``node_ids``; ``stiffness`` is the box stiffness on
-    it (``node_operator`` on ``cells``), which the spectral pencil reads.
+    ``values`` is (skeleton nodes x l_i), in the node order of
+    ``skeleton``, which also holds the condensed forms of the pencil;
+    ``vectors`` lifts them to the fine nodes.
     """
 
     omega_id: int
-    vectors: np.ndarray
-    stiffness: object
+    values: np.ndarray
+    skeleton: Skeleton
 
     @property
     def l_i(self) -> int:
-        return self.vectors.shape[1]
+        return self.values.shape[1]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The snapshots on the fine nodes, (patch nodes x l_i) in the
+        order of the grid neighborhood's ``node_ids``."""
+        return self.skeleton.lift(self.values)
 
 
-def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int) -> SnapshotSpace:
-    """One harmonic extension per fine boundary node of the neighborhood."""
+def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
+                   cells: CellBlocks | None = None) -> SnapshotSpace:
+    """One harmonic extension per fine rim node of the neighborhood: the
+    unit value there, zero on the rest of the rim, and inside the values
+    on the coarse lines that solve the condensed stiffness's rows there
+    (one dense Cholesky; a block that is not positive definite raises
+    ``LinAlgError`` naming the box).  ``cells`` is passed on to the
+    ``Skeleton``."""
     nb = g.neighborhoods[omega_id]
-    extend = harmonic_extension(g, sys, nb.cells)
-    n_rim = np.count_nonzero(g.box_rim(nb.cells))
-    return SnapshotSpace(omega_id, extend(np.eye(n_rim)), extend.stiffness)
+    sk = Skeleton(g, sys, nb.cells, cells)
+    A, n = sk.stiffness, sk.layout.n_rim
+    values = np.eye(len(A), n)
+    if len(A) > n:
+        try:
+            L = np.linalg.cholesky(A[n:, n:])
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"box {nb.cells}: stiffness on the coarse lines inside is "
+                "not positive definite") from None
+        values[n:] = -solve_triangular(L, solve_triangular(L, A[n:, :n], lower=True),
+                                       lower=True, trans="T")
+    return SnapshotSpace(omega_id, values, sk)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
-                         k_nb: int, p_bf: int = 4, seed: int = 0) -> SnapshotSpace:
+                         k_nb: int, p_bf: int = 4, seed: int = 0,
+                         cells: CellBlocks | None = None) -> SnapshotSpace:
     """k_nb + p_bf harmonic extensions of random boundary data, i.i.d.
     uniform(-1, 1) seeded by ``[seed, omega_id]``, plus one constant
     snapshot, generated on the oversampled region and restricted to the
-    neighborhood; ``offline_spaces`` draws once per group, for its leader.
+    neighborhood's skeleton; ``offline_spaces`` draws once per group, for
+    its leader.  ``cells`` is passed on to the ``Skeleton``.
     """
     if k_nb < 1:
         raise ValueError("k_nb must be >= 1")
@@ -223,11 +419,10 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     n_rim = int(np.count_nonzero(g.box_rim(box)))
     rng = np.random.default_rng([seed, omega_id])
     G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
-    X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids)]
+    sk = Skeleton(g, sys, nb.cells, cells)
+    X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids[sk.layout.nodes])]
     # the harmonic extension of 1 is 1
-    vectors = np.column_stack([X, np.ones(len(X))])
-    return SnapshotSpace(omega_id, vectors, node_operator(
-        g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells))
+    return SnapshotSpace(omega_id, np.column_stack([X, np.ones(len(X))]), sk)
 
 
 @dataclass
@@ -278,33 +473,35 @@ def _mass_factor(S: np.ndarray, omega_id: int):
         "definite after regularization")
 
 
+def _pencil(snap: SnapshotSpace, pou: PartitionOfUnity):
+    """The snapshot pencil (A_off, S_off) = (V^T A V, V^T S V), symmetrized,
+    of the skeleton values V of snap and the skeleton's condensed
+    stiffness A and kappa_tilde mass S of pou."""
+    V, sk = snap.values, snap.skeleton
+    return (_symmetric(V.T @ (sk.stiffness @ V)),
+            _symmetric(V.T @ (sk.mass(pou) @ V)))
+
+
 def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
                                pou: PartitionOfUnity,
                                n_modes: int | None = None) -> NeighborhoodSpace:
     """Eigenpairs of A_off Psi = lambda S_off Psi on one neighborhood:
     all l_i eigenvalues, and the first ``n_modes`` modes (all of them
-    when None) mapped to fine nodes.
+    when None) mapped to fine nodes.  sys is the fine system of snap,
+    which its skeleton has condensed.
 
     Both forms are integrated over the neighborhood only (local
     re-assembly, not a submatrix of the global operators, which would
-    leak energy from the surrounding cells into the boundary rows).
-    With S_off = L L^T the pencil has the eigenvalues of the symmetric
+    leak energy from the surrounding cells into the boundary rows), and
+    on the snapshots' skeleton values (``_pencil``).  With
+    S_off = L L^T the pencil has the eigenvalues of the symmetric
     C = L^-1 A_off L^-T, and Psi = L^-T Q for C's eigenvectors Q (Golub
     & Van Loan, Matrix Computations, 8.7).
     """
     k = snap.l_i if n_modes is None else min(n_modes, snap.l_i)
     if k < 1:
         raise ValueError("n_modes must be >= 1")
-    g = sys.grid
-    nb = g.neighborhoods[snap.omega_id]
-    S_loc = node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde,
-                          kind="mass", box=nb.cells)
-    V = snap.vectors
-    A_off = V.T @ (snap.stiffness @ V)
-    S_off = V.T @ (S_loc @ V)
-    A_off = 0.5 * (A_off + A_off.T)
-    S_off = 0.5 * (S_off + S_off.T)
-
+    A_off, S_off = _pencil(snap, pou)
     L, regularized = _mass_factor(S_off, snap.omega_id)
     C = solve_triangular(L, solve_triangular(L, A_off, lower=True).T, lower=True)
     w, Q = np.linalg.eigh(0.5 * (C + C.T))
@@ -313,49 +510,50 @@ def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
     # deterministic sign: largest-magnitude snapshot coordinate positive
     flip = np.sign(Psi[np.argmax(np.abs(Psi), axis=0), np.arange(Psi.shape[1])])
     flip[flip == 0] = 1.0
-    Psi = Psi * flip
+    basis = snap.skeleton.lift(snap.values @ (Psi * flip))
 
     # rescale the lowest mode to reproduce the constant where it does so
     # up to scaling (then chi-weighted sums of first modes recover 1)
-    psi1 = V @ Psi[:, 0]
+    psi1 = basis[:, 0]
     denom = float(psi1 @ psi1)
     if denom > 0:
         alpha = float(psi1.sum()) / denom
         if np.max(np.abs(alpha * psi1 - 1.0)) <= 1e-6:
-            Psi[:, 0] *= alpha
+            psi1 *= alpha
 
-    return NeighborhoodSpace(omega_id=snap.omega_id, eigvals=w, basis_full=V @ Psi,
+    return NeighborhoodSpace(omega_id=snap.omega_id, eigvals=w, basis_full=basis,
                              regularized=regularized)
 
 
-def _group_spaces(g, sys, off, pou, n_modes, group: list[int]):
+def _group_spaces(g, sys, off, pou, cells, n_modes, group: list[int]):
     """Spectral spaces of one group of neighborhoods (``offline_spaces``):
     its leader's snapshots and spectra, shared by every member."""
-    snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed)
-            if off.mode == "randomized" else full_snapshots(g, sys, group[0]))
+    snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed, cells)
+            if off.mode == "randomized" else full_snapshots(g, sys, group[0], cells))
     space = offline_eigendecomposition(snap, sys, pou, n_modes)
     return [replace(space, omega_id=i) for i in group]
 
 
 def offline_spaces(g: GridHierarchy, sys: FineSystem, off,
-                   n_modes: int | None = None, map=map):
+                   n_modes: int | None = None):
     """POU and local spectral spaces, in neighborhood order, of the
     offline settings ``off``; each space keeps all its eigenvalues and
-    its first ``n_modes`` modes (all when None).  A group of equal keys
-    is solved once, for its leader (its lowest omega_id), and its members
-    share the read-only arrays.  The key is the ``cells`` key with the
-    POU; a randomized one adds the offset of ``cells`` in ``cells_plus``
-    and the ``cells_plus`` key, so each member's space is what the
-    leader's draw gives on its own box.  ``map`` runs the groups; on one
-    BLAS thread no result depends on their order."""
-    pou = compute_pou(g, sys)
+    its first ``n_modes`` modes (all when None).  Every coarse cell is
+    condensed once per distinct problem (``CellBlocks``), for the POU and
+    every neighborhood.  A group of equal keys is solved once, for its
+    leader (its lowest omega_id), and its members share the read-only
+    arrays.  The key is the ``cells`` key with the POU; a randomized one
+    adds the offset of ``cells`` in ``cells_plus`` and the ``cells_plus``
+    key, so each member's space is what the leader's draw gives on its
+    own box."""
+    cells = CellBlocks(g, sys)
+    pou = compute_pou(g, sys, cells)
 
     def key(nb):
         c, p = nb.cells, nb.cells_plus
         spectral = _problem_key(g, c, sys, pou)
         return spectral if off.mode != "randomized" else (
             spectral, (c.i0 - p.i0, c.j0 - p.j0), _problem_key(g, p, sys))
-    solved = map(lambda group: _group_spaces(g, sys, off, pou, n_modes, group),
-                 _groups(key(nb) for nb in g.neighborhoods))
-    return pou, sorted((sp for group in solved for sp in group),
-                       key=lambda sp: sp.omega_id)
+    spaces = [sp for group in _groups(key(nb) for nb in g.neighborhoods)
+              for sp in _group_spaces(g, sys, off, pou, cells, n_modes, group)]
+    return pou, sorted(spaces, key=lambda sp: sp.omega_id)

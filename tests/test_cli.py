@@ -287,9 +287,9 @@ def spy_norm_builds(monkeypatch):
     assemble_efm = msfrac.assembly.assemble_efm
 
     def mass_spy(g, cell_weights, edge_weights=None, kind="stiffness",
-                 box=None):
+                 box=None, **options):
         counts["mass"] += kind == "mass" and box is None
-        return node_operator(g, cell_weights, edge_weights, kind, box)
+        return node_operator(g, cell_weights, edge_weights, kind, box, **options)
 
     def block_spy(*args, **kwargs):
         counts["block"] += 1

@@ -48,11 +48,6 @@ def space_at(g, pou, spaces, M=None, full=False):
     return mf.build_space(pou, spaces, counts)
 
 
-def with_prolongation(ms, R0T, **changes):
-    """ms with its prolongation R0T, and so R0 = R0T^T, replaced."""
-    return dataclasses.replace(ms, R0T=R0T, R0=R0T.T.tocsr(), **changes)
-
-
 def energy(sys, e):
     return float(np.sqrt(e @ (sys.K @ e)))
 
@@ -197,8 +192,8 @@ def test_duplicate_column_flags_rank_deficiency():
         pou, spaces = offline_spaces(g, sys)
         ms = space_at(g, pou, spaces, M=M)
         sol = mf.solve_coarse(ms, sys)
-        dup = with_prolongation(
-            ms, sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+        dup = dataclasses.replace(
+            ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
             col_node=np.append(ms.col_node, ms.col_node[0]))
         sol2 = mf.solve_coarse(dup, sys)
         assert sol.info["solver"] == "direct"
@@ -296,6 +291,22 @@ def test_prolongation_matches_triplet_build(case, tmp_path):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def test_replaced_prolongation_has_its_own_transpose():
+    # R0 is made for the R0T it is read with: a space whose R0T alone is
+    # replaced projects with the new one.  Doubling R0T is exact, so K0
+    # is four times and F0 twice the original, bit for bit
+    g, sys = dfm_setup(field=mf.fields.crossing_channels, seed=7)
+    pou, spaces = offline_spaces(g, sys)
+    ms = space_at(g, pou, spaces, M=2)
+    twice = dataclasses.replace(ms, R0T=2.0 * ms.R0T)
+    assert sparse_bytes(twice.R0) == sparse_bytes((2.0 * ms.R0T).T)
+    assert sparse_bytes(ms.R0) == sparse_bytes(ms.R0T.T)
+    K0, F0, _ = coarse_system(ms, sys)
+    K0_2, F0_2, _ = coarse_system(twice, sys)
+    assert sparse_bytes(K0_2) == sparse_bytes(4.0 * K0)
+    assert F0_2.tobytes() == (2.0 * F0).tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(PROLONGATION_CASES))
 def test_stored_zeros_change_no_coarse_bit(case, tmp_path):
     # chi_i vanishes on the rim of omega_i's box and boundary rows are
@@ -308,8 +319,8 @@ def test_stored_zeros_change_no_coarse_bit(case, tmp_path):
     pou, spaces = driver._offline(rs, 3)
     counts = m_off_schedule(rs.grid, 3)
     ms = mf.build_space(pou, spaces, counts)
-    zeros = with_prolongation(ms, coo_prolongation(pou, spaces, counts,
-                                                   drop_zeros=False))
+    zeros = dataclasses.replace(ms, R0T=coo_prolongation(pou, spaces, counts,
+                                                         drop_zeros=False))
     assert np.count_nonzero(ms.R0T.data == 0) == 0
     assert np.count_nonzero(zeros.R0T.data == 0) > 0
     assert sparse_bytes(ms.R0) == sparse_bytes(ms.R0T.T)
@@ -360,8 +371,8 @@ def test_dense_rescue_over_its_budget_is_a_named_error(tmp_path, monkeypatch):
     # an exactly repeated column makes K0 singular, so the LU gives way to
     # the dense rescue; over the byte budget that is a named error
     ms, sys = randomized_3x3_space(tmp_path)
-    dup = with_prolongation(
-        ms, sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
+    dup = dataclasses.replace(
+        ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
         col_node=np.append(ms.col_node, ms.col_node[0]))
     need = 8 * dup.N_c ** 2
     monkeypatch.setattr(coarse, "DENSE_RESCUE_BYTES", need)

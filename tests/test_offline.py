@@ -15,9 +15,11 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 import msfrac as mf
 from msfrac.assembly import node_operator, q1_shape_tables
+from msfrac import offline
 from msfrac.offline import harmonic_extension
 
-from conftest import dense_chi, mode_gram, operator_boxes, operator_case
+from conftest import (cell_permeability, dense_chi, mode_gram, operator_boxes,
+                      operator_case)
 
 GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
@@ -367,7 +369,7 @@ def test_single_snapshot_rayleigh_quotient():
     g, sys = const_system(coarse=3, refine=4)
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
-    one = dataclasses.replace(snap, vectors=snap.vectors[:, 3:4])
+    one = dataclasses.replace(snap, values=snap.values[:, 3:4])
     spc = mf.offline_eigendecomposition(one, sys, pou)
     assert spc.eigvals.shape == (1,)
     nb = g.neighborhoods[4]
@@ -441,7 +443,7 @@ def test_regularization_flag_on_dependent_snapshots():
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
     dup = dataclasses.replace(
-        snap, vectors=np.column_stack([snap.vectors[:, :4], snap.vectors[:, 3]]))
+        snap, values=np.column_stack([snap.values[:, :4], snap.values[:, 3]]))
     spc = mf.offline_eigendecomposition(dup, sys, pou)
     assert spc.regularized
     assert np.isfinite(spc.eigvals).all()
@@ -522,6 +524,103 @@ def test_unfactorable_mass_names_its_neighborhood():
     g, sys = const_system(coarse=3, refine=4)
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
-    zero = dataclasses.replace(snap, vectors=np.zeros((len(snap.vectors), 3)))
+    zero = dataclasses.replace(snap, values=np.zeros((len(snap.values), 3)))
     with pytest.raises(np.linalg.LinAlgError, match="neighborhood 4"):
         mf.offline_eigendecomposition(zero, sys, pou)
+
+
+# ------------------------------------------------------- condensation
+
+
+def coarse_line_system(refine, t=1):
+    """4 x 4 coarse cells with conforming fractures along the coarse lines
+    x = 1/4 and y = 1/2, which lie on neighborhood rims and crosses, and
+    one staircase across the cells."""
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, refine, t=t)
+    perm = cell_permeability(g, lambda x, y: 1.0 + x + 2.0 * y)
+    fractures = [mf.Fracture(np.array(poly), 1e-3, kf, "dfm", k)
+                 for k, (poly, kf) in enumerate([([[0.25, 0.0], [0.25, 1.0]], 1e4),
+                                                  ([[0.0, 0.5], [0.75, 0.5]], 1e3),
+                                                  ([[0.1, 0.15], [0.9, 0.8]], 1e2)])]
+    sys = mf.assemble_dfm(g, perm, [mf.rasterize_dfm(f, g) for f in fractures],
+                          bc=mf.bilinear_bc(0, 1, 1, 0))
+    h, v = g.box_edge_weights(sys.edge_arrays, mf.CellBox(0, 0, g.fine_nx, g.fine_ny))
+    assert h[2 * refine, :3 * refine].all() and v[:, refine].all()
+    return g, sys
+
+
+PENCIL_CASES = {"lines_refine2": (2, "full"), "lines_refine3": (3, "full"),
+                "lines_randomized": (3, "randomized"), "non_square": (None, "full")}
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
+def test_condensed_pencil_matches_box_operators(case):
+    # the pencil assembled on the coarse skeleton from the cells' blocks
+    # and the skeleton's fracture edges is V^T A V and V^T S V with the
+    # neighborhood's own box operators, for 1-, 2- and 4-cell
+    # neighborhoods; refine 2 leaves each coarse cell one interior node
+    # (refine 1 is no grid: build_hierarchy refuses it)
+    refine, mode = PENCIL_CASES[case]
+    g, sys = operator_case("non_square") if refine is None else coarse_line_system(refine)
+    pou = mf.compute_pou(g, sys)
+    cells = set()
+    for nb in g.neighborhoods:
+        snap = (mf.randomized_snapshots(g, sys, nb.index, k_nb=3, p_bf=2, seed=1)
+                if mode == "randomized" else mf.full_snapshots(g, sys, nb.index))
+        cells.add(nb.cells.ncells // g.refine ** 2)
+        V = snap.vectors
+        A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=nb.cells)
+        S = node_operator(g, pou.kappa_tilde, pou.edge_kappa_tilde, "mass", box=nb.cells)
+        for got, want in zip(offline._pencil(snap, pou), (V.T @ (A @ V), V.T @ (S @ V))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), nb.index
+    assert cells == {1, 2, 4}
+
+
+@pytest.mark.parametrize("refine", [2, 3])
+def test_condensed_snapshots_are_harmonic_and_sum_to_one(refine):
+    # full snapshots solved on the skeleton and lifted cell by cell are
+    # the neighborhood's harmonic extensions, fractures on the cross too
+    g, sys = coarse_line_system(refine)
+    scale = np.abs(sys.K.data).max()
+    for nb in g.neighborhoods:
+        snap = mf.full_snapshots(g, sys, nb.index)
+        V = snap.vectors
+        assert np.array_equal(V[g.box_rim(nb.cells)], np.eye(snap.l_i))
+        full = np.zeros((g.n_nodes, snap.l_i))
+        full[nb.node_ids] = V
+        assert np.abs((sys.K @ full)[interior_ids(g, nb)]).max() < 1e-10 * scale
+        np.testing.assert_allclose(V.sum(axis=1), 1.0, atol=1e-11)
+
+
+def with_edge(sys, box, row, col, weight):
+    """sys with the horizontal edge (row, col) of box's edge view set to
+    weight."""
+    w = sys.edge_arrays.copy()
+    h, _ = sys.grid.box_edge_weights(w, box)
+    h[row, col] = weight
+    return dataclasses.replace(sys, edge_arrays=w)
+
+
+def test_indefinite_cell_interior_names_its_cell():
+    # an edge between two interior nodes of coarse cell (1, 1)
+    g, sys = coarse_line_system(3)
+    cell = mf.CellBox(3, 3, 6, 6)
+    bad = with_edge(sys, cell, 1, 1, -1e6)
+    match = rf"box {re.escape(repr(cell))}: .*not positive definite"
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        mf.compute_pou(g, bad)
+    nb = next(nb for nb in g.neighborhoods if (nb.ci, nb.cj) == (1, 1))
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        mf.full_snapshots(g, bad, nb.index)
+
+
+def test_indefinite_cross_names_its_neighborhood():
+    # an edge between two nodes on the coarse line inside a neighborhood:
+    # every cell interior stays definite, the cross block does not
+    g, sys = coarse_line_system(3)
+    nb = next(nb for nb in g.neighborhoods if (nb.ci, nb.cj) == (2, 2))
+    bad = with_edge(sys, nb.cells, g.refine, 1, -1e6)
+    mf.compute_pou(g, bad)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"box {re.escape(repr(nb.cells))}: .*not positive definite"):
+        mf.full_snapshots(g, bad, nb.index)

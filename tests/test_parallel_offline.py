@@ -1,10 +1,8 @@
-"""The offline stage's neighborhood pool: serial equivalence, the BLAS
-thread cap (of the pool and of every command), error propagation, and
-one factor per distinct local problem."""
+"""The offline stage's groups: equivalence with the per-neighborhood
+loop, the BLAS thread cap of every command, error propagation, and one
+factor per distinct local problem."""
 
-import os
 import pathlib
-import sys
 import threading
 
 import numpy as np
@@ -41,19 +39,11 @@ def blas_threads():
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_pool_matches_serial_loop(name, tmp_path, monkeypatch):
+def test_grouped_offline_matches_per_neighborhood_loop(name, tmp_path):
     rs = run_setup(name, tmp_path)
     off = rs.cfg.offline
-    # more workers than cores, switching threads as often as possible
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pou, spaces = driver._offline(rs, None)
-    finally:
-        sys.setswitchinterval(interval)
-
     with driver._one_blas_thread():
+        pou, spaces = driver._offline(rs, None)
         for nb, space in zip(rs.grid.neighborhoods, spaces, strict=True):
             if off.mode == "randomized":
                 ref = randomized_snapshots(rs.grid, rs.sys, nb.index, k_nb=off.k_nb,
@@ -81,7 +71,7 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
     try:
         for _, set_ in controls:       # a count other than the cap's
             set_(2)
-        driver._offline(rs, None)
+        driver.run_solve(rs.cfg)
         assert blas_threads() == [2] * len(controls)
     finally:
         for (_, set_), n in zip(controls, before):
@@ -91,28 +81,26 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
 
 def test_offline_runs_in_the_calling_thread_without_a_blas_cap(tmp_path, monkeypatch):
     rs = run_setup("full_dfm", tmp_path)
-    _, pooled = driver._offline(rs, None)
+    with driver._one_blas_thread():
+        _, capped = driver._offline(rs, None)
     threads = []
 
     def spy(*args, **kwargs):
         threads.append(threading.get_ident())
         return offline_eigendecomposition(*args, **kwargs)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was made with no BLAS capped")
-
     monkeypatch.setattr(driver, "_openblas_thread_controls", lambda: [])
-    monkeypatch.setattr(driver, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
-    _, spaces = driver._offline(rs, None)
+    with driver._one_blas_thread() as cap:
+        assert not cap
+        _, spaces = driver._offline(rs, None)
     assert threads and set(threads) == {threading.get_ident()}
     assert [sp.omega_id for sp in spaces] == [nb.index for nb in rs.grid.neighborhoods]
-    for sp, ref in zip(spaces, pooled, strict=True):
+    for sp, ref in zip(spaces, capped, strict=True):
         assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
 
 
 def test_randomized_offline_runs_in_the_calling_thread(tmp_path, monkeypatch):
-    # its work holds the interpreter lock, so a pool would only contend
     rs = run_setup("randomized", tmp_path)
     assert driver._openblas_thread_controls(), "no OpenBLAS found in the process"
     with driver._one_blas_thread():
@@ -123,12 +111,9 @@ def test_randomized_offline_runs_in_the_calling_thread(tmp_path, monkeypatch):
         threads.append(threading.get_ident())
         return offline_eigendecomposition(*args, **kwargs)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was made for randomized snapshots")
-
-    monkeypatch.setattr(driver, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
-    _, spaces = driver._offline(rs, None)
+    with driver._one_blas_thread():
+        _, spaces = driver._offline(rs, None)
     assert threads and set(threads) == {threading.get_ident()}
     for sp, ref in zip(spaces, serial, strict=True):
         assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
@@ -143,7 +128,7 @@ COMMANDS = {
     "adapt_efm": ("run_adapt", {**CONFIGS["efm"],
                                 "adapt": {"theta": 0.7, "max_iters": 2}}),
 }
-# the stages outside the offline pool, by the modules that call them
+# the stages of a command, by the modules that call them
 STAGES = {"compute_pou": (offline,), "solve_fine": (driver,),
           "coarse_system": (driver, coarse), "errors": (driver, adaptivity),
           "solve_coarse": (driver, adaptivity)}
@@ -194,10 +179,10 @@ def test_neighborhood_error_propagates(tmp_path, monkeypatch):
     before = blas_threads()
     err = RuntimeError("neighborhood 7 failed")
 
-    def failing(g, sys_, omega_id):
+    def failing(g, sys_, omega_id, *cells):
         if omega_id == 7:
             raise err
-        return full_snapshots(g, sys_, omega_id)
+        return full_snapshots(g, sys_, omega_id, *cells)
 
     monkeypatch.setattr(offline, "full_snapshots", failing)
     with pytest.raises(RuntimeError) as exc:
@@ -253,26 +238,28 @@ def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
         assert sp.omega_id == nb.index and len(sp.basis_full) == len(nb.node_ids)
 
 
-def test_full_snapshot_group_builds_one_stiffness_and_one_mass(tmp_path, monkeypatch):
-    # the extension and the spectral pencil read one box stiffness
+def test_offline_builds_one_stiffness_and_one_mass_per_distinct_cell(tmp_path, monkeypatch):
+    # each distinct coarse cell builds one stiffness, for its extension
+    # and Schur block, and one mass, for its condensed mass; the POU and
+    # every full-snapshot neighborhood read those, and no neighborhood
+    # assembles a box operator of its own
     rs = run_setup("full_dfm", tmp_path)
-    built, per_group = [], []
+    g = rs.grid
+    built = []
 
-    def spy(g, cell_weights, edge_weights=None, kind="stiffness", box=None):
-        built.append(kind)
-        return node_operator(g, cell_weights, edge_weights, kind, box)
-
-    def serial(solve, groups):
-        solved = []
-        for group in groups:
-            built.clear()
-            solved.append(solve(group))
-            per_group.append(sorted(built))
-        return solved
+    def spy(g_, cell_weights, edge_weights=None, kind="stiffness", box=None, **options):
+        built.append((kind, box))
+        return node_operator(g_, cell_weights, edge_weights, kind, box, **options)
 
     monkeypatch.setattr(offline, "node_operator", spy)
-    offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, map=serial)
-    assert per_group and all(kinds == ["mass", "stiffness"] for kinds in per_group)
+    offline.offline_spaces(g, rs.sys, rs.cfg.offline)
+    boxes = cell_boxes(g)
+    leaders = [boxes[group[0]] for group in
+               offline._groups(offline._problem_key(g, b, rs.sys) for b in boxes)]
+    assert 1 < len(leaders) < len(boxes)
+    for kind in ("stiffness", "mass"):
+        assert [box for k, box in built if k == kind] == leaders
+    assert len(built) == 2 * len(leaders)
 
 
 def offset(nb):
