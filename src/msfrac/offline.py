@@ -12,15 +12,17 @@ snapshots and the pencil are dropped once the eigensolve returns.  How
 many of the kept modes a coarse node uses is decided by the online
 stage (``build_space``).
 
-A snapshot is harmonic inside each coarse cell of omega_i, so its values
-on the coarse skeleton of omega_i, the rim of its box and the coarse
-lines inside it, fix it (static condensation; Toselli & Widlund, Domain
-Decomposition Methods, Springer 2005, ch. 4).  Each distinct coarse cell
-is factored once (``CellBlocks``), and its extension of rim values and
-its stiffness and kappa_tilde mass condensed onto its rim serve the POU
-and every neighborhood: a neighborhood's pencil is assembled and solved
-on its skeleton (``Skeleton``), and the cells' extensions take its modes
-to the fine nodes.
+A snapshot is harmonic inside each coarse cell of omega_i and across the
+coarse lines inside it, so its values on the rim of its box fix it
+(static condensation; Toselli & Widlund, Domain Decomposition Methods,
+Springer 2005, ch. 4), along the chain cells -> skeleton -> rim.  Each
+distinct coarse cell is factored once (``CellBlocks``), and its extension
+of rim values and its stiffness and kappa_tilde mass condensed onto its
+rim serve the POU and every neighborhood.  A neighborhood sums them on
+its coarse skeleton, the rim of its box and the coarse lines inside, and
+condenses the lines inside onto the rim once (``Skeleton``); its pencil
+is solved on the rim, and the two extensions take its modes to the fine
+nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_triangular
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpotrf, dpotrs, dsygst, dtrtrs
 
 from .grids import CellBox, GridHierarchy
 from .assembly import EDGE_ELEMENTS, FineSystem, node_operator, q1_shape_tables
@@ -245,16 +248,20 @@ def _layout(ncx: int, ncy: int, r: int) -> _Layout:
 
 
 class Skeleton:
-    """The coarse skeleton of a neighborhood box: its rim and the coarse
-    lines inside it, with the stiffness of sys condensed onto it.
+    """The coarse skeleton of a neighborhood box, its rim and the coarse
+    lines inside it, with the stiffness of sys condensed onto its rim.
 
-    A field harmonic inside every coarse cell of the box is held by its
-    skeleton values.  On such fields the box stiffness is ``stiffness``,
-    the sum of the cells' Schur blocks and of the 1D terms of the
-    fracture edges on the skeleton, each edge once, and the kappa_tilde
-    mass is ``mass``, summed the same way.  ``cells`` holds the condensed
-    blocks of the box's coarse cells (``CellBlocks``; built for them when
-    None).
+    On fields harmonic inside every coarse cell of the box, held by their
+    skeleton values, the box stiffness is the sum of the cells' Schur
+    blocks and of the 1D terms of the fracture edges on the skeleton,
+    each edge once (``_assemble``).  Its block A_cc on the lines inside
+    is Cholesky-factored once, and a block that is not positive definite
+    raises ``LinAlgError`` naming the box; ``cross`` is the extension
+    X = -A_cc^-1 A_cr of rim values onto those lines, ``stiffness`` the
+    rim stiffness A_rr + A_rc X and ``mass`` the kappa_tilde mass summed
+    the same way and taken to [I; X]^T M [I; X].  ``cells`` holds the
+    condensed blocks of the box's coarse cells (``CellBlocks``; built for
+    them when None).
     """
 
     def __init__(self, g: GridHierarchy, sys: FineSystem, box: CellBox,
@@ -266,8 +273,17 @@ class Skeleton:
         self.grid, self.box, self.layout = g, box, _layout(ncx, ncy, r)
         self.cells = CellBlocks(g, sys, ids) if cells is None else cells
         self.groups = [self.cells.group[c] for c in ids]
-        self.stiffness = self._assemble(self.cells.stiffness, sys.edge_arrays,
-                                        "stiffness")
+        A = self._assemble(self.cells.stiffness, sys.edge_arrays, "stiffness")
+        n = self.layout.n_rim
+        self.cross = np.zeros((len(A) - n, n))
+        if len(A) > n:
+            L, info = dpotrf(A[n:, n:], lower=1)
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"box {box}: stiffness on the coarse lines inside is not "
+                    "positive definite")
+            self.cross = -dpotrs(L, A[n:, :n], lower=1)[0]
+        self.stiffness = _symmetric(A[:n, :n] + A[:n, n:] @ self.cross)
 
     def _assemble(self, blocks, edge_weights, kind) -> np.ndarray:
         """The skeleton operator summed from the cells' condensed blocks
@@ -286,12 +302,16 @@ class Skeleton:
             n * n).reshape(n, n)
 
     def mass(self, pou: PartitionOfUnity) -> np.ndarray:
-        """The kappa_tilde mass of pou condensed onto the skeleton."""
-        return self._assemble(self.cells.mass(pou), pou.edge_kappa_tilde, "mass")
+        """The kappa_tilde mass of pou condensed onto the rim."""
+        n, X = self.layout.n_rim, self.cross
+        M = self._assemble(self.cells.mass(pou), pou.edge_kappa_tilde, "mass")
+        MW = M[:, :n] + M[:, n:] @ X
+        return _symmetric(MW[:n] + X.T @ MW[n:])
 
     def lift(self, Y: np.ndarray) -> np.ndarray:
-        """The fields with skeleton values Y (one column each) on the box
-        nodes, harmonic inside every coarse cell."""
+        """The fields with rim values Y (one column each) on the box
+        nodes, harmonic across the lines inside and inside every cell."""
+        Y = np.concatenate([Y, self.cross @ Y])
         X = np.empty((self.layout.n_box, Y.shape[1]))
         for k, (at, pos) in zip(self.groups, self.layout.cells):
             X[pos] = self.cells.extension[k] @ Y[at]
@@ -354,11 +374,12 @@ def compute_pou(g: GridHierarchy, sys: FineSystem,
 @dataclass
 class SnapshotSpace:
     """Local solution samples on one neighborhood, each harmonic inside
-    every coarse cell of it, held by their values on its coarse skeleton.
+    every coarse cell of it and across the coarse lines inside, held by
+    their values on its rim.
 
-    ``values`` is (skeleton nodes x l_i), in the node order of
-    ``skeleton``, which also holds the condensed forms of the pencil;
-    ``vectors`` lifts them to the fine nodes.
+    ``values`` is (rim nodes x l_i), in the ``box_rim`` order of the
+    neighborhood box; ``skeleton`` holds the condensed forms of the
+    pencil, and ``vectors`` lifts the values to the fine nodes.
     """
 
     omega_id: int
@@ -379,25 +400,11 @@ class SnapshotSpace:
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
                    cells: CellBlocks | None = None) -> SnapshotSpace:
     """One harmonic extension per fine rim node of the neighborhood: the
-    unit value there, zero on the rest of the rim, and inside the values
-    on the coarse lines that solve the condensed stiffness's rows there
-    (one dense Cholesky; a block that is not positive definite raises
-    ``LinAlgError`` naming the box).  ``cells`` is passed on to the
-    ``Skeleton``."""
-    nb = g.neighborhoods[omega_id]
-    sk = Skeleton(g, sys, nb.cells, cells)
-    A, n = sk.stiffness, sk.layout.n_rim
-    values = np.eye(len(A), n)
-    if len(A) > n:
-        try:
-            L = np.linalg.cholesky(A[n:, n:])
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"box {nb.cells}: stiffness on the coarse lines inside is "
-                "not positive definite") from None
-        values[n:] = -solve_triangular(L, solve_triangular(L, A[n:, :n], lower=True),
-                                       lower=True, trans="T")
-    return SnapshotSpace(omega_id, values, sk)
+    unit value there, zero on the rest of the rim.  Their rim values are
+    the identity, which no step solves with or multiplies by
+    (``_identity``).  ``cells`` is passed on to the ``Skeleton``."""
+    sk = Skeleton(g, sys, g.neighborhoods[omega_id].cells, cells)
+    return SnapshotSpace(omega_id, np.eye(sk.layout.n_rim), sk)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
@@ -406,8 +413,8 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     """k_nb + p_bf harmonic extensions of random boundary data, i.i.d.
     uniform(-1, 1) seeded by ``[seed, omega_id]``, plus one constant
     snapshot, generated on the oversampled region and restricted to the
-    neighborhood's skeleton; ``offline_spaces`` draws once per group, for
-    its leader.  ``cells`` is passed on to the ``Skeleton``.
+    neighborhood's rim; ``offline_spaces`` draws once per group, for its
+    leader.  ``cells`` is passed on to the ``Skeleton``.
     """
     if k_nb < 1:
         raise ValueError("k_nb must be >= 1")
@@ -420,7 +427,7 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
     rng = np.random.default_rng([seed, omega_id])
     G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
     sk = Skeleton(g, sys, nb.cells, cells)
-    X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids[sk.layout.nodes])]
+    X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids[g.box_rim(nb.cells)])]
     # the harmonic extension of 1 is 1
     return SnapshotSpace(omega_id, np.column_stack([X, np.ones(len(X))]), sk)
 
@@ -473,44 +480,50 @@ def _mass_factor(S: np.ndarray, omega_id: int):
         "definite after regularization")
 
 
+def _identity(V: np.ndarray) -> bool:
+    """Whether V is the identity (full snapshots' rim values)."""
+    return (V.shape[0] == V.shape[1] and np.count_nonzero(V) == len(V)
+            and bool((V.diagonal() == 1).all()))
+
+
 def _pencil(snap: SnapshotSpace, pou: PartitionOfUnity):
     """The snapshot pencil (A_off, S_off) = (V^T A V, V^T S V), symmetrized,
-    of the skeleton values V of snap and the skeleton's condensed
-    stiffness A and kappa_tilde mass S of pou."""
+    of the rim values V of snap and the skeleton's rim stiffness A and
+    kappa_tilde mass S of pou; (A, S) themselves where V is the identity."""
     V, sk = snap.values, snap.skeleton
-    return (_symmetric(V.T @ (sk.stiffness @ V)),
-            _symmetric(V.T @ (sk.mass(pou) @ V)))
+    A, S = sk.stiffness, sk.mass(pou)
+    if _identity(V):
+        return A, S
+    return _symmetric(V.T @ (A @ V)), _symmetric(V.T @ (S @ V))
 
 
-def offline_eigendecomposition(snap: SnapshotSpace, sys: FineSystem,
-                               pou: PartitionOfUnity,
+def offline_eigendecomposition(snap: SnapshotSpace, pou: PartitionOfUnity,
                                n_modes: int | None = None) -> NeighborhoodSpace:
     """Eigenpairs of A_off Psi = lambda S_off Psi on one neighborhood:
     all l_i eigenvalues, and the first ``n_modes`` modes (all of them
-    when None) mapped to fine nodes.  sys is the fine system of snap,
-    which its skeleton has condensed.
+    when None) mapped to fine nodes.
 
     Both forms are integrated over the neighborhood only (local
     re-assembly, not a submatrix of the global operators, which would
     leak energy from the surrounding cells into the boundary rows), and
-    on the snapshots' skeleton values (``_pencil``).  With
-    S_off = L L^T the pencil has the eigenvalues of the symmetric
-    C = L^-1 A_off L^-T, and Psi = L^-T Q for C's eigenvectors Q (Golub
-    & Van Loan, Matrix Computations, 8.7).
+    on the snapshots' rim values (``_pencil``).  With S_off = L L^T the
+    pencil has the eigenvalues of the symmetric C = L^-1 A_off L^-T
+    (LAPACK ``sygst``), and Psi = L^-T Q for C's eigenvectors Q (Golub &
+    Van Loan, Matrix Computations, 8.7).
     """
     k = snap.l_i if n_modes is None else min(n_modes, snap.l_i)
     if k < 1:
         raise ValueError("n_modes must be >= 1")
     A_off, S_off = _pencil(snap, pou)
     L, regularized = _mass_factor(S_off, snap.omega_id)
-    C = solve_triangular(L, solve_triangular(L, A_off, lower=True).T, lower=True)
-    w, Q = np.linalg.eigh(0.5 * (C + C.T))
-    Psi = solve_triangular(L, Q[:, :k], lower=True, trans="T")
+    w, Q = np.linalg.eigh(dsygst(A_off, L, lower=1)[0])   # C's lower triangle
+    Psi = dtrtrs(L, Q[:, :k], lower=1, trans=1)[0]
 
     # deterministic sign: largest-magnitude snapshot coordinate positive
     flip = np.sign(Psi[np.argmax(np.abs(Psi), axis=0), np.arange(Psi.shape[1])])
     flip[flip == 0] = 1.0
-    basis = snap.skeleton.lift(snap.values @ (Psi * flip))
+    Psi *= flip
+    basis = snap.skeleton.lift(Psi if _identity(snap.values) else snap.values @ Psi)
 
     # rescale the lowest mode to reproduce the constant where it does so
     # up to scaling (then chi-weighted sums of first modes recover 1)
@@ -530,7 +543,7 @@ def _group_spaces(g, sys, off, pou, cells, n_modes, group: list[int]):
     its leader's snapshots and spectra, shared by every member."""
     snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed, cells)
             if off.mode == "randomized" else full_snapshots(g, sys, group[0], cells))
-    space = offline_eigendecomposition(snap, sys, pou, n_modes)
+    space = offline_eigendecomposition(snap, pou, n_modes)
     return [replace(space, omega_id=i) for i in group]
 
 

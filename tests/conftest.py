@@ -1,9 +1,11 @@
 import os
 
 import numpy as np
+import pytest
 from hypothesis import settings, HealthCheck
 
 import msfrac as mf
+from msfrac import driver
 from msfrac.assembly import node_operator
 
 settings.register_profile(
@@ -14,6 +16,14 @@ settings.register_profile(
 )
 settings.register_profile("thorough", deadline=None, max_examples=200)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Every test runs on one BLAS thread, the cap every command runs
+    under (``driver._one_blas_thread``)."""
+    with driver._one_blas_thread():
+        yield
 
 
 def dense_chi(pou):
@@ -81,7 +91,7 @@ def neighborhood_spaces(sys, pou, kind="full", **snapshot_kw):
     snapshots = {"full": mf.full_snapshots,
                  "randomized": mf.randomized_snapshots}[kind]
     return [mf.offline_eigendecomposition(
-                snapshots(pou.grid, sys, nb.index, **snapshot_kw), sys, pou)
+                snapshots(pou.grid, sys, nb.index, **snapshot_kw), pou)
             for nb in pou.grid.neighborhoods]
 
 

@@ -227,7 +227,7 @@ def test_randomized_snapshots_match_full_at_equal_dims(channels):
         for nb in g.neighborhoods:
             snap = mf.randomized_snapshots(g, sys, nb.index, k_nb=M,
                                            p_bf=4, seed=0)
-            rand_spaces.append(mf.offline_eigendecomposition(snap, sys, pou))
+            rand_spaces.append(mf.offline_eigendecomposition(snap, pou))
             if nb.is_interior:
                 interior.append(snap)
         ms_r, sol_r = solve_at(g, sys, pou, rand_spaces, M)

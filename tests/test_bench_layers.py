@@ -56,9 +56,9 @@ def test_work_counts_read_off_real_results():
     pou = mf.compute_pou(g, sys)
     full = mf.full_snapshots(g, sys, 5)
     rand = mf.randomized_snapshots(g, sys, 5, k_nb=2, p_bf=1)
-    space = mf.offline_eigendecomposition(full, sys, pou)
+    space = mf.offline_eigendecomposition(full, pou)
     ms = mf.build_space(pou, [mf.offline_eigendecomposition(
-        mf.full_snapshots(g, sys, nb.index), sys, pou) for nb in g.neighborhoods],
+        mf.full_snapshots(g, sys, nb.index), pou) for nb in g.neighborhoods],
         np.ones(g.n_coarse_nodes, dtype=int))
     sol = mf.solve_coarse(ms, sys)
     for key, result, want in [

@@ -348,7 +348,7 @@ def test_eigvals_sorted_nonnegative_and_s_orthogonal():
     pou = mf.compute_pou(g, sys)
     for omega in range(g.n_coarse_nodes):
         snap = mf.full_snapshots(g, sys, omega)
-        spc = mf.offline_eigendecomposition(snap, sys, pou)
+        spc = mf.offline_eigendecomposition(snap, pou)
         assert (np.diff(spc.eigvals) >= -1e-9 * max(1, spc.eigvals[-1])).all()
         assert spc.eigvals[0] >= -1e-10
         np.testing.assert_allclose(mode_gram(pou, spc), np.eye(snap.l_i),
@@ -359,7 +359,7 @@ def test_first_mode_reproduces_constant():
     g, sys = const_system(coarse=3, refine=4)
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
-    spc = mf.offline_eigendecomposition(snap, sys, pou)
+    spc = mf.offline_eigendecomposition(snap, pou)
     assert abs(spc.eigvals[0]) < 1e-10
     psi1 = spc.basis_full[:, 0]
     np.testing.assert_allclose(psi1, 1.0, atol=1e-6)
@@ -370,7 +370,7 @@ def test_single_snapshot_rayleigh_quotient():
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
     one = dataclasses.replace(snap, values=snap.values[:, 3:4])
-    spc = mf.offline_eigendecomposition(one, sys, pou)
+    spc = mf.offline_eigendecomposition(one, pou)
     assert spc.eigvals.shape == (1,)
     nb = g.neighborhoods[4]
     v = one.vectors[:, 0]
@@ -400,7 +400,7 @@ def _patch_spectrum(polyline, kappa_f):
     nb = next(n for n in g.neighborhoods if n.ci == 5 and n.cj == 5)
     assert nb.cells.ncells == 400  # 20x20 fine-cell patch
     snap = mf.full_snapshots(g, sys, nb.index)
-    return mf.offline_eigendecomposition(snap, sys, pou).eigvals
+    return mf.offline_eigendecomposition(snap, pou).eigvals
 
 
 def test_fracture_gap_in_local_spectrum():
@@ -430,9 +430,9 @@ def test_single_strand_merges_with_constant():
 def test_spectral_containment_full_vs_randomized():
     g, sys = const_system(coarse=3, refine=4, t=1)
     pou = mf.compute_pou(g, sys)
-    full = mf.offline_eigendecomposition(mf.full_snapshots(g, sys, 4), sys, pou)
+    full = mf.offline_eigendecomposition(mf.full_snapshots(g, sys, 4), pou)
     rand = mf.offline_eigendecomposition(
-        mf.randomized_snapshots(g, sys, 4, k_nb=4, p_bf=2, seed=5), sys, pou)
+        mf.randomized_snapshots(g, sys, 4, k_nb=4, p_bf=2, seed=5), pou)
     k = min(len(full.eigvals), len(rand.eigvals))
     scale = abs(rand.eigvals[:k]).max() + 1e-30
     assert (full.eigvals[:k] <= rand.eigvals[:k] + 1e-9 * scale).all()
@@ -444,7 +444,7 @@ def test_regularization_flag_on_dependent_snapshots():
     snap = mf.full_snapshots(g, sys, 4)
     dup = dataclasses.replace(
         snap, values=np.column_stack([snap.values[:, :4], snap.values[:, 3]]))
-    spc = mf.offline_eigendecomposition(dup, sys, pou)
+    spc = mf.offline_eigendecomposition(dup, pou)
     assert spc.regularized
     assert np.isfinite(spc.eigvals).all()
 
@@ -479,7 +479,7 @@ def test_eigenvalues_match_generalized_eigh(case):
             snap = mf.randomized_snapshots(g, sys, omega, k_nb=5, p_bf=3, seed=2)
         else:
             snap = mf.full_snapshots(g, sys, omega)
-        spc = mf.offline_eigendecomposition(snap, sys, pou)
+        spc = mf.offline_eigendecomposition(snap, pou)
         assert not spc.regularized
         want = scipy.linalg.eigh(*_pencil(snap, sys, pou), eigvals_only=True)
         big = want > 1e-8 * want.max()
@@ -498,7 +498,7 @@ def test_eigensolve_calls_no_scipy_dense_eigensolver(monkeypatch):
     snap = mf.randomized_snapshots(g, sys, 4, k_nb=4, p_bf=2, seed=5)
     for name in ("eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(scipy.linalg, name, banned)
-    spc = mf.offline_eigendecomposition(snap, sys, pou)
+    spc = mf.offline_eigendecomposition(snap, pou)
     assert spc.eigvals.shape == (snap.l_i,)
     assert spc.basis_full.shape == (len(g.neighborhoods[4].node_ids), snap.l_i)
 
@@ -508,16 +508,16 @@ def test_kept_modes_lead_the_full_basis():
     g, sys = const_system(net=mf.fields.crossing_channels(g, seed=9, n=5))
     pou = mf.compute_pou(g, sys)
     snap = mf.full_snapshots(g, sys, 4)
-    full = mf.offline_eigendecomposition(snap, sys, pou)
+    full = mf.offline_eigendecomposition(snap, pou)
     for n in (1, 3, snap.l_i + 2):
-        kept = mf.offline_eigendecomposition(snap, sys, pou, n_modes=n)
+        kept = mf.offline_eigendecomposition(snap, pou, n_modes=n)
         k = min(n, snap.l_i)
         assert kept.eigvals.tobytes() == full.eigvals.tobytes()
         assert kept.basis_full.shape == (len(g.neighborhoods[4].node_ids), k)
         np.testing.assert_allclose(kept.basis_full, full.basis_full[:, :k],
                                    rtol=0, atol=1e-12)
     with pytest.raises(ValueError, match="n_modes"):
-        mf.offline_eigendecomposition(snap, sys, pou, n_modes=0)
+        mf.offline_eigendecomposition(snap, pou, n_modes=0)
 
 
 def test_unfactorable_mass_names_its_neighborhood():
@@ -526,7 +526,7 @@ def test_unfactorable_mass_names_its_neighborhood():
     snap = mf.full_snapshots(g, sys, 4)
     zero = dataclasses.replace(snap, values=np.zeros((len(snap.values), 3)))
     with pytest.raises(np.linalg.LinAlgError, match="neighborhood 4"):
-        mf.offline_eigendecomposition(zero, sys, pou)
+        mf.offline_eigendecomposition(zero, pou)
 
 
 # ------------------------------------------------------- condensation
@@ -590,6 +590,67 @@ def test_condensed_snapshots_are_harmonic_and_sum_to_one(refine):
         full[nb.node_ids] = V
         assert np.abs((sys.K @ full)[interior_ids(g, nb)]).max() < 1e-10 * scale
         np.testing.assert_allclose(V.sum(axis=1), 1.0, atol=1e-11)
+
+
+def rim_case(case):
+    """(grid, fine system) with conforming fractures on the coarse lines
+    ("dfm") or one embedded fracture ("efm")."""
+    return coarse_line_system(3) if case == "dfm" else operator_case("efm")
+
+
+@pytest.mark.parametrize("case", ["dfm", "efm"])
+def test_rim_pencil_is_the_skeleton_pencil_condensed(case):
+    # the rim stiffness and mass are [I; X]^T (skeleton form) [I; X] for
+    # the cross extension X, and X solves the skeleton rows inside
+    g, sys = rim_case(case)
+    pou = mf.compute_pou(g, sys)
+    cells = offline.CellBlocks(g, sys)
+    for nb in g.neighborhoods:
+        sk = offline.Skeleton(g, sys, nb.cells, cells)
+        n = sk.layout.n_rim
+        W = np.vstack([np.eye(n), sk.cross])
+        A = sk._assemble(cells.stiffness, sys.edge_arrays, "stiffness")
+        M = sk._assemble(cells.mass(pou), pou.edge_kappa_tilde, "mass")
+        assert np.abs((A @ W)[n:]).max(initial=0.0) <= 1e-12 * np.abs(A).max()
+        for got, skeleton in ((sk.stiffness, A), (sk.mass(pou), M)):
+            want = W.T @ skeleton @ W
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), nb.index
+
+
+@pytest.mark.parametrize("case", ["dfm", "efm"])
+def test_full_snapshots_match_the_generic_identity_path(case, monkeypatch):
+    # full snapshots are the rim identity, solved without products; an
+    # explicit identity taken through V^T (.) V gives the same eigenpairs
+    g, sys = rim_case(case)
+    pou = mf.compute_pou(g, sys)
+    snaps = [mf.full_snapshots(g, sys, nb.index) for nb in g.neighborhoods]
+    fast = [mf.offline_eigendecomposition(snap, pou) for snap in snaps]
+    monkeypatch.setattr(offline, "_identity", lambda V: False)
+    for snap, got in zip(snaps, fast):
+        assert np.array_equal(snap.values, np.eye(snap.skeleton.layout.n_rim))
+        want = mf.offline_eigendecomposition(
+            dataclasses.replace(snap, values=np.eye(snap.l_i)), pou)
+        np.testing.assert_allclose(got.eigvals, want.eigvals, rtol=1e-10,
+                                   atol=1e-10 * want.eigvals[-1])
+        scale = np.abs(want.basis_full).max()
+        assert np.abs(got.basis_full - want.basis_full).max() <= 1e-10 * scale
+
+
+def test_randomized_lines_inside_are_the_cross_extension():
+    # a randomized snapshot is harmonic on its whole oversampled box, so
+    # its values on the coarse lines inside are X times its rim values
+    g, sys = coarse_line_system(3)
+    for nb in g.neighborhoods:
+        snap = mf.randomized_snapshots(g, sys, nb.index, k_nb=3, p_bf=2, seed=4)
+        box, sk = nb.cells_plus, snap.skeleton
+        G = np.random.default_rng([4, nb.index]).uniform(
+            -1.0, 1.0, size=(np.count_nonzero(g.box_rim(box)), 5))
+        inside = nb.node_ids[sk.layout.nodes[sk.layout.n_rim:]]
+        want = harmonic_extension(g, sys, box)(G)[
+            np.searchsorted(g.box_nodes(box), inside)]
+        want = np.column_stack([want, np.ones(len(want))])
+        got = sk.cross @ snap.values
+        assert np.abs(got - want).max(initial=0.0) <= 1e-10 * np.abs(snap.values).max(), nb.index
 
 
 def with_edge(sys, box, row, col, weight):

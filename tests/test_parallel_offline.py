@@ -50,7 +50,7 @@ def test_grouped_offline_matches_per_neighborhood_loop(name, tmp_path):
                                            p_bf=off.p_bf, seed=off.seed)
             else:
                 ref = full_snapshots(rs.grid, rs.sys, nb.index)
-            ref_space = offline_eigendecomposition(ref, rs.sys, pou)
+            ref_space = offline_eigendecomposition(ref, pou)
             assert space.omega_id == nb.index
             assert space.eigvals.tobytes() == ref_space.eigvals.tobytes()
             assert space.basis_full.tobytes() == ref_space.basis_full.tobytes()
@@ -89,11 +89,21 @@ def test_offline_runs_in_the_calling_thread_without_a_blas_cap(tmp_path, monkeyp
         threads.append(threading.get_ident())
         return offline_eigendecomposition(*args, **kwargs)
 
+    controls = driver._openblas_thread_controls()
+    assert controls, "no OpenBLAS found in the process"
+    before = blas_threads()
     monkeypatch.setattr(driver, "_openblas_thread_controls", lambda: [])
     monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
-    with driver._one_blas_thread() as cap:
-        assert not cap
-        _, spaces = driver._offline(rs, None)
+    try:
+        for _, set_ in controls:       # the uncapped run on two threads
+            set_(2)
+        with driver._one_blas_thread() as cap:
+            assert not cap
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            _, spaces = driver._offline(rs, None)
+    finally:
+        for (_, set_), n in zip(controls, before):
+            set_(n)
     assert threads and set(threads) == {threading.get_ident()}
     assert [sp.omega_id for sp in spaces] == [nb.index for nb in rs.grid.neighborhoods]
     for sp, ref in zip(spaces, capped, strict=True):
@@ -302,8 +312,7 @@ def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch
         for group in groups:
             leader = group[0]
             ref = offline_eigendecomposition(randomized_snapshots(
-                g, rs.sys, leader, k_nb=off.k_nb, p_bf=off.p_bf, seed=off.seed),
-                rs.sys, pou)
+                g, rs.sys, leader, k_nb=off.k_nb, p_bf=off.p_bf, seed=off.seed), pou)
             assert spaces[leader].eigvals.tobytes() == ref.eigvals.tobytes()
             assert spaces[leader].basis_full.tobytes() == ref.basis_full.tobytes()
             for i in group:
@@ -318,7 +327,7 @@ def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch
                                  lambda _: rng([off.seed, leader]))
                     own = offline_eigendecomposition(randomized_snapshots(
                         g, rs.sys, i, k_nb=off.k_nb, p_bf=off.p_bf,
-                        seed=off.seed), rs.sys, pou)
+                        seed=off.seed), pou)
                 assert own.eigvals.tobytes() == ref.eigvals.tobytes()
                 assert own.basis_full.tobytes() == ref.basis_full.tobytes()
 
@@ -401,7 +410,7 @@ def test_one_ulp_apart_is_never_shared(mode, tmp_path, monkeypatch):
                 snap = randomized_snapshots(g, rs.sys, leaders[nb.index],
                                             k_nb=off.k_nb, p_bf=off.p_bf,
                                             seed=off.seed)
-            ref = offline_eigendecomposition(snap, rs.sys, pou)
+            ref = offline_eigendecomposition(snap, pou)
             assert space.eigvals.tobytes() == ref.eigvals.tobytes()
             assert space.basis_full.tobytes() == ref.basis_full.tobytes()
 
