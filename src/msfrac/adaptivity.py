@@ -98,13 +98,13 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
 
     r = (sys.f - sys.K @ sol.u_ms_fine)[:sys.n_nodes]
     r[sys.dirichlet_nodes] = 0.0
-    for sp, m in zip(ms.spaces, ms.counts):
+    for i, (sp, m) in enumerate(zip(ms.spaces, ms.counts)):
         if m >= sp.l_i:
             continue
-        chi_r = ms.pou.chi[sp.omega_id] * r[g.neighborhoods[sp.omega_id].node_ids]
+        chi_r = ms.pou.chi[i] * r[g.neighborhoods[i].node_ids]
         c = sp.basis_full[:, m:].T @ chi_r  # unused eigen-directions
         lam = max(sp.eigvals[m], 1e-30)
-        eta[sp.omega_id] = np.sqrt(np.sum(c ** 2) / lam)
+        eta[i] = np.sqrt(np.sum(c ** 2) / lam)
     return IndicatorReport(eta=eta, marked=np.empty(0, dtype=int), dim=ms.N_c)
 
 

@@ -82,13 +82,12 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
     bmask = g.boundary_node_mask()
     counts = np.minimum(counts, [sp.l_i for sp in spaces])
     indices, vals = [], []
-    for sp, m in zip(spaces, counts):
-        chi, nodes = pou.chi[sp.omega_id], g.neighborhoods[sp.omega_id].node_ids
+    for i, (sp, m) in enumerate(zip(spaces, counts)):
+        chi, nodes = pou.chi[i], g.neighborhoods[i].node_ids
         if len(sp.basis_full) != len(chi):
-            raise ValueError(f"neighborhood {sp.omega_id}: offline vectors do "
-                             "not match the chi support")
+            raise ValueError(f"neighborhood {i}: offline vectors do not match the chi support")
         if m > sp.basis_full.shape[1]:
-            raise ValueError(f"neighborhood {sp.omega_id}: {m} modes asked, "
+            raise ValueError(f"neighborhood {i}: {m} modes asked, "
                              f"{sp.basis_full.shape[1]} kept offline")
         B = sp.basis_full[:, :m] * chi[:, None]
         B[bmask[nodes]] = 0.0
@@ -101,7 +100,7 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
         shape=(g.n_nodes, len(col_nnz)))
     R0T.eliminate_zeros()
     ms = MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T.tocsr(),
-                         col_node=np.repeat([sp.omega_id for sp in spaces], counts))
+                         col_node=np.repeat(np.arange(len(spaces)), counts))
     ms._R0 = ms.R0T, R0T.T            # the same arrays, read as CSR
     return ms
 
@@ -121,7 +120,7 @@ def boundary_lift(pou: PartitionOfUnity, sys: FineSystem) -> np.ndarray:
 def _rank_report(ms: MultiscaleSpace) -> list[int]:
     """Coarse nodes whose chi-multiplied basis block is locally rank-deficient."""
     own = np.arange(ms.R0T.shape[1]) if ms.cols is None else ms.cols
-    blocks = ((sp.omega_id, ms.R0T[:, own[ms.col_node == sp.omega_id]]) for sp in ms.spaces)
+    blocks = ((i, ms.R0T[:, own[ms.col_node == i]]) for i in range(len(ms.spaces)))
     return [i for i, B in blocks
             if B.shape[1] and np.linalg.matrix_rank(B.toarray()) < B.shape[1]]
 

@@ -1,6 +1,6 @@
 """Experiment pipelines behind the CLI subcommands, on one staged path:
-``setup`` (grid, traces, fine system) -> ``_offline`` (POU and local
-spectral spaces) -> fine reference -> one Galerkin projection of the
+``setup`` (grid, traces, fine system) -> ``offline_spaces`` (POU and
+local spectral spaces) -> fine reference -> one Galerkin projection of the
 largest space, then a coarse solve on each row's cut of it and its
 error norms per mode count -> ``_write`` (solution files, eigenvalues,
 manifest).  Each command runs on one BLAS thread (``_one_blas_thread``).
@@ -140,17 +140,12 @@ def _one_blas_thread():
             set_(n)
 
 
-def _offline(rs: RunSetup, n_modes: int | None):
-    """``offline_spaces`` of a run, keeping ``n_modes`` modes, the most
-    any coarse node reads."""
-    return offline_spaces(rs.grid, rs.sys, rs.cfg.offline, n_modes)
-
-
 def _solving_stages(cfg: RunConfig, n_modes):
-    """The stages every solving command runs first: ``setup``, ``_offline``
-    keeping ``n_modes(rs.cfg)`` modes, and the fine reference solve."""
+    """The stages every solving command runs first: ``setup``,
+    ``offline_spaces`` keeping ``n_modes(rs.cfg)`` modes, the most any
+    coarse node reads, and the fine reference solve."""
     rs = setup(cfg)
-    pou, spaces = _offline(rs, n_modes(rs.cfg))
+    pou, spaces = offline_spaces(rs.grid, rs.sys, rs.cfg.offline, n_modes(rs.cfg))
     return rs, pou, spaces, solve_fine(rs.sys)
 
 
@@ -293,7 +288,7 @@ def run_export_matrices(cfg: RunConfig) -> list[str]:
     """Dump the assembled operators in Matrix Market format."""
     rs = setup(cfg)
     cfg = rs.cfg
-    pou, spaces = _offline(rs, cfg.offline.M_off)
+    pou, spaces = offline_spaces(rs.grid, rs.sys, cfg.offline, cfg.offline.M_off)
     ms = _space_at(rs, pou, spaces, cfg.offline.M_off)
     A0 = coarse_system(ms, rs.sys)[0][:ms.N_c, :ms.N_c]
     S = node_operator(rs.grid, pou.kappa_tilde, pou.edge_kappa_tilde, kind="mass")

@@ -185,7 +185,9 @@ def _monotone_path(i0: int, j0: int, i1: int, j1: int):
 def rasterize_dfm(f: Fracture, grid: GridHierarchy) -> DfmTrace:
     """Snap a conforming fracture onto the fine-edge lattice.
 
-    Each polyline vertex snaps to its nearest fine node; consecutive
+    Each polyline vertex snaps to its nearest fine node, and consecutive
+    vertices that snap to one node are merged; a trace left with fewer
+    than two distinct vertices raises ``GeometryError``.  Consecutive
     snapped vertices are joined by the monotone lattice path that
     alternates axes as evenly as possible (ties toward x).
     """
@@ -193,13 +195,14 @@ def rasterize_dfm(f: Fracture, grid: GridHierarchy) -> DfmTrace:
         raise GeometryError(f"fracture {f.id}: not a conforming-model fracture")
     f.validate_inside(grid)
 
-    verts = [grid.nearest_node(x, y) for x, y in f.polyline]
+    snapped = [grid.nearest_node(x, y) for x, y in f.polyline]
+    verts = [v for k, v in enumerate(snapped) if k == 0 or v != snapped[k - 1]]
+    if len(verts) < 2:
+        raise GeometryError(
+            f"fracture {f.id}: polyline collapsed to a single fine node "
+            "after snapping (degenerate trace)")
     edges = []
     for (ia, ja), (ib, jb) in zip(verts[:-1], verts[1:]):
-        if (ia, ja) == (ib, jb):
-            raise GeometryError(
-                f"fracture {f.id}: polyline segment collapsed to a single "
-                "fine node after snapping (degenerate trace)")
         i, j = ia, ja
         for dx, dy in _monotone_path(ia, ja, ib, jb):
             if dx:

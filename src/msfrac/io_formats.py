@@ -84,10 +84,11 @@ def write_matrix_market(path: str, A) -> None:
 
 
 def write_eigenvalue_csv(path: str, spaces) -> None:
-    """Per-neighborhood eigenvalue dump: omega_id,k,lambda."""
-    rows = [x for sp in sorted(spaces, key=lambda s: s.omega_id)
+    """Per-neighborhood eigenvalue dump: omega_id,k,lambda, where omega_id
+    is a space's position in ``spaces`` (its coarse node)."""
+    rows = [x for i, sp in enumerate(spaces)
             for k, lam in enumerate(np.asarray(sp.eigvals).tolist(), 1)
-            for x in (sp.omega_id, k, lam)]
+            for x in (i, k, lam)]
     with open(path, "w") as fh:
         fh.write("omega_id,k,lambda\n" + ("%d,%d,%.12g\n" * (len(rows) // 3)) % tuple(rows))
 

@@ -27,7 +27,7 @@ nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -46,23 +46,22 @@ __all__ = [
 ]
 
 
-def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
-    """Factor the Dirichlet problem of the box stiffness of sys on box
-    once, and return the function that solves it for given rim values.
+def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox, gb):
+    """The harmonic extensions of rim values gb on box, with the box
+    stiffness of sys, and that stiffness.
 
     The operator is the one ``node_operator`` assembles on box without
     the edges along the box's rim lines, which touch no interior row,
-    numbered like ``g.box_nodes(box)``; the function keeps it as
-    ``stiffness``.  Its rows at the interior nodes equal the whole-grid
-    operator's rows there bit for bit.  Their block on the interior
-    columns is SPD and banded in box order: its upper band, as wide as
-    its stored entries reach, is Cholesky-factored once (LAPACK
-    ``pbtrf``), and a block that is not positive definite raises
+    numbered like ``g.box_nodes(box)``.  Its rows at the interior nodes
+    equal the whole-grid operator's rows there bit for bit.  Their block
+    on the interior columns is SPD and banded in box order: its upper
+    band, as wide as its stored entries reach, is Cholesky-factored
+    (LAPACK ``pbtrf``), and a block that is not positive definite raises
     ``LinAlgError`` naming the box; the band and the block A_ir on the
-    rim columns are copied straight from the stored entries.  The
-    function takes values g on the box rim (``g.box_rim(box)``), one
-    column per extension, and returns each extension, its interior
-    solved for -A_ir g, on ``g.box_nodes(box)``.
+    rim columns are copied straight from the stored entries.  gb holds
+    values on the box rim (``g.box_rim(box)``), one column per
+    extension; each extension, its interior solved for -A_ir gb, is
+    returned on ``g.box_nodes(box)``.
     """
     rim = g.box_rim(box)
     A = node_operator(g, sys.perm.kappa_cells, sys.edge_arrays, box=box,
@@ -81,15 +80,11 @@ def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox):
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             f"box {box}: interior stiffness is not positive definite") from None
-
-    def extend(gb) -> np.ndarray:
-        gb = np.reshape(gb, (Ar.shape[1], -1))
-        u = np.empty((len(rim), gb.shape[1]))
-        u[rim] = gb
-        u[~rim] = cho_solve_banded(factor, -np.asarray(Ar @ gb), overwrite_b=True)
-        return u
-    extend.stiffness = A
-    return extend
+    gb = np.reshape(gb, (Ar.shape[1], -1))
+    u = np.empty((len(rim), gb.shape[1]))
+    u[rim] = gb
+    u[~rim] = cho_solve_banded(factor, -np.asarray(Ar @ gb), overwrite_b=True)
+    return u, A
 
 
 def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem,
@@ -179,10 +174,10 @@ class CellBlocks:
         self.group = {c: k for k, group in enumerate(self.groups) for c in group}
         self.extension, self.stiffness = [], []
         for group in self.groups:
-            extend = harmonic_extension(g, sys, _cell_box(g, group[0]))
-            V = extend(np.eye(np.count_nonzero(rim)))
+            V, A = harmonic_extension(g, sys, _cell_box(g, group[0]),
+                                      np.eye(np.count_nonzero(rim)))
             self.extension.append(V)
-            self.stiffness.append(_symmetric((extend.stiffness @ V)[rim]))
+            self.stiffness.append(_symmetric((A @ V)[rim]))
 
     def mass(self, pou: PartitionOfUnity) -> list[np.ndarray]:
         """Per group, the kappa_tilde mass M_c of pou on its cell condensed
@@ -378,33 +373,34 @@ class SnapshotSpace:
     their values on its rim.
 
     ``values`` is (rim nodes x l_i), in the ``box_rim`` order of the
-    neighborhood box; ``skeleton`` holds the condensed forms of the
-    pencil, and ``vectors`` lifts the values to the fine nodes.
+    neighborhood box, or None for the identity (full snapshots, one per
+    rim node); ``skeleton`` holds the condensed forms of the pencil, and
+    ``vectors`` lifts the values to the fine nodes.
     """
 
     omega_id: int
-    values: np.ndarray
+    values: np.ndarray | None
     skeleton: Skeleton
 
     @property
     def l_i(self) -> int:
-        return self.values.shape[1]
+        return self.skeleton.layout.n_rim if self.values is None else self.values.shape[1]
 
     @property
     def vectors(self) -> np.ndarray:
         """The snapshots on the fine nodes, (patch nodes x l_i) in the
         order of the grid neighborhood's ``node_ids``."""
-        return self.skeleton.lift(self.values)
+        return self.skeleton.lift(np.eye(self.l_i) if self.values is None else self.values)
 
 
 def full_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
                    cells: CellBlocks | None = None) -> SnapshotSpace:
     """One harmonic extension per fine rim node of the neighborhood: the
     unit value there, zero on the rest of the rim.  Their rim values are
-    the identity, which no step solves with or multiplies by
-    (``_identity``).  ``cells`` is passed on to the ``Skeleton``."""
+    the identity, held as None, which no step solves with or multiplies
+    by.  ``cells`` is passed on to the ``Skeleton``."""
     sk = Skeleton(g, sys, g.neighborhoods[omega_id].cells, cells)
-    return SnapshotSpace(omega_id, np.eye(sk.layout.n_rim), sk)
+    return SnapshotSpace(omega_id, None, sk)
 
 
 def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
@@ -422,12 +418,12 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
         raise ValueError("p_bf must be >= 0")
     nb = g.neighborhoods[omega_id]
     box = nb.cells_plus
-    extend = harmonic_extension(g, sys, box)
     n_rim = int(np.count_nonzero(g.box_rim(box)))
     rng = np.random.default_rng([seed, omega_id])
     G = rng.uniform(-1.0, 1.0, size=(n_rim, k_nb + p_bf))
     sk = Skeleton(g, sys, nb.cells, cells)
-    X = extend(G)[np.searchsorted(g.box_nodes(box), nb.node_ids[g.box_rim(nb.cells)])]
+    X = harmonic_extension(g, sys, box, G)[0][
+        np.searchsorted(g.box_nodes(box), nb.node_ids[g.box_rim(nb.cells)])]
     # the harmonic extension of 1 is 1
     return SnapshotSpace(omega_id, np.column_stack([X, np.ones(len(X))]), sk)
 
@@ -436,11 +432,11 @@ def randomized_snapshots(g: GridHierarchy, sys: FineSystem, omega_id: int,
 class NeighborhoodSpace:
     """Spectral modes of one neighborhood's snapshot pencil.
 
-    Neighborhoods with the same local problem share ``eigvals`` and
-    ``basis_full``, so both arrays are read-only.
+    Its coarse node is its position in the list of spaces; neighborhoods
+    with the same local problem share one space, so its arrays are
+    read-only.
     """
 
-    omega_id: int
     eigvals: np.ndarray           # all l_i eigenvalues, ascending
     basis_full: np.ndarray        # the first modes the run reads, fine-nodal
     regularized: bool = False
@@ -480,19 +476,14 @@ def _mass_factor(S: np.ndarray, omega_id: int):
         "definite after regularization")
 
 
-def _identity(V: np.ndarray) -> bool:
-    """Whether V is the identity (full snapshots' rim values)."""
-    return (V.shape[0] == V.shape[1] and np.count_nonzero(V) == len(V)
-            and bool((V.diagonal() == 1).all()))
-
-
 def _pencil(snap: SnapshotSpace, pou: PartitionOfUnity):
     """The snapshot pencil (A_off, S_off) = (V^T A V, V^T S V), symmetrized,
     of the rim values V of snap and the skeleton's rim stiffness A and
-    kappa_tilde mass S of pou; (A, S) themselves where V is the identity."""
+    kappa_tilde mass S of pou; (A, S) themselves where V is the identity
+    (None)."""
     V, sk = snap.values, snap.skeleton
     A, S = sk.stiffness, sk.mass(pou)
-    if _identity(V):
+    if V is None:
         return A, S
     return _symmetric(V.T @ (A @ V)), _symmetric(V.T @ (S @ V))
 
@@ -523,7 +514,7 @@ def offline_eigendecomposition(snap: SnapshotSpace, pou: PartitionOfUnity,
     flip = np.sign(Psi[np.argmax(np.abs(Psi), axis=0), np.arange(Psi.shape[1])])
     flip[flip == 0] = 1.0
     Psi *= flip
-    basis = snap.skeleton.lift(Psi if _identity(snap.values) else snap.values @ Psi)
+    basis = snap.skeleton.lift(Psi if snap.values is None else snap.values @ Psi)
 
     # rescale the lowest mode to reproduce the constant where it does so
     # up to scaling (then chi-weighted sums of first modes recover 1)
@@ -534,31 +525,21 @@ def offline_eigendecomposition(snap: SnapshotSpace, pou: PartitionOfUnity,
         if np.max(np.abs(alpha * psi1 - 1.0)) <= 1e-6:
             psi1 *= alpha
 
-    return NeighborhoodSpace(omega_id=snap.omega_id, eigvals=w, basis_full=basis,
-                             regularized=regularized)
-
-
-def _group_spaces(g, sys, off, pou, cells, n_modes, group: list[int]):
-    """Spectral spaces of one group of neighborhoods (``offline_spaces``):
-    its leader's snapshots and spectra, shared by every member."""
-    snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed, cells)
-            if off.mode == "randomized" else full_snapshots(g, sys, group[0], cells))
-    space = offline_eigendecomposition(snap, pou, n_modes)
-    return [replace(space, omega_id=i) for i in group]
+    return NeighborhoodSpace(eigvals=w, basis_full=basis, regularized=regularized)
 
 
 def offline_spaces(g: GridHierarchy, sys: FineSystem, off,
                    n_modes: int | None = None):
-    """POU and local spectral spaces, in neighborhood order, of the
-    offline settings ``off``; each space keeps all its eigenvalues and
-    its first ``n_modes`` modes (all when None).  Every coarse cell is
+    """POU and local spectral spaces, one per coarse node in node order,
+    of the offline settings ``off``; each space keeps all its eigenvalues
+    and its first ``n_modes`` modes (all when None).  Every coarse cell is
     condensed once per distinct problem (``CellBlocks``), for the POU and
     every neighborhood.  A group of equal keys is solved once, for its
-    leader (its lowest omega_id), and its members share the read-only
-    arrays.  The key is the ``cells`` key with the POU; a randomized one
-    adds the offset of ``cells`` in ``cells_plus`` and the ``cells_plus``
-    key, so each member's space is what the leader's draw gives on its
-    own box."""
+    leader (its lowest coarse node), and its one space stands at every
+    member's position.  The key is the ``cells`` key with the POU; a
+    randomized one adds the offset of ``cells`` in ``cells_plus`` and the
+    ``cells_plus`` key, so each member's space is what the leader's draw
+    gives on its own box."""
     cells = CellBlocks(g, sys)
     pou = compute_pou(g, sys, cells)
 
@@ -567,6 +548,11 @@ def offline_spaces(g: GridHierarchy, sys: FineSystem, off,
         spectral = _problem_key(g, c, sys, pou)
         return spectral if off.mode != "randomized" else (
             spectral, (c.i0 - p.i0, c.j0 - p.j0), _problem_key(g, p, sys))
-    spaces = [sp for group in _groups(key(nb) for nb in g.neighborhoods)
-              for sp in _group_spaces(g, sys, off, pou, cells, n_modes, group)]
-    return pou, sorted(spaces, key=lambda sp: sp.omega_id)
+    spaces = [None] * len(g.neighborhoods)
+    for group in _groups(key(nb) for nb in g.neighborhoods):
+        snap = (randomized_snapshots(g, sys, group[0], off.k_nb, off.p_bf, off.seed, cells)
+                if off.mode == "randomized" else full_snapshots(g, sys, group[0], cells))
+        space = offline_eigendecomposition(snap, pou, n_modes)
+        for i in group:
+            spaces[i] = space
+    return pou, spaces

@@ -95,11 +95,11 @@ def neighborhood_spaces(sys, pou, kind="full", **snapshot_kw):
             for nb in pou.grid.neighborhoods]
 
 
-def mode_gram(pou, space):
-    """Gram matrix of a neighborhood's fine-nodal modes in its local S
-    form.  Entry (0, 0) reads 1 where the first mode was rescaled to
+def mode_gram(pou, omega_id, space):
+    """Gram matrix of the fine-nodal modes of neighborhood omega_id's
+    space in its local S form.  Entry (0, 0) reads 1 where the first mode was rescaled to
     reproduce the constant (then that mode is 1 to within 1e-6)."""
-    box = pou.grid.neighborhoods[space.omega_id].cells
+    box = pou.grid.neighborhoods[omega_id].cells
     S_loc = node_operator(pou.grid, pou.kappa_tilde, pou.edge_kappa_tilde,
                           kind="mass", box=box)
     B = space.basis_full

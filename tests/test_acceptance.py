@@ -251,13 +251,13 @@ def test_invariant_suite():
     np.testing.assert_allclose(dense_chi(pou).sum(axis=0), 1.0, atol=1e-12)
 
     spaces = neighborhood_spaces(sys, pou)
-    for sp in spaces:
+    for i, sp in enumerate(spaces):
         # eigenvalues nonnegative (constants are exactly A-null) and
         # sorted ascending
         assert sp.eigvals[0] >= -1e-9 * max(sp.eigvals[-1], 1.0)
         assert np.all(np.diff(sp.eigvals) >= -1e-12 * abs(sp.eigvals[-1]))
         # S-orthonormality of the fine-nodal modes
-        np.testing.assert_allclose(mode_gram(pou, sp), np.eye(sp.l_i),
+        np.testing.assert_allclose(mode_gram(pou, i, sp), np.eye(sp.l_i),
                                    atol=1e-12)
 
     # Galerkin orthogonality of the coarse solve

@@ -87,17 +87,17 @@ def test_indicator_matches_global_residual_oracle():
         r[sys.dirichlet_nodes] = 0.0
         chi = dense_chi(pou)
         checked = 0
-        for sp, m in zip(ms.spaces[:6], ms.counts):
+        for i, (sp, m) in enumerate(zip(ms.spaces[:6], ms.counts)):
             if m >= sp.l_i:
                 continue
             acc = 0.0
             for k in range(m, sp.l_i):
                 w = np.zeros(sys.K.shape[0])
-                ids = g.neighborhoods[sp.omega_id].node_ids
-                w[ids] = chi[sp.omega_id, ids] * sp.basis_full[:, k]
+                ids = g.neighborhoods[i].node_ids
+                w[ids] = chi[i, ids] * sp.basis_full[:, k]
                 acc += float(w @ r) ** 2
             eta = np.sqrt(acc / sp.eigvals[m])
-            assert rep.eta[sp.omega_id] == pytest.approx(eta, rel=1e-10, abs=1e-14)
+            assert rep.eta[i] == pytest.approx(eta, rel=1e-10, abs=1e-14)
             checked += eta > 0
         assert checked
 
@@ -146,11 +146,11 @@ def test_enrich_caps_and_warns_when_exhausted():
     full = spaces[0]
     ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
     rep = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),
-                             marked=np.array([full.omega_id]))
+                             marked=np.array([0]))
     with pytest.warns(UserWarning, match="exhausted"):
         out = enrich(rep, ms, AdaptConfig(basis_increment=2))
     assert out[0] == full.l_i
-    assert rep.skipped == [full.omega_id]
+    assert rep.skipped == [0]
 
     trimmed = mf.build_space(pou, spaces, np.ones(len(spaces), dtype=int))
     rep2 = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),

@@ -420,17 +420,29 @@ def test_experiment_scripts_run(script, opts, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.rglob("manifest.yml"))
 
 
-@pytest.mark.parametrize("script", ["convergence_study.py",
-                                    "adaptivity_trajectory.py",
-                                    "randomized_comparison.py"])
+SCRIPT_CSVS = {
+    "convergence_study.py": [f"{field}/errors.csv" for field in (
+        "isolated_blocks", "crossing_channels", "crossing_network", "mixed_short_long")],
+    "adaptivity_trajectory.py": ["adaptive/trajectory.csv", "uniform/errors.csv"],
+    "randomized_comparison.py": [f"{mode}_m{m}/errors.csv"
+                                 for mode in ("full", "rand") for m in (3, 4, 5)],
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_CSVS))
 def test_experiment_scripts_exit_zero_at_their_defaults(script, tmp_path):
     # each script as its own process, with every option but the grid's
-    # and the output directory at its default
+    # size and the output directory at its default; it writes one CSV
+    # of a header and at least one row per run
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / script
     src = str(pathlib.Path(msfrac.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    proc = subprocess.run([sys.executable, str(path), "--coarse", "3",
-                           "--refine", "4", "--t", "1", "--out", str(tmp_path)],
+    proc = subprocess.run([sys.executable, str(path), "--coarse", "4",
+                           "--refine", "4", "--out", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv")) \
+        == sorted(SCRIPT_CSVS[script])
+    for name in SCRIPT_CSVS[script]:
+        assert len((tmp_path / name).read_text().splitlines()) >= 2, name

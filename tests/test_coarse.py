@@ -11,7 +11,7 @@ import scipy.sparse as sparse
 import yaml
 
 import msfrac as mf
-from msfrac import coarse, driver
+from msfrac import coarse, driver, offline
 from msfrac.adaptivity import AdaptConfig
 from msfrac.cli import main
 from msfrac.coarse import coarse_system
@@ -153,6 +153,21 @@ def test_enrichment_is_nested_and_monotone():
         AdaptConfig(basis_increment=0)
 
 
+def test_boundary_enrichment_gives_every_coarse_node_m_off_modes(tmp_path):
+    # offline.enrich_boundary keeps M_off modes at the boundary coarse
+    # nodes too; the space holds the one without it, so the energy error
+    # cannot grow
+    reports = {}
+    for enrich in (False, True):
+        [reports[enrich]] = driver.run_solve(parse_config({
+            "grid": {"coarse": [4, 3], "refine": 4},
+            "fractures": {"field": "crossing_channels"},
+            "offline": {"M_off": 3, "enrich_boundary": enrich},
+            "outputs": {"dir": str(tmp_path / str(enrich))}}))
+    assert reports[True].dim_Voff == 3 * 20
+    assert reports[True].rel_energy_vs_fine <= reports[False].rel_energy_vs_fine
+
+
 def test_galerkin_orthogonality():
     g, sys = dfm_setup(field=mf.fields.mixed_short_long, seed=4, f=1.0)
     pou, spaces = offline_spaces(g, sys)
@@ -216,7 +231,7 @@ def randomized_3x3_space(out_dir):
         "fractures": {"field": "crossing_channels", "kappa_f": 1e3},
         "offline": {"mode": "randomized", "M_off": 2},
         "outputs": {"dir": str(out_dir)}}))
-    pou, spaces = driver._offline(rs, 2)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, 2)
     return driver._space_at(rs, pou, spaces, 2), rs.sys
 
 
@@ -228,11 +243,11 @@ def test_offline_keeps_the_modes_the_run_reads(n_modes, tmp_path):
         "fractures": {"field": "crossing_channels", "seed": 1},
         "offline": {"mode": "randomized", "k_nb": 3, "p_bf": 2},
         "outputs": {"dir": str(tmp_path)}}))
-    _, every = driver._offline(rs, None)
-    pou, spaces = driver._offline(rs, n_modes)
-    for sp, ref in zip(spaces, every, strict=True):
+    _, every = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, n_modes)
+    for i, (sp, ref) in enumerate(zip(spaces, every, strict=True)):
         assert sp.eigvals.tobytes() == ref.eigvals.tobytes()
-        assert sp.basis_full.shape == (len(rs.grid.neighborhoods[sp.omega_id].node_ids),
+        assert sp.basis_full.shape == (len(rs.grid.neighborhoods[i].node_ids),
                                        min(n_modes, ref.l_i))
     ms = mf.build_space(pou, spaces, np.full(len(spaces), n_modes))
     np.testing.assert_array_equal(ms.counts, [min(n_modes, 6)] * len(spaces))
@@ -249,9 +264,9 @@ def coo_prolongation(pou, spaces, counts, drop_zeros=True):
     bmask = g.boundary_node_mask()
     counts = np.minimum(counts, [sp.l_i for sp in spaces])
     rows, cols, vals, c0 = [], [], [], 0
-    for sp, m in zip(spaces, counts):
-        nodes = g.neighborhoods[sp.omega_id].node_ids
-        B = sp.basis_full[:, :m] * pou.chi[sp.omega_id][:, None]
+    for i, (sp, m) in enumerate(zip(spaces, counts)):
+        nodes = g.neighborhoods[i].node_ids
+        B = sp.basis_full[:, :m] * pou.chi[i][:, None]
         B[bmask[nodes]] = 0.0
         rows.append(np.repeat(nodes, m))
         cols.append(np.tile(c0 + np.arange(m), len(nodes)))
@@ -278,7 +293,7 @@ def test_prolongation_matches_triplet_build(case, tmp_path):
     rs = driver.setup(parse_config({
         "grid": {"coarse": [4, 3], "refine": 4, "t": 1},
         **PROLONGATION_CASES[case], "outputs": {"dir": str(tmp_path)}}))
-    pou, spaces = driver._offline(rs, None)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     l_i = np.array([sp.l_i for sp in spaces])
     rng = np.random.default_rng(0)
     for counts in (m_off_schedule(rs.grid, 1), m_off_schedule(rs.grid, 3),
@@ -316,7 +331,7 @@ def test_stored_zeros_change_no_coarse_bit(case, tmp_path):
     rs = driver.setup(parse_config({
         "grid": {"coarse": [4, 3], "refine": 4, "t": 1},
         **PROLONGATION_CASES[case], "outputs": {"dir": str(tmp_path)}}))
-    pou, spaces = driver._offline(rs, 3)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, 3)
     counts = m_off_schedule(rs.grid, 3)
     ms = mf.build_space(pou, spaces, counts)
     zeros = dataclasses.replace(ms, R0T=coo_prolongation(pou, spaces, counts,
@@ -436,7 +451,7 @@ def test_restricted_space_projects_its_own_columns(case, tmp_path):
     # system, gets the cut bit for bit
     rs = driver.setup(parse_config({**SWEEP_CASES[case],
                                     "outputs": {"dir": str(tmp_path)}}))
-    pou, spaces = driver._offline(rs, 3)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, 3)
     ms = driver._space_at(rs, pou, spaces, 3)
     sub, cut = coarse.restrict(ms, coarse_system(ms, rs.sys), driver._counts_at(rs, 1))
     assert sub.N_c < ms.N_c

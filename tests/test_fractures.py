@@ -84,6 +84,29 @@ def test_degenerate_after_snapping_raises():
         dfm([[0.502, 0.502], [0.504, 0.504]], g)  # both snap to (0.5, 0.5)
 
 
+def test_vertices_snapping_to_one_node_are_merged():
+    # the first two vertices snap to (0.1, 0.5); the trace is that of the
+    # polyline without the second one
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 10, t=0)
+    got = dfm([[0.1, 0.5], [0.102, 0.5], [0.9, 0.5]], g)
+    want = dfm([[0.1, 0.5], [0.9, 0.5]], g)
+    np.testing.assert_array_equal(got.fine_edges, want.fine_edges)
+    assert len(got.fine_edges) == 80
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 4), (5, 5, 4), (10, 10, 10)])
+def test_every_field_generator_rasterizes(shape):
+    cx, cy, r = shape
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, cx, cy, r, t=0)
+    for name, gen in mf.fields.FIELD_GENERATORS.items():
+        for seed in range(5):
+            net = gen(g, seed=seed)
+            for f in net.dfm:
+                assert len(mf.rasterize_dfm(f, g).fine_edges) > 0, (name, seed)
+            for f in net.efm:
+                assert len(mf.intersect_efm(f, g).cells) > 0, (name, seed)
+
+
 def test_offgrid_vertices_snap_to_nearest_node():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 5, 5, 4, t=0)   # h = 0.05
     off = dfm([[0.126, 0.524], [0.79, 0.49]], g)

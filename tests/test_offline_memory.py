@@ -1,4 +1,4 @@
-"""What the offline stage keeps: after ``_offline`` returns, the memory
+"""What the offline stage keeps: after ``offline_spaces`` returns, the memory
 still allocated is little more than the kept modes and the eigenvalues
 of the neighborhood spaces and the POU on its patches (no snapshots, no
 pencils, no dropped modes, no dense POU rows)."""
@@ -10,6 +10,7 @@ import pytest
 
 from msfrac import driver
 from msfrac.config import parse_config
+from msfrac.offline import offline_spaces
 
 FRACTURES = {
     "dfm": {"field": "crossing_channels", "seed": 1},
@@ -24,11 +25,12 @@ def test_offline_retains_little_beyond_the_modes(name, tmp_path):
         "fractures": FRACTURES[name],
         "outputs": {"dir": str(tmp_path / "out")}}))
     for n_modes in (None, 2):       # every mode, and a kept count
-        driver._offline(rs, n_modes)      # lazy imports and first-call caches
+        # lazy imports and first-call caches
+        offline_spaces(rs.grid, rs.sys, rs.cfg.offline, n_modes)
         gc.collect()
         tracemalloc.start()
         try:
-            pou, spaces = driver._offline(rs, n_modes)
+            pou, spaces = offline_spaces(rs.grid, rs.sys, rs.cfg.offline, n_modes)
             gc.collect()
             retained, _ = tracemalloc.get_traced_memory()
         finally:

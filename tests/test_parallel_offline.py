@@ -43,7 +43,7 @@ def test_grouped_offline_matches_per_neighborhood_loop(name, tmp_path):
     rs = run_setup(name, tmp_path)
     off = rs.cfg.offline
     with driver._one_blas_thread():
-        pou, spaces = driver._offline(rs, None)
+        pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
         for nb, space in zip(rs.grid.neighborhoods, spaces, strict=True):
             if off.mode == "randomized":
                 ref = randomized_snapshots(rs.grid, rs.sys, nb.index, k_nb=off.k_nb,
@@ -51,7 +51,6 @@ def test_grouped_offline_matches_per_neighborhood_loop(name, tmp_path):
             else:
                 ref = full_snapshots(rs.grid, rs.sys, nb.index)
             ref_space = offline_eigendecomposition(ref, pou)
-            assert space.omega_id == nb.index
             assert space.eigvals.tobytes() == ref_space.eigvals.tobytes()
             assert space.basis_full.tobytes() == ref_space.basis_full.tobytes()
 
@@ -82,7 +81,7 @@ def test_blas_thread_counts_restored(tmp_path, monkeypatch):
 def test_offline_runs_in_the_calling_thread_without_a_blas_cap(tmp_path, monkeypatch):
     rs = run_setup("full_dfm", tmp_path)
     with driver._one_blas_thread():
-        _, capped = driver._offline(rs, None)
+        _, capped = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     threads = []
 
     def spy(*args, **kwargs):
@@ -100,12 +99,12 @@ def test_offline_runs_in_the_calling_thread_without_a_blas_cap(tmp_path, monkeyp
         with driver._one_blas_thread() as cap:
             assert not cap
             assert [get() for get, _ in controls] == [2] * len(controls)
-            _, spaces = driver._offline(rs, None)
+            _, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     finally:
         for (_, set_), n in zip(controls, before):
             set_(n)
     assert threads and set(threads) == {threading.get_ident()}
-    assert [sp.omega_id for sp in spaces] == [nb.index for nb in rs.grid.neighborhoods]
+    assert len(spaces) == len(rs.grid.neighborhoods)
     for sp, ref in zip(spaces, capped, strict=True):
         assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
 
@@ -123,7 +122,7 @@ def test_randomized_offline_runs_in_the_calling_thread(tmp_path, monkeypatch):
 
     monkeypatch.setattr(offline, "offline_eigendecomposition", spy)
     with driver._one_blas_thread():
-        _, spaces = driver._offline(rs, None)
+        _, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     assert threads and set(threads) == {threading.get_ident()}
     for sp, ref in zip(spaces, serial, strict=True):
         assert sp.basis_full.tobytes() == ref.basis_full.tobytes()
@@ -215,9 +214,9 @@ def spy_solves(monkeypatch):
         calls["spectra"].append(snap.omega_id)
         return eig(snap, *args, **kwargs)
 
-    def extension(g, sys_, box):
+    def extension(g, sys_, box, gb):
         calls["extensions"].append(box)
-        return ext(g, sys_, box)
+        return ext(g, sys_, box, gb)
 
     monkeypatch.setattr(offline, "offline_eigendecomposition", spectra)
     monkeypatch.setattr(offline, "harmonic_extension", extension)
@@ -237,7 +236,7 @@ def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
     calls = spy_solves(monkeypatch)
     offline.compute_pou(rs.grid, rs.sys)
     assert len(calls["extensions"]) == 1
-    _, spaces = driver._offline(rs, None)
+    _, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     shapes = {box_shape(nb.cells) for nb in rs.grid.neighborhoods}
     assert len(shapes) == 4
     assert len(calls["spectra"]) == len(shapes)
@@ -245,7 +244,7 @@ def test_identical_local_problems_are_solved_once(tmp_path, monkeypatch):
             for i in calls["spectra"]} == shapes
     assert len({id(sp.basis_full) for sp in spaces}) == len(shapes)
     for nb, sp in zip(rs.grid.neighborhoods, spaces, strict=True):
-        assert sp.omega_id == nb.index and len(sp.basis_full) == len(nb.node_ids)
+        assert len(sp.basis_full) == len(nb.node_ids)
 
 
 def test_offline_builds_one_stiffness_and_one_mass_per_distinct_cell(tmp_path, monkeypatch):
@@ -288,7 +287,7 @@ def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch
         "outputs": {"dir": str(tmp_path / "out")}}))
     g, off, nx = rs.grid, rs.cfg.offline, rs.grid.coarse_nx
     calls = spy_solves(monkeypatch)
-    pou, spaces = driver._offline(rs, None)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     pou_keys = {offline._problem_key(g, box, rs.sys) for box in cell_boxes(g)}
     groups = offline._groups((box_shape(nb.cells), box_shape(nb.cells_plus), offset(nb))
                              for nb in g.neighborhoods)
@@ -317,7 +316,6 @@ def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch
             assert spaces[leader].basis_full.tobytes() == ref.basis_full.tobytes()
             for i in group:
                 nb = g.neighborhoods[i]
-                assert spaces[i].omega_id == i
                 assert len(spaces[i].basis_full) == len(nb.node_ids)
                 # the leader's draw on the member's own oversampled box
                 # gives the space the member shares
@@ -334,7 +332,7 @@ def test_randomized_neighborhoods_share_one_factor_per_box(tmp_path, monkeypatch
 
 def test_shared_arrays_are_read_only(tmp_path):
     rs = run_setup("efm", tmp_path)
-    _, spaces = driver._offline(rs, None)
+    _, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     for sp in spaces:
         for arr in (sp.eigvals, sp.basis_full):
             with pytest.raises(ValueError, match="read-only"):
@@ -378,7 +376,7 @@ def test_one_ulp_apart_is_never_shared(mode, tmp_path, monkeypatch):
         assert chi.tobytes() == chi_ref.tobytes()
 
     calls = spy_solves(monkeypatch)
-    pou, spaces = driver._offline(rs, None)
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     if mode == "full":
         shapes = {box_shape(nb.cells) for nb in g.neighborhoods}
         assert set(holds) <= set(calls["spectra"])
@@ -442,7 +440,7 @@ def test_pou_key_leaves_out_edges_along_the_cell_rim(tmp_path, monkeypatch):
     for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
         assert chi.tobytes() == chi_ref.tobytes()
 
-    _, spaces = driver._offline(rs, None)
+    _, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, None)
     touch = [nb.cells.j0 <= 3 * g.refine <= nb.cells.j1 for nb in g.neighborhoods]
     shared = [{id(sp.basis_full) for sp, t in zip(spaces, touch) if t == side}
               for side in (True, False)]
