@@ -38,23 +38,16 @@ class MultiscaleSpace:
     pou: PartitionOfUnity
     spaces: list[NeighborhoodSpace]
     counts: np.ndarray              # modes used per coarse node
-    R0T: sparse.csr_matrix          # (n_fine_nodes, n), basis as columns
-    col_node: np.ndarray            # coarse-node index of every column
-    cols: np.ndarray | None = None  # the space's columns of R0T (None: all)
-    _R0: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    R0T: sparse.csc_matrix          # (n_fine_nodes, N_c), basis as columns, node by node
 
     @property
     def N_c(self) -> int:
-        return len(self.col_node)
+        return int(self.counts.sum())
 
     @property
-    def R0(self) -> sparse.csr_matrix:
-        """R0T^T in CSR form, made for this R0T object: ``build_space``
-        gives it with R0T, ``restrict`` passes it on, and any other R0T
-        (one set by ``dataclasses.replace``, say) derives its own here."""
-        if self._R0[0] is not self.R0T:
-            self._R0 = self.R0T, self.R0T.T.tocsr()
-        return self._R0[1]
+    def col_node(self) -> np.ndarray:
+        """Coarse-node index of every column."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
 
 
 @dataclass
@@ -99,10 +92,7 @@ def build_space(pou: PartitionOfUnity, spaces: list[NeighborhoodSpace],
         (np.concatenate(vals), np.concatenate(indices), np.r_[0, np.cumsum(col_nnz)]),
         shape=(g.n_nodes, len(col_nnz)))
     R0T.eliminate_zeros()
-    ms = MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T.tocsr(),
-                         col_node=np.repeat(np.arange(len(spaces)), counts))
-    ms._R0 = ms.R0T, R0T.T            # the same arrays, read as CSR
-    return ms
+    return MultiscaleSpace(pou=pou, spaces=spaces, counts=counts, R0T=R0T)
 
 
 def boundary_lift(pou: PartitionOfUnity, sys: FineSystem) -> np.ndarray:
@@ -119,9 +109,9 @@ def boundary_lift(pou: PartitionOfUnity, sys: FineSystem) -> np.ndarray:
 
 def _rank_report(ms: MultiscaleSpace) -> list[int]:
     """Coarse nodes whose chi-multiplied basis block is locally rank-deficient."""
-    own = np.arange(ms.R0T.shape[1]) if ms.cols is None else ms.cols
-    blocks = ((i, ms.R0T[:, own[ms.col_node == i]]) for i in range(len(ms.spaces)))
-    return [i for i, B in blocks
+    ends = np.cumsum(ms.counts)
+    blocks = (ms.R0T[:, e - m:e] for m, e in zip(ms.counts, ends))
+    return [i for i, B in enumerate(blocks)
             if B.shape[1] and np.linalg.matrix_rank(B.toarray()) < B.shape[1]]
 
 
@@ -180,44 +170,39 @@ def _solve_spd_or_lstsq(K0, F0, ms):
 
 def coarse_system(ms: MultiscaleSpace, sys: FineSystem):
     """Galerkin projection K0 = P^T K P, F0 = P^T (f - K lift) of the fine
-    problem K u = f, with P = diag(R0T, I) and the partition-of-unity
-    lift of the boundary data; a space cut by ``restrict`` projects its
-    own columns only.  Returns K0, F0 and the lift."""
-    K = sys.K
+    problem K u = f, with P = diag(R0T, I), built once from R0T's column
+    arrays (P^T is its CSR view), and the partition-of-unity lift of the
+    boundary data.  Returns K0, F0 and the lift."""
+    K, R0T = sys.K, ms.R0T
     n_frac = K.shape[0] - sys.n_nodes
-    def with_identity(R):             # diag(R, I) as CSR, from R's CSR arrays
-        t = np.arange(n_frac + 1, dtype=R.indptr.dtype)
-        return sparse.csr_matrix(
-            (np.r_[R.data, np.ones(n_frac)], np.r_[R.indices, R.shape[1] + t[:-1]],
-             np.r_[R.indptr, R.nnz + t[1:]]), shape=np.add(R.shape, n_frac))
-    R0T, R0 = (ms.R0T, ms.R0) if ms.cols is None else (ms.R0T[:, ms.cols], ms.R0[ms.cols])
-    P, Pt = with_identity(R0T), with_identity(R0)
+    t = np.arange(n_frac + 1, dtype=R0T.indptr.dtype)
+    P = sparse.csc_matrix(
+        (np.r_[R0T.data, np.ones(n_frac)], np.r_[R0T.indices, R0T.shape[0] + t[:-1]],
+         np.r_[R0T.indptr, R0T.nnz + t[1:]]), shape=np.add(R0T.shape, n_frac))
     lift = boundary_lift(ms.pou, sys)
-    K0 = Pt @ (K @ P)
+    K0 = P.T @ (K @ P)
     K0.sort_indices()
-    F0 = Pt @ (sys.f - K @ np.r_[lift, np.zeros(n_frac)])
+    F0 = P.T @ (sys.f - K @ np.r_[lift, np.zeros(n_frac)])
     return K0, F0, lift
 
 
 def restrict(ms: MultiscaleSpace, system, counts):
     """The space of the first min(counts[i], ms.counts[i]) modes of each
-    coarse node, as columns ``cols`` of ms's R0T (``prolong`` gives the
-    others zero coefficients), and its coarse system cut from ``system``,
-    ms's ``coarse_system``: K0 and F0 at the kept columns and at every
+    coarse node, a space of its own whose R0T is those columns of ms's
+    R0T, and its coarse system cut from ``system``, ms's
+    ``coarse_system``: K0 and F0 at the kept columns and at every
     fracture unknown, with the same lift.  The kept columns are those
     ``build_space`` gives the clamped counts, in the same order and with
     the same values, and each entry of P^T K P sums over its own two
     columns of P only; so the cut is the smaller space's projection, bit
-    for bit.
+    for bit, and a cut space can be cut again.
     """
     K0, F0, lift = system
     counts = np.minimum(counts, ms.counts)
     mode = np.arange(ms.N_c) - np.repeat(np.cumsum(ms.counts) - ms.counts, ms.counts)
     cols = np.flatnonzero(mode < np.repeat(counts, ms.counts))
     keep = np.r_[cols, np.arange(ms.N_c, K0.shape[0])]
-    sub = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces, counts=counts,
-                          R0T=ms.R0T, col_node=ms.col_node[cols], cols=cols)
-    sub._R0 = ms.R0T, ms.R0
+    sub = MultiscaleSpace(pou=ms.pou, spaces=ms.spaces, counts=counts, R0T=ms.R0T[:, cols])
     return sub, (K0[keep][:, keep], F0[keep], lift)
 
 
@@ -239,12 +224,10 @@ solve_coarse_dfm = solve_coarse_efm = solve_coarse
 
 
 def prolong(ms: MultiscaleSpace, U0: np.ndarray, lift: np.ndarray | None = None):
-    """Map coarse coefficients to the fine grid (plus an optional lift)."""
-    x = U0 = np.asarray(U0, dtype=float)
+    """Map coarse coefficients, one per column of R0T, to the fine grid
+    (plus an optional lift)."""
+    U0 = np.asarray(U0, dtype=float)
     if U0.shape[0] != ms.N_c:
         raise ValueError(f"expected {ms.N_c} coefficients, got {U0.shape[0]}")
-    if ms.cols is not None:           # zero at the columns the space drops
-        x = np.zeros(ms.R0T.shape[1])
-        x[ms.cols] = U0
-    u = ms.R0T @ x
+    u = ms.R0T @ U0
     return u if lift is None else u + lift

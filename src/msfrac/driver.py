@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Rect, GridHierarchy, build_hierarchy
-from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
+from .fractures import (Fracture, FractureNetwork, GeometryError, rasterize_dfm,
+                        intersect_efm)
 from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
 from .offline import offline_spaces
@@ -50,7 +51,11 @@ def _build_network(cfg: RunConfig, g: GridHierarchy) -> FractureNetwork:
             kwargs["kappa_f"] = fr.kappa_f
         if fr.aperture is not None:
             kwargs["aperture"] = fr.aperture
-        return gen(g, seed=fr.seed, **kwargs)
+        network = gen(g, seed=fr.seed, **kwargs)
+        if not network.fractures:
+            raise GeometryError(f"fractures.field {fr.field!r} draws no fracture at seed "
+                                f"{fr.seed} on {g.coarse_nx}x{g.coarse_ny}@{g.refine}")
+        return network
     fracs = [Fracture(polyline=np.asarray(fs.polyline, dtype=float),
                       aperture=fs.aperture, kappa_f=fs.kappa_f,
                       model=fs.model, id=k)

@@ -80,7 +80,8 @@ def write_vtk(path: str, g: GridHierarchy, u: np.ndarray) -> None:
 
 
 def write_matrix_market(path: str, A) -> None:
-    scipy.io.mmwrite(path, sparse.coo_matrix(A))
+    """A in Matrix Market format, its entries in row order."""
+    scipy.io.mmwrite(path, sparse.csr_matrix(A).tocoo())
 
 
 def write_eigenvalue_csv(path: str, spaces) -> None:

@@ -7,12 +7,16 @@ with an AttributeError; its ``_work`` reads work counts off the results
 of some wrapped calls, so the attributes it reads must stay too.
 ``bench/workloads.py`` builds each workload's
 config from the package's fracture generators.  Both files are loaded
-by path and not run.
+by path and not run.  ``bench/selftest.py`` is run, in its own process,
+so a change whose outputs the benchmark's checks reject fails here.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 
@@ -70,3 +74,17 @@ def test_work_counts_read_off_real_results():
             (("coarse", "solve_coarse_efm"), sol, {"lstsq": 0})]:
         got = work(key, result)
         assert got == want and all(type(v) is int for v in got.values()), key
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    # bench/selftest.py runs a small sweep and checks that the benchmark's
+    # checks pass its outputs and catch four kinds of damage to them.  It
+    # runs from a copy of bench/ beside a link to src/, so its working
+    # files (.bench_out/ at the copy's root) stay out of the checkout
+    shutil.copytree(ROOT / "bench", tmp_path / "bench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(tmp_path / "bench" / "selftest.py")],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["ok"] * 5

@@ -86,15 +86,14 @@ def test_sweep_csv_monotone_and_rerun_identical(tmp_path):
 
 
 def test_ill_conditioned_coarse_solve_records_lstsq(tmp_path, capsys):
-    # randomized spaces on 2x2-cell patches: one regularized corner mode
-    # is the zero function up to round-off, so K0 is singular to within
-    # round-off and either coarse path may take it; the path taken is
-    # recorded, silently, and the answer is exact either way.  The
-    # lstsq path itself is pinned by an exactly singular coarse system
-    # in tests/test_coarse.py.
+    # randomized spaces on 2x2-cell patches without fractures: one
+    # regularized corner mode is the zero function up to round-off, so K0
+    # is singular to within round-off and either coarse path may take it;
+    # the path taken is recorded, silently, and the answer is exact either
+    # way.  The lstsq path itself is pinned by an exactly singular coarse
+    # system in tests/test_coarse.py.
     cfg, out = write_cfg(tmp_path, grid={"coarse": [3, 3], "refine": 2},
-                         offline={"mode": "randomized"},
-                         fractures={"field": "crossing_channels", "kappa_f": 1e3})
+                         offline={"mode": "randomized"})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["solve", "-c", str(cfg)]) == 0
@@ -108,9 +107,7 @@ def test_ill_conditioned_coarse_solve_records_lstsq(tmp_path, capsys):
 def test_sweep_records_coarse_path_per_row(tmp_path):
     # the case above at every mode count
     cfg, out = write_cfg(tmp_path, grid={"coarse": [3, 3], "refine": 2},
-                         offline={"mode": "randomized"},
-                         fractures={"field": "crossing_channels", "kappa_f": 1e3},
-                         sweep=[1, 2, 3])
+                         offline={"mode": "randomized"}, sweep=[1, 2, 3])
     assert main(["sweep", "-c", str(cfg)]) == 0
     first = (out / "manifest.yml").read_bytes()
     run = yaml.safe_load(first)["run"]
@@ -204,6 +201,17 @@ def test_degenerate_fracture_names_its_id(tmp_path, capsys):
     assert "fracture 1" in capsys.readouterr().err
 
 
+def test_field_that_draws_no_fracture_exits_nonzero(tmp_path, capsys):
+    # isolated_blocks has no room inside its margins at refine 4, so it
+    # draws nothing; a fracture-free solve would answer a different question
+    cfg, out = write_cfg(tmp_path, grid={"coarse": [4, 4], "refine": 4},
+                         fractures={"field": "isolated_blocks", "seed": 2})
+    assert main(["solve", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("error: fractures.field 'isolated_blocks' "
+                                       "draws no fracture at seed 2 on 4x4@4\n")
+    assert not (out / "errors.csv").exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["solve", "-c", str(tmp_path / "nope.yml")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -229,7 +237,7 @@ def test_negative_seeds_are_rejected_before_setup(tmp_path, capsys, monkeypatch)
 
 def test_seed_and_out_overrides(tmp_path):
     cfg, _ = write_cfg(tmp_path,
-                       fractures={"field": "isolated_blocks", "seed": 1},
+                       fractures={"field": "crossing_channels", "seed": 1},
                        offline={"mode": "randomized", "M_off": 2,
                                 "k_nb": 3, "p_bf": 2, "seed": 1})
     alt = tmp_path / "elsewhere"
@@ -421,8 +429,9 @@ def test_experiment_scripts_run(script, opts, tmp_path, monkeypatch, capsys):
 
 
 SCRIPT_CSVS = {
+    # isolated_blocks draws no fracture at refine 4, so it is skipped
     "convergence_study.py": [f"{field}/errors.csv" for field in (
-        "isolated_blocks", "crossing_channels", "crossing_network", "mixed_short_long")],
+        "crossing_channels", "crossing_network", "mixed_short_long")],
     "adaptivity_trajectory.py": ["adaptive/trajectory.csv", "uniform/errors.csv"],
     "randomized_comparison.py": [f"{mode}_m{m}/errors.csv"
                                  for mode in ("full", "rand") for m in (3, 4, 5)],
@@ -444,5 +453,9 @@ def test_experiment_scripts_exit_zero_at_their_defaults(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv")) \
         == sorted(SCRIPT_CSVS[script])
+    skipped = [line for line in proc.stdout.splitlines() if "skipped" in line]
+    assert skipped == (["isolated_blocks: skipped, fractures.field 'isolated_blocks' "
+                        "draws no fracture at seed 1 on 4x4@4"]
+                       if script == "convergence_study.py" else [])
     for name in SCRIPT_CSVS[script]:
         assert len((tmp_path / name).read_text().splitlines()) >= 2, name

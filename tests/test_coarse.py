@@ -52,6 +52,15 @@ def energy(sys, e):
     return float(np.sqrt(e @ (sys.K @ e)))
 
 
+def with_repeated_column(ms):
+    """ms with its first column repeated next to itself, inside its
+    node's columns: one exactly dependent column."""
+    counts = ms.counts.copy()
+    counts[ms.col_node[0]] += 1
+    return dataclasses.replace(ms, counts=counts,
+                               R0T=sparse.hstack([ms.R0T[:, :1], ms.R0T]).tocsc())
+
+
 def test_constant_kappa_single_mode_is_coarse_fem():
     g, sys = dfm_setup()
     pou, spaces = offline_spaces(g, sys)
@@ -201,15 +210,12 @@ def test_duplicate_column_flags_rank_deficiency():
     # one exactly repeated basis column makes K0 singular in floating
     # point: the LU path must give way to lstsq, which finds rank N_c - 1.
     # Without fractures the one-mode space holds the fine solution.
-    import scipy.sparse as sparse
     for field, M in [(None, 1), (mf.fields.crossing_channels, 2)]:
         g, sys = dfm_setup(field=field, seed=7)
         pou, spaces = offline_spaces(g, sys)
         ms = space_at(g, pou, spaces, M=M)
         sol = mf.solve_coarse(ms, sys)
-        dup = dataclasses.replace(
-            ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
-            col_node=np.append(ms.col_node, ms.col_node[0]))
+        dup = with_repeated_column(ms)
         sol2 = mf.solve_coarse(dup, sys)
         assert sol.info["solver"] == "direct"
         assert sol2.info["solver"] == "lstsq"
@@ -224,11 +230,11 @@ def test_duplicate_column_flags_rank_deficiency():
 
 
 def randomized_3x3_space(out_dir):
-    """Randomized spaces on 3x3 coarse cells at refine 2 and M_off = 2:
-    a coarse matrix ill-conditioned by its column scaling."""
+    """Randomized spaces on 3x3 coarse cells at refine 2 and M_off = 2,
+    without fractures: a coarse matrix ill-conditioned by its column
+    scaling."""
     rs = driver.setup(parse_config({
         "grid": {"coarse": [3, 3], "refine": 2},
-        "fractures": {"field": "crossing_channels", "kappa_f": 1e3},
         "offline": {"mode": "randomized", "M_off": 2},
         "outputs": {"dir": str(out_dir)}}))
     pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, 2)
@@ -274,7 +280,7 @@ def coo_prolongation(pou, spaces, counts, drop_zeros=True):
         c0 += m
     R0T = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(g.n_nodes, c0)).tocsr()
+        shape=(g.n_nodes, c0)).tocsc()
     if drop_zeros:
         R0T.eliminate_zeros()
     return R0T
@@ -307,15 +313,13 @@ def test_prolongation_matches_triplet_build(case, tmp_path):
 
 
 def test_replaced_prolongation_has_its_own_transpose():
-    # R0 is made for the R0T it is read with: a space whose R0T alone is
+    # P^T is read off the R0T the space holds: a space whose R0T alone is
     # replaced projects with the new one.  Doubling R0T is exact, so K0
     # is four times and F0 twice the original, bit for bit
     g, sys = dfm_setup(field=mf.fields.crossing_channels, seed=7)
     pou, spaces = offline_spaces(g, sys)
     ms = space_at(g, pou, spaces, M=2)
     twice = dataclasses.replace(ms, R0T=2.0 * ms.R0T)
-    assert sparse_bytes(twice.R0) == sparse_bytes((2.0 * ms.R0T).T)
-    assert sparse_bytes(ms.R0) == sparse_bytes(ms.R0T.T)
     K0, F0, _ = coarse_system(ms, sys)
     K0_2, F0_2, _ = coarse_system(twice, sys)
     assert sparse_bytes(K0_2) == sparse_bytes(4.0 * K0)
@@ -338,7 +342,6 @@ def test_stored_zeros_change_no_coarse_bit(case, tmp_path):
                                                          drop_zeros=False))
     assert np.count_nonzero(ms.R0T.data == 0) == 0
     assert np.count_nonzero(zeros.R0T.data == 0) > 0
-    assert sparse_bytes(ms.R0) == sparse_bytes(ms.R0T.T)
     K0, F0, lift = coarse_system(ms, rs.sys)
     K0_z, F0_z, lift_z = coarse_system(zeros, rs.sys)
     assert sparse_bytes(K0) == sparse_bytes(K0_z)
@@ -386,9 +389,7 @@ def test_dense_rescue_over_its_budget_is_a_named_error(tmp_path, monkeypatch):
     # an exactly repeated column makes K0 singular, so the LU gives way to
     # the dense rescue; over the byte budget that is a named error
     ms, sys = randomized_3x3_space(tmp_path)
-    dup = dataclasses.replace(
-        ms, R0T=sparse.hstack([ms.R0T, ms.R0T[:, :1]]).tocsr(),
-        col_node=np.append(ms.col_node, ms.col_node[0]))
+    dup = with_repeated_column(ms)
     need = 8 * dup.N_c ** 2
     monkeypatch.setattr(coarse, "DENSE_RESCUE_BYTES", need)
     assert mf.solve_coarse(dup, sys).info["solver"] == "lstsq"
@@ -434,14 +435,17 @@ SWEEP_CASES = {
     # the case of test_sweep_records_coarse_path_per_row, where a row
     # may take the lstsq path
     "randomized_3x3": {"grid": {"coarse": [3, 3], "refine": 2},
-                       "offline": {"mode": "randomized"},
-                       "fractures": {"field": "crossing_channels",
-                                     "kappa_f": 1e3}},
+                       "offline": {"mode": "randomized"}},
 }
 
 
 def sparse_bytes(M):
     M = M.tocsr()
+    return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+def csc_bytes(M):
+    assert M.format == "csc"
     return M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
 
 
@@ -463,6 +467,33 @@ def test_restricted_space_projects_its_own_columns(case, tmp_path):
     sol = mf.solve_coarse(sub, rs.sys)
     assert sol.u_ms_fine.shape == (rs.sys.K.shape[0],)
     assert sol.u_ms_fine.tobytes() == mf.solve_coarse(sub, rs.sys, cut).u_ms_fine.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(PROLONGATION_CASES))
+def test_a_cut_space_is_cut_like_its_parent(case, tmp_path):
+    # restrict gives a space of its own columns: cutting M = 3 -> 2 -> 1
+    # gives the columns, the system and the field of cutting 3 -> 1 and
+    # of building M = 1, bit for bit
+    rs = driver.setup(parse_config({
+        "grid": {"coarse": [4, 3], "refine": 4, "t": 1},
+        **PROLONGATION_CASES[case], "outputs": {"dir": str(tmp_path)}}))
+    pou, spaces = offline.offline_spaces(rs.grid, rs.sys, rs.cfg.offline, 3)
+    ms = driver._space_at(rs, pou, spaces, 3)
+    system = coarse_system(ms, rs.sys)
+    once = coarse.restrict(ms, system, driver._counts_at(rs, 1))
+    twice = coarse.restrict(*coarse.restrict(ms, system, driver._counts_at(rs, 2)),
+                            driver._counts_at(rs, 1))
+    ref = driver._space_at(rs, pou, spaces, 1)
+    assert [f.name for f in dataclasses.fields(ms)] == ["pou", "spaces", "counts", "R0T"]
+    for sub, (K0, F0, lift) in (once, twice):
+        assert sub.counts.tobytes() == ref.counts.tobytes()
+        assert csc_bytes(sub.R0T) == csc_bytes(ref.R0T)
+        assert sparse_bytes(K0) == sparse_bytes(once[1][0])
+        assert F0.tobytes() == once[1][1].tobytes()
+        assert lift.tobytes() == once[1][2].tobytes()
+    u_once, u_twice = (mf.solve_coarse(sub, rs.sys, cut).u_ms_fine for sub, cut in (once, twice))
+    assert u_once.tobytes() == u_twice.tobytes()
+    assert u_once.tobytes() == mf.solve_coarse(ref, rs.sys).u_ms_fine.tobytes()
 
 
 def test_space_off_the_chi_support_is_refused():
@@ -507,7 +538,7 @@ def test_sweep_rows_are_cut_from_one_projection(case, tmp_path, monkeypatch):
         ref = mf.build_space(ms.pou, ms.spaces, m_off_schedule(sys.grid, m))
         assert ms.counts.tobytes() == ref.counts.tobytes()
         assert ms.col_node.tobytes() == ref.col_node.tobytes()
-        assert sparse_bytes(ms.R0T[:, ms.cols]) == sparse_bytes(ref.R0T)
+        assert csc_bytes(ms.R0T) == csc_bytes(ref.R0T)
         K0, F0, lift = system
         K0_ref, F0_ref, lift_ref = coarse_system(ref, sys)
         assert sparse_bytes(K0) == sparse_bytes(K0_ref)

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 import yaml
 
 import msfrac as mf
@@ -244,6 +245,27 @@ def test_matrix_market_roundtrip(tmp_path):
     io_formats.write_matrix_market(str(path), sys.K)
     back = scipy.io.mmread(str(path)).tocsr()
     assert np.abs(back - sys.K).max() < 1e-12
+
+
+def test_matrix_market_bytes_do_not_depend_on_the_input_format(tmp_path):
+    # one matrix given as CSR, CSC and COO (its triplets shuffled) is one
+    # file, its entries in row order
+    rng = np.random.default_rng(3)
+    A = scipy.sparse.random(7, 5, density=0.4, format="csr", rng=rng)
+    coo = A.tocoo()
+    order = rng.permutation(coo.nnz)
+    shuffled = scipy.sparse.coo_matrix(
+        (coo.data[order], (coo.row[order], coo.col[order])), shape=A.shape)
+    texts = []
+    for name, M in (("csr", A), ("csc", A.tocsc()), ("coo", shuffled)):
+        path = tmp_path / f"{name}.mtx"
+        io_formats.write_matrix_market(str(path), M)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+    body = [line.split() for line in texts[0].decode().splitlines()
+            if not line.startswith("%")][1:]
+    entries = [(int(i), int(j)) for i, j, _ in body]
+    assert len(entries) == A.nnz and entries == sorted(entries)
 
 
 def test_eigenvalue_csv_rows(tmp_path):
