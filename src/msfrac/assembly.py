@@ -38,7 +38,9 @@ __all__ = [
     "FineSolveError", "bilinear_bc",
 ]
 
+# the 2x2 Gauss points (xi, eta) of the unit cell, xi fastest
 _G = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+_XI, _ETA = np.tile(_G, 2), np.repeat(_G, 2)
 
 
 def q1_shape_tables(hx: float, hy: float):
@@ -48,19 +50,11 @@ def q1_shape_tables(hx: float, hy: float):
     node index (sw, se, ne, nw) second; w are the quadrature weights
     (they sum to the cell area).
     """
-    vals = np.empty((4, 4))
-    gx = np.empty((4, 4))
-    gy = np.empty((4, 4))
-    q = 0
-    for eta in _G:
-        for xi in _G:
-            vals[q] = ((1 - xi) * (1 - eta), xi * (1 - eta),
-                       xi * eta, (1 - xi) * eta)
-            gx[q] = np.array((-(1 - eta), (1 - eta), eta, -eta)) / hx
-            gy[q] = np.array((-(1 - xi), -xi, xi, (1 - xi))) / hy
-            q += 1
-    w = np.full(4, 0.25 * hx * hy)
-    return vals, gx, gy, w
+    xi, eta = _XI, _ETA
+    vals = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta])
+    gx = np.column_stack([-(1 - eta), 1 - eta, eta, -eta]) / hx
+    gy = np.column_stack([-(1 - xi), -xi, xi, 1 - xi]) / hy
+    return vals, gx, gy, np.full(4, 0.25 * hx * hy)
 
 
 @lru_cache(maxsize=16)
@@ -235,12 +229,9 @@ def load_vector(g: GridHierarchy, f) -> np.ndarray:
     cj = np.arange(g.n_cells) // g.fine_nx
     x0 = g.domain.x0 + ci * g.hx
     y0 = g.domain.y0 + cj * g.hy
-    q = 0
-    for eta in _G:
-        for xi in _G:
-            fq = _point_values(f, x0 + xi * g.hx, y0 + eta * g.hy)
-            np.add.at(F, nodes, (w[q] * fq)[:, None] * vals[q][None, :])
-            q += 1
+    for q, (xi, eta) in enumerate(zip(_XI, _ETA)):
+        fq = _point_values(f, x0 + xi * g.hx, y0 + eta * g.hy)
+        np.add.at(F, nodes, (w[q] * fq)[:, None] * vals[q][None, :])
     return F
 
 

@@ -72,6 +72,8 @@ class FracturesConfig:
     def __post_init__(self):
         self.params = self.params or {}
         self.fractures = self.fractures or []
+        if self.field is not None and self.fractures:
+            raise ConfigError("give either 'field' or 'list', not both")
         if self.field is None:
             unused = [k for k in ("kappa_f", "aperture", "params")
                       if getattr(self, k) not in (None, {})]

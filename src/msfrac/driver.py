@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Rect, GridHierarchy, build_hierarchy
-from .fractures import (Fracture, FractureNetwork, GeometryError, rasterize_dfm,
-                        intersect_efm)
+from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
 from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
                        assemble_efm, node_operator, solve_fine)
 from .offline import offline_spaces
@@ -45,22 +44,11 @@ class RunSetup:
 def _build_network(cfg: RunConfig, g: GridHierarchy) -> FractureNetwork:
     fr = cfg.fractures
     if fr.field is not None:
-        gen = FIELD_GENERATORS[fr.field]
-        kwargs = dict(fr.params)
-        if fr.kappa_f is not None:
-            kwargs["kappa_f"] = fr.kappa_f
-        if fr.aperture is not None:
-            kwargs["aperture"] = fr.aperture
-        network = gen(g, seed=fr.seed, **kwargs)
-        if not network.fractures:
-            raise GeometryError(f"fractures.field {fr.field!r} draws no fracture at seed "
-                                f"{fr.seed} on {g.coarse_nx}x{g.coarse_ny}@{g.refine}")
-        return network
-    fracs = [Fracture(polyline=np.asarray(fs.polyline, dtype=float),
-                      aperture=fs.aperture, kappa_f=fs.kappa_f,
-                      model=fs.model, id=k)
-             for k, fs in enumerate(fr.fractures)]
-    return FractureNetwork(fracs)
+        given = {k: v for k, v in (("kappa_f", fr.kappa_f), ("aperture", fr.aperture))
+                 if v is not None}
+        return FIELD_GENERATORS[fr.field](g, seed=fr.seed, **fr.params, **given)
+    return FractureNetwork([Fracture(fs.polyline, fs.aperture, fs.kappa_f, fs.model, k)
+                            for k, fs in enumerate(fr.fractures)])
 
 
 def setup(cfg: RunConfig) -> RunSetup:
@@ -259,9 +247,9 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
            "fine_residual": _2g(fine.residual),
            "dims": [r.dim_Voff for r in reports], **_coarse_paths(infos)}
     if cfg.offline.mode == "randomized":
-        # random draws per neighborhood (a group draws once and its members
-        # share it; the constant snapshot is free) over the extensions full
-        # snapshots of the oversampled boxes would take, one per rim node;
+        # the random draws of the interior neighborhoods, each counted once
+        # though a group draws once for all its members (the constant
+        # snapshot is free), over the rim nodes of their oversampled boxes;
         # boundary patches keep a single mode and are left out
         rims = [int(np.count_nonzero(rs.grid.box_rim(nb.cells_plus)))
                 for nb in rs.grid.neighborhoods if nb.is_interior]

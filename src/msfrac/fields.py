@@ -12,16 +12,33 @@ and aperture 1e-3 of the smaller domain side.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grids import GridHierarchy
-from .fractures import Fracture, FractureModel, FractureNetwork
+from .fractures import Fracture, FractureModel, FractureNetwork, GeometryError
 
 __all__ = ["isolated_blocks", "crossing_channels", "crossing_network",
            "mixed_short_long", "single_long_efm", "curved_long",
            "FIELD_GENERATORS", "default_aperture", "DEFAULT_KAPPA_F"]
 
 DEFAULT_KAPPA_F = 1e4
+FIELD_GENERATORS = {}
+
+
+def _field(gen):
+    """gen, listed in ``FIELD_GENERATORS``; a draw of no fracture raises
+    ``GeometryError``, so no fracture-free problem runs under its name."""
+    @functools.wraps(gen)
+    def draw(g: GridHierarchy, seed: int = 0, **params) -> FractureNetwork:
+        network = gen(g, seed=seed, **params)
+        if not network.fractures:
+            raise GeometryError(f"fractures.field {gen.__name__!r} draws no fracture at "
+                                f"seed {seed} on {g.coarse_nx}x{g.coarse_ny}@{g.refine}")
+        return network
+    FIELD_GENERATORS[gen.__name__] = draw
+    return draw
 
 
 def default_aperture(g: GridHierarchy) -> float:
@@ -80,6 +97,7 @@ def _scatter(g, rng, fractures, total, tries, kf, ap, spread, half, min_len):
         _add(fractures, _draw(g, rng, lo, hi, spread, half, min_len), kf, ap)
 
 
+@_field
 def isolated_blocks(g: GridHierarchy, seed: int = 0, kappa_f=None,
                     aperture=None, fill: float = 0.7) -> FractureNetwork:
     """At most one short fracture per coarse block, none touching the
@@ -102,6 +120,7 @@ def isolated_blocks(g: GridHierarchy, seed: int = 0, kappa_f=None,
     return FractureNetwork(fractures)
 
 
+@_field
 def crossing_channels(g: GridHierarchy, seed: int = 0, n: int = 10,
                       kappa_f=None, aperture=None) -> FractureNetwork:
     """Medium-length channels at random angles, crossing coarse edges."""
@@ -112,6 +131,7 @@ def crossing_channels(g: GridHierarchy, seed: int = 0, n: int = 10,
     return FractureNetwork(fractures)
 
 
+@_field
 def crossing_network(g: GridHierarchy, seed: int = 0, n_pairs: int = 5,
                      n_single: int = 4, kappa_f=None,
                      aperture=None) -> FractureNetwork:
@@ -136,6 +156,7 @@ def crossing_network(g: GridHierarchy, seed: int = 0, n_pairs: int = 5,
     return FractureNetwork(fractures)
 
 
+@_field
 def mixed_short_long(g: GridHierarchy, seed: int = 0, n_short: int = 12,
                      kappa_f=None, aperture=None) -> FractureNetwork:
     """A couple of domain-spanning polylines plus many short fractures."""
@@ -155,6 +176,7 @@ def mixed_short_long(g: GridHierarchy, seed: int = 0, n_short: int = 12,
     return FractureNetwork(fractures)
 
 
+@_field
 def single_long_efm(g: GridHierarchy, seed: int = 0, kappa_f: float = 10.0,
                     aperture=None) -> FractureNetwork:
     """One long straight embedded fracture, slightly inclined.
@@ -174,6 +196,7 @@ def single_long_efm(g: GridHierarchy, seed: int = 0, kappa_f: float = 10.0,
                                      model=FractureModel.EFM, id=0)])
 
 
+@_field
 def curved_long(g: GridHierarchy, seed: int = 0, n_short: int = 8,
                 n_arc: int = 24, kappa_f=None, aperture=None) -> FractureNetwork:
     """A long curved fracture (circular-arc polyline) plus short ones."""
@@ -199,13 +222,3 @@ def curved_long(g: GridHierarchy, seed: int = 0, n_short: int = 8,
     _scatter(g, rng, fractures, 1 + n_short, 20 * n_short, kf, ap,
              (0.05, 0.95), (0.25, 0.5), 3 * max(g.hx, g.hy))
     return FractureNetwork(fractures)
-
-
-FIELD_GENERATORS = {
-    "isolated_blocks": isolated_blocks,
-    "crossing_channels": crossing_channels,
-    "crossing_network": crossing_network,
-    "mixed_short_long": mixed_short_long,
-    "single_long_efm": single_long_efm,
-    "curved_long": curved_long,
-}

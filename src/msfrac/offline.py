@@ -23,6 +23,13 @@ its coarse skeleton, the rim of its box and the coarse lines inside, and
 condenses the lines inside onto the rim once (``Skeleton``); its pencil
 is solved on the rim, and the two extensions take its modes to the fine
 nodes.
+
+Equal local problems are solved once (``_groups``): a problem is keyed
+by the exact bytes it reads, never to a tolerance.  A coarse cell's key
+is its kappa and the edge weights inside it (``_problem_key``); a
+neighborhood's is its cells' groups and the fracture and kappa_tilde
+edge weights on its coarse lines (``_skeleton_key``), to which a
+randomized one adds its oversampled box's ``_problem_key``.
 """
 
 from __future__ import annotations
@@ -87,36 +94,16 @@ def harmonic_extension(g: GridHierarchy, sys: FineSystem, box: CellBox, gb):
     return u, A
 
 
-def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem,
-                 pou: PartitionOfUnity | None = None) -> tuple:
-    """Everything a local problem on ``box`` reads, as exact bytes: the
-    box shape and, for each pair of cell and edge weights, the cell
-    weights on the box cells and the edge weights on the edges of the
-    closed box (``g.box_edge_weights``).  Without pou the problem is the
-    harmonic extension with the stiffness of sys, and a coarse cell's
-    condensed blocks (``CellBlocks``).  These leave out the edges with
-    both ends on the rim: the first and last rows of horizontal edges
-    and the first and last columns of vertical ones.  With pou it is a
-    neighborhood's whole spectral problem, which also reads kappa_tilde
-    and its edge weights.
-
-    Two problems with equal keys see byte-identical local data, so they
-    run the same computation and get the same result, which is why one
-    factor may serve both (``_groups``).  The box operators
-    (``node_operator``) are summed from these same cell and edge weights
-    in a fixed order.  The bytes are compared exactly, never to a
-    tolerance.
-    """
-    cells = g.box_cells(box)
-    key = [(box.i1 - box.i0, box.j1 - box.j0)]
-    forms = [(sys.perm.kappa_cells, sys.edge_arrays)] + (
-        [] if pou is None else [(pou.kappa_tilde, pou.edge_kappa_tilde)])
-    for cell_weights, edge_weights in forms:
-        h, v = g.box_edge_weights(edge_weights, box)
-        if pou is None:
-            h, v = h[1:-1], v[:, 1:-1]
-        key += [cell_weights[cells].tobytes(), h.tobytes(), v.tobytes()]
-    return tuple(key)
+def _problem_key(g: GridHierarchy, box: CellBox, sys: FineSystem) -> tuple:
+    """The bytes a harmonic extension on ``box`` reads: the box shape,
+    kappa on its cells and the edge weights of sys off its rim lines (the
+    views of ``g.box_edge_weights`` less the first and last rows of h and
+    columns of v).  ``node_operator`` sums them in a fixed order, so
+    boxes with equal keys have byte-identical extensions."""
+    h, v = g.box_edge_weights(sys.edge_arrays, box)
+    return ((box.i1 - box.i0, box.j1 - box.j0),
+            sys.perm.kappa_cells[g.box_cells(box)].tobytes(),
+            h[1:-1].tobytes(), v[:, 1:-1].tobytes())
 
 
 def _groups(keys) -> list[list[int]]:
@@ -133,6 +120,19 @@ def _cell_box(g: GridHierarchy, cell: int) -> CellBox:
     J, I = divmod(cell, g.coarse_nx)
     r = g.refine
     return CellBox(I * r, J * r, (I + 1) * r, (J + 1) * r)
+
+
+def _box_cell_ids(g: GridHierarchy, box: CellBox) -> list[int]:
+    """The coarse cells of ``box``, row by row, by their numbers."""
+    r = g.refine
+    return [J * g.coarse_nx + I for J in range(box.j0 // r, box.j1 // r)
+            for I in range(box.i0 // r, box.i1 // r)]
+
+
+def _skeleton_edges(h: np.ndarray, v: np.ndarray, r: int):
+    """A box's edge views h, v (``g.box_edge_weights``) on its coarse
+    lines, rim lines included: every r-th row of h and column of v."""
+    return h[::r], v[:, ::r]
 
 
 def _symmetric(X: np.ndarray) -> np.ndarray:
@@ -199,11 +199,7 @@ class _Layout(NamedTuple):
                                # box positions of its nodes
     flat: np.ndarray           # flat positions of the cells' rim blocks in a
                                # skeleton matrix, cell after cell
-    h: tuple                   # (rows, columns) of the horizontal skeleton
-                               # edges in the box's view h of edge weights
-    v: tuple                   # the same of the vertical edges, in view v
-    ends: np.ndarray           # skeleton positions of each edge's two ends,
-                               # horizontal edges first
+    ends: np.ndarray           # skeleton positions of each edge's two ends
 
 
 @lru_cache(maxsize=16)
@@ -213,33 +209,28 @@ def _layout(ncx: int, ncy: int, r: int) -> _Layout:
     in box order; its cells run row by row, each with the skeleton
     positions of its rim (``box_rim`` order) and the box positions of its
     nodes (``box_nodes`` order); its edges are the fine edges on the
-    coarse lines, indexed into the two edge views of
-    ``g.box_edge_weights``, horizontal ones first.  Read-only, shared by
+    coarse lines in ``_skeleton_edges`` order.  Read-only, shared by
     every box of this shape."""
-    nx, ny = ncx * r, ncy * r
-    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
-    rim = (i == 0) | (i == nx) | (j == 0) | (j == ny)
-    nodes = np.r_[np.flatnonzero(rim), np.flatnonzero(~rim & ((i % r == 0) | (j % r == 0)))]
-    at = np.full(len(i), -1)
+    def rim(a):                # a node rectangle's entries on its rim
+        return np.r_[a[0], a[1:-1, [0, -1]].ravel(), a[-1]]
+    node = np.arange((ncx * r + 1) * (ncy * r + 1)).reshape(ncy * r + 1, -1)
+    lines = np.zeros(node.shape, dtype=bool)
+    lines[::r] = lines[:, ::r] = True
+    nodes = np.r_[rim(node), node[1:-1, 1:-1][lines[1:-1, 1:-1]]]
+    at = np.full(node.size, -1)
     at[nodes] = np.arange(len(nodes))
-    cell_rim = np.ones((r + 1, r + 1), dtype=bool)
-    cell_rim[1:-1, 1:-1] = False
-    cells = []
-    for J in range(ncy):
-        for I in range(ncx):
-            pos = np.add.outer(np.arange(J * r, (J + 1) * r + 1) * (nx + 1),
-                               np.arange(I * r, (I + 1) * r + 1)).ravel()
-            cells.append((at[pos[cell_rim.ravel()]], pos))
-    h = np.nonzero(np.repeat((np.arange(ny + 1) % r == 0)[:, None], nx, axis=1))
-    v = np.nonzero(np.repeat((np.arange(nx + 1) % r == 0)[None, :], ny, axis=0))
-    a = np.r_[h[0] * (nx + 1) + h[1], v[0] * (nx + 1) + v[1]]
-    b = a + np.r_[np.ones(len(h[0]), int), np.full(len(v[0]), nx + 1)]
-    ends = np.column_stack([at[a], at[b]])
+    cells = [(at[rim(pos)], pos.ravel()) for pos in (
+        node[J * r:(J + 1) * r + 1, I * r:(I + 1) * r + 1]
+        for J in range(ncy) for I in range(ncx))]
+    # edge (j, i) runs from node (j, i) to (j, i + 1), or (j + 1, i) if vertical
+    ends = at[np.column_stack([np.r_[h.ravel(), v.ravel()] for h, v in (
+        _skeleton_edges(node[:, :-1], node[:-1], r),
+        _skeleton_edges(node[:, 1:], node[1:], r))])]
     flat = np.concatenate([np.add.outer(ring * len(nodes), ring).ravel()
                            for ring, _ in cells])
-    for x in (nodes, flat, ends, *h, *v, *(x for cell in cells for x in cell)):
+    for x in (nodes, flat, ends, *(x for cell in cells for x in cell)):
         x.flags.writeable = False
-    return _Layout(len(i), np.count_nonzero(rim), nodes, cells, flat, h, v, ends)
+    return _Layout(node.size, len(rim(node)), nodes, cells, flat, ends)
 
 
 class Skeleton:
@@ -261,11 +252,9 @@ class Skeleton:
 
     def __init__(self, g: GridHierarchy, sys: FineSystem, box: CellBox,
                  cells: CellBlocks | None = None):
-        r = g.refine
-        ncx, ncy = (box.i1 - box.i0) // r, (box.j1 - box.j0) // r
-        ids = [(box.j0 // r + J) * g.coarse_nx + box.i0 // r + I
-               for J in range(ncy) for I in range(ncx)]
-        self.grid, self.box, self.layout = g, box, _layout(ncx, ncy, r)
+        ids, r = _box_cell_ids(g, box), g.refine
+        self.grid, self.box = g, box
+        self.layout = _layout((box.i1 - box.i0) // r, (box.j1 - box.j0) // r, r)
         self.cells = CellBlocks(g, sys, ids) if cells is None else cells
         self.groups = [self.cells.group[c] for c in ids]
         A = self._assemble(self.cells.stiffness, sys.edge_arrays, "stiffness")
@@ -285,10 +274,10 @@ class Skeleton:
         and the 1D ``kind`` terms of ``edge_weights`` on its edges."""
         lay, g = self.layout, self.grid
         n = len(lay.nodes)
-        h, v = g.box_edge_weights(edge_weights, self.box)
-        w = np.r_[h[lay.h], v[lay.v]]
+        h, v = _skeleton_edges(*g.box_edge_weights(edge_weights, self.box), g.refine)
+        w = np.r_[h.ravel(), v.ravel()]
         on = np.flatnonzero(w)
-        d, o = EDGE_ELEMENTS[kind](w[on], np.where(on < len(lay.h[0]), g.hx, g.hy))
+        d, o = EDGE_ELEMENTS[kind](w[on], np.where(on < h.size, g.hx, g.hy))
         a, b = lay.ends[on].T
         # every entry summed in order: the cells' terms, then the edges'
         return np.bincount(
@@ -311,6 +300,22 @@ class Skeleton:
         for k, (at, pos) in zip(self.groups, self.layout.cells):
             X[pos] = self.cells.extension[k] @ Y[at]
         return X
+
+
+def _skeleton_key(cells: CellBlocks, box: CellBox, sys: FineSystem,
+                  pou: PartitionOfUnity) -> tuple:
+    """The bytes the ``Skeleton`` of ``box`` and its ``mass`` of pou
+    read: the box shape, the group in ``cells`` of each of its coarse
+    cells and the edge weights of sys and pou on its coarse lines
+    (``_skeleton_edges``).  The groups fix kappa_tilde inside the cells
+    too, as ``compute_pou`` writes one gradient energy per group."""
+    g = cells.grid
+    key = [(box.i1 - box.i0, box.j1 - box.j0),
+           tuple(cells.group[c] for c in _box_cell_ids(g, box))]
+    for edge_weights in (sys.edge_arrays, pou.edge_kappa_tilde):
+        h, v = _skeleton_edges(*g.box_edge_weights(edge_weights, box), g.refine)
+        key += [h.tobytes(), v.tobytes()]
+    return tuple(key)
 
 
 def compute_pou(g: GridHierarchy, sys: FineSystem,
@@ -531,21 +536,19 @@ def offline_eigendecomposition(snap: SnapshotSpace, pou: PartitionOfUnity,
 def offline_spaces(g: GridHierarchy, sys: FineSystem, off,
                    n_modes: int | None = None):
     """POU and local spectral spaces, one per coarse node in node order,
-    of the offline settings ``off``; each space keeps all its eigenvalues
-    and its first ``n_modes`` modes (all when None).  Every coarse cell is
-    condensed once per distinct problem (``CellBlocks``), for the POU and
-    every neighborhood.  A group of equal keys is solved once, for its
-    leader (its lowest coarse node), and its one space stands at every
-    member's position.  The key is the ``cells`` key with the POU; a
-    randomized one adds the offset of ``cells`` in ``cells_plus`` and the
-    ``cells_plus`` key, so each member's space is what the leader's draw
+    of the offline settings ``off``, all from one ``CellBlocks``; each
+    space keeps all its eigenvalues and its first ``n_modes`` modes (all
+    when None).  A group of equal keys is solved once, for its leader
+    (its lowest coarse node), and its one space stands at every member's
+    position.  A randomized key adds the place of ``cells`` in
+    ``cells_plus``, so each member's space is what the leader's draw
     gives on its own box."""
     cells = CellBlocks(g, sys)
     pou = compute_pou(g, sys, cells)
 
     def key(nb):
         c, p = nb.cells, nb.cells_plus
-        spectral = _problem_key(g, c, sys, pou)
+        spectral = _skeleton_key(cells, c, sys, pou)
         return spectral if off.mode != "randomized" else (
             spectral, (c.i0 - p.i0, c.j0 - p.j0), _problem_key(g, p, sys))
     spaces = [None] * len(g.neighborhoods)

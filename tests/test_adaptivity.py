@@ -142,7 +142,8 @@ def test_dorfler_ties_broken_by_index():
 
 
 def test_enrich_caps_and_warns_when_exhausted():
-    g, sys, pou, spaces = setup(coarse=3, refine=2)
+    # no fractures: no field has room for one on 3x3@2
+    g, sys, pou, spaces = setup(coarse=3, refine=2, field=None)
     full = spaces[0]
     ms = mf.build_space(pou, spaces, [sp.l_i for sp in spaces])
     rep = mf.IndicatorReport(eta=np.ones(g.n_coarse_nodes),

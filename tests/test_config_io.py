@@ -24,10 +24,7 @@ FULL_CONFIG = {
              "refine": 3, "t": 1},
     "matrix": {"kappa": 2.5, "raster": "kappa.txt"},
     "fractures": {"field": "crossing_channels", "seed": 7, "kappa_f": 500.0,
-                  "aperture": 0.002, "params": {"n": 4},
-                  "list": [{"polyline": [[0.1, 0.2], [0.5, 0.6], [0.9, 0.3]],
-                            "aperture": 0.001, "kappa_f": 1000.0,
-                            "model": "efm"}]},
+                  "aperture": 0.002, "params": {"n": 4}},
     "bc": {"bilinear": [0.5, 1.0, -0.25, 0.0]},
     "source": {"constant": 1.5},
     "offline": {"mode": "randomized", "M_off": 3, "k_nb": 5, "p_bf": 2,
@@ -37,13 +34,18 @@ FULL_CONFIG = {
     "outputs": {"dir": "run1", "csv": "e.csv", "vtk": "u.vtk"},
     "sweep": [1, 3, 5],
 }
+# a field and a list are alternatives: the same config with a list instead
+LISTED_CONFIG = {**FULL_CONFIG, "fractures": {"list": [
+    {"polyline": [[0.1, 0.2], [0.5, 0.6], [0.9, 0.3]], "aperture": 0.001,
+     "kappa_f": 1000.0, "model": "efm"}]}}
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SHIPPED = sorted((ROOT / "configs").glob("*.yml"))
 
 
 def test_config_roundtrip_through_dict():
     assert SHIPPED
-    for data in [FULL_CONFIG] + [yaml.safe_load(p.read_text()) for p in SHIPPED]:
+    for data in [FULL_CONFIG, LISTED_CONFIG] + [yaml.safe_load(p.read_text())
+                                                for p in SHIPPED]:
         cfg = parse_config(data)
         echo = config_to_dict(cfg)
         cfg2 = parse_config(echo)
@@ -120,6 +122,17 @@ def test_unknown_keys_rejected(data, frag):
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
         parse_config(data)
+
+
+def test_a_field_and_a_list_together_are_rejected():
+    # a run reads either the field or the list, so both would leave one unread
+    both = {**FULL_CONFIG["fractures"], **LISTED_CONFIG["fractures"]}
+    with pytest.raises(ConfigError, match=r"^fractures: give either 'field' or "
+                                          r"'list', not both$"):
+        parse_config({"fractures": both})
+    with pytest.raises(ConfigError, match="not both"):
+        mf.config.FracturesConfig(field="crossing_channels", fractures=[
+            mf.config.FractureSpec([[0.1, 0.3], [0.6, 0.35]], 1e-3, 1e3)])
 
 
 def test_constructors_reject_non_finite_values(tmp_path):

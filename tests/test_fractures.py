@@ -94,13 +94,33 @@ def test_vertices_snapping_to_one_node_are_merged():
     assert len(got.fine_edges) == 80
 
 
+# the fields with no room inside their margins on a grid, for every seed
+NO_ROOM = {(4, 3, 4): {"isolated_blocks"}, (5, 5, 4): {"isolated_blocks"},
+           (3, 3, 2): {"isolated_blocks", "crossing_channels", "crossing_network"}}
+
+
+def draws_nothing(gen, g, seed):
+    """Whether gen raises the ``GeometryError`` of an empty draw."""
+    try:
+        gen(g, seed=seed)
+    except GeometryError as exc:
+        assert str(exc) == (f"fractures.field {gen.__name__!r} draws no fracture at "
+                            f"seed {seed} on {g.coarse_nx}x{g.coarse_ny}@{g.refine}")
+        return True
+    return False
+
+
 @pytest.mark.parametrize("shape", [(4, 3, 4), (5, 5, 4), (10, 10, 10)])
 def test_every_field_generator_rasterizes(shape):
     cx, cy, r = shape
     g = mf.build_hierarchy(mf.UNIT_SQUARE, cx, cy, r, t=0)
     for name, gen in mf.fields.FIELD_GENERATORS.items():
         for seed in range(5):
+            if name in NO_ROOM.get(shape, ()):
+                assert draws_nothing(gen, g, seed), (name, seed)
+                continue
             net = gen(g, seed=seed)
+            assert net.fractures, (name, seed)
             for f in net.dfm:
                 assert len(mf.rasterize_dfm(f, g).fine_edges) > 0, (name, seed)
             for f in net.efm:
@@ -370,10 +390,26 @@ def test_network_split_by_model():
 
 def test_generators_terminate_on_tiny_grids():
     # a 3x3 coarse grid leaves almost no room after the boundary margin;
-    # the generators must settle for fewer fractures, not spin forever
+    # the generators must settle for fewer fractures, not spin forever,
+    # and one that has room for none says so
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 2, t=0)
     for name, gen in mf.fields.FIELD_GENERATORS.items():
+        if name in NO_ROOM[3, 3, 2]:
+            assert draws_nothing(gen, g, 0), name
+            continue
         net = gen(g, seed=0)
         for f in net.fractures:
             assert np.all(f.polyline[:, 0] >= g.domain.x0 - 1e-12)
             assert np.all(f.polyline[:, 1] <= g.domain.y1 + 1e-12)
+
+
+def test_a_field_that_draws_nothing_raises_for_every_caller():
+    # a direct call of a generator, or of its FIELD_GENERATORS entry, on a
+    # grid with no room for the field gets the error a configured run gets
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 2, t=0)
+    for gen in (mf.fields.crossing_channels, mf.fields.FIELD_GENERATORS["crossing_network"]):
+        with pytest.raises(GeometryError, match=rf"^fractures\.field '{gen.__name__}' "
+                                                r"draws no fracture at seed 3 on 3x3@2$"):
+            gen(g, seed=3)
+    assert mf.fields.crossing_channels(mf.build_hierarchy(
+        mf.UNIT_SQUARE, 4, 4, 4, t=0), seed=3).fractures

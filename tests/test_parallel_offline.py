@@ -475,7 +475,8 @@ def assert_groups_read_equal_operators(rs, monkeypatch):
     leader's corner fields and gradient energy, is bytewise the POU of
     every coarse cell solved on its own factor."""
     g, sys = rs.grid, rs.sys
-    pou = offline.compute_pou(g, sys)
+    blocks = offline.CellBlocks(g, sys)
+    pou = offline.compute_pou(g, sys, blocks)
     with monkeypatch.context() as own_factors:
         own_factors.setattr(offline, "_problem_key", lambda *args, **kw: object())
         assert pou_bytes(offline.compute_pou(g, sys)) == pou_bytes(pou)
@@ -487,7 +488,7 @@ def assert_groups_read_equal_operators(rs, monkeypatch):
     forms = [("stiffness", (sys.perm.kappa_cells, sys.edge_arrays)),
              ("mass", (pou.kappa_tilde, pou.edge_kappa_tilde))]
     cells = [nb.cells for nb in g.neighborhoods]
-    for group in offline._groups(offline._problem_key(g, b, sys, pou) for b in cells):
+    for group in offline._groups(offline._skeleton_key(blocks, b, sys, pou) for b in cells):
         for kind, weights in forms:
             ops = [csr_bytes(node_operator(g, *weights, kind, cells[m]))
                    for m in group]
@@ -495,6 +496,7 @@ def assert_groups_read_equal_operators(rs, monkeypatch):
 
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+BENCH_CONFIG_DIR = CONFIG_DIR.parent / "bench" / "configs"
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.yml")))
@@ -512,13 +514,10 @@ def test_equal_keys_read_equal_operators_with_rim_edges(tmp_path, monkeypatch):
     assert_groups_read_equal_operators(rs, monkeypatch)
 
 
-def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
-    # a subnormal permeability makes the cell terms of its fine cell zero.
-    # node_operator drops zero sums only on a box with edges, so a coarse
-    # cell with conforming edges along its rim stores fewer entries than
-    # one without, under the same extension key.  The band copy of a
-    # harmonic extension writes stored zeros as zeros, so its factor
-    # reads only the nonzero values, which the key fixes
+def subnormal_rim_system():
+    """3 x 3 coarse cells of 4 x 4, each with one fine cell of subnormal
+    permeability, and a conforming fracture along the coarse line
+    y = 1/3, on the rims of the cells beside it."""
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
     r = g.refine
     kappa = np.ones(g.n_cells)
@@ -526,7 +525,17 @@ def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
         for I in range(3):
             kappa[(J * r + 1) * g.fine_nx + I * r + 1] = 5e-324
     line = mf.Fracture(np.array([[0.0, 1 / 3], [1.0, 1 / 3]]), 1e-3, 1e4, "dfm", 0)
-    sys = mf.assemble_dfm(g, mf.PermeabilityField(kappa), [mf.rasterize_dfm(line, g)])
+    return g, mf.assemble_dfm(g, mf.PermeabilityField(kappa), [mf.rasterize_dfm(line, g)])
+
+
+def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
+    # a subnormal permeability makes the cell terms of its fine cell zero.
+    # node_operator drops zero sums only on a box with edges, so a coarse
+    # cell with conforming edges along its rim stores fewer entries than
+    # one without, under the same extension key.  The band copy of a
+    # harmonic extension writes stored zeros as zeros, so its factor
+    # reads only the nonzero values, which the key fixes
+    g, sys = subnormal_rim_system()
     boxes = cell_boxes(g)
     assert len(offline._groups(offline._problem_key(g, b, sys) for b in boxes)) == 1
     assert len({interior_rows(sys, b) for b in boxes}) == 2
@@ -538,3 +547,91 @@ def test_rim_edges_leave_stored_zeros_out_of_the_factored_rows(monkeypatch):
     ref = offline.compute_pou(g, sys)
     for chi, chi_ref in zip(pou.chi, ref.chi, strict=True):
         assert chi.tobytes() == chi_ref.tobytes()
+
+
+def whole_box_key(g, box, sys, pou):
+    """The oracle of ``offline._skeleton_key``: the box shape and the
+    bytes of every cell and edge weight of the stiffness and of the
+    kappa_tilde mass on the closed box."""
+    key = [box_shape(box)]
+    for cell_weights, edge_weights in ((sys.perm.kappa_cells, sys.edge_arrays),
+                                       (pou.kappa_tilde, pou.edge_kappa_tilde)):
+        h, v = g.box_edge_weights(edge_weights, box)
+        key += [cell_weights[g.box_cells(box)].tobytes(), h.tobytes(), v.tobytes()]
+    return tuple(key)
+
+
+def config_setup(name, tmp_path):
+    """The run setup of a shipped or bench config, or of RIM_FRACTURE."""
+    if name == "RIM_FRACTURE":
+        return driver.setup(parse_config({**RIM_FRACTURE,
+                                          "outputs": {"dir": str(tmp_path / "out")}}))
+    cfg = load_config(CONFIG_DIR.parent / name)
+    cfg.outputs.dir = str(tmp_path / "out")
+    return driver.setup(cfg)
+
+
+GROUPED_CONFIGS = sorted(str(p.relative_to(CONFIG_DIR.parent)) for p in
+                         [*CONFIG_DIR.glob("*.yml"), *BENCH_CONFIG_DIR.glob("*.yml")])
+
+
+@pytest.mark.parametrize("name", GROUPED_CONFIGS + ["RIM_FRACTURE"])
+def test_skeleton_keys_group_like_whole_box_bytes(name, tmp_path):
+    # the coarse cells' groups and the skeleton edges part the
+    # neighborhoods as the bytes of all their data do
+    rs = config_setup(name, tmp_path)
+    g, sys = rs.grid, rs.sys
+    blocks = offline.CellBlocks(g, sys)
+    pou = offline.compute_pou(g, sys, blocks)
+    boxes = [nb.cells for nb in g.neighborhoods]
+    groups = offline._groups(offline._skeleton_key(blocks, b, sys, pou) for b in boxes)
+    assert groups == offline._groups(whole_box_key(g, b, sys, pou) for b in boxes)
+    assert len(groups) < len(boxes)
+
+
+def assert_cell_groups_fix_kappa_tilde(g, sys):
+    """Within each ``CellBlocks`` group, kappa_tilde on the cell's fine
+    cells and on the edges inside it, off its rim, are byte-equal: the
+    bytes ``_skeleton_key`` leaves to the groups."""
+    blocks = offline.CellBlocks(g, sys)
+    pou = offline.compute_pou(g, sys, blocks)
+
+    def inside(c):
+        box = offline._cell_box(g, c)
+        h, v = g.box_edge_weights(pou.edge_kappa_tilde, box)
+        return (pou.kappa_tilde[g.box_cells(box)].tobytes(),
+                h[1:-1].tobytes(), v[:, 1:-1].tobytes())
+    assert any(len(group) > 1 for group in blocks.groups)
+    for group in blocks.groups:
+        assert all(inside(c) == inside(group[0]) for c in group[1:])
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.yml")))
+def test_cell_groups_fix_kappa_tilde_on_shipped_configs(config, tmp_path):
+    rs = config_setup(f"configs/{config}", tmp_path)
+    assert_cell_groups_fix_kappa_tilde(rs.grid, rs.sys)
+
+
+def test_cell_groups_fix_kappa_tilde_with_subnormal_permeability():
+    assert_cell_groups_fix_kappa_tilde(*subnormal_rim_system())
+
+
+def test_skeleton_key_reads_kappa_tilde_from_beyond_the_box():
+    # kappa_tilde on a conforming edge averages the gradient energy of the
+    # cells on both sides.  Neighborhoods (2, 2) and (4, 2) lie below the
+    # fracture along y = 1/2, their top rim, with equal cells and edges;
+    # only (2, 2) has a cell of other energy above, so their masses differ
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 6, 6, 4, t=0)
+    r = g.refine
+    kappa = np.ones(g.n_cells)
+    kappa[(3 * r + 1) * g.fine_nx + r + 1] = 2.0       # in coarse cell (1, 3)
+    line = mf.Fracture(np.array([[0.0, 0.5], [1.0, 0.5]]), 1e-3, 1e4, "dfm", 0)
+    sys = mf.assemble_dfm(g, mf.PermeabilityField(kappa), [mf.rasterize_dfm(line, g)])
+    blocks = offline.CellBlocks(g, sys)
+    pou = offline.compute_pou(g, sys, blocks)
+    at = {(nb.ci, nb.cj): nb.cells for nb in g.neighborhoods}
+    near, far = (offline._skeleton_key(blocks, at[i, 2], sys, pou) for i in (2, 4))
+    assert near[:4] == far[:4] and near != far
+    boxes = [nb.cells for nb in g.neighborhoods]
+    assert offline._groups(offline._skeleton_key(blocks, b, sys, pou) for b in boxes) \
+        == offline._groups(whole_box_key(g, b, sys, pou) for b in boxes)
