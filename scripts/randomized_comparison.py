@@ -1,13 +1,11 @@
 """Full vs. randomized snapshot spaces at matched coarse dimension.
 
 For each mode count M the randomized run draws k_nb = M plus p_bf
-oversamples per interior neighborhood.  Reports both energy errors,
-their ratio, and the fraction of snapshot solves actually performed.
+oversamples per interior neighborhood.  Reports both energy errors
+and their ratio.
 """
 
 import argparse
-
-import yaml
 
 from msfrac.config import (RunConfig, GridConfig, FracturesConfig,
                            OfflineConfig, OutputsConfig)
@@ -40,17 +38,14 @@ def main():
 
     print(f"{args.field} (seed {args.seed}), p_bf={args.p_bf}")
     print(f"  {'M':>3}  {'dim':>5}  {'h1_full%':>9}  {'h1_rand%':>9}"
-          f"  {'ratio':>6}  {'snapshots%':>10}")
+          f"  {'ratio':>6}")
     for m in args.modes:
         full = sweep("full", args, m, f"{args.out}/full_m{m}")
         rand = sweep("randomized", args, m, f"{args.out}/rand_m{m}")
         e_f = 100 * full.rel_energy_vs_fine
         e_r = 100 * rand.rel_energy_vs_fine
-        # interior draw count over what full snapshots would have cost
-        with open(f"{args.out}/rand_m{m}/manifest.yml") as fh:
-            ratio_pct = yaml.safe_load(fh)["run"]["snapshot_ratio_pct"]
         print(f"  {m:>3}  {rand.dim_Voff:>5}  {e_f:9.3f}  {e_r:9.3f}"
-              f"  {e_r / e_f:6.3f}  {ratio_pct:10.2f}")
+              f"  {e_r / e_f:6.3f}")
 
 
 if __name__ == "__main__":

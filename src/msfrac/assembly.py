@@ -352,13 +352,14 @@ def assemble_efm(g: GridHierarchy, perm: PermeabilityField,
     CI*(u_m(p) - u_f(p))*(v_m(p) - v_f(p)) at the intersection midpoint
     p is distributed with bilinear weights on the matrix side and 1D
     hat weights on the fracture side.  ``coupling_scale`` > 0 multiplies
-    every CI, so each fracture exchanges flow with the matrix.
+    every CI, so each fracture exchanges flow with the matrix.  With no
+    embedded trace this is ``assemble_dfm``'s conforming system.
     """
-    if not efm_traces:
-        raise ValueError("embedded assembly requires at least one embedded trace")
     if not coupling_scale > 0:
         raise ValueError(f"coupling_scale must be positive, got {coupling_scale}")
     base = assemble_dfm(g, perm, dfm_traces, f=f, bc=bc)
+    if not efm_traces:
+        return base
     base.efm_traces = list(efm_traces)
     off = base.frac_offsets
     cell_nodes = g.all_cell_nodes()

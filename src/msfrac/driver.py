@@ -20,8 +20,8 @@ import numpy as np
 
 from .grids import Rect, GridHierarchy, build_hierarchy
 from .fractures import Fracture, FractureNetwork, rasterize_dfm, intersect_efm
-from .assembly import (PermeabilityField, FineSystem, assemble_dfm,
-                       assemble_efm, node_operator, solve_fine)
+from .assembly import (PermeabilityField, FineSystem, assemble_efm,
+                       node_operator, solve_fine)
 from .offline import offline_spaces
 from .coarse import build_space, coarse_system, restrict, solve_coarse
 from .adaptivity import adaptive_loop
@@ -65,14 +65,9 @@ def setup(cfg: RunConfig) -> RunSetup:
     else:
         kappa = np.full(g.n_cells, cfg.matrix.kappa)
     perm = PermeabilityField(kappa)
-    dfm_traces = [rasterize_dfm(f, g) for f in network.dfm]
-    efm_traces = [intersect_efm(f, g) for f in network.efm]
-    bc = cfg.bc_callable()
-    f = cfg.source_callable()
-    if efm_traces:
-        sys = assemble_efm(g, perm, dfm_traces, efm_traces, f=f, bc=bc)
-    else:
-        sys = assemble_dfm(g, perm, dfm_traces, f=f, bc=bc)
+    sys = assemble_efm(g, perm, [rasterize_dfm(f, g) for f in network.dfm],
+                       [intersect_efm(f, g) for f in network.efm],
+                       f=cfg.source_callable(), bc=cfg.bc_callable())
     return RunSetup(cfg=cfg, grid=g, sys=sys)
 
 
@@ -242,20 +237,11 @@ def run_sweep(cfg: RunConfig) -> list[ErrorReport]:
     reports, infos, sol = _error_table(rs, pou, spaces, cfg.sweep,
                                        fine.u, snapshot_reference=True)
     io_formats.write_error_csv(_outpath(cfg, cfg.outputs.csv), reports)
-    run = {"command": "sweep", "schedule": list(cfg.sweep),
-           "offline_mode": cfg.offline.mode,
-           "fine_residual": _2g(fine.residual),
-           "dims": [r.dim_Voff for r in reports], **_coarse_paths(infos)}
-    if cfg.offline.mode == "randomized":
-        # the random draws of the interior neighborhoods, each counted once
-        # though a group draws once for all its members (the constant
-        # snapshot is free), over the rim nodes of their oversampled boxes;
-        # boundary patches keep a single mode and are left out
-        rims = [int(np.count_nonzero(rs.grid.box_rim(nb.cells_plus)))
-                for nb in rs.grid.neighborhoods if nb.is_interior]
-        drawn = (cfg.offline.k_nb + cfg.offline.p_bf) * len(rims)
-        run["snapshot_ratio_pct"] = round(100.0 * drawn / sum(rims), 4)
-    _write(rs, sol, spaces, run)
+    _write(rs, sol, spaces, {"command": "sweep", "schedule": list(cfg.sweep),
+                             "offline_mode": cfg.offline.mode,
+                             "fine_residual": _2g(fine.residual),
+                             "dims": [r.dim_Voff for r in reports],
+                             **_coarse_paths(infos)})
     return reports
 
 

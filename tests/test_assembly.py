@@ -509,11 +509,34 @@ def test_efm_matches_dfm_under_strong_coupling():
     assert rel < 0.05
 
 
-def test_efm_requires_traces_and_overlaps():
+def test_efm_without_embedded_traces_is_the_conforming_system():
+    # setup calls assemble_efm for every run, so a run with no embedded
+    # fracture must get assemble_dfm's system, bit for bit
+    g = mf.build_hierarchy(mf.UNIT_SQUARE, 4, 4, 4, t=1)
+    net = mf.fields.crossing_channels(g, seed=1)
+    traces = [mf.rasterize_dfm(fr, g) for fr in net.dfm]
+    perm = cell_permeability(g, lambda x, y: 1.0 + 5.0 * x * y)
+    bc = mf.bilinear_bc(0.0, 1.0, 1.0, 0.0)
+    dfm = mf.assemble_dfm(g, perm, traces, f=2.0, bc=bc)
+    efm = mf.assemble_efm(g, perm, traces, [], f=2.0, bc=bc)
+    assert traces and efm.efm_traces == []
+    for name in ("data", "indices", "indptr"):
+        assert getattr(efm.K, name).tobytes() == getattr(dfm.K, name).tobytes()
+    assert efm.K.shape == dfm.K.shape
+    assert efm.f.tobytes() == dfm.f.tobytes()
+    assert efm.edge_arrays.tobytes() == dfm.edge_arrays.tobytes()
+
+
+def test_efm_trace_without_cell_overlaps_is_rejected():
     g = mf.build_hierarchy(mf.UNIT_SQUARE, 3, 3, 4, t=0)
+    fr = mf.Fracture(np.array([[0.15, 0.3], [0.85, 0.62]]), 1e-3, 1e4, "efm", 0)
+    tr = mf.intersect_efm(fr, g)
+    empty = dataclasses.replace(tr, fracture_id=1, cells=tr.cells[:0],
+                                lengths=tr.lengths[:0], midpoints=tr.midpoints[:0],
+                                mid_arcs=tr.mid_arcs[:0])
     perm = mf.PermeabilityField.constant(g, 1.0)
-    with pytest.raises(ValueError):
-        mf.assemble_efm(g, perm, [], [])
+    with pytest.raises(ValueError, match="fracture 1: embedded trace has no cell overlaps"):
+        mf.assemble_efm(g, perm, [], [tr, empty])
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])

@@ -121,27 +121,6 @@ def test_sweep_records_coarse_path_per_row(tmp_path):
     assert (out / "manifest.yml").read_bytes() == first
 
 
-def test_randomized_sweep_records_snapshot_ratio(tmp_path):
-    # (k_nb + p_bf) drawn extensions per interior neighborhood over the
-    # rim nodes of its oversampled box, the t-layer dilation of its 2x2
-    # coarse cells clipped to the grid
-    nx, ny, r, t, k_nb, p_bf = 4, 3, 4, 1, 3, 2
-    cfg, out = write_cfg(tmp_path, grid={"coarse": [nx, ny], "refine": r, "t": t},
-                         offline={"mode": "randomized", "k_nb": k_nb,
-                                  "p_bf": p_bf, "seed": 3},
-                         sweep=[1, 2])
-    assert main(["sweep", "-c", str(cfg)]) == 0
-    drawn = full = 0
-    for cj in range(1, ny):
-        for ci in range(1, nx):
-            w = min((ci + 1) * r + t, nx * r) - max((ci - 1) * r - t, 0)
-            h = min((cj + 1) * r + t, ny * r) - max((cj - 1) * r - t, 0)
-            drawn += k_nb + p_bf
-            full += 2 * (w + h)
-    run = yaml.safe_load((out / "manifest.yml").read_text())["run"]
-    assert run["snapshot_ratio_pct"] == round(100.0 * drawn / full, 4)
-
-
 def code_config(mode, out):
     return RunConfig(grid=GridConfig(coarse_nx=3, coarse_ny=3, refine=3, t=1),
                      offline=OfflineConfig(mode=mode, M_off=2, k_nb=2, p_bf=1),

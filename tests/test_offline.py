@@ -321,21 +321,6 @@ def test_randomized_snapshots_harmonic_inside_omega():
     assert np.abs(R).max() < 1e-9 * np.abs(snap.vectors).max() * np.abs(sys.K.data).max()
 
 
-def test_snapshot_ratio_reference_scale():
-    g = mf.build_hierarchy(mf.UNIT_SQUARE, 10, 10, 10, t=2)
-    perm = mf.PermeabilityField.constant(g, 1.0)
-    sys = mf.assemble_dfm(g, perm, [])
-    deep = next(nb for nb in g.neighborhoods if nb.ci == 5 and nb.cj == 5)
-    got = []
-    for k_nb in (3, 4, 5):
-        snap = mf.randomized_snapshots(g, sys, deep.index, k_nb=k_nb, p_bf=2, seed=0)
-        n_rim = np.count_nonzero(g.box_rim(deep.cells_plus))
-        assert n_rim == 96  # 24x24 oversampled patch rim
-        drawn = snap.l_i - 1  # the constant is free
-        got.append(100 * drawn / n_rim)
-    np.testing.assert_allclose(got, [5.21, 6.25, 7.29], atol=0.005)
-
-
 # ------------------------------------------------------- eigenproblem
 
 
