@@ -60,6 +60,14 @@ class AdaptConfig:
             raise ValueError(f"unknown indicator {self.indicator!r}")
         if self.indicator == "manual" and self.manual_box is None:
             raise ValueError("manual indicator needs a coarse-node rectangle")
+        if self.indicator != "manual" and self.manual_box is not None:
+            raise ValueError("manual_box applies only to the manual indicator")
+        if self.manual_box is not None:
+            ci0, ci1, cj0, cj1 = self.manual_box
+            if ci0 > ci1 or cj0 > cj1:
+                raise ValueError(f"manual_box {list(self.manual_box)} has reversed "
+                                 "bounds: give [ci0, ci1, cj0, cj1] with ci0 <= ci1 "
+                                 "and cj0 <= cj1")
 
 
 @dataclass
@@ -94,6 +102,10 @@ def compute_indicators(ms: MultiscaleSpace, sol: CoarseSolution,
         for nb in g.neighborhoods:
             if ci0 <= nb.ci <= ci1 and cj0 <= nb.cj <= cj1:
                 eta[nb.index] = 1.0
+        if not eta.any():
+            raise ValueError(f"manual_box {list(cfg.manual_box)} holds no coarse node "
+                             f"of the {g.coarse_nx}x{g.coarse_ny} coarse grid "
+                             f"(nodes 0..{g.coarse_nx} by 0..{g.coarse_ny})")
         return IndicatorReport(eta=eta, marked=np.empty(0, dtype=int), dim=ms.N_c)
 
     r = (sys.f - sys.K @ sol.u_ms_fine)[:sys.n_nodes]

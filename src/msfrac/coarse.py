@@ -118,17 +118,23 @@ def _rank_report(ms: MultiscaleSpace) -> list[int]:
 def _solve_spd_or_lstsq(K0, F0, ms):
     """Solve the coarse system by one sparse LU, rescued by least squares.
 
-    K0 is SPD unless the space has dependent columns, so SuperLU runs in
-    symmetric mode (minimum degree on K0 + K0^T, diagonal pivots).  The
-    solution stands when its residual is small and rcond >= eps, LAPACK's
-    test before it warns of an ill-conditioned solve.  rcond is the
-    smaller of 1/(|K0|_1 |K0^-1|_1), with Higham's one-probe estimate of
-    |K0^-1|_1, which draws no random numbers, and the ratio of the
-    smallest to the largest pivot magnitude.  Both can only overstate
-    the reciprocal condition number (the pivots of an SPD matrix lie
-    between its extreme eigenvalues), and the one probe can miss a
-    near-null direction: K0 with one column repeated factors with a
-    pivot of one ulp, which the estimate alone read as rcond 0.12.
+    The system is first scaled symmetrically to unit diagonal: with
+    D = diag(K0)^-1/2 (scale 1 where a diagonal entry is not positive)
+    it solves D K0 D Y = D F0 and returns U = D Y.  Every test below reads
+    the scaled system.  Without it a fracture contrast of 1e10 spreads
+    K0's diagonal over so many decades that the estimates read rcond
+    < eps for a well-posed space, and the rescue returns a wrong answer.
+    D K0 D is SPD unless the space has dependent columns, so SuperLU runs
+    in symmetric mode (minimum degree on K0 + K0^T, diagonal pivots).
+    The solution stands when its residual is small and rcond >= eps,
+    LAPACK's test before it warns of an ill-conditioned solve.  rcond is
+    the smaller of 1/(|D K0 D|_1 |(D K0 D)^-1|_1), with Higham's one-probe
+    estimate of the inverse's norm, which draws no random numbers, and
+    the ratio of the smallest to the largest pivot magnitude.  Both can
+    only overstate the reciprocal condition number (the pivots of an SPD
+    matrix lie between its extreme eigenvalues), and the one probe can
+    miss a near-null direction: K0 with one column repeated factors with
+    a pivot of one ulp, which the estimate alone read as rcond 0.12.
     Full snapshot spaces can exceed the fine dimension, making K0
     consistent but singular; the dense least-squares pseudo-solution, up
     to ``DENSE_RESCUE_BYTES``, then still gives the unique Galerkin
@@ -136,7 +142,11 @@ def _solve_spd_or_lstsq(K0, F0, ms):
     where the LU failed) and lstsq's rank.
     """
     n = K0.shape[0]
-    K0 = K0.tocsc()
+    K0 = K0.tocsc(copy=True)
+    d = K0.diagonal()
+    scale = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    K0.data *= scale[K0.indices] * np.repeat(scale, np.diff(K0.indptr))
+    F0 = scale * F0
     normF = max(np.linalg.norm(F0), 1e-300)
     info = {"solver": "direct", "rcond": None}
     try:
@@ -145,27 +155,27 @@ def _solve_spd_or_lstsq(K0, F0, ms):
     except RuntimeError:              # exactly singular factor
         pass
     else:
-        U = lu.solve(F0)
+        Y = lu.solve(F0)
         inv = spla.LinearOperator((n, n), lu.solve, dtype=float,
                                   rmatvec=partial(lu.solve, trans="T"))
         pivots = np.abs(lu.U.diagonal())
         rcond = min(1.0 / (spla.norm(K0, 1) * spla.onenormest(inv, t=1)),
                     pivots.min() / pivots.max())
         info["rcond"] = float(rcond)
-        res = np.linalg.norm(K0 @ U - F0) / normF
+        res = np.linalg.norm(K0 @ Y - F0) / normF
         if np.isfinite(res) and res <= 1e-8 and rcond >= np.finfo(float).eps:
-            return U, info
+            return scale * Y, info
     if 8 * n**2 > DENSE_RESCUE_BYTES:
         raise CoarseRescueTooLarge(f"dense rescue of N_c = {ms.N_c} needs {8 * n**2} bytes")
     Kd = K0.toarray()
-    U, _, rank, _ = np.linalg.lstsq(Kd, F0, rcond=1e-12)
-    res = np.linalg.norm(Kd @ U - F0) / normF
+    Y, _, rank, _ = np.linalg.lstsq(Kd, F0, rcond=1e-12)
+    res = np.linalg.norm(Kd @ Y - F0) / normF
     if not np.isfinite(res) or res > 1e-6:
         raise RuntimeError(
             "coarse system is singular beyond a pseudo-inverse rescue; "
             f"locally dependent neighborhoods: {_rank_report(ms)}")
     info.update(rank=int(rank), solver="lstsq")
-    return U, info
+    return scale * Y, info
 
 
 def coarse_system(ms: MultiscaleSpace, sys: FineSystem):

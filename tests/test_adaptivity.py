@@ -38,6 +38,27 @@ def test_config_validation():
     AdaptConfig(theta=1.0)  # closed at the top
 
 
+def test_manual_box_is_checked_where_it_is_given():
+    # reversed bounds hold no node, and the residual indicator reads no box
+    with pytest.raises(ValueError, match="reversed bounds"):
+        AdaptConfig(indicator="manual", manual_box=(9, 3, 5, 9))
+    with pytest.raises(ValueError, match="reversed bounds"):
+        AdaptConfig(indicator="manual", manual_box=(3, 9, 9, 5))
+    with pytest.raises(ValueError, match="only to the manual indicator"):
+        AdaptConfig(manual_box=(3, 9, 5, 9))
+    AdaptConfig(indicator="manual", manual_box=(4, 4, 0, 0))  # one node
+
+
+def test_manual_box_beyond_the_coarse_grid_is_an_error():
+    # the 4x4 coarse grid has nodes 0..4 per direction; a box past them
+    # would mark nothing and stop the loop after its first solve
+    g, sys, pou, spaces = setup(coarse=4, field=None)
+    cfg = AdaptConfig(indicator="manual", manual_box=(7, 9, 7, 9))
+    with pytest.raises(ValueError, match=r"^manual_box \[7, 9, 7, 9\] holds no "
+                                         r"coarse node of the 4x4 coarse grid"):
+        adaptive_loop(sys, pou, spaces, cfg)
+
+
 def test_manual_rectangle_marks_35_and_grows_to_226():
     g, sys, pou, spaces = setup()
     cfg = AdaptConfig(indicator="manual", manual_box=(3, 9, 5, 9),

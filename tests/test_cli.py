@@ -191,6 +191,16 @@ def test_field_that_draws_no_fracture_exits_nonzero(tmp_path, capsys):
     assert not (out / "errors.csv").exists()
 
 
+def test_manual_box_without_a_coarse_node_exits_nonzero(tmp_path, capsys):
+    cfg, out = write_cfg(tmp_path, adapt={"indicator": "manual",
+                                          "manual_box": [7, 9, 7, 9]})
+    assert main(["adapt", "-c", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: manual_box [7, 9, 7, 9] holds no coarse node of the 4x4 coarse "
+        "grid (nodes 0..4 by 0..4)\n")
+    assert not (out / "errors.csv").exists()
+
+
 def test_missing_config_exits_nonzero(tmp_path, capsys):
     assert main(["solve", "-c", str(tmp_path / "nope.yml")]) == 2
     assert "error:" in capsys.readouterr().err

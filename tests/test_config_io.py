@@ -118,6 +118,12 @@ def test_unknown_keys_rejected(data, frag):
     ({"grid": {"t": -1}}, r"^grid\.t: must be non-negative"),
     ({"adapt": {"basis_increment": 0}}, r"^adapt\.basis_increment: must be positive"),
     ({"adapt": {"basis_increment": -2}}, r"^adapt\.basis_increment: must be positive"),
+    ({"adapt": {"manual_box": [1, 3, 1, 2]}},
+     r"^adapt: manual_box applies only to the manual indicator$"),
+    ({"adapt": {"indicator": "manual", "manual_box": [3, 1, 1, 2]}},
+     r"^adapt: manual_box \[3, 1, 1, 2\] has reversed bounds"),
+    ({"adapt": {"indicator": "manual", "manual_box": [1, 3, 2, 1]}},
+     r"^adapt: manual_box \[1, 3, 2, 1\] has reversed bounds"),
 ])
 def test_invalid_values_rejected(data, frag):
     with pytest.raises(ConfigError, match=frag):
